@@ -88,7 +88,11 @@ def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -
 
 def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> np.ndarray:
     """Cancellation law u = F(master) - G(slave) + diag(lam) e; shapes (..., 3)."""
-    lam = _check_lambda(lam)
+    return _cancellation(master, slave, fp, vp, _check_lambda(lam))
+
+
+def _cancellation(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> np.ndarray:
+    # control_exact for a lam already validated, as in ExactCancellation.
     m = np.asarray(master, dtype=np.float64)
     s = np.asarray(slave, dtype=np.float64)
     return financial_rhs(m, fp) - volta_rhs(s, vp) + (s - m) * lam
@@ -179,25 +183,33 @@ def coupled_system(
     fp: FinancialParams, vp: VoltaParams, controller: Controller
 ) -> SystemDef:
     """Six-dimensional driven pair as an integrable system."""
+    # The control law is bound once here, so the right-hand side neither
+    # dispatches on the controller nor validates its gains at every call.
     if isinstance(controller, ExactCancellation):
         kid = kernels.SYS_COUPLED_EXACT
-        kparams = np.concatenate([fp.as_array(), vp.as_array(), np.array(controller.lam)])
+        lam = np.array(controller.lam)
+        kparams = np.concatenate([fp.as_array(), vp.as_array(), lam])
         name = "coupled-exact"
+
+        def control(m, s):
+            return _cancellation(m, s, fp, vp, lam)
+
     elif isinstance(controller, LiteralFeedback):
         kid = kernels.SYS_COUPLED_LITERAL
         gain = controller.gain_array(vp)
         kparams = np.concatenate([fp.as_array(), vp.as_array(), gain.reshape(-1)])
         name = "coupled-literal"
+
+        def control(m, s):
+            return control_literal(m, s, fp, vp, gain)
+
     else:
         raise TypeError(f"unknown controller {controller!r}")
 
     def rhs(t, y):
         m = y[..., :3]
         s = y[..., 3:]
-        u = control_input(controller, m, s, fp, vp)
-        out_m = financial_rhs(m, fp)
-        out_s = volta_rhs(s, vp) + u
-        return np.concatenate([out_m, out_s], axis=-1)
+        return np.concatenate([financial_rhs(m, fp), volta_rhs(s, vp) + control(m, s)], axis=-1)
 
     return SystemDef(
         name=name,

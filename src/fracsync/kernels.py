@@ -1,12 +1,18 @@
 """Integration kernels for the fractional predictor-corrector scheme.
 
-The production path compiles the whole time-stepping loop with numba
-(``@njit``, cached) for the built-in vector fields, dispatched by a small
-integer system id so one compiled kernel serves every named system. A
-pure-numpy driver implements the identical scheme for arbitrary Python
-right-hand sides and for environments without numba. Set
-``FRACSYNC_NO_NUMBA=1`` before import to force the numpy path everywhere;
-``benchmarks/benchmark_kernels.py`` times the two paths against each other.
+`abm_python` is the numpy driver. It runs any Python right-hand side and
+is the path every integration takes when numba is not installed. Its
+history sums are FFT-tiled (see `abm_python`), so N full-memory steps
+cost O(N log^2 N) instead of the O(N^2) of direct summation, and they
+match direct summation to rounding error: the test suite pins the states
+to 1e-12 of an independent direct-sum integrator. None of its sums go
+through BLAS, so results do not depend on the BLAS thread count.
+
+When numba is importable, the built-in vector fields can instead run
+`_abm_jit`, a compiled loop with direct O(N^2) sums, dispatched by a small
+integer system id so one compiled kernel serves every named system. Set
+``FRACSYNC_NO_NUMBA=1`` before import to force the numpy driver
+everywhere; ``benchmarks/benchmark_kernels.py`` times the drivers.
 
 The scheme discretizes the componentwise Caputo initial value problem
 D^q_i y_i = f_i(t, y) on the uniform grid t_j = j*h. With the history
@@ -68,7 +74,7 @@ SYS_COUPLED_LITERAL = 3
 
 # ---------------------------------------------------------------------------
 # Weight kernels, numpy side. Shared by the public weight functions and the
-# fallback driver; the jit kernel below recomputes the same quantities with
+# numpy driver; the jit kernel below recomputes the same quantities with
 # scalar arithmetic.
 # ---------------------------------------------------------------------------
 
@@ -124,12 +130,19 @@ def first_panel_weight(q: float, n: int) -> float:
     Equals n^(q+1) - (n-q)*(n+1)^q, evaluated as
     (n+1)^q * (q + n*expm1(q*log1p(-1/(n+1)))) to avoid cancellation.
     """
+    return float(first_panel_weights(q, np.array([n]))[0])
+
+
+def first_panel_weights(q: float, steps) -> np.ndarray:
+    """`first_panel_weight` for every step index in the integer array `steps`."""
+    n = np.asarray(steps, dtype=np.float64)
     if q == 1.0:
-        return 1.0
-    if n == 0:
-        return q
-    nn = float(n)
-    return (nn + 1.0) ** q * (q + nn * math.expm1(q * math.log1p(-1.0 / (nn + 1.0))))
+        return np.ones(n.shape)
+    out = np.full(n.shape, q)
+    pos = n > 0
+    m = n[pos]
+    out[pos] = (m + 1.0) ** q * (q + m * np.expm1(q * np.log1p(-1.0 / (m + 1.0))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +341,28 @@ def abm_named(sys_id, params, q, y0, h, n_steps, window):
 
 
 # ---------------------------------------------------------------------------
-# Fallback path for arbitrary Python right-hand sides.
+# numpy driver with FFT-tiled history sums.
 # ---------------------------------------------------------------------------
+
+# Steps per block of the tiled history sums. Sums over the current block run
+# directly; older blocks reach a step through FFT tiles.
+BLOCK = 64
 
 
 def abm_python(rhs, q, y0, h, n_steps, window):
     """Integrate with the predictor-corrector loop in plain numpy.
+
+    The history sums are split at block boundaries (Hairer, Lubich &
+    Schlichte 1985). The part from the current block of BLOCK steps is
+    summed directly at every step. When block boundary M is reached, with
+    2^k the largest power of two dividing M, the field samples of blocks
+    [M - 2^k, M) are convolved by FFT with the weights at lags up to
+    2^(k+1)*BLOCK, and the results are held for the steps of blocks
+    [M, M + 2^k); a tile reaching past the last step is cut short. Every
+    (source, output) block pair below the diagonal is covered by exactly
+    one such tile, so the sums equal the direct ones up to rounding at
+    O(N log^2 N) cost. A memory window only zeroes the weights at lags
+    >= window.
 
     Parameters
     ----------
@@ -356,44 +385,68 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     y0 = np.asarray(y0, dtype=np.float64)
     d = y0.shape[0]
     klen = max(1, min(window, n_steps))
-    kb = np.empty((d, klen))
-    ka = np.empty((d, klen))
-    for i in range(d):
-        kb[i] = conv_weights_b(q[i], klen)
-        ka[i] = conv_weights_a(q[i], klen)
     hq1 = h**q / np.array([math.gamma(v + 1.0) for v in q])
     hq2 = h**q / np.array([math.gamma(v + 2.0) for v in q])
 
+    def kernel(count):
+        # Row l holds the scaled weights at lag l: hq1*b[l] for the predictor
+        # in columns [0, d), hq2*a[l] for the corrector in [d, 2d). Lags at
+        # or beyond the window stay zero.
+        out = np.zeros((count, 2 * d))
+        m = min(count, klen)
+        for i in range(d):
+            out[:m, i] = hq1[i] * conv_weights_b(q[i], m)
+            out[:m, d + i] = hq2[i] * conv_weights_a(q[i], m)
+        return out
+
+    near = kernel(BLOCK)[::-1].copy()  # near[BLOCK - 1 - l] holds lag l
+    spectra = {}  # FFT length -> spectrum of kernel(length), kept while a later tile needs it
+
     states = np.empty((n_steps + 1, d))
-    fhist = np.empty((d, n_steps + 1))
     states[0] = y0
-    fhist[:, 0] = rhs(0.0, y0)
-    pred = np.empty(d)
-    corr = np.empty(d)
+    f0 = np.asarray(rhs(0.0, y0), dtype=np.float64)
+    # hist[j] = (f_j, f_j), except that the corrector half of row 0 is zero:
+    # the corrector weighs f_0 with a0(n), not with the kernel.
+    hist = np.empty((n_steps + 1, 2, d))
+    hist[0, 0] = f0
+    hist[0, 1] = 0.0
+    flat = hist.reshape(n_steps + 1, 2 * d)
+    # acc[n] collects y0, the a0(n) term and the sums over the blocks before
+    # the one holding step n.
+    acc = np.empty((n_steps, 2 * d))
+    acc[:, :d] = y0
+    acc[:, d:] = y0
+    for i in range(d):
+        acc[:klen, d + i] += hq2[i] * f0[i] * first_panel_weights(q[i], np.arange(klen))
 
     for n in range(n_steps):
-        j0 = max(0, n + 1 - window)
-        m = n + 1 - j0
-        for i in range(d):
-            pred[i] = np.dot(kb[i, m - 1 :: -1], fhist[i, j0 : n + 1])
-        pred = y0 + hq1 * pred
-        if not np.all(np.isfinite(pred)):
+        r = n % BLOCK
+        if r == 0 and n:
+            # Tile of `size` source steps before n onto the outputs [n, stop).
+            # Output n + o needs lags up to size + o, so an FFT of length
+            # size + (stop - n) convolves without wrapping around.
+            size = (n // BLOCK & -(n // BLOCK)) * BLOCK
+            stop = min(n + size, n_steps)
+            length = size + stop - n
+            spec = spectra.pop(length, None)
+            if spec is None:
+                spec = np.fft.rfft(kernel(length), axis=0)
+            if n + 3 * size <= n_steps:  # the next tile of this size, at n + 2*size, is as long
+                spectra[length] = spec
+            tile = np.fft.rfft(flat[n - size : n], length, axis=0)
+            tile *= spec
+            del spec  # an uncached spectrum is freed before the inverse transform
+            acc[n:stop] += np.fft.irfft(tile, length, axis=0)[size:]
+        sums = acc[n] + (near[BLOCK - 1 - r :] * flat[n - r : n + 1]).sum(axis=0)
+        pred = sums[:d]
+        if not all(map(math.isfinite, pred.tolist())):
             return states, n + 1
         t1 = (n + 1) * h
-        fp = rhs(t1, pred)
-        jlo = max(j0, 1)
-        for i in range(d):
-            if jlo <= n:
-                corr[i] = np.dot(ka[i, n - jlo :: -1], fhist[i, jlo : n + 1])
-            else:
-                corr[i] = 0.0
-            if j0 == 0:
-                corr[i] += first_panel_weight(q[i], n) * fhist[i, 0]
-        new = y0 + hq2 * (fp + corr)
+        new = sums[d:] + hq2 * rhs(t1, pred)
         states[n + 1] = new
-        if not np.all(np.isfinite(new)):
+        if not all(map(math.isfinite, new.tolist())):
             return states, n + 1
-        fhist[:, n + 1] = rhs(t1, new)
+        hist[n + 1] = rhs(t1, new)
     return states, -1
 
 

@@ -1,10 +1,17 @@
 """Integration driver: accuracy, memory policy, backends, failure paths."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
+import fracsync
 from fracsync import (
     FinancialParams,
     FractionalOrders,
@@ -57,6 +64,50 @@ def _reference_abm(rhs, orders, y0, h, n_steps):
         states[n + 1] = ynew
         f[n + 1] = rhs(t1, ynew)
     return states
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_weights(q, count):
+    """b[k], a[k] and a0(k) for k < count from 40-digit powers, as floats."""
+    with mpmath.workdps(40):
+        qm = mpmath.mpf(q)
+        pq = [mpmath.mpf(k) ** qm for k in range(count + 2)]
+        pp = [mpmath.mpf(k) ** (qm + 1) for k in range(count + 2)]
+        b = [float(pq[k + 1] - pq[k]) for k in range(count)]
+        a = [float(pp[k + 2] + pp[k] - 2 * pp[k + 1]) for k in range(count)]
+        a0 = [float(pp[k] - (k - qm) * pq[k + 1]) for k in range(count)]
+    return np.array(b), np.array(a), np.array(a0)
+
+
+def _direct_abm(rhs, orders, y0, h, n_steps, memory=None):
+    """Predictor-corrector by direct summation over the memory window.
+
+    Independent of the package's weight code and of its tiled history
+    sums: the weights come from high-precision powers, and every step
+    sums its whole window term by term.
+    """
+    y0 = np.asarray(y0, dtype=np.float64)
+    d = y0.size
+    qa = np.broadcast_to(np.asarray(orders, dtype=np.float64), (d,))
+    w = n_steps + 1 if memory is None else memory
+    kb, ka, a0 = (np.stack(c, axis=1) for c in zip(*(_exact_weights(q, n_steps) for q in qa)))
+    c1 = np.array([h**q / math.gamma(q + 1.0) for q in qa])
+    c2 = np.array([h**q / math.gamma(q + 2.0) for q in qa])
+    y = np.empty((n_steps + 1, d))
+    f = np.empty((n_steps + 1, d))
+    y[0] = y0
+    f[0] = rhs(0.0, y0)
+    for n in range(n_steps):
+        t1 = (n + 1) * h
+        j0 = max(0, n + 1 - w)
+        pred = y0 + c1 * np.sum(kb[n - j0 :: -1] * f[j0 : n + 1], axis=0)
+        jlo = max(j0, 1)
+        corr = np.sum(ka[n - jlo :: -1][: n + 1 - jlo] * f[jlo : n + 1], axis=0)
+        if j0 == 0:
+            corr = corr + a0[n] * f[0]
+        y[n + 1] = y0 + c2 * (rhs(t1, pred) + corr)
+        f[n + 1] = rhs(t1, y[n + 1])
+    return y
 
 
 class TestExactness:
@@ -153,6 +204,59 @@ class TestMemoryWindow:
         assert not np.array_equal(full.states, short.states)
         # the first 30 steps see identical history
         assert np.array_equal(full.states[:31], short.states[:31])
+
+
+class TestTiledHistory:
+    # 1 500 steps reach FFT tiles of 64, 128, 256 and 512 steps.
+    N_STEPS = 1500
+    H = 0.005
+    Y0 = (2.0, -1.0, 1.0)
+    ORDERS = [(0.99, 0.99, 0.99), (0.7, 0.9, 1.0)]
+
+    @pytest.mark.parametrize("orders", ORDERS)
+    @pytest.mark.parametrize("memory", [None, 1, 10, 63, 64, 65, 777])
+    def test_matches_direct_sums(self, orders, memory):
+        system = financial_system()
+        cfg = SolverConfig(h=self.H, n_steps=self.N_STEPS, memory=memory)
+        got = integrate(system, orders, self.Y0, cfg, backend="numpy").states
+        want = _direct_abm(system.rhs, orders, self.Y0, self.H, self.N_STEPS, memory)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("orders", ORDERS)
+    def test_window_covering_whole_run_is_bit_identical(self, orders):
+        system = financial_system()
+        full = integrate(system, orders, self.Y0, SolverConfig(h=self.H, n_steps=self.N_STEPS))
+        cfg = SolverConfig(h=self.H, n_steps=self.N_STEPS, memory=self.N_STEPS + 1)
+        windowed = integrate(system, orders, self.Y0, cfg)
+        assert np.array_equal(full.states, windowed.states)
+
+    def test_independent_of_blas_threads(self, tmp_path):
+        code = (
+            "import sys, numpy as np\n"
+            "from fracsync import SolverConfig, financial_system, integrate\n"
+            "cfg = SolverConfig(h=0.0005, n_steps=3000)\n"
+            "traj = integrate(financial_system(), 0.99, [2.0, -1.0, 1.0], cfg, backend='numpy')\n"
+            "np.save(sys.argv[1], traj.states)\n"
+        )
+        src = str(Path(fracsync.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads-{threads or 'default'}.npy"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(np.load(out))
+        assert np.array_equal(runs[0], runs[1])
+
 
 class TestBackends:
     @needs_numba
