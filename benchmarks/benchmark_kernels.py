@@ -1,9 +1,16 @@
-"""Time the integration drivers and optionally record the timings in BENCH_<tag>.json.
+"""Time the integration drivers and the Mittag-Leffler evaluator; optionally record BENCH_<tag>.json.
 
 Every available driver is timed at q = 0.99 over t_end = 10 for each case
 and step count: the numpy driver always, the compiled one too when numba is
 importable and not disabled through FRACSYNC_NO_NUMBA=1. The drivers agree
 to roundoff; this script only measures wall time.
+
+The Mittag-Leffler part times mittag_leffler(q, z) at every point of the
+analysis-sweep grid (q in 0.1..0.9, 0.99, 1; z from -0.5 to -30) and at
+two points the old series evaluator hung on, each call cut off after
+0.25 s. Per point it keeps the median over the repeats and the outcome
+(ok, cut, or the error raised); it reports the median and the max of
+those per-call times and how many calls were cut or raised.
 
 With --tag, the minimum and median of the repeats go into BENCH_<tag>.json
 in the working directory under the name given by --label, beside the
@@ -17,11 +24,13 @@ so a before/after record is two runs with the same tag, for example:
 Usage:
     python benchmarks/benchmark_kernels.py
     python benchmarks/benchmark_kernels.py --steps 2000 8000 --repeats 5
+    python benchmarks/benchmark_kernels.py --part mittag-leffler --tag ml --label change
 """
 
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import time
@@ -32,7 +41,9 @@ import numpy as np
 import fracsync
 from fracsync import SolverConfig, integrate
 from fracsync import kernels
+from fracsync.analysis import mittag_leffler
 from fracsync.control import ExactCancellation, coupled_system
+from fracsync.errors import FracsyncError
 from fracsync.systems import FinancialParams, VoltaParams, financial_system, volta_system
 
 CASES = [
@@ -44,6 +55,63 @@ CASES = [
         [2.0, -1.0, 1.0, 8.0, 2.0, 3.0],
     ),
 ]
+
+# The analysis-sweep grid of perfbench/workloads.py, without its seeded jitter.
+ML_Q = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0)
+ML_Z = (-0.5, -1.0, -2.0, -5.0, -10.0, -15.0, -20.0, -25.0, -30.0)
+ML_HANGS = ((0.3, -10.0), (0.5, -30.0))
+ML_CUT_S = 0.25
+
+
+class _Cut(BaseException):
+    """Raised by the interval timer; a BaseException so no handler in the callee swallows it."""
+
+
+def _raise_cut(signum, frame):
+    raise _Cut()
+
+
+def _time_ml_call(q, z):
+    """(wall seconds, outcome) of one mittag_leffler call cut off after ML_CUT_S."""
+    previous = signal.signal(signal.SIGALRM, _raise_cut)
+    t0 = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, ML_CUT_S)
+        mittag_leffler(q, z)
+        outcome = "ok"
+    except _Cut:
+        outcome = "cut"
+    except FracsyncError as exc:
+        outcome = type(exc).__name__
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return time.perf_counter() - t0, outcome
+
+
+def time_mittag_leffler(repeats):
+    points = [(q, z) for q in ML_Q for z in ML_Z] + list(ML_HANGS)
+    samples = {p: [] for p in points}
+    outcomes = {}
+    for _ in range(repeats):
+        for p in points:
+            seconds, outcomes[p] = _time_ml_call(*p)
+            samples[p].append(seconds)
+    per_call = [statistics.median(samples[p]) for p in points]
+    summary = {
+        "calls": len(points),
+        "median_s": statistics.median(per_call),
+        "max_s": max(per_call),
+        "sum_s": sum(per_call),
+        "cut": sum(outcomes[p] == "cut" for p in points),
+        "raised": sum(outcomes[p] not in ("ok", "cut") for p in points),
+    }
+    rows = [{"q": q, "z": z, "median_s": t, "outcome": outcomes[(q, z)]}
+            for (q, z), t in zip(points, per_call)]
+    print(f"mittag_leffler: {summary['calls']} calls, median {summary['median_s'] * 1e6:.0f} us, "
+          f"max {summary['max_s'] * 1e3:.1f} ms, sum {summary['sum_s']:.3f} s, "
+          f"cut {summary['cut']}, raised {summary['raised']}")
+    return {"summary": summary, "points": rows}
 
 
 def _time_case(system, y0, config, backend, repeats):
@@ -95,6 +163,43 @@ def machine_facts() -> dict:
     }
 
 
+def time_integration(steps, memory, repeats):
+    backends = ["numpy"]
+    if kernels.NUMBA_ENABLED:
+        kernels.warmup()
+        backends.append("numba")
+    else:
+        print("numba disabled or missing; timing the numpy driver only")
+
+    header = f"{'system':<10} {'steps':>7} " + "".join(f"{b + ' (s)':>12}" for b in backends)
+    if len(backends) == 2:
+        header += f"{'speedup':>9}"
+    print(header)
+    print("-" * len(header))
+
+    results = []
+    for name, system, y0 in CASES:
+        for n_steps in steps:
+            config = SolverConfig(h=10.0 / n_steps, n_steps=n_steps, memory=memory)
+            best = {}
+            for backend in backends:
+                samples = _time_case(system, y0, config, backend, repeats)
+                best[backend] = min(samples)
+                results.append({
+                    "case": name,
+                    "steps": n_steps,
+                    "backend": backend,
+                    "min_s": min(samples),
+                    "median_s": statistics.median(samples),
+                    "samples_s": samples,
+                })
+            row = f"{name:<10} {n_steps:>7} " + "".join(f"{best[b]:>12.4f}" for b in backends)
+            if len(backends) == 2:
+                row += f"{best['numpy'] / best['numba']:>8.1f}x"
+            print(row)
+    return results
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -111,53 +216,24 @@ def main() -> None:
         default=None,
         help="optional history window; default keeps the full history",
     )
+    parser.add_argument("--part", choices=["all", "integrate", "mittag-leffler"], default="all",
+                        help="which timings to take")
     parser.add_argument("--tag", help="write the timings to BENCH_<tag>.json")
     parser.add_argument("--label", default="run", help="name of this run inside the JSON file")
     args = parser.parse_args()
 
-    backends = ["numpy"]
-    if kernels.NUMBA_ENABLED:
-        kernels.warmup()
-        backends.append("numba")
-    else:
-        print("numba disabled or missing; timing the numpy driver only")
-
-    header = f"{'system':<10} {'steps':>7} " + "".join(f"{b + ' (s)':>12}" for b in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>9}"
-    print(header)
-    print("-" * len(header))
-
-    results = []
-    for name, system, y0 in CASES:
-        for n_steps in args.steps:
-            config = SolverConfig(h=10.0 / n_steps, n_steps=n_steps, memory=args.memory)
-            best = {}
-            for backend in backends:
-                samples = _time_case(system, y0, config, backend, args.repeats)
-                best[backend] = min(samples)
-                results.append({
-                    "case": name,
-                    "steps": n_steps,
-                    "backend": backend,
-                    "min_s": min(samples),
-                    "median_s": statistics.median(samples),
-                    "samples_s": samples,
-                })
-            row = f"{name:<10} {n_steps:>7} " + "".join(f"{best[b]:>12.4f}" for b in backends)
-            if len(backends) == 2:
-                row += f"{best['numpy'] / best['numba']:>8.1f}x"
-            print(row)
+    run = {"facts": machine_facts(),
+           "settings": {"q": 0.99, "t_end": 10.0, "memory": args.memory,
+                        "repeats": args.repeats, "ml_cut_s": ML_CUT_S}}
+    if args.part in ("all", "integrate"):
+        run["results"] = time_integration(args.steps, args.memory, args.repeats)
+    if args.part in ("all", "mittag-leffler"):
+        run["mittag_leffler"] = time_mittag_leffler(args.repeats)
 
     if args.tag:
         path = Path(f"BENCH_{args.tag}.json")
         record = json.loads(path.read_text()) if path.exists() else {"runs": {}}
-        record["runs"][args.label] = {
-            "facts": machine_facts(),
-            "settings": {"q": 0.99, "t_end": 10.0, "memory": args.memory,
-                         "repeats": args.repeats},
-            "results": results,
-        }
+        record["runs"][args.label] = run
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path} [{args.label}]")
 

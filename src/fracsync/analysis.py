@@ -3,17 +3,23 @@
 The closed-loop error of the cancellation controller obeys scalar
 fractional relaxation, so its exact solution is e_i(0) times the
 one-parameter Mittag-Leffler function at -t^q_i. That function is
-evaluated here by direct series summation, switching to arbitrary
-precision when the alternating terms grow too large for float64.
+evaluated here by fixed-cost Gauss-Legendre quadrature of its completely
+monotone integral representation (Gorenflo, Loutchko & Luchko, Fract.
+Calc. Appl. Anal. 5, 2002), in the style of Garrappa's bounded-time
+evaluators (SIAM J. Numer. Anal. 53(3), 2015): every call on the domain
+q in (0, 1], |z| <= 30 costs a bounded number of vectorised integrand
+evaluations, and the tests hold it to 1e-10 relative error against a
+wide-precision series on a grid spanning that domain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -26,40 +32,69 @@ from .errors import (
 from .solver import SolverConfig, Trajectory, integrate
 from .systems import SystemDef
 
-_SERIES_TOL = 1e-16
 _MAX_ABS_ARG = 30.0
-_MAX_TERMS = 200_000
-# Above this many digits of intermediate growth, float64 summation loses
-# too much to cancellation and the mpmath path takes over.
-_FLOAT_PEAK_LOG10 = 6.0
-# A float64 sum is kept only while its estimated relative error, roughly
-# 4e-15 times the magnitude sum over the result, stays below this bound.
-_FLOAT_REL_TARGET = 1e-7
+# exp(-s) underflows past s = 745, so the integrands vanish (or reach 1)
+# beyond u = 745^q.
+_S_CUTOFF = 745.0
+# Breakpoints s = u^(1/q) = 2^k resolve the knee of exp(-u^(1/q)) at u = 1,
+# which is about q wide; below s = 2^-40 the factor is 1 - s to roundoff.
+_S_BREAKS = 2.0 ** np.arange(-40.0, math.log2(_S_CUTOFF))
+# Breakpoints u = x * 2^j resolve the Lorentzian factor, whose scale is x;
+# past the last one it holds under 2^-60 of its mass.
+_X_BREAKS = 2.0 ** np.arange(-2.0, 61.0)
+# |E_q(z) - 1| <= |z| / Gamma(1 + q) + O(z^2) is under half an ulp of 1 here.
+_UNIT_ARG = 2.0**-56
+# E_q(x) > exp(x^(1/q)) / q, which overflows once x^(1/q) > ln(DBL_MAX).
+_LOG_LOG_MAX = math.log(math.log(sys.float_info.max))
 
 
-def _series_peak(q: float, az: float) -> tuple[float, float]:
-    """Estimate (log10 of the largest series term, its index)."""
-    if az <= 1.0:
-        return 0.0, 0.0
-    kstar = az ** (1.0 / q) / q
-    log10e = math.log10(math.e)
-    best = 0.0
-    for k in {math.floor(kstar), math.ceil(kstar), max(1, math.floor(kstar) - 1)}:
-        val = k * math.log10(az) - math.lgamma(q * k + 1.0) * log10e
-        best = max(best, val)
-    return best, kstar
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """32-point Gauss-Legendre nodes and weights on [-1, 1], built on first use.
+
+    numpy.polynomial costs about 1.7 MB of resident memory to import, which
+    runs that never evaluate a Mittag-Leffler function need not pay.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(32)
 
 
 def mittag_leffler(q: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_q(z) for q in (0, 1], |z| <= 30.
 
-    The defining series sum_k z^k / Gamma(q*k + 1) is summed in float64
-    with exactly rounded accumulation while that can represent the result
-    to at least seven significant digits; sums whose alternating terms
-    cancel too deeply for that, and sums whose largest term overflows the
-    comfortable float64 range, run in mpmath with enough working digits
-    to absorb the cancellation. Relative error is below 1e-7 on the whole
-    domain and near machine precision away from heavy cancellation.
+    E_1 is exp. For 0 < q < 1 and x = |z| > 0, substituting u = (r x^(1/q))^q
+    in the Gorenflo-Loutchko-Luchko integral gives
+
+        E_q(-x) = sin(q pi)/(q pi) * int_0^inf exp(-u^(1/q)) L_-(u) du,
+        E_q(x)  = 1 + expm1(x^(1/q))/q
+                  + sin(q pi)/(q pi) * int_0^inf -expm1(-u^(1/q)) L_+(u) du,
+
+    with the Lorentzian L_(+/-)(u) = x / ((u - c)^2 + w^2), centre
+    c = -/+ x cos(q pi) and width w = x sin(q pi). Both integrands are
+    positive, so nothing cancels. The second form is the usual
+    exp(x^(1/q))/q minus the first integral with the sign of the cosine
+    flipped, rewritten with the Lorentzian's total mass (1 - q)/q so that
+    small q loses no digits. Past u = 745^q the factor exp(-u^(1/q)) is 0
+    and -expm1 is 1, so the positive-axis tail is the Lorentzian's closed
+    form. The rest is composite 32-point Gauss-Legendre on panels whose
+    breakpoints follow the scales of both factors: a geometric grid in
+    s = u^(1/q) up to 745, multiples 2^j of x, and, when the centre lies in
+    the range, c +/- w 2^j. Nodes are laid out as offsets from c, so a
+    narrow peak (q near 1 on the negative axis, near 0 on the positive
+    one) keeps its relative resolution.
+
+    The tests hold the result to 1e-10 relative error against a
+    wide-precision series (or the large-x asymptotic series) on a grid
+    spanning q from 1e-3 to 1 and |z| from 1e-12 to 30; measured errors
+    are below 2e-13. A call costs at most about 130 panels of 32 integrand
+    evaluations (about 0.1 ms) for q in [1e-3, 0.999]; the peak's panels
+    grow with log(1/q) or log(1/(1 - q)) beyond, to about 2 050 panels
+    (10 ms) at the smallest normal q. |z| < 2^-56 returns 1.0, the
+    correctly rounded value. Raises InvalidOrder for q outside (0, 1], and
+    DomainExceeded for |z| > 30, for non-finite z, for a subnormal q
+    (1/q overflows), and for a positive z whose E_q(z) overflows float64,
+    that is from x^(1/q) > ln(DBL_MAX) on.
     """
     q = float(q)
     if not (math.isfinite(q) and 0.0 < q <= 1.0):
@@ -67,61 +102,44 @@ def mittag_leffler(q: float, z: float) -> float:
     z = float(z)
     if not math.isfinite(z):
         raise DomainExceeded(f"argument must be finite, got {z!r}")
-    az = abs(z)
-    if az > _MAX_ABS_ARG:
-        raise DomainExceeded(f"|z| = {az:g} exceeds the supported series domain ({_MAX_ABS_ARG:g})")
-    if z == 0.0:
+    x = abs(z)
+    if x > _MAX_ABS_ARG:
+        raise DomainExceeded(f"|z| = {x:g} exceeds the supported domain ({_MAX_ABS_ARG:g})")
+    if x < _UNIT_ARG:
         return 1.0
-    peak10, kstar = _series_peak(q, az)
-    if kstar > _MAX_TERMS:
-        raise DomainExceeded(
-            f"series needs about {kstar:.0f} terms at q = {q:g}, |z| = {az:g}; not supported"
-        )
-    if peak10 <= _FLOAT_PEAK_LOG10:
-        lz = math.log(az)
-        negative = z < 0.0
-        terms = []
-        mags = []
-        k = 0
-        while True:
-            mag = math.exp(k * lz - math.lgamma(q * k + 1.0))
-            mags.append(mag)
-            terms.append(-mag if (negative and k % 2 == 1) else mag)
-            if k > kstar and mag < _SERIES_TOL:
-                break
-            k += 1
-        total = math.fsum(terms)
-        magsum = math.fsum(mags)
-        if abs(total) > 0.0 and 4e-15 * magsum <= _FLOAT_REL_TARGET * abs(total):
-            return total
-        # Cancellation ate too many digits; redo with enough of them.
-        if abs(total) > 0.0:
-            lost = math.log10(magsum / abs(total))
-        else:
-            lost = peak10 + 16.0
-        digits = min(80, max(36, int(lost) + 30))
-        return _mittag_leffler_mp(q, z, kstar, digits)
-    return _mittag_leffler_mp(q, z, kstar, int(peak10) + 30)
-
-
-def _mittag_leffler_mp(q: float, z: float, kstar: float, digits: int) -> float:
-    with mpmath.workdps(digits):
-        zm = mpmath.mpf(z)
-        qm = mpmath.mpf(q)
-        # Truncate relative to working precision, not to float64's, so
-        # results far below 1 keep their leading digits.
-        tol = mpmath.mpf(10) ** (5 - digits)
-        total = mpmath.mpf(0)
-        power = mpmath.mpf(1)
-        k = 0
-        while True:
-            term = power / mpmath.gamma(qm * k + 1)
-            total += term
-            if k > kstar and abs(term) < tol:
-                break
-            k += 1
-            power *= zm
-        return float(total)
+    if q == 1.0:
+        return math.exp(z)
+    if q < sys.float_info.min:
+        raise DomainExceeded(f"order {q!r} is subnormal: 1/q overflows float64")
+    if z > 0.0 and math.log(x) > q * _LOG_LOG_MAX:
+        raise DomainExceeded(f"E_{q:g}({z:g}) overflows float64: z^(1/q) exceeds ln(DBL_MAX)")
+    sin_q = math.sin(math.pi * min(q, 1.0 - q))  # exact-argument form near q = 1
+    cos_q = math.cos(math.pi * q)
+    c = math.copysign(x, z) * cos_q
+    w = x * sin_q
+    top = _S_CUTOFF**q
+    offsets = [np.array([0.0, top]) - c, x * _X_BREAKS - c, _S_BREAKS**q - c]
+    if c > 0.0:
+        peak = 2.0 ** np.arange(-2.0, math.ceil(math.log2(abs(cos_q) / sin_q)) + 1.0)
+        offsets += [np.zeros(1), -w * peak, w * peak]
+    d = np.sort(np.clip(np.concatenate(offsets), -c, top - c))
+    step = d[1:] - d[:-1]
+    keep = step > 0.0
+    half = 0.5 * step[keep]
+    # Nodes as left end plus a nonnegative step: c + node >= 0 in rounding.
+    gl_nodes, gl_weights = _gauss_legendre()
+    node = d[:-1][keep, None] + half[:, None] * (1.0 + gl_nodes)
+    s = (c + node) ** (1.0 / q)
+    weight = np.exp(-s) if z < 0.0 else -np.expm1(-s)
+    h = np.hypot(node, w)  # scaled so tiny x and w neither underflow nor overflow
+    total = float(np.sum(weight * (x / h) * (half[:, None] * gl_weights / h)))
+    integral = sin_q / (q * math.pi) * total
+    if z < 0.0:
+        return integral
+    value = 1.0 + math.expm1(x ** (1.0 / q)) / q + integral + math.atan2(w, top - c) / (q * math.pi)
+    if not math.isfinite(value):
+        raise DomainExceeded(f"E_{q:g}({z:g}) overflows float64")
+    return value
 
 
 def predicted_error(e0, orders, t: float) -> np.ndarray:

@@ -88,20 +88,22 @@ def financial_rhs(state, p: FinancialParams) -> np.ndarray:
     """Financial vector field; state has shape (..., 3)."""
     s = np.asarray(state, dtype=np.float64)
     x, y, z = s[..., 0], s[..., 1], s[..., 2]
-    return np.stack(
-        [z + (y - p.alpha) * x, 1.0 - p.beta * y - x * x, -x - p.gamma * z],
-        axis=-1,
-    )
+    out = np.empty(s.shape)
+    out[..., 0] = z + (y - p.alpha) * x
+    out[..., 1] = 1.0 - p.beta * y - x * x
+    out[..., 2] = -x - p.gamma * z
+    return out
 
 
 def volta_rhs(state, p: VoltaParams) -> np.ndarray:
     """Volta vector field; state has shape (..., 3)."""
     s = np.asarray(state, dtype=np.float64)
     x, y, z = s[..., 0], s[..., 1], s[..., 2]
-    return np.stack(
-        [-x - p.a * y - z * y, -y - p.b * x - x * z, p.c * z + x * y + 1.0],
-        axis=-1,
-    )
+    out = np.empty(s.shape)
+    out[..., 0] = -x - p.a * y - z * y
+    out[..., 1] = -y - p.b * x - x * z
+    out[..., 2] = p.c * z + x * y + 1.0
+    return out
 
 
 def financial_jacobian(state, p: FinancialParams) -> np.ndarray:

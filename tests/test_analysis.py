@@ -1,6 +1,9 @@
 """Mittag-Leffler evaluation, settling detection, refinement diagnostics."""
 
 import math
+import subprocess
+import sys
+import time
 
 import mpmath
 import numpy as np
@@ -33,6 +36,53 @@ def _half_order_oracle(z: float) -> float:
     # E_{1/2}(z) = exp(z^2) * erfc(-z), evaluated in high precision
     with mpmath.workdps(60):
         return float(mpmath.exp(z * z) * mpmath.erfc(-z))
+
+
+def _series_oracle(q: float, z: float) -> float:
+    """E_q(z) = sum_k z^k / Gamma(q k + 1), summed in mpmath.
+
+    The alternating terms peak near exp(|z|^(1/q)) before the sum settles,
+    so the working precision is that many digits plus 40. The order enters
+    as mpf(q): a float q inside gamma is off by orders of magnitude at
+    q = 0.9, |z| = 30.
+    """
+    s = abs(z) ** (1.0 / q)
+    digits = int(s * math.log10(math.e)) + 40
+    with mpmath.workdps(digits):
+        zm, qm = mpmath.mpf(z), mpmath.mpf(q)
+        tol = mpmath.mpf(10) ** (5 - digits)
+        total, power, k = mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            term = power * mpmath.rgamma(qm * k + 1)
+            total += term
+            if k > s / q and abs(term) < tol:
+                return float(total)
+            k += 1
+            power *= zm
+
+
+def _asymptotic_oracle(q: float, x: float) -> float:
+    """E_q(-x) ~ sum_{k>=1} (-1)^(k+1) x^(-k) / Gamma(1 - q k) for large x^(1/q).
+
+    The series diverges, but its terms first fall to exp(-x^(1/q)) times
+    the leading one; summing until a nonzero term drops below 1e-35 of the
+    total stops well before that.
+    """
+    with mpmath.workdps(40):
+        qm, xm = mpmath.mpf(q), mpmath.mpf(x)
+        total, k = mpmath.mpf(0), 1
+        while True:
+            term = (-1) ** (k + 1) * xm ** (-k) * mpmath.rgamma(1 - qm * k)
+            total += term
+            if term != 0 and abs(term) < mpmath.mpf(10) ** -35 * abs(total):
+                return float(total)
+            k += 1
+
+
+SWEEP_Q = (1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 1.0)
+SWEEP_X = (1e-12, 1e-6, 1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0)
+SWEEP_CALL_S = 0.05
+SWEEP_REL = 1e-10
 
 
 class TestMittagLeffler:
@@ -99,10 +149,67 @@ class TestMittagLeffler:
         with pytest.raises(DomainExceeded):
             mittag_leffler(0.9, z)
 
-    def test_small_order_term_budget(self):
-        # q = 0.05 with |z| = 2 needs ~2^20/0.05 terms, far past the cap
-        with pytest.raises(DomainExceeded):
-            mittag_leffler(0.05, -2.0)
+    def test_small_order_asymptotic(self):
+        # x^(1/q) = 2^20 here: the series would need about 2e7 terms, and
+        # the asymptotic expansion is exact to far below float64
+        expect = _asymptotic_oracle(0.05, 2.0)
+        assert abs(mittag_leffler(0.05, -2.0) - expect) <= 1e-12 * expect
+
+    @pytest.mark.parametrize("q", SWEEP_Q)
+    def test_domain_sweep(self, q):
+        log_max = math.log(sys.float_info.max)
+        negative = []
+        for x in SWEEP_X:
+            for z in (-x, x):
+                # the leading term exp(x^(1/q)) / q overflows past this
+                s = math.exp(min(math.log(x) / q, 700.0))
+                overflows = z > 0 and s - math.log(q) > log_max
+                t0 = time.perf_counter()
+                if overflows:
+                    with pytest.raises(DomainExceeded):
+                        mittag_leffler(q, z)
+                    assert time.perf_counter() - t0 < SWEEP_CALL_S
+                    continue
+                got = mittag_leffler(q, z)
+                elapsed = time.perf_counter() - t0
+                assert elapsed < SWEEP_CALL_S, f"E_{q}({z}) took {elapsed:.3f} s"
+                if z < 0 and s > 200.0:
+                    expect = _asymptotic_oracle(q, x)
+                else:
+                    expect = _series_oracle(q, z)
+                assert abs(got - expect) <= SWEEP_REL * abs(expect), (q, z, got, expect)
+                if q == 1.0:
+                    assert abs(got - math.exp(z)) <= 1e-14 * math.exp(z)
+                if q == 0.5:
+                    closed = _half_order_oracle(z)
+                    assert abs(got - closed) <= SWEEP_REL * closed
+                if q == SWEEP_Q[0] and z < 1.0:
+                    # q -> 0: E_q(z) = 1/(1 - z) + Euler's gamma q z/(1 - z)^2 + O(q^2)
+                    limit = 1.0 / (1.0 - z) + 0.5772156649015329 * q * z / (1.0 - z) ** 2
+                    assert abs(got - limit) <= 5.0 * q * q * limit
+                if z < 0:
+                    negative.append(got)
+        assert all(b < a for a, b in zip(negative, negative[1:]))
+
+    @pytest.mark.parametrize("z", [-30.0, -1.0, -1e-6, 1.0, 30.0])
+    def test_order_near_one(self, z):
+        # the Lorentzian peak is 1e-9 of its centre wide here; nodes taken
+        # as absolute positions would lose about 7 digits resolving it
+        q = 1.0 - 1e-9
+        expect = _series_oracle(q, z)
+        assert abs(mittag_leffler(q, z) - expect) <= SWEEP_REL * expect
+
+    @pytest.mark.parametrize("z", [-30.0, -2.0, -0.5, 0.5, 0.9])
+    def test_vanishing_order_limit(self, z):
+        # E_q(z) = 1/(1 - z) + Euler's gamma q z/(1 - z)^2 + O(q^2): at
+        # q = 1e-9 the remainder is below roundoff, and any 1/q loss shows
+        q = 1e-9
+        limit = 1.0 / (1.0 - z) + 0.5772156649015329 * q * z / (1.0 - z) ** 2
+        assert abs(mittag_leffler(q, z) - limit) <= 1e-14 * limit
+
+    def test_import_leaves_out_mpmath(self):
+        code = "import sys, fracsync; sys.exit('mpmath' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
 class TestPredictedError:
