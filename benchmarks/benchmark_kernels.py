@@ -6,11 +6,12 @@ importable and not disabled through FRACSYNC_NO_NUMBA=1. The drivers agree
 to roundoff; this script only measures wall time.
 
 The Mittag-Leffler part times mittag_leffler(q, z) at every point of the
-analysis-sweep grid (q in 0.1..0.9, 0.99, 1; z from -0.5 to -30) and at
-two points the old series evaluator hung on, each call cut off after
-0.25 s. Per point it keeps the median over the repeats and the outcome
-(ok, cut, or the error raised); it reports the median and the max of
-those per-call times and how many calls were cut or raised.
+analysis-sweep grid (q in 0.1..0.9, 0.99, 1; z from -0.5 to -30), which
+holds the two points the old series evaluator hung on, E_0.3(-10) and
+E_0.5(-30); each call is cut off after 0.25 s. Per point it keeps the
+median over the repeats and the outcome (ok, cut, or the error raised);
+it reports the median and the max of those per-call times and how many
+calls were cut or raised.
 
 With --tag, the minimum and median of the repeats go into BENCH_<tag>.json
 in the working directory under the name given by --label, beside the
@@ -24,7 +25,7 @@ so a before/after record is two runs with the same tag, for example:
 Usage:
     python benchmarks/benchmark_kernels.py
     python benchmarks/benchmark_kernels.py --steps 2000 8000 --repeats 5
-    python benchmarks/benchmark_kernels.py --part mittag-leffler --tag ml --label change
+    python benchmarks/benchmark_kernels.py --repeats 5 --tag ml --label change
 """
 
 import argparse
@@ -56,10 +57,10 @@ CASES = [
     ),
 ]
 
-# The analysis-sweep grid of perfbench/workloads.py, without its seeded jitter.
+# The analysis-sweep grid of perfbench/workloads.py, without its seeded jitter;
+# its known hangs E_0.3(-10) and E_0.5(-30) are points of this grid.
 ML_Q = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0)
 ML_Z = (-0.5, -1.0, -2.0, -5.0, -10.0, -15.0, -20.0, -25.0, -30.0)
-ML_HANGS = ((0.3, -10.0), (0.5, -30.0))
 ML_CUT_S = 0.25
 
 
@@ -90,7 +91,7 @@ def _time_ml_call(q, z):
 
 
 def time_mittag_leffler(repeats):
-    points = [(q, z) for q in ML_Q for z in ML_Z] + list(ML_HANGS)
+    points = [(q, z) for q in ML_Q for z in ML_Z]
     samples = {p: [] for p in points}
     outcomes = {}
     for _ in range(repeats):
@@ -216,8 +217,6 @@ def main() -> None:
         default=None,
         help="optional history window; default keeps the full history",
     )
-    parser.add_argument("--part", choices=["all", "integrate", "mittag-leffler"], default="all",
-                        help="which timings to take")
     parser.add_argument("--tag", help="write the timings to BENCH_<tag>.json")
     parser.add_argument("--label", default="run", help="name of this run inside the JSON file")
     args = parser.parse_args()
@@ -225,10 +224,8 @@ def main() -> None:
     run = {"facts": machine_facts(),
            "settings": {"q": 0.99, "t_end": 10.0, "memory": args.memory,
                         "repeats": args.repeats, "ml_cut_s": ML_CUT_S}}
-    if args.part in ("all", "integrate"):
-        run["results"] = time_integration(args.steps, args.memory, args.repeats)
-    if args.part in ("all", "mittag-leffler"):
-        run["mittag_leffler"] = time_mittag_leffler(args.repeats)
+    run["results"] = time_integration(args.steps, args.memory, args.repeats)
+    run["mittag_leffler"] = time_mittag_leffler(args.repeats)
 
     if args.tag:
         path = Path(f"BENCH_{args.tag}.json")
