@@ -1,17 +1,14 @@
-"""Time the integration drivers and the Mittag-Leffler evaluator; optionally record BENCH_<tag>.json.
+"""Time the integration driver and the Mittag-Leffler evaluator; optionally record BENCH_<tag>.json.
 
-Every available driver is timed at q = 0.99 over t_end = 10 for each case
-and step count: the numpy driver always, the compiled one too when numba is
-importable and not disabled through FRACSYNC_NO_NUMBA=1. The drivers agree
-to roundoff; this script only measures wall time.
+The integration driver is timed at q = 0.99 over t_end = 10 for each case
+and step count.
 
 The Mittag-Leffler part times mittag_leffler(q, z) at every point of the
 analysis-sweep grid (q in 0.1..0.9, 0.99, 1; z from -0.5 to -30), which
 holds the two points the old series evaluator hung on, E_0.3(-10) and
-E_0.5(-30); each call is cut off after 0.25 s. Per point it keeps the
-median over the repeats and the outcome (ok, cut, or the error raised);
-it reports the median and the max of those per-call times and how many
-calls were cut or raised.
+E_0.5(-30). Per point it keeps the median over the repeats and the outcome
+(ok, or the error raised); it reports the median and the max of those
+per-call times and how many calls raised.
 
 With --tag, the minimum and median of the repeats go into BENCH_<tag>.json
 in the working directory under the name given by --label, beside the
@@ -31,7 +28,6 @@ Usage:
 import argparse
 import json
 import os
-import signal
 import statistics
 import subprocess
 import time
@@ -41,7 +37,6 @@ import numpy as np
 
 import fracsync
 from fracsync import SolverConfig, integrate
-from fracsync import kernels
 from fracsync.analysis import mittag_leffler
 from fracsync.control import ExactCancellation, coupled_system
 from fracsync.errors import FracsyncError
@@ -61,32 +56,16 @@ CASES = [
 # its known hangs E_0.3(-10) and E_0.5(-30) are points of this grid.
 ML_Q = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0)
 ML_Z = (-0.5, -1.0, -2.0, -5.0, -10.0, -15.0, -20.0, -25.0, -30.0)
-ML_CUT_S = 0.25
-
-
-class _Cut(BaseException):
-    """Raised by the interval timer; a BaseException so no handler in the callee swallows it."""
-
-
-def _raise_cut(signum, frame):
-    raise _Cut()
 
 
 def _time_ml_call(q, z):
-    """(wall seconds, outcome) of one mittag_leffler call cut off after ML_CUT_S."""
-    previous = signal.signal(signal.SIGALRM, _raise_cut)
+    """(wall seconds, outcome) of one mittag_leffler call; outcome is "ok" or the error's name."""
     t0 = time.perf_counter()
     try:
-        signal.setitimer(signal.ITIMER_REAL, ML_CUT_S)
         mittag_leffler(q, z)
         outcome = "ok"
-    except _Cut:
-        outcome = "cut"
     except FracsyncError as exc:
         outcome = type(exc).__name__
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     return time.perf_counter() - t0, outcome
 
 
@@ -104,23 +83,22 @@ def time_mittag_leffler(repeats):
         "median_s": statistics.median(per_call),
         "max_s": max(per_call),
         "sum_s": sum(per_call),
-        "cut": sum(outcomes[p] == "cut" for p in points),
-        "raised": sum(outcomes[p] not in ("ok", "cut") for p in points),
+        "raised": sum(outcomes[p] != "ok" for p in points),
     }
     rows = [{"q": q, "z": z, "median_s": t, "outcome": outcomes[(q, z)]}
             for (q, z), t in zip(points, per_call)]
     print(f"mittag_leffler: {summary['calls']} calls, median {summary['median_s'] * 1e6:.0f} us, "
           f"max {summary['max_s'] * 1e3:.1f} ms, sum {summary['sum_s']:.3f} s, "
-          f"cut {summary['cut']}, raised {summary['raised']}")
+          f"raised {summary['raised']}")
     return {"summary": summary, "points": rows}
 
 
-def _time_case(system, y0, config, backend, repeats):
+def _time_case(system, y0, config, repeats):
     y0 = np.asarray(y0, dtype=np.float64)
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        integrate(system, 0.99, y0, config, backend=backend)
+        integrate(system, 0.99, y0, config)
         samples.append(time.perf_counter() - t0)
     return samples
 
@@ -158,23 +136,13 @@ def machine_facts() -> dict:
         "numpy": np.__version__,
         "blas": vendor,
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
-        "numba_enabled": kernels.NUMBA_ENABLED,
         "package": str(Path(fracsync.__file__).resolve().parent),
         "commit": _package_commit(),
     }
 
 
 def time_integration(steps, memory, repeats):
-    backends = ["numpy"]
-    if kernels.NUMBA_ENABLED:
-        kernels.warmup()
-        backends.append("numba")
-    else:
-        print("numba disabled or missing; timing the numpy driver only")
-
-    header = f"{'system':<10} {'steps':>7} " + "".join(f"{b + ' (s)':>12}" for b in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>9}"
+    header = f"{'system':<10} {'steps':>7} {'min (s)':>12} {'median (s)':>12}"
     print(header)
     print("-" * len(header))
 
@@ -182,22 +150,16 @@ def time_integration(steps, memory, repeats):
     for name, system, y0 in CASES:
         for n_steps in steps:
             config = SolverConfig(h=10.0 / n_steps, n_steps=n_steps, memory=memory)
-            best = {}
-            for backend in backends:
-                samples = _time_case(system, y0, config, backend, repeats)
-                best[backend] = min(samples)
-                results.append({
-                    "case": name,
-                    "steps": n_steps,
-                    "backend": backend,
-                    "min_s": min(samples),
-                    "median_s": statistics.median(samples),
-                    "samples_s": samples,
-                })
-            row = f"{name:<10} {n_steps:>7} " + "".join(f"{best[b]:>12.4f}" for b in backends)
-            if len(backends) == 2:
-                row += f"{best['numpy'] / best['numba']:>8.1f}x"
-            print(row)
+            samples = _time_case(system, y0, config, repeats)
+            best, median = min(samples), statistics.median(samples)
+            results.append({
+                "case": name,
+                "steps": n_steps,
+                "min_s": best,
+                "median_s": median,
+                "samples_s": samples,
+            })
+            print(f"{name:<10} {n_steps:>7} {best:>12.4f} {median:>12.4f}")
     return results
 
 
@@ -223,7 +185,7 @@ def main() -> None:
 
     run = {"facts": machine_facts(),
            "settings": {"q": 0.99, "t_end": 10.0, "memory": args.memory,
-                        "repeats": args.repeats, "ml_cut_s": ML_CUT_S}}
+                        "repeats": args.repeats}}
     run["results"] = time_integration(args.steps, args.memory, args.repeats)
     run["mittag_leffler"] = time_mittag_leffler(args.repeats)
 

@@ -6,7 +6,10 @@ before touching the filesystem, and then writes its artifacts into the
 output directory: trajectory.csv for time series and report.json for
 everything else. Reports embed the resolved configuration and contain
 no wall-clock data, so a rerun with the same inputs is byte-identical;
-timing is printed to stdout only.
+timing is printed to stdout only. The "backend" entry of simulate and
+synchronize reports always reads "numpy", the one integration driver;
+it stays so that reports keep the bytes they had when a second driver
+existed.
 
 Exit codes: 0 success, 2 invalid configuration, 3 run left the finite
 range (partial trajectory retained), 4 convergence order out of band.
@@ -23,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import control as ctl
-from . import experiments, kernels
-from .errors import ConfigError, InvalidGain, InvalidOrder
+from . import experiments
+from .errors import ConfigError, InvalidGain
 from .solver import SolverConfig
 from .systems import (
     FINANCIAL_CHAOS_ONSET_REFERENCE,
@@ -104,8 +107,22 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _no_bools(key, raw):
+    """Return raw, raising ConfigError if it holds a JSON true or false.
+
+    Python's float() and int() read booleans as 1 and 0, so without this
+    check `"h": true` would run with h = 1. Nested lists are searched too.
+    """
+    if isinstance(raw, bool):
+        raise ConfigError(key, f"expected a number, got {json.dumps(raw)}")
+    if isinstance(raw, (list, tuple)):
+        for v in raw:
+            _no_bools(key, v)
+    return raw
+
+
 def _as_float(cfg, key, default, *, positive=False):
-    raw = cfg.get(key, default)
+    raw = _no_bools(key, cfg.get(key, default))
     try:
         val = float(raw)
     except (TypeError, ValueError):
@@ -118,7 +135,7 @@ def _as_float(cfg, key, default, *, positive=False):
 
 
 def _as_vec3(cfg, key, default):
-    raw = cfg.get(key, default)
+    raw = _no_bools(key, cfg.get(key, default))
     try:
         vec = [float(v) for v in raw]
     except (TypeError, ValueError):
@@ -129,17 +146,17 @@ def _as_vec3(cfg, key, default):
 
 
 def _as_orders(cfg) -> FractionalOrders:
-    raw = cfg.get("orders", 0.99)
+    raw = _no_bools("orders", cfg.get("orders", 0.99))
     if isinstance(raw, (int, float)):
         raw = (raw, raw, raw)
     try:
         return FractionalOrders(tuple(raw))
-    except (InvalidOrder, TypeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("orders", str(exc))
 
 
 def _as_memory(cfg):
-    raw = cfg.get("memory", "full")
+    raw = _no_bools("memory", cfg.get("memory", "full"))
     if raw is None or raw == "full":
         return None
     if isinstance(raw, dict) and set(raw) == {"last"}:
@@ -165,7 +182,7 @@ def _subparams(cfg, key, cls, fields):
     kwargs = {}
     for sub, val in raw.items():
         try:
-            kwargs[sub] = float(val)
+            kwargs[sub] = float(_no_bools(f"{key}.{sub}", val))
         except (TypeError, ValueError):
             raise ConfigError(f"{key}.{sub}", f"expected a number, got {val!r}")
         if not np.isfinite(kwargs[sub]):
@@ -199,7 +216,7 @@ def _controller(cfg):
     if mode == "exact":
         if "gain" in cfg and cfg["gain"] is not None:
             raise ConfigError("gain", "only valid with mode 'literal'")
-        lam = cfg.get("lambda", (-1.0, -1.0, -1.0))
+        lam = _no_bools("lambda", cfg.get("lambda", (-1.0, -1.0, -1.0)))
         if isinstance(lam, (int, float)):
             lam = (lam, lam, lam)
         try:
@@ -212,7 +229,7 @@ def _controller(cfg):
             raise ConfigError("lambda", str(exc))
     if "lambda" in cfg:
         raise ConfigError("lambda", "only valid with mode 'exact'")
-    gain = cfg.get("gain")
+    gain = _no_bools("gain", cfg.get("gain"))
     try:
         return mode, ctl.LiteralFeedback(None if gain is None else tuple(map(tuple, gain)))
     except (InvalidGain, TypeError) as exc:
@@ -295,14 +312,14 @@ def _cmd_simulate(args) -> int:
         "command": "simulate",
         "status": "blowup" if run.blowup else "ok",
         "config": resolved,
-        "backend": run.backend,
+        "backend": "numpy",
         "rows_written": int(traj.n_points),
         "blowup": run.blowup.to_dict() if run.blowup else None,
         "final_state": [float(v) for v in traj.states[-1]] if traj.n_points else None,
         "files": {"trajectory": "trajectory.csv"},
     }
     _write_report(outdir / "report.json", report)
-    print(f"simulate: {name}, {traj.n_points} rows, backend {run.backend}, {elapsed:.2f} s")
+    print(f"simulate: {name}, {traj.n_points} rows, {elapsed:.2f} s")
     print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'report.json'}")
     if run.blowup:
         print(f"run left the finite range at step {run.blowup.step} (t = {run.blowup.time:g})")
@@ -362,7 +379,7 @@ def _cmd_synchronize(args) -> int:
         "command": "synchronize",
         "status": "blowup" if run.blowup else "ok",
         "config": resolved,
-        "backend": run.backend,
+        "backend": "numpy",
         "rows_written": int(traj.n_points),
         "design_matrix": _matrix_list(run.design_matrix),
         "stability": run.stability.to_dict(),
@@ -375,7 +392,7 @@ def _cmd_synchronize(args) -> int:
         sync_text = f"synchronized at t = {run.summary.sync_time:g}"
     else:
         sync_text = "not synchronized within the horizon"
-    print(f"synchronize: mode {mode}, {traj.n_points} rows, backend {run.backend}, {elapsed:.2f} s")
+    print(f"synchronize: mode {mode}, {traj.n_points} rows, {elapsed:.2f} s")
     print(f"{sync_text} (tol = {tol:g})")
     print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'report.json'}")
     if run.blowup:
@@ -419,10 +436,10 @@ def _cmd_stability(args) -> int:
     if source == "closed_loop":
         mode, controller = _controller(cfg)
         resolved["mode"] = mode
-        matrix = experiments.closed_loop_matrix(controller, vp)
+        matrix = controller.design_matrix(vp)
         report["closed_loop"] = _stability_entry(matrix, orders)
     elif source == "explicit":
-        values = spec.get("values")
+        values = _no_bools("matrix.values", spec.get("values"))
         if values is None:
             raise ConfigError("matrix.values", "required for source 'explicit'")
         try:
@@ -523,7 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    kernels.warmup()
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)

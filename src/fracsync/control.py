@@ -2,7 +2,9 @@
 
 The financial system drives, the Volta system follows, and a control
 input u added to the follower shapes the error e = slave - master. Two
-controller families are provided.
+controller families are provided. Each carries its law (`control`), the
+design matrix of its error system (`design_matrix`) and the slave row of
+the coupled field (`slave_field`), so callers never branch on the type.
 
 ExactCancellation removes both vector fields and replaces them with a
 chosen linear error field: u = F(master) - G(slave) + diag(lam) e, so
@@ -34,7 +36,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import kernels
 from .errors import DegenerateEigenvalue, InvalidGain
 from .systems import FinancialParams, SystemDef, VoltaParams, financial_rhs, volta_rhs
 
@@ -88,11 +89,7 @@ def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -
 
 def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> np.ndarray:
     """Cancellation law u = F(master) - G(slave) + diag(lam) e; shapes (..., 3)."""
-    return _cancellation(master, slave, fp, vp, _check_lambda(lam))
-
-
-def _cancellation(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> np.ndarray:
-    # control_exact for a lam already validated, as in ExactCancellation.
+    lam = _check_lambda(lam)
     m = np.asarray(master, dtype=np.float64)
     s = np.asarray(slave, dtype=np.float64)
     return financial_rhs(m, fp) - volta_rhs(s, vp) + (s - m) * lam
@@ -118,6 +115,28 @@ class ExactCancellation:
     def __post_init__(self):
         object.__setattr__(self, "lam", tuple(float(v) for v in _check_lambda(self.lam)))
 
+    def control(self, master, slave, fp: FinancialParams, vp: VoltaParams) -> np.ndarray:
+        """Control input u for master and slave states of shape (..., 3)."""
+        return control_exact(master, slave, fp, vp, self.lam)
+
+    def design_matrix(self, vp: VoltaParams) -> np.ndarray:
+        """diag(lam): under this law the error obeys D^q e = diag(lam) e exactly."""
+        return np.diag(np.array(self.lam))
+
+    def slave_field(self, fp: FinancialParams, vp: VoltaParams):
+        """Slave row G(s) + u of the coupled field, as row(m, s, fm) with fm = F(m).
+
+        G(s) cancels against the -G(s) inside u, so the row is
+        F(m) + lam * (s - m): it reuses the master row and evaluates no
+        field of its own. This differs from G(s) + u by rounding only.
+        """
+        lam = np.array(self.lam)
+
+        def row(m, s, fm):
+            return fm + (s - m) * lam
+
+        return row
+
 
 @dataclass(frozen=True)
 class LiteralFeedback:
@@ -137,87 +156,42 @@ class LiteralFeedback:
             return gain_matrix_default(vp)
         return np.asarray(self.gain, dtype=np.float64)
 
+    def control(self, master, slave, fp: FinancialParams, vp: VoltaParams) -> np.ndarray:
+        """Control input u for master and slave states of shape (..., 3)."""
+        return control_literal(master, slave, fp, vp, self.gain_array(vp))
+
+    def design_matrix(self, vp: VoltaParams) -> np.ndarray:
+        """Design matrix of the linearized error system under this gain."""
+        return closed_loop_error_matrix(self.gain_array(vp), vp)
+
+    def slave_field(self, fp: FinancialParams, vp: VoltaParams):
+        """Slave row G(s) + u of the coupled field, as row(m, s, fm); fm is unused."""
+        gain = self.gain_array(vp)
+
+        def row(m, s, fm):
+            return volta_rhs(s, vp) + control_literal(m, s, fp, vp, gain)
+
+        return row
+
 
 Controller = Union[ExactCancellation, LiteralFeedback]
-
-
-@dataclass(frozen=True)
-class CoupledState:
-    """Master and slave states side by side."""
-
-    master: np.ndarray
-    slave: np.ndarray
-
-    @property
-    def error(self) -> np.ndarray:
-        return np.asarray(self.slave, dtype=np.float64) - np.asarray(
-            self.master, dtype=np.float64
-        )
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(self.master, dtype=np.float64), np.asarray(self.slave, dtype=np.float64)]
-        )
-
-
-def control_input(controller: Controller, master, slave, fp: FinancialParams, vp: VoltaParams):
-    """Evaluate whichever control law the controller config selects."""
-    if isinstance(controller, ExactCancellation):
-        return control_exact(master, slave, fp, vp, np.array(controller.lam))
-    if isinstance(controller, LiteralFeedback):
-        return control_literal(master, slave, fp, vp, controller.gain_array(vp))
-    raise TypeError(f"unknown controller {controller!r}")
-
-
-def coupled_rhs(
-    state: CoupledState, controller: Controller, fp: FinancialParams, vp: VoltaParams
-) -> np.ndarray:
-    """Six derivatives of the driven pair: master field, then slave field plus u."""
-    m = np.asarray(state.master, dtype=np.float64)
-    s = np.asarray(state.slave, dtype=np.float64)
-    u = control_input(controller, m, s, fp, vp)
-    return np.concatenate([financial_rhs(m, fp), volta_rhs(s, vp) + u])
 
 
 def coupled_system(
     fp: FinancialParams, vp: VoltaParams, controller: Controller
 ) -> SystemDef:
-    """Six-dimensional driven pair as an integrable system."""
-    # The control law is bound once here, so the right-hand side neither
-    # dispatches on the controller nor validates its gains at every call.
-    if isinstance(controller, ExactCancellation):
-        kid = kernels.SYS_COUPLED_EXACT
-        lam = np.array(controller.lam)
-        kparams = np.concatenate([fp.as_array(), vp.as_array(), lam])
-        name = "coupled-exact"
-
-        def control(m, s):
-            return _cancellation(m, s, fp, vp, lam)
-
-    elif isinstance(controller, LiteralFeedback):
-        kid = kernels.SYS_COUPLED_LITERAL
-        gain = controller.gain_array(vp)
-        kparams = np.concatenate([fp.as_array(), vp.as_array(), gain.reshape(-1)])
-        name = "coupled-literal"
-
-        def control(m, s):
-            return control_literal(m, s, fp, vp, gain)
-
-    else:
-        raise TypeError(f"unknown controller {controller!r}")
+    """Six-dimensional driven pair as an integrable system: F(m), then G(s) + u."""
+    # The slave row is bound once here, so the right-hand side does not
+    # dispatch on the controller at every call.
+    slave_row = controller.slave_field(fp, vp)
 
     def rhs(t, y):
         m = y[..., :3]
         s = y[..., 3:]
-        return np.concatenate([financial_rhs(m, fp), volta_rhs(s, vp) + control(m, s)], axis=-1)
+        fm = financial_rhs(m, fp)
+        return np.concatenate([fm, slave_row(m, s, fm)], axis=-1)
 
-    return SystemDef(
-        name=name,
-        dimension=6,
-        rhs=rhs,
-        kernel_id=kid,
-        kernel_params=kparams,
-    )
+    return SystemDef(name="coupled", dimension=6, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .analysis import (
     sync_time,
 )
 from .errors import NonFiniteState
-from .solver import SolverConfig, Trajectory, integrate, resolve_backend
+from .solver import SolverConfig, Trajectory, integrate
 from .systems import (
     FinancialParams,
     SystemDef,
@@ -46,14 +46,12 @@ class BlowupInfo:
 @dataclass
 class SimRun:
     trajectory: Trajectory
-    backend: str
     blowup: Optional[BlowupInfo] = None
 
 
 @dataclass
 class SyncRun:
     trajectory: Trajectory
-    backend: str
     summary: Optional[SyncSummary]
     stability: ctl.StabilityReport
     design_matrix: np.ndarray
@@ -70,28 +68,14 @@ def build_system(name: str, fp: FinancialParams, vp: VoltaParams) -> SystemDef:
     raise ValueError(f"unknown system {name!r}")
 
 
-def run_simulation(
-    system: SystemDef, orders, y0, config: SolverConfig, backend: Optional[str] = None
-) -> SimRun:
-    chosen = resolve_backend(system, backend)
+def run_simulation(system: SystemDef, orders, y0, config: SolverConfig) -> SimRun:
     try:
-        traj = integrate(system, orders, y0, config, backend=chosen)
-        return SimRun(trajectory=traj, backend=chosen)
+        return SimRun(trajectory=integrate(system, orders, y0, config))
     except NonFiniteState as exc:
         return SimRun(
             trajectory=exc.trajectory,
-            backend=chosen,
             blowup=BlowupInfo(step=exc.step, time=float(exc.time)),
         )
-
-
-def closed_loop_matrix(controller: ctl.Controller, vp: VoltaParams) -> np.ndarray:
-    """Design matrix whose spectrum the synchronization report checks."""
-    if isinstance(controller, ctl.ExactCancellation):
-        return np.diag(np.array(controller.lam))
-    if isinstance(controller, ctl.LiteralFeedback):
-        return ctl.closed_loop_error_matrix(controller.gain_array(vp), vp)
-    raise TypeError(f"unknown controller {controller!r}")
 
 
 def run_synchronization(
@@ -103,16 +87,14 @@ def run_synchronization(
     slave0,
     config: SolverConfig,
     tol: float,
-    backend: Optional[str] = None,
 ) -> SyncRun:
     system = ctl.coupled_system(fp, vp, controller)
     y0 = np.concatenate(
         [np.asarray(master0, dtype=np.float64), np.asarray(slave0, dtype=np.float64)]
     )
-    chosen = resolve_backend(system, backend)
     blowup = None
     try:
-        traj = integrate(system, _pair_orders(orders), y0, config, backend=chosen)
+        traj = integrate(system, _pair_orders(orders), y0, config)
     except NonFiniteState as exc:
         traj = exc.trajectory
         blowup = BlowupInfo(step=exc.step, time=float(exc.time))
@@ -121,17 +103,16 @@ def run_synchronization(
     slave = traj.states[:, 3:]
     errors = slave - master
     if traj.states.shape[0] > 0:
-        controls = ctl.control_input(controller, master, slave, fp, vp)
+        controls = controller.control(master, slave, fp, vp)
     else:
         controls = np.empty((0, 3))
     traj = Trajectory(times=traj.times, states=traj.states, errors=errors, controls=controls)
 
-    matrix = closed_loop_matrix(controller, vp)
+    matrix = controller.design_matrix(vp)
     stability = ctl.matignon_check(matrix, _base_orders(orders))
     summary = None if blowup is not None else sync_time(traj, tol)
     return SyncRun(
         trajectory=traj,
-        backend=chosen,
         summary=summary,
         stability=stability,
         design_matrix=matrix,

@@ -1,11 +1,9 @@
 """Fractional predictor-corrector integration and its classical limit.
 
 `integrate` advances a `SystemDef` under componentwise Caputo orders with
-the scheme documented in `kernels`. Built-in systems run on the compiled
-kernel when numba is enabled, arbitrary systems on the numpy driver; both
-produce the same numbers to rounding error. `integrate_classical_pece` is
-the order-one limit of the same loop and matches a q = 1 fractional run
-step for step.
+the scheme documented in `kernels`, on its one driver, whatever the
+system. `integrate_classical_pece` is the order-one limit of the same loop
+and matches a q = 1 fractional run step for step.
 """
 
 from __future__ import annotations
@@ -130,35 +128,7 @@ def _check_scalar_order(q) -> None:
         raise InvalidOrder(f"order {q!r} outside (0, 1]")
 
 
-def resolve_backend(system: SystemDef, backend: Optional[str] = None) -> str:
-    """Pick the integration path: 'numba' or 'numpy'.
-
-    backend=None selects the compiled path whenever it is available and
-    the system carries a kernel id. Requesting 'numba' explicitly raises
-    when that path cannot run.
-    """
-    if backend not in (None, "numpy", "numba"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba":
-        if not kernels.NUMBA_ENABLED:
-            raise RuntimeError("numba backend requested but not enabled")
-        if system.kernel_id is None:
-            raise RuntimeError(f"system {system.name!r} has no compiled kernel")
-        return "numba"
-    if backend == "numpy":
-        return "numpy"
-    if kernels.NUMBA_ENABLED and system.kernel_id is not None:
-        return "numba"
-    return "numpy"
-
-
-def integrate(
-    system: SystemDef,
-    orders,
-    y0,
-    config: SolverConfig,
-    backend: Optional[str] = None,
-) -> Trajectory:
+def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory:
     """Solve the componentwise Caputo initial value problem for `system`.
 
     Parameters
@@ -171,8 +141,6 @@ def integrate(
         Finite initial state of shape (dimension,).
     config : SolverConfig
         Grid and memory policy.
-    backend : str, optional
-        'numba', 'numpy', or None for automatic selection.
 
     Returns
     -------
@@ -192,15 +160,7 @@ def integrate(
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
 
-    chosen = resolve_backend(system, backend)
-    if chosen == "numba":
-        states, fail = kernels.abm_named(
-            system.kernel_id, system.kernel_params, q, y0, config.h, config.n_steps, config.window
-        )
-    else:
-        states, fail = kernels.abm_python(
-            system.rhs, q, y0, config.h, config.n_steps, config.window
-        )
+    states, fail = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps, config.window)
     times = np.arange(config.n_steps + 1, dtype=np.float64) * config.h
     if fail >= 0:
         partial = Trajectory(times[:fail], states[:fail].copy())

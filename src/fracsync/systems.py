@@ -26,7 +26,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
 from .errors import DegenerateParameters, InvalidOrder
 
 # Reported derivative order at which the commensurate financial system
@@ -70,18 +69,12 @@ class FinancialParams:
     beta: float = 0.1
     gamma: float = 1.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.gamma], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class VoltaParams:
     a: float = 19.0
     b: float = 11.0
     c: float = 0.73
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c], dtype=np.float64)
 
 
 def financial_rhs(state, p: FinancialParams) -> np.ndarray:
@@ -156,17 +149,14 @@ def financial_equilibria(p: FinancialParams) -> list[np.ndarray]:
 class SystemDef:
     """A named dynamical system ready for integration.
 
-    rhs(t, y) must accept a state of shape (d,) and return the same shape.
-    kernel_id and kernel_params wire the system to the compiled integration
-    path; systems without them always run on the numpy driver.
+    rhs(t, y) must accept a state of shape (d,) and return the same shape;
+    it is the only definition of the field that integration uses.
     """
 
     name: str
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    kernel_id: Optional[int] = None
-    kernel_params: Optional[np.ndarray] = None
 
 
 def financial_system(params: FinancialParams | None = None) -> SystemDef:
@@ -176,8 +166,6 @@ def financial_system(params: FinancialParams | None = None) -> SystemDef:
         dimension=3,
         rhs=lambda t, y: financial_rhs(y, p),
         jacobian=lambda y: financial_jacobian(y, p),
-        kernel_id=kernels.SYS_FINANCIAL,
-        kernel_params=p.as_array(),
     )
 
 
@@ -188,8 +176,6 @@ def volta_system(params: VoltaParams | None = None) -> SystemDef:
         dimension=3,
         rhs=lambda t, y: volta_rhs(y, p),
         jacobian=lambda y: volta_jacobian(y, p),
-        kernel_id=kernels.SYS_VOLTA,
-        kernel_params=p.as_array(),
     )
 
 

@@ -47,7 +47,7 @@ class TestSimulate:
         assert report["config"]["h"] == 0.01
         assert report["config"]["n_steps"] == 100
         assert report["config"]["memory"] == "full"
-        assert report["backend"] in ("numba", "numpy")
+        assert report["backend"] == "numpy"
         assert report["rows_written"] == 101
         assert report["blowup"] is None
         assert len(report["final_state"]) == 3
@@ -152,6 +152,10 @@ class TestSimulateValidation:
         self._expect_config_error(
             tmp_path, capsys, "simulate", "--orders", 0.9, 0.8, field="orders"
         )
+
+    def test_string_orders(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"orders": "0.9"})
+        self._expect_config_error(tmp_path, capsys, "simulate", "--config", cfg, field="orders")
 
     def test_bad_memory_string(self, tmp_path, capsys):
         self._expect_config_error(
@@ -357,6 +361,37 @@ class TestStability:
         code = _run("stability", "--config", cfg, "--out", out)
         assert code == EXIT_CONFIG
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBooleanFields:
+    # float() and int() read JSON true/false as 1 and 0; each number field must refuse them.
+    @pytest.mark.parametrize(
+        "command,payload,field",
+        [
+            ("simulate", {"h": True}, "h"),
+            ("simulate", {"t_end": True}, "t_end"),
+            ("simulate", {"memory": True}, "memory"),
+            ("simulate", {"orders": True}, "orders"),
+            ("simulate", {"orders": [0.9, True, 0.9]}, "orders"),
+            ("simulate", {"initial_state": [True, False, True]}, "initial_state"),
+            ("simulate", {"financial": {"alpha": True}}, "financial.alpha"),
+            ("simulate", {"volta": {"c": False}}, "volta.c"),
+            ("synchronize", {"sync_tol": True}, "sync_tol"),
+            ("synchronize", {"slave_initial": [True, 0.0, 0.0]}, "slave_initial"),
+            ("synchronize", {"lambda": True}, "lambda"),
+            ("synchronize", {"mode": "literal", "gain": [[True, 0, 0], [0, 0, 0], [0, 0, 0]]},
+             "gain"),
+            ("stability", {"matrix": {"source": "explicit",
+                                      "values": [[True, 0, 0], [0, -1, 0], [0, 0, -1]]}},
+             "matrix.values"),
+        ],
+    )
+    def test_rejected(self, tmp_path, capsys, command, payload, field):
+        out = tmp_path / "never"
+        code = _run(command, "--config", _write_config(tmp_path, payload), "--out", out)
+        assert code == EXIT_CONFIG
+        assert f"config error: {field}: expected a number, got " in capsys.readouterr().err
         assert not out.exists()
 
 

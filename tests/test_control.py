@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 
 from fracsync import (
-    CoupledState,
     ExactCancellation,
     FinancialParams,
     LiteralFeedback,
     SolverConfig,
+    SystemDef,
     VoltaParams,
     chaos_threshold,
     closed_loop_error_matrix,
     control_exact,
-    control_input,
     control_literal,
-    coupled_rhs,
     coupled_system,
     eigen3,
     financial_equilibria,
@@ -30,12 +28,18 @@ from fracsync import (
     volta_rhs,
 )
 from fracsync.errors import DegenerateEigenvalue, InvalidGain
-from fracsync.kernels import NUMBA_ENABLED
 
 MASTER0 = np.array([2.0, -1.0, 1.0])
 SLAVE0 = np.array([8.0, 2.0, 3.0])
+Y0 = np.concatenate([MASTER0, SLAVE0])
 FP = FinancialParams()
 VP = VoltaParams()
+
+
+def _unfolded_rhs(controller, y):
+    m, s = y[..., :3], y[..., 3:]
+    u = controller.control(m, s, FP, VP)
+    return np.concatenate([financial_rhs(m, FP), volta_rhs(s, VP) + u], axis=-1)
 
 
 class TestGainAndDesignMatrix:
@@ -176,53 +180,54 @@ class TestControllerConfigs:
             LiteralFeedback(gain=((float("inf"),) * 3,) * 3)
 
     def test_dispatch(self):
-        via_exact = control_input(ExactCancellation(), MASTER0, SLAVE0, FP, VP)
-        assert np.array_equal(via_exact, control_exact(MASTER0, SLAVE0, FP, VP, -1.0))
-        via_literal = control_input(LiteralFeedback(), MASTER0, SLAVE0, FP, VP)
+        exact = ExactCancellation(lam=(-1.0, -2.0, -0.5))
+        literal = LiteralFeedback()
         assert np.array_equal(
-            via_literal, control_literal(MASTER0, SLAVE0, FP, VP, gain_matrix_default(VP))
+            exact.control(MASTER0, SLAVE0, FP, VP),
+            control_exact(MASTER0, SLAVE0, FP, VP, (-1.0, -2.0, -0.5)),
         )
-        with pytest.raises(TypeError):
-            control_input(object(), MASTER0, SLAVE0, FP, VP)
+        assert np.array_equal(
+            literal.control(MASTER0, SLAVE0, FP, VP),
+            control_literal(MASTER0, SLAVE0, FP, VP, gain_matrix_default(VP)),
+        )
+        assert np.array_equal(exact.design_matrix(VP), np.diag([-1.0, -2.0, -0.5]))
+        assert np.array_equal(
+            literal.design_matrix(VP), closed_loop_error_matrix(gain_matrix_default(VP), VP)
+        )
 
 
 class TestCoupledSystem:
-    def test_state_container(self):
-        st = CoupledState(master=MASTER0, slave=SLAVE0)
-        assert np.array_equal(st.error, [6.0, 3.0, 2.0])
-        assert np.array_equal(st.as_vector(), [2.0, -1.0, 1.0, 8.0, 2.0, 3.0])
-
     def test_exact_mode_derivatives(self):
-        out = coupled_rhs(CoupledState(MASTER0, SLAVE0), ExactCancellation(), FP, VP)
+        out = coupled_system(FP, VP, ExactCancellation()).rhs(0.0, Y0)
         assert np.allclose(out, [-3.0, -2.9, -3.0, -9.0, -5.9, -5.0], atol=1e-12)
 
     def test_literal_mode_derivatives(self):
-        out = coupled_rhs(CoupledState(MASTER0, SLAVE0), LiteralFeedback(), FP, VP)
+        out = coupled_system(FP, VP, LiteralFeedback()).rhs(0.0, Y0)
         assert np.allclose(out, [-3.0, -2.9, -3.0, -15.0, -5.9, -5.0], atol=1e-12)
 
     def test_system_rhs_matches_coupled_rhs(self):
-        y = np.concatenate([MASTER0, SLAVE0])
-        for controller in (ExactCancellation(), LiteralFeedback()):
+        # The coupled right-hand side written out: F(m), then G(s) + u. The exact
+        # law's slave row is folded to F(m) + lam*e, equal up to rounding; the
+        # literal row is the same arithmetic and so the same bits.
+        rng = np.random.default_rng(7)
+        ys = np.vstack([Y0, rng.uniform(-3.0, 3.0, (50, 6))])
+        for controller, tol in ((ExactCancellation(), 1e-13), (LiteralFeedback(), 0.0)):
             sysdef = coupled_system(FP, VP, controller)
             assert sysdef.dimension == 6
-            direct = coupled_rhs(CoupledState(MASTER0, SLAVE0), controller, FP, VP)
-            assert np.array_equal(sysdef.rhs(0.0, y), direct)
+            assert np.max(np.abs(sysdef.rhs(0.0, ys) - _unfolded_rhs(controller, ys))) <= tol
 
-    @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend disabled")
-    @pytest.mark.parametrize("controller", [ExactCancellation(), LiteralFeedback()])
-    def test_backend_parity(self, controller):
-        sysdef = coupled_system(FP, VP, controller)
-        y0 = np.concatenate([MASTER0, SLAVE0])
+    def test_folded_exact_law_tracks_unfolded_run(self):
+        controller = ExactCancellation()
+        unfolded = SystemDef("unfolded", 6, lambda t, y: _unfolded_rhs(controller, y))
         cfg = SolverConfig(h=0.005, n_steps=200)
-        a = integrate(sysdef, 0.99, y0, cfg, backend="numba")
-        b = integrate(sysdef, 0.99, y0, cfg, backend="numpy")
+        a = integrate(coupled_system(FP, VP, controller), 0.99, Y0, cfg)
+        b = integrate(unfolded, 0.99, Y0, cfg)
         assert np.max(np.abs(a.states - b.states)) <= 1e-10
 
     def test_exact_mode_shrinks_the_error(self):
         sysdef = coupled_system(FP, VP, ExactCancellation())
-        y0 = np.concatenate([MASTER0, SLAVE0])
-        traj = integrate(sysdef, 0.99, y0, SolverConfig(h=0.005, n_steps=400))
-        err0 = np.max(np.abs(y0[3:] - y0[:3]))
+        traj = integrate(sysdef, 0.99, Y0, SolverConfig(h=0.005, n_steps=400))
+        err0 = np.max(np.abs(SLAVE0 - MASTER0))
         err1 = np.max(np.abs(traj.states[-1, 3:] - traj.states[-1, :3]))
         assert err1 < 0.2 * err0
 

@@ -1,4 +1,4 @@
-"""Integration driver: accuracy, memory policy, backends, failure paths."""
+"""Integration driver: accuracy, memory policy, determinism, failure paths."""
 
 import functools
 import math
@@ -20,16 +20,12 @@ from fracsync import (
     financial_system,
     integrate,
     integrate_classical_pece,
-    resolve_backend,
     volta_system,
     weights_a,
     weights_b,
     zero_system,
 )
 from fracsync.errors import InvalidOrder, NonFiniteState
-from fracsync.kernels import NUMBA_ENABLED
-
-needs_numba = pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend disabled")
 
 
 def _scalar_system(name, fn):
@@ -111,9 +107,7 @@ def _direct_abm(rhs, orders, y0, h, n_steps, memory=None):
 
 
 class TestExactness:
-    def test_zero_field_keeps_state(self, backend):
-        if backend == "numba":
-            pytest.skip("stub system has no compiled kernel")
+    def test_zero_field_keeps_state(self):
         traj = integrate(zero_system(), 0.6, [3.0, -2.0, 5.0], SolverConfig(h=0.1, n_steps=20))
         assert np.array_equal(traj.states, np.tile([3.0, -2.0, 5.0], (21, 1)))
 
@@ -158,11 +152,11 @@ class TestAccuracy:
         ref = _reference_abm(system.rhs, 0.6, [1.0], 0.01, 100)
         assert np.max(np.abs(traj.states - ref)) <= 1e-10
 
-    def test_matches_reference_financial(self, backend):
+    def test_matches_reference_financial(self):
         system = financial_system()
         orders = FractionalOrders((0.9, 0.95, 1.0))
         cfg = SolverConfig(h=0.005, n_steps=120)
-        traj = integrate(system, orders, [2.0, -1.0, 1.0], cfg, backend=backend)
+        traj = integrate(system, orders, [2.0, -1.0, 1.0], cfg)
         ref = _reference_abm(system.rhs, orders.as_array(), [2.0, -1.0, 1.0], 0.005, 120)
         assert np.max(np.abs(traj.states - ref)) <= 1e-9
 
@@ -171,27 +165,25 @@ class TestClassicalLimit:
     def test_scalar_unit_order_agrees_per_step(self):
         system = _scalar_system("decay", lambda t, y: -y)
         cfg = SolverConfig(h=0.01, n_steps=100)
-        frac = integrate(system, 1.0, [1.0], cfg, backend="numpy")
+        frac = integrate(system, 1.0, [1.0], cfg)
         classical = integrate_classical_pece(system, [1.0], cfg)
         assert np.max(np.abs(frac.states - classical.states)) <= 1e-12
 
-    def test_financial_unit_order_agrees_per_step(self, backend):
+    def test_financial_unit_order_agrees_per_step(self):
         system = financial_system()
         cfg = SolverConfig(h=0.005, n_steps=200)
-        frac = integrate(system, 1.0, [2.0, -1.0, 1.0], cfg, backend=backend)
+        frac = integrate(system, 1.0, [2.0, -1.0, 1.0], cfg)
         classical = integrate_classical_pece(system, [2.0, -1.0, 1.0], cfg)
         assert np.max(np.abs(frac.states - classical.states)) <= 1e-12
 
 
 class TestMemoryWindow:
-    def test_window_covering_whole_run_changes_nothing(self, backend):
+    def test_window_covering_whole_run_changes_nothing(self):
         system = volta_system()
         orders = 0.97
         y0 = [8.0, 2.0, 3.0]
-        full = integrate(system, orders, y0, SolverConfig(h=0.002, n_steps=300), backend=backend)
-        windowed = integrate(
-            system, orders, y0, SolverConfig(h=0.002, n_steps=300, memory=301), backend=backend
-        )
+        full = integrate(system, orders, y0, SolverConfig(h=0.002, n_steps=300))
+        windowed = integrate(system, orders, y0, SolverConfig(h=0.002, n_steps=300, memory=301))
         assert np.array_equal(full.states, windowed.states)
 
     def test_short_window_alters_the_tail(self):
@@ -218,7 +210,7 @@ class TestTiledHistory:
     def test_matches_direct_sums(self, orders, memory):
         system = financial_system()
         cfg = SolverConfig(h=self.H, n_steps=self.N_STEPS, memory=memory)
-        got = integrate(system, orders, self.Y0, cfg, backend="numpy").states
+        got = integrate(system, orders, self.Y0, cfg).states
         want = _direct_abm(system.rhs, orders, self.Y0, self.H, self.N_STEPS, memory)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -235,7 +227,7 @@ class TestTiledHistory:
             "import sys, numpy as np\n"
             "from fracsync import SolverConfig, financial_system, integrate\n"
             "cfg = SolverConfig(h=0.0005, n_steps=3000)\n"
-            "traj = integrate(financial_system(), 0.99, [2.0, -1.0, 1.0], cfg, backend='numpy')\n"
+            "traj = integrate(financial_system(), 0.99, [2.0, -1.0, 1.0], cfg)\n"
             "np.save(sys.argv[1], traj.states)\n"
         )
         src = str(Path(fracsync.__file__).resolve().parents[1])
@@ -258,52 +250,23 @@ class TestTiledHistory:
         assert np.array_equal(runs[0], runs[1])
 
 
-class TestBackends:
-    @needs_numba
-    def test_parity_financial(self):
-        system = financial_system()
-        orders = FractionalOrders((0.88, 0.97, 1.0))
-        cfg = SolverConfig(h=0.002, n_steps=300)
-        a = integrate(system, orders, [2.0, -1.0, 1.0], cfg, backend="numba")
-        b = integrate(system, orders, [2.0, -1.0, 1.0], cfg, backend="numpy")
-        assert np.max(np.abs(a.states - b.states)) <= 1e-10
-
-    @needs_numba
-    def test_parity_volta_with_window(self):
-        system = volta_system()
-        cfg = SolverConfig(h=0.001, n_steps=400, memory=150)
-        a = integrate(system, 0.98, [8.0, 2.0, 3.0], cfg, backend="numba")
-        b = integrate(system, 0.98, [8.0, 2.0, 3.0], cfg, backend="numpy")
-        assert np.max(np.abs(a.states - b.states)) <= 1e-10
-
-    def test_resolution_rules(self):
-        named = financial_system()
-        stub = zero_system()
-        assert resolve_backend(stub) == "numpy"
-        assert resolve_backend(named, "numpy") == "numpy"
-        if NUMBA_ENABLED:
-            assert resolve_backend(named) == "numba"
-            with pytest.raises(RuntimeError):
-                resolve_backend(stub, "numba")
-        with pytest.raises(ValueError):
-            resolve_backend(named, "fortran")
-
-    def test_determinism(self, backend):
+class TestDeterminism:
+    def test_determinism(self):
         system = financial_system()
         cfg = SolverConfig(h=0.002, n_steps=250)
-        a = integrate(system, 0.9, [2.0, -1.0, 1.0], cfg, backend=backend)
-        b = integrate(system, 0.9, [2.0, -1.0, 1.0], cfg, backend=backend)
+        a = integrate(system, 0.9, [2.0, -1.0, 1.0], cfg)
+        b = integrate(system, 0.9, [2.0, -1.0, 1.0], cfg)
         assert np.array_equal(a.states, b.states)
 
 
 class TestFailurePaths:
     # The runaway tests drive the state through float overflow on purpose.
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_runaway_named_system_reports_prefix(self, backend):
+    def test_runaway_named_system_reports_prefix(self):
         system = financial_system(FinancialParams(alpha=-1000.0))
         cfg = SolverConfig(h=0.01, n_steps=400)
         with pytest.raises(NonFiniteState) as info:
-            integrate(system, 0.9, [2.0, -1.0, 1.0], cfg, backend=backend)
+            integrate(system, 0.9, [2.0, -1.0, 1.0], cfg)
         err = info.value
         assert err.step >= 1
         assert err.trajectory is not None

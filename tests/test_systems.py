@@ -184,5 +184,4 @@ class TestSystemBuilders:
 
     def test_zero_system_field_vanishes(self):
         sysdef = zero_system()
-        assert sysdef.kernel_id is None
         assert np.array_equal(sysdef.rhs(1.0, np.array([3.0, -2.0, 5.0])), np.zeros(3))
