@@ -18,7 +18,9 @@ range (partial trajectory retained), 4 convergence order out of band.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import control as ctl
 from . import experiments
-from .errors import ConfigError, InvalidGain
+from .errors import ConfigError
 from .solver import SolverConfig
 from .systems import (
     FINANCIAL_CHAOS_ONSET_REFERENCE,
@@ -88,152 +90,133 @@ def _load_config(args) -> dict:
     for key in cfg:
         if key not in _KNOWN_KEYS:
             raise ConfigError("config", f"unknown key {key!r}")
-    if getattr(args, "h", None) is not None:
-        cfg["h"] = args.h
-    if getattr(args, "t_end", None) is not None:
-        cfg["t_end"] = args.t_end
-    overrides = getattr(args, "orders", None)
-    if overrides is not None:
-        if len(overrides) == 1:
-            cfg["orders"] = overrides[0]
-        elif len(overrides) == 3:
-            cfg["orders"] = list(overrides)
-        else:
-            raise ConfigError("orders", f"expected 1 or 3 values, got {len(overrides)}")
-    if getattr(args, "mode", None) is not None:
-        cfg["mode"] = args.mode
-    if getattr(args, "memory", None) is not None:
-        cfg["memory"] = args.memory
+    for key in ("h", "t_end", "orders", "mode", "memory"):
+        value = getattr(args, key, None)
+        if value is not None:
+            # One --orders value is the uniform order; any other count goes to the check.
+            cfg[key] = value[0] if key == "orders" and len(value) == 1 else value
     return cfg
 
 
-def _no_bools(key, raw):
-    """Return raw, raising ConfigError if it holds a JSON true or false.
-
-    Python's float() and int() read booleans as 1 and 0, so without this
-    check `"h": true` would run with h = 1. Nested lists are searched too.
-    """
-    if isinstance(raw, bool):
-        raise ConfigError(key, f"expected a number, got {json.dumps(raw)}")
+def _has_bool(raw) -> bool:
     if isinstance(raw, (list, tuple)):
-        for v in raw:
-            _no_bools(key, v)
-    return raw
+        return any(_has_bool(v) for v in raw)
+    return isinstance(raw, bool)
 
 
-def _as_float(cfg, key, default, *, positive=False):
-    raw = _no_bools(key, cfg.get(key, default))
+def _read(key, build, raw):
+    """build(raw), with any TypeError or ValueError reported as ConfigError(key).
+
+    JSON true and false are refused first: Python's float() and int() read
+    them as 1 and 0, so `"h": true` would otherwise run with h = 1.
+    Nested lists are searched too.
+    """
+    if _has_bool(raw):
+        raise ConfigError(key, f"expected a number, got {json.dumps(raw)}")
     try:
-        val = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"expected a number, got {raw!r}")
-    if not np.isfinite(val):
-        raise ConfigError(key, f"must be finite, got {raw!r}")
-    if positive and val <= 0:
-        raise ConfigError(key, f"must be positive, got {raw!r}")
+        return build(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc))
+
+
+def _number(raw) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"must be finite, got {raw!r}")
     return val
 
 
-def _as_vec3(cfg, key, default):
-    raw = _no_bools(key, cfg.get(key, default))
-    try:
-        vec = [float(v) for v in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"expected 3 numbers, got {raw!r}")
-    if len(vec) != 3 or not all(np.isfinite(v) for v in vec):
-        raise ConfigError(key, f"expected 3 finite numbers, got {raw!r}")
+def _positive(raw) -> float:
+    val = _number(raw)
+    if val <= 0:
+        raise ValueError(f"must be positive, got {raw!r}")
+    return val
+
+
+def _vec3(raw) -> list:
+    vec = [_number(v) for v in raw]
+    if len(vec) != 3:
+        raise ValueError(f"expected 3 finite numbers, got {raw!r}")
     return vec
 
 
-def _as_orders(cfg) -> FractionalOrders:
-    raw = _no_bools("orders", cfg.get("orders", 0.99))
+def _orders(raw) -> FractionalOrders:
     if isinstance(raw, (int, float)):
-        raw = (raw, raw, raw)
-    try:
-        return FractionalOrders(tuple(raw))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("orders", str(exc))
+        return FractionalOrders.uniform(raw)
+    return FractionalOrders(raw)
 
 
-def _as_memory(cfg):
-    raw = _no_bools("memory", cfg.get("memory", "full"))
+def _window(raw):
+    """Memory window in steps from 'full', k, 'k', 'last:k' or {"last": k}; None is full."""
     if raw is None or raw == "full":
         return None
     if isinstance(raw, dict) and set(raw) == {"last"}:
         raw = f"last:{raw['last']}"
     if isinstance(raw, str) and raw.startswith("last:"):
         raw = raw[5:]
-    try:
-        k = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError("memory", f"expected 'full', 'last:<k>' or an integer, got {raw!r}")
-    if k < 1:
-        raise ConfigError("memory", f"window must be at least 1, got {k}")
-    return k
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"window must be a whole number of steps, got {raw!r}")
+    return int(raw)
 
 
-def _subparams(cfg, key, cls, fields):
+def _matrix(raw) -> np.ndarray:
+    matrix = np.asarray(raw, dtype=np.float64).reshape(3, 3)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("entries must be finite")
+    return matrix
+
+
+def _params(cfg, key, cls):
     raw = cfg.get(key, {})
     if not isinstance(raw, dict):
         raise ConfigError(key, f"expected an object, got {raw!r}")
+    fields = [f.name for f in dataclasses.fields(cls)]
     for sub in raw:
         if sub not in fields:
             raise ConfigError(key, f"unknown parameter {sub!r}")
-    kwargs = {}
-    for sub, val in raw.items():
-        try:
-            kwargs[sub] = float(_no_bools(f"{key}.{sub}", val))
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}.{sub}", f"expected a number, got {val!r}")
-        if not np.isfinite(kwargs[sub]):
-            raise ConfigError(f"{key}.{sub}", "must be finite")
-    return cls(**kwargs)
+    return cls(**{sub: _read(f"{key}.{sub}", _number, val) for sub, val in raw.items()})
 
 
-def _financial_params(cfg) -> FinancialParams:
-    return _subparams(cfg, "financial", FinancialParams, ("alpha", "beta", "gamma"))
-
-
-def _volta_params(cfg) -> VoltaParams:
-    return _subparams(cfg, "volta", VoltaParams, ("a", "b", "c"))
+def _model(cfg):
+    """Both systems' parameters and the orders, with their echo for the report."""
+    fp = _params(cfg, "financial", FinancialParams)
+    vp = _params(cfg, "volta", VoltaParams)
+    orders = _read("orders", _orders, cfg.get("orders", 0.99))
+    echo = {
+        "financial": dataclasses.asdict(fp),
+        "volta": dataclasses.asdict(vp),
+        "orders": list(orders.q),
+    }
+    return fp, vp, orders, echo
 
 
 def _grid(cfg, default_t_end):
-    h = _as_float(cfg, "h", _DEFAULT_H, positive=True)
-    t_end = _as_float(cfg, "t_end", default_t_end, positive=True)
+    """SolverConfig from h, t_end and memory, with its echo for the report."""
+    h = _read("h", _positive, cfg.get("h", _DEFAULT_H))
+    t_end = _read("t_end", _positive, cfg.get("t_end", default_t_end))
     n_steps = round(t_end / h)
     if n_steps < 1:
         raise ConfigError("t_end", f"horizon {t_end} allows no step at h = {h}")
     if n_steps > 5_000_000:
         raise ConfigError("t_end", f"horizon needs {n_steps} steps; reduce t_end or raise h")
-    return h, t_end, int(n_steps)
+    window = cfg.get("memory", "full")
+    config = _read("memory", lambda raw: SolverConfig(h, n_steps, _window(raw)), window)
+    memory = "full" if config.memory is None else config.memory
+    return config, {"h": h, "t_end": t_end, "n_steps": n_steps, "memory": memory}
 
 
 def _controller(cfg):
     mode = cfg.get("mode", "exact")
-    if mode not in ("exact", "literal"):
-        raise ConfigError("mode", f"expected 'exact' or 'literal', got {mode!r}")
     if mode == "exact":
-        if "gain" in cfg and cfg["gain"] is not None:
+        if cfg.get("gain") is not None:
             raise ConfigError("gain", "only valid with mode 'literal'")
-        lam = _no_bools("lambda", cfg.get("lambda", (-1.0, -1.0, -1.0)))
-        if isinstance(lam, (int, float)):
-            lam = (lam, lam, lam)
-        try:
-            lam = tuple(float(v) for v in lam)
-        except (TypeError, ValueError):
-            raise ConfigError("lambda", f"expected 3 numbers, got {lam!r}")
-        try:
-            return mode, ctl.ExactCancellation(lam)
-        except InvalidGain as exc:
-            raise ConfigError("lambda", str(exc))
-    if "lambda" in cfg:
-        raise ConfigError("lambda", "only valid with mode 'exact'")
-    gain = _no_bools("gain", cfg.get("gain"))
-    try:
-        return mode, ctl.LiteralFeedback(None if gain is None else tuple(map(tuple, gain)))
-    except (InvalidGain, TypeError) as exc:
-        raise ConfigError("gain", str(exc))
+        lam = cfg.get("lambda", ctl.ExactCancellation.lam)
+        return mode, _read("lambda", ctl.ExactCancellation, lam)
+    if mode == "literal":
+        if "lambda" in cfg:
+            raise ConfigError("lambda", "only valid with mode 'exact'")
+        return mode, _read("gain", ctl.LiteralFeedback, cfg.get("gain"))
+    raise ConfigError("mode", f"expected 'exact' or 'literal', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +241,6 @@ def _write_report(path: Path, report: dict) -> None:
     path.write_text(json.dumps(report, indent=2) + "\n")
 
 
-def _matrix_list(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in m]
-
-
-def _echo_memory(memory) -> object:
-    return "full" if memory is None else int(memory)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -276,28 +251,13 @@ def _cmd_simulate(args) -> int:
     name = cfg.get("system", "financial")
     if name not in ("financial", "volta", "zero"):
         raise ConfigError("system", f"expected 'financial', 'volta' or 'zero', got {name!r}")
-    fp = _financial_params(cfg)
-    vp = _volta_params(cfg)
-    orders = _as_orders(cfg)
-    h, t_end, n_steps = _grid(cfg, _SIM_T_END)
-    memory = _as_memory(cfg)
-    ic = _as_vec3(cfg, "initial_state", _DEFAULT_IC[name])
-
-    resolved = {
-        "system": name,
-        "financial": {"alpha": fp.alpha, "beta": fp.beta, "gamma": fp.gamma},
-        "volta": {"a": vp.a, "b": vp.b, "c": vp.c},
-        "orders": list(orders.q),
-        "h": h,
-        "t_end": t_end,
-        "n_steps": n_steps,
-        "memory": _echo_memory(memory),
-        "initial_state": ic,
-    }
+    fp, vp, orders, model = _model(cfg)
+    config, grid = _grid(cfg, _SIM_T_END)
+    ic = _read("initial_state", _vec3, cfg.get("initial_state", _DEFAULT_IC[name]))
+    resolved = {"system": name, **model, **grid, "initial_state": ic}
 
     outdir = _outdir(args)
     system = experiments.build_system(name, fp, vp)
-    config = SolverConfig(h=h, n_steps=n_steps, memory=memory)
     t0 = time.perf_counter()
     run = experiments.run_simulation(system, orders, ic, config)
     elapsed = time.perf_counter() - t0
@@ -315,38 +275,26 @@ def _cmd_simulate(args) -> int:
         "backend": "numpy",
         "rows_written": int(traj.n_points),
         "blowup": run.blowup.to_dict() if run.blowup else None,
-        "final_state": [float(v) for v in traj.states[-1]] if traj.n_points else None,
+        "final_state": traj.states[-1].tolist() if traj.n_points else None,
         "files": {"trajectory": "trajectory.csv"},
     }
     _write_report(outdir / "report.json", report)
     print(f"simulate: {name}, {traj.n_points} rows, {elapsed:.2f} s")
     print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'report.json'}")
-    if run.blowup:
-        print(f"run left the finite range at step {run.blowup.step} (t = {run.blowup.time:g})")
-        return EXIT_BLOWUP
-    return EXIT_OK
+    return _exit_code(run)
 
 
 def _cmd_synchronize(args) -> int:
     cfg = _load_config(args)
-    fp = _financial_params(cfg)
-    vp = _volta_params(cfg)
-    orders = _as_orders(cfg)
-    h, t_end, n_steps = _grid(cfg, _SYNC_T_END)
-    memory = _as_memory(cfg)
+    fp, vp, orders, model = _model(cfg)
+    config, grid = _grid(cfg, _SYNC_T_END)
     mode, controller = _controller(cfg)
-    master0 = _as_vec3(cfg, "master_initial", _DEFAULT_IC["financial"])
-    slave0 = _as_vec3(cfg, "slave_initial", _DEFAULT_IC["volta"])
-    tol = _as_float(cfg, "sync_tol", _DEFAULT_TOL, positive=True)
-
+    master0 = _read("master_initial", _vec3, cfg.get("master_initial", _DEFAULT_IC["financial"]))
+    slave0 = _read("slave_initial", _vec3, cfg.get("slave_initial", _DEFAULT_IC["volta"]))
+    tol = _read("sync_tol", _positive, cfg.get("sync_tol", _DEFAULT_TOL))
     resolved = {
-        "financial": {"alpha": fp.alpha, "beta": fp.beta, "gamma": fp.gamma},
-        "volta": {"a": vp.a, "b": vp.b, "c": vp.c},
-        "orders": list(orders.q),
-        "h": h,
-        "t_end": t_end,
-        "n_steps": n_steps,
-        "memory": _echo_memory(memory),
+        **model,
+        **grid,
         "mode": mode,
         "master_initial": master0,
         "slave_initial": slave0,
@@ -355,10 +303,9 @@ def _cmd_synchronize(args) -> int:
     if mode == "exact":
         resolved["lambda"] = list(controller.lam)
     else:
-        resolved["gain"] = _matrix_list(controller.gain_array(vp))
+        resolved["gain"] = controller.gain_array(vp).tolist()
 
     outdir = _outdir(args)
-    config = SolverConfig(h=h, n_steps=n_steps, memory=memory)
     t0 = time.perf_counter()
     run = experiments.run_synchronization(
         fp, vp, controller, orders, master0, slave0, config, tol
@@ -381,7 +328,7 @@ def _cmd_synchronize(args) -> int:
         "config": resolved,
         "backend": "numpy",
         "rows_written": int(traj.n_points),
-        "design_matrix": _matrix_list(run.design_matrix),
+        "design_matrix": run.design_matrix.tolist(),
         "stability": run.stability.to_dict(),
         "sync": run.summary.to_dict() if run.summary else None,
         "blowup": run.blowup.to_dict() if run.blowup else None,
@@ -395,6 +342,10 @@ def _cmd_synchronize(args) -> int:
     print(f"synchronize: mode {mode}, {traj.n_points} rows, {elapsed:.2f} s")
     print(f"{sync_text} (tol = {tol:g})")
     print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'report.json'}")
+    return _exit_code(run)
+
+
+def _exit_code(run) -> int:
     if run.blowup:
         print(f"run left the finite range at step {run.blowup.step} (t = {run.blowup.time:g})")
         return EXIT_BLOWUP
@@ -403,19 +354,16 @@ def _cmd_synchronize(args) -> int:
 
 def _stability_entry(matrix: np.ndarray, orders: FractionalOrders) -> dict:
     report = ctl.matignon_check(matrix, orders)
-    entry = {"matrix": _matrix_list(matrix), "stability": report.to_dict()}
-    if report.degenerate:
-        entry["chaos_threshold"] = None
-    else:
-        entry["chaos_threshold"] = float(ctl.chaos_threshold(matrix))
-    return entry
+    return {
+        "matrix": matrix.tolist(),
+        "stability": report.to_dict(),
+        "chaos_threshold": report.chaos_threshold,
+    }
 
 
 def _cmd_stability(args) -> int:
     cfg = _load_config(args)
-    fp = _financial_params(cfg)
-    vp = _volta_params(cfg)
-    orders = _as_orders(cfg)
+    fp, vp, orders, model = _model(cfg)
     spec = cfg.get("matrix", {"source": "closed_loop"})
     if not isinstance(spec, dict):
         raise ConfigError("matrix", f"expected an object, got {spec!r}")
@@ -425,39 +373,25 @@ def _cmd_stability(args) -> int:
             "matrix.source", f"expected 'closed_loop', 'equilibria' or 'explicit', got {source!r}"
         )
 
-    resolved = {
-        "financial": {"alpha": fp.alpha, "beta": fp.beta, "gamma": fp.gamma},
-        "volta": {"a": vp.a, "b": vp.b, "c": vp.c},
-        "orders": list(orders.q),
-        "matrix_source": source,
-    }
+    resolved = {**model, "matrix_source": source}
     report: dict = {"command": "stability", "config": resolved}
 
     if source == "closed_loop":
         mode, controller = _controller(cfg)
         resolved["mode"] = mode
-        matrix = controller.design_matrix(vp)
-        report["closed_loop"] = _stability_entry(matrix, orders)
+        report["closed_loop"] = _stability_entry(controller.design_matrix(vp), orders)
     elif source == "explicit":
-        values = _no_bools("matrix.values", spec.get("values"))
-        if values is None:
+        if spec.get("values") is None:
             raise ConfigError("matrix.values", "required for source 'explicit'")
-        try:
-            matrix = np.asarray(values, dtype=np.float64).reshape(3, 3)
-        except (TypeError, ValueError):
-            raise ConfigError("matrix.values", f"expected a 3x3 matrix, got {values!r}")
-        if not np.all(np.isfinite(matrix)):
-            raise ConfigError("matrix.values", "entries must be finite")
+        matrix = _read("matrix.values", _matrix, spec["values"])
         report["explicit"] = _stability_entry(matrix, orders)
     else:
         entries = []
-        thresholds = []
-        for state in financial_equilibria(fp):
+        for state in _read("financial", financial_equilibria, fp):
             entry = _stability_entry(financial_jacobian(state, fp), orders)
-            entry["state"] = [float(v) for v in state]
+            entry["state"] = state.tolist()
             entries.append(entry)
-            if entry["chaos_threshold"] is not None:
-                thresholds.append(entry["chaos_threshold"])
+        thresholds = [e["chaos_threshold"] for e in entries if e["chaos_threshold"] is not None]
         system_threshold = max(thresholds) if thresholds else None
         report["equilibria"] = entries
         report["chaos_threshold"] = system_threshold
@@ -498,6 +432,14 @@ def _cmd_convergence(args) -> int:
         print(f"q = {c.q:g}: orders [{orders_text}] vs {c.band[0]:g}..{c.band[1]:g} ({status})")
     print(f"convergence study finished in {elapsed:.2f} s; wrote {outdir / 'report.json'}")
     return EXIT_OK if ok else EXIT_BAND
+
+
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "synchronize": _cmd_synchronize,
+    "stability": _cmd_stability,
+    "convergence": _cmd_convergence,
+}
 
 
 def _outdir(args) -> Path:
@@ -541,13 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "synchronize":
-            return _cmd_synchronize(args)
-        if args.command == "stability":
-            return _cmd_stability(args)
-        return _cmd_convergence(args)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,7 +24,9 @@ errors settle near, not at, zero; reports carry the design matrix and
 its spectrum rather than a guarantee.
 
 Stability of a matrix under componentwise orders follows the argument
-criterion: every eigenvalue must satisfy |arg(lambda)| > q * pi / 2.
+criterion: every eigenvalue must satisfy |arg(lambda)| > q * pi / 2. The
+spectrum comes from LAPACK, which returns the repeated real roots of the
+controllers' diagonal design matrices exactly.
 """
 
 from __future__ import annotations
@@ -51,30 +53,32 @@ def gain_matrix_default(p: VoltaParams) -> np.ndarray:
     )
 
 
-def _linear_error_base(p: VoltaParams) -> np.ndarray:
+def _gain_array(gain) -> np.ndarray:
+    try:
+        arr = np.asarray(gain, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidGain(f"gain must be a 3x3 matrix of numbers, got {gain!r}")
+    if arr.shape != (3, 3):
+        raise InvalidGain(f"gain must be 3x3, got shape {arr.shape}")
+    return arr
+
+
+def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
+    """Design matrix of the linearized error system under gain A."""
     # Linear part of the error dynamics before feedback is added.
-    return np.array(
+    base = np.array(
         [
             [-1.0, -p.a, 1.0],
             [-p.b, -1.0, 0.0],
             [-1.0, 0.0, p.c],
         ]
     )
-
-
-def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
-    """Design matrix of the linearized error system under gain A."""
-    gain = np.asarray(gain, dtype=np.float64)
-    if gain.shape != (3, 3):
-        raise InvalidGain(f"gain must be 3x3, got shape {gain.shape}")
-    return _linear_error_base(p) + gain
+    return base + _gain_array(gain)
 
 
 def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -> np.ndarray:
     """Algebraic control law plus linear error feedback; shapes (..., 3)."""
-    gain = np.asarray(gain, dtype=np.float64)
-    if gain.shape != (3, 3):
-        raise InvalidGain(f"gain must be 3x3, got shape {gain.shape}")
+    gain = _gain_array(gain)
     m = np.asarray(master, dtype=np.float64)
     s = np.asarray(slave, dtype=np.float64)
     x1, y1, z1 = m[..., 0], m[..., 1], m[..., 2]
@@ -96,9 +100,13 @@ def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> n
 
 
 def _check_lambda(lam) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if arr.size == 1:
-        arr = np.full(3, float(arr[0]))
+    # One rate, as a number or a one-element list, is used for all three components.
+    try:
+        arr = np.asarray(lam, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidGain(f"lam must be a number or 3 numbers, got {lam!r}")
+    if arr.shape in ((), (1,)):
+        arr = np.full(3, arr.item())
     if arr.shape != (3,):
         raise InvalidGain(f"lam must give 3 rates, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)) or np.any(arr >= 0.0):
@@ -146,8 +154,8 @@ class LiteralFeedback:
 
     def __post_init__(self):
         if self.gain is not None:
-            arr = np.asarray(self.gain, dtype=np.float64)
-            if arr.shape != (3, 3) or not np.all(np.isfinite(arr)):
+            arr = _gain_array(self.gain)
+            if not np.all(np.isfinite(arr)):
                 raise InvalidGain("gain must be a finite 3x3 matrix")
             object.__setattr__(self, "gain", tuple(tuple(float(v) for v in row) for row in arr))
 
@@ -198,72 +206,30 @@ def coupled_system(
 # Spectrum of a 3x3 matrix and the fractional argument criterion.
 # ---------------------------------------------------------------------------
 
-_OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))
-
 
 def eigen3(matrix) -> np.ndarray:
-    """Eigenvalues of a real 3x3 matrix by the cubic formula.
+    """The three eigenvalues of a real 3x3 matrix as a complex array.
 
-    Roots of the characteristic polynomial are taken in closed form and
-    polished with two Newton iterations, then sorted by real part and,
-    on ties, imaginary part.
-
-    Returns
-    -------
-    ndarray
-        Three complex eigenvalues.
+    LAPACK computes them (`numpy.linalg.eigvals`); they are sorted by real
+    part, then imaginary part. Real roots have an imaginary part of exactly
+    0 and complex roots come as exact conjugates, the lower one first.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    m2 = (
-        (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        + (m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0])
-        + (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    )
-    det = (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-    # Monic cubic L^3 + c2 L^2 + c1 L + c0, depressed by L = x - c2/3.
-    c2, c1, c0 = -tr, m2, -det
-    shift = c2 / 3.0
-    p = c1 - c2 * c2 / 3.0
-    qq = 2.0 * c2**3 / 27.0 - c2 * c1 / 3.0 + c0
-    disc = complex(qq * qq / 4.0 + p**3 / 27.0)
-    s = cmath.sqrt(disc)
-    t1 = -qq / 2.0 + s
-    t2 = -qq / 2.0 - s
-    big = t1 if abs(t1) >= abs(t2) else t2
-    if abs(big) == 0.0:
-        roots = [complex(-shift)] * 3
-    else:
-        u = big ** (1.0 / 3.0)
-        v = -p / (3.0 * u)
-        roots = []
-        w = complex(1.0)
-        for _ in range(3):
-            roots.append(w * u + v / w - shift)
-            w *= _OMEGA
+    return np.sort_complex(np.linalg.eigvals(m))
 
-    def poly(z):
-        return ((z + c2) * z + c1) * z + c0
 
-    def dpoly(z):
-        return (3.0 * z + 2.0 * c2) * z + c1
+def _min_argument(lams) -> Optional[float]:
+    """Smallest |arg| over a spectrum, or None when an eigenvalue is numerically zero."""
+    scale = max(abs(z) for z in lams)
+    if any(abs(z) <= 1e-12 * (1.0 + scale) for z in lams):
+        return None
+    return min(abs(cmath.phase(z)) for z in lams)
 
-    polished = []
-    for r in roots:
-        z = r
-        for _ in range(2):
-            d = dpoly(z)
-            if abs(d) > 1e-300:
-                z = z - poly(z) / d
-        polished.append(z)
-    polished.sort(key=lambda z: (z.real, z.imag))
-    return np.array(polished, dtype=np.complex128)
+
+def _order_bound(min_arg: float) -> float:
+    return min(max((2.0 / math.pi) * min_arg, 0.0), 2.0)
 
 
 @dataclass(frozen=True)
@@ -276,6 +242,11 @@ class StabilityReport:
     satisfied_per_order: tuple
     satisfied: bool
     degenerate: bool = False
+
+    @property
+    def chaos_threshold(self) -> Optional[float]:
+        """`chaos_threshold` of the same matrix, or None when the spectrum is degenerate."""
+        return None if self.degenerate else _order_bound(self.min_argument)
 
     def to_dict(self) -> dict:
         return {
@@ -299,17 +270,13 @@ def matignon_check(matrix, orders) -> StabilityReport:
     else:
         q = np.atleast_1d(np.asarray(orders, dtype=np.float64))
     lams = eigen3(matrix)
-    scale = max(abs(z) for z in lams)
-    degenerate = any(abs(z) <= 1e-12 * (1.0 + scale) for z in lams)
-    if degenerate:
-        min_arg = 0.0
-    else:
-        min_arg = min(abs(cmath.phase(z)) for z in lams)
+    min_arg = _min_argument(lams)
+    degenerate = min_arg is None
     thresholds = tuple(float(v) * math.pi / 2.0 for v in q)
     per_order = tuple((not degenerate) and min_arg > thr for thr in thresholds)
     return StabilityReport(
         eigenvalues=tuple(lams),
-        min_argument=float(min_arg),
+        min_argument=0.0 if degenerate else float(min_arg),
         thresholds=thresholds,
         satisfied_per_order=per_order,
         satisfied=all(per_order),
@@ -323,9 +290,7 @@ def chaos_threshold(matrix) -> float:
     Equals (2/pi) * min |arg(lambda)|, clamped to [0, 2]. Raises
     DegenerateEigenvalue when the spectrum touches zero.
     """
-    lams = eigen3(matrix)
-    scale = max(abs(z) for z in lams)
-    if any(abs(z) <= 1e-12 * (1.0 + scale) for z in lams):
+    min_arg = _min_argument(eigen3(matrix))
+    if min_arg is None:
         raise DegenerateEigenvalue("spectrum touches zero; no argument threshold exists")
-    qstar = (2.0 / math.pi) * min(abs(cmath.phase(z)) for z in lams)
-    return min(max(qstar, 0.0), 2.0)
+    return _order_bound(min_arg)

@@ -41,7 +41,7 @@ class InvalidGain(FracsyncError, ValueError):
 
 
 class DomainExceeded(FracsyncError, ValueError):
-    """An argument is outside the domain the series evaluation supports."""
+    """An argument is outside the supported domain, or the result overflows float64."""
 
 
 class MissingErrors(FracsyncError, ValueError):

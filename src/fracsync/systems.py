@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class FractionalOrders:
     def __post_init__(self):
         try:
             qt = tuple(float(v) for v in self.q)
-        except TypeError:
+        except (TypeError, ValueError):
             raise InvalidOrder(f"orders must be a sequence of 3 numbers, got {self.q!r}")
         if len(qt) != 3:
             raise InvalidOrder(f"expected 3 orders, got {len(qt)}")
@@ -156,7 +156,6 @@ class SystemDef:
     name: str
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def financial_system(params: FinancialParams | None = None) -> SystemDef:
@@ -165,7 +164,6 @@ def financial_system(params: FinancialParams | None = None) -> SystemDef:
         name="financial",
         dimension=3,
         rhs=lambda t, y: financial_rhs(y, p),
-        jacobian=lambda y: financial_jacobian(y, p),
     )
 
 
@@ -175,7 +173,6 @@ def volta_system(params: VoltaParams | None = None) -> SystemDef:
         name="volta",
         dimension=3,
         rhs=lambda t, y: volta_rhs(y, p),
-        jacobian=lambda y: volta_jacobian(y, p),
     )
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: artifacts, exit codes, config validation."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -88,6 +89,14 @@ class TestSimulate:
         assert code == EXIT_OK
         assert _report(out)["config"]["memory"] == 40
 
+    @pytest.mark.parametrize("memory", [40, 40.0, "40", "last:40"])
+    def test_memory_number_and_string_forms_in_config(self, tmp_path, memory):
+        out = tmp_path / "sim"
+        cfg = _write_config(tmp_path, {"memory": memory})
+        code = _run("simulate", "--config", cfg, "--h", 0.01, "--t-end", 0.5, "--out", out)
+        assert code == EXIT_OK
+        assert _report(out)["config"]["memory"] == 40
+
     def test_reruns_are_byte_identical(self, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"
@@ -161,6 +170,16 @@ class TestSimulateValidation:
         self._expect_config_error(
             tmp_path, capsys, "simulate", "--memory", "sometimes", field="memory"
         )
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"memory": 2.5}', '{"memory": 1e400}', '{"memory": 0}', '{"memory": {"last": true}}'],
+    )
+    def test_bad_memory_window(self, tmp_path, capsys, text):
+        # 1e400 parses as float infinity; a window must be a finite whole number of steps.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        self._expect_config_error(tmp_path, capsys, "simulate", "--config", cfg, field="memory")
 
     def test_nonpositive_step(self, tmp_path, capsys):
         self._expect_config_error(tmp_path, capsys, "simulate", "--h", -0.1, field="h")
@@ -268,6 +287,10 @@ class TestSynchronize:
             ({"mode": "sliding"}, "mode"),
             ({"sync_tol": 0.0}, "sync_tol"),
             ({"master_initial": [1.0]}, "master_initial"),
+            ({"mode": "literal", "gain": "abc"}, "gain"),
+            ({"mode": "literal", "gain": {"a": 1}}, "gain"),
+            ({"mode": "literal", "gain": [["a", "b", "c"]] * 3}, "gain"),
+            ({"lambda": [[-1]]}, "lambda"),
         ],
     )
     def test_rejected_configs(self, tmp_path, capsys, payload, field):
@@ -305,6 +328,16 @@ class TestStability:
             [0.0, 0.0, -1.0],
         ]
 
+    def test_literal_gain_with_repeated_root(self, tmp_path):
+        # Design matrix diag(-1, -1, -0.77): a double root at -1 and a real root.
+        out = tmp_path / "stab"
+        cfg = _write_config(tmp_path, {"gain": [[0, 19, -1], [11, 0, 0], [1, 0, -1.5]]})
+        code = _run("stability", "--mode", "literal", "--config", cfg, "--out", out)
+        assert code == EXIT_OK
+        entry = _report(out)["closed_loop"]
+        assert entry["stability"]["min_argument"] == math.pi
+        assert entry["chaos_threshold"] == 2.0
+
     def test_equilibria_survey(self, tmp_path):
         out = tmp_path / "stab"
         cfg = _write_config(tmp_path, {"matrix": {"source": "equilibria"}})
@@ -335,6 +368,16 @@ class TestStability:
         assert entry["stability"]["satisfied"] is False
         assert entry["chaos_threshold"] == 0.0
 
+    def test_flat_explicit_matrix(self, tmp_path):
+        reports = []
+        for values in ([[1.5, -2, 0.3], [4, -1, 2], [-0.7, 3, -2.5]],
+                       [1.5, -2, 0.3, 4, -1, 2, -0.7, 3, -2.5]):
+            out = tmp_path / str(len(reports))
+            cfg = _write_config(tmp_path, {"matrix": {"source": "explicit", "values": values}})
+            assert _run("stability", "--config", cfg, "--out", out) == EXIT_OK
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_degenerate_spectrum_reported(self, tmp_path):
         out = tmp_path / "stab"
         cfg = _write_config(
@@ -353,6 +396,7 @@ class TestStability:
             ({"matrix": {"source": "spectral"}}, "matrix.source"),
             ({"matrix": {"source": "explicit"}}, "matrix.values"),
             ({"matrix": "closed_loop"}, "matrix"),
+            ({"matrix": {"source": "equilibria"}, "financial": {"beta": 0.0}}, "financial"),
         ],
     )
     def test_rejected_configs(self, tmp_path, capsys, payload, field):

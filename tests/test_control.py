@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,8 +118,11 @@ class TestLiteralControl:
             assert np.array_equal(batch[k], control_literal(m[k], s[k], FP, VP, gain))
 
     def test_rejects_bad_gain(self):
-        with pytest.raises(InvalidGain):
-            control_literal(MASTER0, SLAVE0, FP, VP, np.zeros((3, 2)))
+        for bad in (np.zeros((3, 2)), "abc", {"a": 1}, [["a", "b", "c"]] * 3):
+            with pytest.raises(InvalidGain):
+                control_literal(MASTER0, SLAVE0, FP, VP, bad)
+            with pytest.raises(InvalidGain):
+                closed_loop_error_matrix(bad, VP)
 
 
 class TestExactControl:
@@ -148,7 +152,9 @@ class TestExactControl:
         b = control_exact(MASTER0, SLAVE0, FP, VP, np.array([-2.0, -2.0, -2.0]))
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, [-1.0, 0.0, -1.0], float("nan")])
+    @pytest.mark.parametrize(
+        "bad", [0.0, 1.0, [-1.0, 0.0, -1.0], float("nan"), "abc", [[-1.0]], {"a": -1.0}, None]
+    )
     def test_rejects_nonnegative_rates(self, bad):
         with pytest.raises(InvalidGain):
             control_exact(MASTER0, SLAVE0, FP, VP, bad)
@@ -160,10 +166,13 @@ class TestControllerConfigs:
         assert ctl.lam == (-1.0, -1.0, -1.0)
 
     def test_exact_rejects_unstable_rates(self):
-        with pytest.raises(InvalidGain):
-            ExactCancellation(lam=(0.0, -1.0, -1.0))
-        with pytest.raises(InvalidGain):
-            ExactCancellation(lam=(2.0, -1.0, -1.0))
+        for bad in ((0.0, -1.0, -1.0), (2.0, -1.0, -1.0), "abc", [[-1.0]]):
+            with pytest.raises(InvalidGain):
+                ExactCancellation(lam=bad)
+
+    def test_exact_single_rate_broadcasts(self):
+        assert ExactCancellation(lam=-2.0).lam == (-2.0, -2.0, -2.0)
+        assert ExactCancellation(lam=[-2.0]).lam == (-2.0, -2.0, -2.0)
 
     def test_literal_default_uses_parameter_gain(self):
         assert LiteralFeedback().gain is None
@@ -174,10 +183,17 @@ class TestControllerConfigs:
         assert np.array_equal(LiteralFeedback(gain=gain).gain_array(VP), np.diag([1.0, 2.0, 3.0]))
 
     def test_literal_rejects_bad_gain(self):
-        with pytest.raises(InvalidGain):
-            LiteralFeedback(gain=((1.0, 2.0), (3.0, 4.0)))
-        with pytest.raises(InvalidGain):
-            LiteralFeedback(gain=((float("inf"),) * 3,) * 3)
+        for bad in (
+            ((1.0, 2.0), (3.0, 4.0)),
+            ((float("inf"),) * 3,) * 3,
+            "abc",
+            [["a", "b", "c"]] * 3,
+            {"a": 1},
+            [[1.0, 2.0, 3.0], [4.0, 5.0], [6.0]],
+            list(range(9)),
+        ):
+            with pytest.raises(InvalidGain):
+                LiteralFeedback(gain=bad)
 
     def test_dispatch(self):
         exact = ExactCancellation(lam=(-1.0, -2.0, -0.5))
@@ -253,26 +269,47 @@ class TestEigen3:
         assert np.allclose(eigen3(np.eye(3)), [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_rotation_block_spectrum(self):
-        # The pair's real parts are zero only up to root-polish noise, so the
-        # (re, im) sort may emit the conjugates in either order; match greedily
-        # and pin only the real root's position.
         m = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         lams = eigen3(m)
-        assert _match_spectra(lams, [-1j, 1j, 2.0]) <= 1e-12
-        assert abs(lams[2] - 2.0) <= 1e-12
+        assert np.max(np.abs(lams - np.array([-1j, 1j, 2.0]))) <= 1e-15
+        assert lams[2].imag == 0.0
 
     def test_repeated_root(self):
         m = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]])
         assert np.allclose(eigen3(m), [2.0, 2.0, 2.0], atol=1e-12)
 
-    def test_random_sweep_against_lapack(self):
+    @pytest.mark.parametrize(
+        "diag",
+        [(-1.0, -1.0, -0.77), (-1.0, -1.0, -2.0), (-0.5, -0.5, -3.0), (-1.0, -1.0, -1.0 - 1e-7)],
+    )
+    def test_repeated_diagonal_roots_are_exact(self, diag):
+        # Controller design matrices put repeated real roots exactly here.
+        lams = eigen3(np.diag(diag))
+        assert np.all(lams.imag == 0.0)
+        assert np.max(np.abs(lams.real - np.sort(diag))) <= 1e-15
+        assert chaos_threshold(np.diag(diag)) == 2.0
+
+    def test_complex_pair_is_conjugate_lower_first(self):
+        rng = np.random.default_rng(49)
+        pairs = 0
+        for _ in range(200):
+            lams = eigen3(rng.normal(scale=3.0, size=(3, 3)))
+            complex_roots = lams[lams.imag != 0.0]
+            if complex_roots.size:
+                pairs += 1
+                lo, hi = complex_roots
+                assert lo == np.conj(hi)
+                assert lo.imag < 0.0
+        assert pairs > 20
+
+    def test_random_sweep_against_mpmath(self):
         rng = np.random.default_rng(46)
-        for _ in range(1000):
-            m = rng.normal(scale=3.0, size=(3, 3))
-            mine = eigen3(m)
-            ref = np.linalg.eigvals(m)
-            scale = 1.0 + np.max(np.abs(ref))
-            assert _match_spectra(mine, ref) <= 1e-6 * scale
+        with mpmath.workdps(40):
+            for _ in range(200):
+                m = rng.normal(scale=3.0, size=(3, 3))
+                ref = [complex(z) for z in mpmath.eig(mpmath.matrix(m.tolist()), right=False)]
+                scale = 1.0 + max(abs(z) for z in ref)
+                assert _match_spectra(eigen3(m), ref) <= 1e-13 * scale
 
     def test_characteristic_residual(self):
         rng = np.random.default_rng(47)

@@ -169,6 +169,11 @@ class TestFractionalOrders:
     def test_unit_order_allowed(self):
         assert FractionalOrders.uniform(1.0).q == (1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [None, 0.9, "0.9", {"a": 0.9}, ("a", 0.9, 0.9)])
+    def test_non_numeric_rejected(self, bad):
+        with pytest.raises(InvalidOrder):
+            FractionalOrders(bad)
+
 
 class TestSystemBuilders:
     def test_financial_system_wraps_rhs(self):
