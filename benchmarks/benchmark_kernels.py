@@ -38,7 +38,7 @@ import numpy as np
 import fracsync
 from fracsync import SolverConfig, integrate
 from fracsync.analysis import mittag_leffler
-from fracsync.control import ExactCancellation, coupled_system
+from fracsync.control import ExactCancellation, LiteralFeedback, coupled_system
 from fracsync.errors import FracsyncError
 from fracsync.systems import FinancialParams, VoltaParams, financial_system, volta_system
 
@@ -48,6 +48,11 @@ CASES = [
     (
         "coupled",
         coupled_system(FinancialParams(), VoltaParams(), ExactCancellation()),
+        [2.0, -1.0, 1.0, 8.0, 2.0, 3.0],
+    ),
+    (
+        "coupled-literal",
+        coupled_system(FinancialParams(), VoltaParams(), LiteralFeedback()),
         [2.0, -1.0, 1.0, 8.0, 2.0, 3.0],
     ),
 ]
@@ -142,7 +147,7 @@ def machine_facts() -> dict:
 
 
 def time_integration(steps, memory, repeats):
-    header = f"{'system':<10} {'steps':>7} {'min (s)':>12} {'median (s)':>12}"
+    header = f"{'system':<15} {'steps':>7} {'min (s)':>12} {'median (s)':>12}"
     print(header)
     print("-" * len(header))
 
@@ -159,7 +164,7 @@ def time_integration(steps, memory, repeats):
                 "median_s": median,
                 "samples_s": samples,
             })
-            print(f"{name:<10} {n_steps:>7} {best:>12.4f} {median:>12.4f}")
+            print(f"{name:<15} {n_steps:>7} {best:>12.4f} {median:>12.4f}")
     return results
 
 

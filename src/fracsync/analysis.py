@@ -25,12 +25,11 @@ import numpy as np
 from .errors import (
     DomainExceeded,
     GridMismatch,
-    InvalidOrder,
     MissingErrors,
     ZeroInitialSeparation,
 )
 from .solver import SolverConfig, Trajectory, integrate
-from .systems import SystemDef
+from .systems import SystemDef, order_array
 
 _MAX_ABS_ARG = 30.0
 # exp(-s) underflows past s = 745, so the integrands vanish (or reach 1)
@@ -91,17 +90,17 @@ def mittag_leffler(q: float, z: float) -> float:
     evaluations (about 0.1 ms) for q in [1e-3, 0.999]; the peak's panels
     grow with log(1/q) or log(1/(1 - q)) beyond, to about 2 050 panels
     (10 ms) at the smallest normal q. |z| < 2^-56 returns 1.0, the
-    correctly rounded value. Raises InvalidOrder for q outside (0, 1], and
-    DomainExceeded for |z| > 30, for non-finite z, for a subnormal q
+    correctly rounded value. Raises InvalidOrder for a q that is not a
+    number in (0, 1] (`systems.order_array`), and DomainExceeded for
+    |z| > 30, for a z that is not a finite real number, for a subnormal q
     (1/q overflows), and for a positive z whose E_q(z) overflows float64,
     that is from x^(1/q) > ln(DBL_MAX) on.
     """
-    q = float(q)
-    if not (math.isfinite(q) and 0.0 < q <= 1.0):
-        raise InvalidOrder(f"order {q!r} outside (0, 1]")
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainExceeded(f"argument must be finite, got {z!r}")
+    q = float(order_array(q, ()))
+    z_arr = np.asarray(z)
+    if z_arr.shape != () or z_arr.dtype.kind not in "iuf" or not math.isfinite(z_arr):
+        raise DomainExceeded(f"argument must be a finite real number, got {z!r}")
+    z = float(z_arr)
     x = abs(z)
     if x > _MAX_ABS_ARG:
         raise DomainExceeded(f"|z| = {x:g} exceeds the supported domain ({_MAX_ABS_ARG:g})")
@@ -143,15 +142,18 @@ def mittag_leffler(q: float, z: float) -> float:
 
 
 def predicted_error(e0, orders, t: float) -> np.ndarray:
-    """Exact error components e0_i * E_{q_i}(-t^{q_i}) of the cancellation loop."""
+    """Exact error components e0_i * E_{q_i}(-t^{q_i}) of the cancellation loop.
+
+    The orders are broadcast to the shape of e0 (`systems.order_array`),
+    and the result has that shape.
+    """
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    q = orders.as_array() if hasattr(orders, "as_array") else np.asarray(orders, dtype=np.float64)
     e0 = np.asarray(e0, dtype=np.float64)
-    if e0.shape != q.shape:
-        raise ValueError(f"initial errors {e0.shape} and orders {q.shape} must align")
-    return np.array([e0[i] * mittag_leffler(q[i], -(t ** q[i])) for i in range(q.size)])
+    q = order_array(orders, e0.shape)
+    terms = [e * mittag_leffler(v, -(t**v)) for e, v in zip(e0.flat, q.flat)]
+    return np.array(terms).reshape(e0.shape)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DegenerateEigenvalue, InvalidGain
-from .systems import FinancialParams, SystemDef, VoltaParams, financial_rhs, volta_rhs
+from .systems import FinancialParams, SystemDef, VoltaParams, financial_rhs, order_array, volta_rhs
 
 
 def gain_matrix_default(p: VoltaParams) -> np.ndarray:
@@ -85,10 +85,11 @@ def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -
     x2, y2, z2 = s[..., 0], s[..., 1], s[..., 2]
     e = s - m
     v = e @ gain.T
-    u1 = -(fp.alpha - 1.0) * x1 + (x1 + vp.a) * y1 + (1.0 + y2) + v[..., 0]
-    u2 = -(fp.beta - 1.0) * y1 + (vp.b - x1) * x1 + x2 * z2 + 1.0 + v[..., 1]
-    u3 = -(y2 + 1.0) * x2 - (vp.c + fp.gamma) * z1 - 1.0 + v[..., 2]
-    return np.stack([u1, u2, u3], axis=-1)
+    u = np.empty(v.shape)
+    u[..., 0] = -(fp.alpha - 1.0) * x1 + (x1 + vp.a) * y1 + (1.0 + y2) + v[..., 0]
+    u[..., 1] = -(fp.beta - 1.0) * y1 + (vp.b - x1) * x1 + x2 * z2 + 1.0 + v[..., 1]
+    u[..., 2] = -(y2 + 1.0) * x2 - (vp.c + fp.gamma) * z1 - 1.0 + v[..., 2]
+    return u
 
 
 def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> np.ndarray:
@@ -262,13 +263,13 @@ class StabilityReport:
 def matignon_check(matrix, orders) -> StabilityReport:
     """Argument criterion |arg(lambda)| > q*pi/2 for each order component.
 
-    A spectrum containing a numerically zero eigenvalue has no usable
-    argument; the report is then flagged degenerate and not satisfied.
+    `orders` is a `FractionalOrders`, a number or 3 numbers, each finite
+    and in (0, 1]; a number gives all three thresholds. Anything else
+    raises InvalidOrder (see `systems.order_array`). A spectrum containing
+    a numerically zero eigenvalue has no usable argument; the report is
+    then flagged degenerate and not satisfied.
     """
-    if hasattr(orders, "as_array"):
-        q = orders.as_array()
-    else:
-        q = np.atleast_1d(np.asarray(orders, dtype=np.float64))
+    q = order_array(orders, (3,))
     lams = eigen3(matrix)
     min_arg = _min_argument(lams)
     degenerate = min_arg is None

@@ -29,6 +29,7 @@ from .systems import (
     SystemDef,
     VoltaParams,
     financial_system,
+    order_array,
     volta_system,
     zero_system,
 )
@@ -88,13 +89,15 @@ def run_synchronization(
     config: SolverConfig,
     tol: float,
 ) -> SyncRun:
+    q = order_array(orders, (3,))
     system = ctl.coupled_system(fp, vp, controller)
     y0 = np.concatenate(
         [np.asarray(master0, dtype=np.float64), np.asarray(slave0, dtype=np.float64)]
     )
     blowup = None
     try:
-        traj = integrate(system, _pair_orders(orders), y0, config)
+        # Master and slave components share the same three orders.
+        traj = integrate(system, np.tile(q, 2), y0, config)
     except NonFiniteState as exc:
         traj = exc.trajectory
         blowup = BlowupInfo(step=exc.step, time=float(exc.time))
@@ -109,7 +112,7 @@ def run_synchronization(
     traj = Trajectory(times=traj.times, states=traj.states, errors=errors, controls=controls)
 
     matrix = controller.design_matrix(vp)
-    stability = ctl.matignon_check(matrix, _base_orders(orders))
+    stability = ctl.matignon_check(matrix, q)
     summary = None if blowup is not None else sync_time(traj, tol)
     return SyncRun(
         trajectory=traj,
@@ -118,23 +121,6 @@ def run_synchronization(
         design_matrix=matrix,
         blowup=blowup,
     )
-
-
-def _base_orders(orders) -> np.ndarray:
-    if hasattr(orders, "as_array"):
-        return orders.as_array()
-    arr = np.atleast_1d(np.asarray(orders, dtype=np.float64))
-    if arr.size == 1:
-        arr = np.full(3, float(arr[0]))
-    return arr
-
-
-def _pair_orders(orders) -> np.ndarray:
-    # Master and slave components share the same three orders.
-    base = _base_orders(orders)
-    if base.size == 3:
-        return np.concatenate([base, base])
-    return base
 
 
 # ---------------------------------------------------------------------------

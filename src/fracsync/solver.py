@@ -15,23 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import InvalidOrder, NonFiniteState
-from .systems import SystemDef
-
-
-def _order_array(orders, dimension: int) -> np.ndarray:
-    if hasattr(orders, "as_array"):
-        arr = orders.as_array()
-    else:
-        arr = np.atleast_1d(np.asarray(orders, dtype=np.float64))
-    if arr.size == 1 and dimension > 1:
-        arr = np.full(dimension, float(arr[0]))
-    if arr.shape != (dimension,):
-        raise InvalidOrder(f"expected {dimension} orders, got shape {arr.shape}")
-    for v in arr:
-        if not (math.isfinite(v) and 0.0 < v <= 1.0):
-            raise InvalidOrder(f"order {v!r} outside (0, 1]")
-    return arr.astype(np.float64)
+from .errors import NonFiniteState
+from .systems import SystemDef, order_array
 
 
 @dataclass(frozen=True)
@@ -99,10 +84,10 @@ def weights_b(q: float, n: int) -> np.ndarray:
     b_j = (n+1-j)^q - (n-j)^q. The sum telescopes to (n+1)^q and every
     weight is positive for q in (0, 1].
     """
-    _check_scalar_order(q)
+    q = float(order_array(q, ()))
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return kernels.conv_weights_b(float(q), n + 1)[::-1].copy()
+    return kernels.conv_weights_b(q, n + 1)[::-1].copy()
 
 
 def weights_a(q: float, n: int) -> np.ndarray:
@@ -111,10 +96,9 @@ def weights_a(q: float, n: int) -> np.ndarray:
     a_0 = n^(q+1) - (n-q)*(n+1)^q, interior weights follow the second
     difference of (n-j)^(q+1), and a_{n+1} = 1. All are positive.
     """
-    _check_scalar_order(q)
+    q = float(order_array(q, ()))
     if n < 0:
         raise ValueError("n must be nonnegative")
-    q = float(q)
     parts = [
         np.array([kernels.first_panel_weight(q, n)]),
         kernels.conv_weights_a(q, n)[::-1],
@@ -123,9 +107,13 @@ def weights_a(q: float, n: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _check_scalar_order(q) -> None:
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and 0.0 < q <= 1.0):
-        raise InvalidOrder(f"order {q!r} outside (0, 1]")
+def _initial_state(y0, dimension: int) -> np.ndarray:
+    y0 = np.asarray(y0, dtype=np.float64).reshape(-1)
+    if y0.shape != (dimension,):
+        raise ValueError(f"initial state must have shape ({dimension},)")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("initial state must be finite")
+    return y0
 
 
 def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory:
@@ -135,8 +123,9 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     ----------
     system : SystemDef
         Field to integrate.
-    orders : FractionalOrders, sequence, or scalar
-        Per-component orders in (0, 1]; a scalar applies to every component.
+    orders : FractionalOrders, number or array_like
+        Per-component orders, each finite and in (0, 1]. They are
+        broadcast to (dimension,), so a number applies to every component.
     y0 : array_like
         Finite initial state of shape (dimension,).
     config : SolverConfig
@@ -149,17 +138,15 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
 
     Raises
     ------
+    InvalidOrder
+        When an order is not a number, is outside (0, 1], or the orders
+        do not broadcast to (dimension,); see `systems.order_array`.
     NonFiniteState
         When a state component leaves the finite range; the exception
         carries the valid prefix of the trajectory.
     """
-    q = _order_array(orders, system.dimension)
-    y0 = np.asarray(y0, dtype=np.float64).reshape(-1)
-    if y0.shape != (system.dimension,):
-        raise ValueError(f"initial state must have shape ({system.dimension},)")
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("initial state must be finite")
-
+    q = order_array(orders, (system.dimension,))
+    y0 = _initial_state(y0, system.dimension)
     states, fail = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps, config.window)
     times = np.arange(config.n_steps + 1, dtype=np.float64) * config.h
     if fail >= 0:
@@ -170,11 +157,7 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
 
 def integrate_classical_pece(system: SystemDef, y0, config: SolverConfig) -> Trajectory:
     """Order-one predictor-corrector on the same grid, for comparison runs."""
-    y0 = np.asarray(y0, dtype=np.float64).reshape(-1)
-    if y0.shape != (system.dimension,):
-        raise ValueError(f"initial state must have shape ({system.dimension},)")
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("initial state must be finite")
+    y0 = _initial_state(y0, system.dimension)
     states = kernels.classical_pece(system.rhs, y0, config.h, config.n_steps)
     times = np.arange(config.n_steps + 1, dtype=np.float64) * config.h
     if not np.all(np.isfinite(states)):

@@ -33,6 +33,37 @@ from .errors import DegenerateParameters, InvalidOrder
 FINANCIAL_CHAOS_ONSET_REFERENCE = 0.8436
 
 
+def order_array(orders, shape: tuple) -> np.ndarray:
+    """Derivative orders as a new float64 array of `shape`.
+
+    `orders` is a `FractionalOrders`, a number or an array_like of numbers,
+    broadcast to `shape` by numpy's rules, so one number serves every
+    component. Every order must be finite and in (0, 1]. Raises
+    InvalidOrder for anything else: a non-numeric value (strings, None,
+    booleans), a shape that does not broadcast to `shape`, or an order out
+    of range.
+    """
+    if isinstance(orders, FractionalOrders):
+        orders = orders.q
+    try:
+        arr = np.asarray(orders)
+    except ValueError:
+        raise InvalidOrder(f"orders must be numbers, got {orders!r}")
+    if arr.dtype.kind not in "iuf":
+        raise InvalidOrder(f"orders must be numbers, got {orders!r}")
+    # broadcast_to takes a few microseconds, as long as the rest of this
+    # check, so it runs only when the shape does not already fit.
+    if arr.shape != shape:
+        try:
+            arr = np.broadcast_to(arr, shape)
+        except ValueError:
+            raise InvalidOrder(f"orders of shape {arr.shape} do not broadcast to shape {shape}")
+    arr = arr.astype(np.float64)
+    if not ((arr > 0.0) & (arr <= 1.0)).all():
+        raise InvalidOrder(f"orders must lie in (0, 1], got {arr.tolist()}")
+    return arr
+
+
 @dataclass(frozen=True)
 class FractionalOrders:
     """Per-component Caputo derivative orders for a three-dimensional system."""
@@ -40,16 +71,10 @@ class FractionalOrders:
     q: tuple[float, float, float] = (0.99, 0.99, 0.99)
 
     def __post_init__(self):
-        try:
-            qt = tuple(float(v) for v in self.q)
-        except (TypeError, ValueError):
-            raise InvalidOrder(f"orders must be a sequence of 3 numbers, got {self.q!r}")
-        if len(qt) != 3:
-            raise InvalidOrder(f"expected 3 orders, got {len(qt)}")
-        for v in qt:
-            if not (math.isfinite(v) and 0.0 < v <= 1.0):
-                raise InvalidOrder(f"order {v!r} outside (0, 1]")
-        object.__setattr__(self, "q", qt)
+        q = order_array(self.q, (3,))
+        if np.shape(self.q) != (3,):
+            raise InvalidOrder(f"expected 3 orders, got {self.q!r}")
+        object.__setattr__(self, "q", tuple(q.tolist()))
 
     @classmethod
     def uniform(cls, q: float) -> "FractionalOrders":

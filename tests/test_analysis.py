@@ -144,7 +144,7 @@ class TestMittagLeffler:
         with pytest.raises(InvalidOrder):
             mittag_leffler(q, -1.0)
 
-    @pytest.mark.parametrize("z", [30.5, -31.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("z", [30.5, -31.0, float("inf"), float("nan"), None, "-1", [-1.0]])
     def test_argument_domain(self, z):
         with pytest.raises(DomainExceeded):
             mittag_leffler(0.9, z)
@@ -234,6 +234,13 @@ class TestPredictedError:
         traj = integrate(system, q, [1.0], cfg)
         expect = predicted_error(np.array([1.0]), (q,), 1.0)[0]
         assert abs(traj.final_state[0] - expect) <= 1e-3
+
+    def test_orders_broadcast_to_the_initial_errors(self):
+        scalar = predicted_error(1.0, 0.9, 1.0)
+        assert isinstance(scalar, np.ndarray) and scalar.shape == ()
+        assert scalar == mittag_leffler(0.9, -1.0)
+        e0 = np.array([6.0, 3.0, 2.0])
+        assert np.array_equal(predicted_error(e0, 0.9, 1.0), e0 * mittag_leffler(0.9, -1.0))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

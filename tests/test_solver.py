@@ -298,6 +298,13 @@ class TestFailurePaths:
         with pytest.raises(ValueError):
             integrate(financial_system(), 0.9, [2.0, float("inf"), 1.0], cfg)
 
+    def test_classical_rejects_bad_initial_state(self):
+        cfg = SolverConfig(h=0.01, n_steps=5)
+        with pytest.raises(ValueError):
+            integrate_classical_pece(financial_system(), [2.0, -1.0], cfg)
+        with pytest.raises(ValueError):
+            integrate_classical_pece(financial_system(), [2.0, float("nan"), 1.0], cfg)
+
 
 class TestSolverConfig:
     def test_rejects_bad_grid(self):
