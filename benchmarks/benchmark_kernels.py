@@ -1,7 +1,8 @@
 """Time the integration driver and the Mittag-Leffler evaluator; optionally record BENCH_<tag>.json.
 
 The integration driver is timed at q = 0.99 over t_end = 10 for each case
-and step count.
+and step count. A case whose run leaves the finite range on a coarse grid
+(Volta at 64 steps) is reported with its failing step, not timed.
 
 The Mittag-Leffler part times mittag_leffler(q, z) at every point of the
 analysis-sweep grid (q in 0.1..0.9, 0.99, 1; z from -0.5 to -30), which
@@ -39,7 +40,7 @@ import fracsync
 from fracsync import SolverConfig, integrate
 from fracsync.analysis import mittag_leffler
 from fracsync.control import ExactCancellation, LiteralFeedback, coupled_system
-from fracsync.errors import FracsyncError
+from fracsync.errors import FracsyncError, NonFiniteState
 from fracsync.systems import FinancialParams, VoltaParams, financial_system, volta_system
 
 CASES = [
@@ -155,7 +156,12 @@ def time_integration(steps, memory, repeats):
     for name, system, y0 in CASES:
         for n_steps in steps:
             config = SolverConfig(h=10.0 / n_steps, n_steps=n_steps, memory=memory)
-            samples = _time_case(system, y0, config, repeats)
+            try:
+                samples = _time_case(system, y0, config, repeats)
+            except NonFiniteState as exc:  # a grid too coarse for the case
+                results.append({"case": name, "steps": n_steps, "blowup_step": exc.step})
+                print(f"{name:<15} {n_steps:>7} left the finite range at step {exc.step}")
+                continue
             best, median = min(samples), statistics.median(samples)
             results.append({
                 "case": name,

@@ -38,6 +38,8 @@ from .systems import (
     VoltaParams,
     financial_equilibria,
     financial_jacobian,
+    has_bool,
+    number_array,
 )
 
 EXIT_OK = 0
@@ -98,12 +100,6 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _has_bool(raw) -> bool:
-    if isinstance(raw, (list, tuple)):
-        return any(_has_bool(v) for v in raw)
-    return isinstance(raw, bool)
-
-
 def _read(key, build, raw):
     """build(raw), with any TypeError or ValueError reported as ConfigError(key).
 
@@ -111,7 +107,7 @@ def _read(key, build, raw):
     them as 1 and 0, so `"h": true` would otherwise run with h = 1.
     Nested lists are searched too.
     """
-    if _has_bool(raw):
+    if has_bool(raw):
         raise ConfigError(key, f"expected a number, got {json.dumps(raw)}")
     try:
         return build(raw)
@@ -120,6 +116,8 @@ def _read(key, build, raw):
 
 
 def _number(raw) -> float:
+    if isinstance(raw, str):
+        raise ValueError(f"expected a number, got the string {raw!r}")
     val = float(raw)
     if not math.isfinite(val):
         raise ValueError(f"must be finite, got {raw!r}")
@@ -160,7 +158,7 @@ def _window(raw):
 
 
 def _matrix(raw) -> np.ndarray:
-    matrix = np.asarray(raw, dtype=np.float64).reshape(3, 3)
+    matrix = number_array(raw, ValueError, "matrix entries").astype(np.float64).reshape(3, 3)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("entries must be finite")
     return matrix
@@ -263,11 +261,7 @@ def _cmd_simulate(args) -> int:
     elapsed = time.perf_counter() - t0
 
     traj = run.trajectory
-    _write_csv(
-        outdir / "trajectory.csv",
-        "t,x,y,z",
-        [traj.times, traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]],
-    )
+    _write_csv(outdir / "trajectory.csv", "t,x,y,z", [traj.times, *traj.states.T])
     report = {
         "command": "simulate",
         "status": "blowup" if run.blowup else "ok",
@@ -313,15 +307,8 @@ def _cmd_synchronize(args) -> int:
     elapsed = time.perf_counter() - t0
 
     traj = run.trajectory
-    cols = [traj.times]
-    cols += [traj.states[:, i] for i in range(6)]
-    cols += [traj.errors[:, i] for i in range(3)]
-    cols += [traj.controls[:, i] for i in range(3)]
-    _write_csv(
-        outdir / "trajectory.csv",
-        "t,x1,y1,z1,x2,y2,z2,e1,e2,e3,u1,u2,u3",
-        cols,
-    )
+    cols = [traj.times, *traj.states.T, *traj.errors.T, *traj.controls.T]
+    _write_csv(outdir / "trajectory.csv", "t,x1,y1,z1,x2,y2,z2,e1,e2,e3,u1,u2,u3", cols)
     report = {
         "command": "synchronize",
         "status": "blowup" if run.blowup else "ok",

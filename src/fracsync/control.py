@@ -39,7 +39,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DegenerateEigenvalue, InvalidGain
-from .systems import FinancialParams, SystemDef, VoltaParams, financial_rhs, order_array, volta_rhs
+from .systems import (FinancialParams, SystemDef, VoltaParams, financial_rhs, number_array,
+                      order_array, volta_rhs)
 
 
 def gain_matrix_default(p: VoltaParams) -> np.ndarray:
@@ -54,12 +55,9 @@ def gain_matrix_default(p: VoltaParams) -> np.ndarray:
 
 
 def _gain_array(gain) -> np.ndarray:
-    try:
-        arr = np.asarray(gain, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidGain(f"gain must be a 3x3 matrix of numbers, got {gain!r}")
-    if arr.shape != (3, 3):
-        raise InvalidGain(f"gain must be 3x3, got shape {arr.shape}")
+    arr = number_array(gain, InvalidGain, "gain").astype(np.float64)
+    if arr.shape != (3, 3) or not np.all(np.isfinite(arr)):
+        raise InvalidGain(f"gain must be a finite 3x3 matrix, got {gain!r}")
     return arr
 
 
@@ -78,17 +76,22 @@ def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
 
 def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -> np.ndarray:
     """Algebraic control law plus linear error feedback; shapes (..., 3)."""
-    gain = _gain_array(gain)
+    return _literal_law(master, slave, fp, vp, _gain_array(gain))
+
+
+def _literal_law(master, slave, fp, vp, gain):
+    # The law for a gain `_gain_array` already checked; the coupled row calls it every step.
     m = np.asarray(master, dtype=np.float64)
     s = np.asarray(slave, dtype=np.float64)
-    x1, y1, z1 = m[..., 0], m[..., 1], m[..., 2]
-    x2, y2, z2 = s[..., 0], s[..., 1], s[..., 2]
-    e = s - m
-    v = e @ gain.T
+    x1, y1, z1 = m.T
+    x2, y2, z2 = s.T
+    v = (s - m) @ gain.T
+    v1, v2, v3 = v.T
     u = np.empty(v.shape)
-    u[..., 0] = -(fp.alpha - 1.0) * x1 + (x1 + vp.a) * y1 + (1.0 + y2) + v[..., 0]
-    u[..., 1] = -(fp.beta - 1.0) * y1 + (vp.b - x1) * x1 + x2 * z2 + 1.0 + v[..., 1]
-    u[..., 2] = -(y2 + 1.0) * x2 - (vp.c + fp.gamma) * z1 - 1.0 + v[..., 2]
+    o = u.T
+    o[0] = -(fp.alpha - 1.0) * x1 + (x1 + vp.a) * y1 + (1.0 + y2) + v1
+    o[1] = -(fp.beta - 1.0) * y1 + (vp.b - x1) * x1 + x2 * z2 + 1.0 + v2
+    o[2] = -(y2 + 1.0) * x2 - (vp.c + fp.gamma) * z1 - 1.0 + v3
     return u
 
 
@@ -102,10 +105,7 @@ def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> n
 
 def _check_lambda(lam) -> np.ndarray:
     # One rate, as a number or a one-element list, is used for all three components.
-    try:
-        arr = np.asarray(lam, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidGain(f"lam must be a number or 3 numbers, got {lam!r}")
+    arr = number_array(lam, InvalidGain, "lam").astype(np.float64)
     if arr.shape in ((), (1,)):
         arr = np.full(3, arr.item())
     if arr.shape != (3,):
@@ -156,8 +156,6 @@ class LiteralFeedback:
     def __post_init__(self):
         if self.gain is not None:
             arr = _gain_array(self.gain)
-            if not np.all(np.isfinite(arr)):
-                raise InvalidGain("gain must be a finite 3x3 matrix")
             object.__setattr__(self, "gain", tuple(tuple(float(v) for v in row) for row in arr))
 
     def gain_array(self, vp: VoltaParams) -> np.ndarray:
@@ -178,7 +176,7 @@ class LiteralFeedback:
         gain = self.gain_array(vp)
 
         def row(m, s, fm):
-            return volta_rhs(s, vp) + control_literal(m, s, fp, vp, gain)
+            return volta_rhs(s, vp) + _literal_law(m, s, fp, vp, gain)
 
         return row
 
@@ -195,10 +193,11 @@ def coupled_system(
     slave_row = controller.slave_field(fp, vp)
 
     def rhs(t, y):
-        m = y[..., :3]
-        s = y[..., 3:]
-        fm = financial_rhs(m, fp)
-        return np.concatenate([fm, slave_row(m, s, fm)], axis=-1)
+        out = np.empty(y.shape)  # refuses a last axis of 4, which the exact row broadcasts
+        m, s = y[..., :3], y[..., 3:]
+        out[..., :3] = fm = financial_rhs(m, fp)
+        out[..., 3:] = slave_row(m, s, fm)
+        return out
 
     return SystemDef(name="coupled", dimension=6, rhs=rhs)
 

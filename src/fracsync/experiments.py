@@ -29,6 +29,7 @@ from .systems import (
     SystemDef,
     VoltaParams,
     financial_system,
+    number_array,
     order_array,
     volta_system,
     zero_system,
@@ -91,9 +92,7 @@ def run_synchronization(
 ) -> SyncRun:
     q = order_array(orders, (3,))
     system = ctl.coupled_system(fp, vp, controller)
-    y0 = np.concatenate(
-        [np.asarray(master0, dtype=np.float64), np.asarray(slave0, dtype=np.float64)]
-    )
+    y0 = np.concatenate([number_array(v, ValueError, "initial state") for v in (master0, slave0)])
     blowup = None
     try:
         # Master and slave components share the same three orders.
@@ -105,10 +104,7 @@ def run_synchronization(
     master = traj.states[:, :3]
     slave = traj.states[:, 3:]
     errors = slave - master
-    if traj.states.shape[0] > 0:
-        controls = controller.control(master, slave, fp, vp)
-    else:
-        controls = np.empty((0, 3))
+    controls = controller.control(master, slave, fp, vp)
     traj = Trajectory(times=traj.times, states=traj.states, errors=errors, controls=controls)
 
     matrix = controller.design_matrix(vp)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NonFiniteState
-from .systems import SystemDef, order_array
+from .systems import SystemDef, number_array, order_array
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def weights_a(q: float, n: int) -> np.ndarray:
 
 
 def _initial_state(y0, dimension: int) -> np.ndarray:
-    y0 = np.asarray(y0, dtype=np.float64).reshape(-1)
+    y0 = number_array(y0, ValueError, "initial state").astype(np.float64).reshape(-1)
     if y0.shape != (dimension,):
         raise ValueError(f"initial state must have shape ({dimension},)")
     if not np.all(np.isfinite(y0)):

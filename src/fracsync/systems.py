@@ -13,9 +13,10 @@ The Volta system, with parameters (a, b, c):
     dy/dt = -y - b*x - x*z
     dz/dt = c*z + x*y + 1
 
-Both right-hand sides accept any array whose last axis has length 3, so a
-whole trajectory can be evaluated in one call. Jacobians and equilibria
-operate on single states.
+Both right-hand sides take any array whose last axis has length 3 and
+unpack the components along it (`x, y, z = s.T`), so a whole trajectory
+evaluates in one call and equals its rows bit for bit; any other length of
+that axis raises ValueError. Jacobians and equilibria take single states.
 """
 
 from __future__ import annotations
@@ -33,6 +34,24 @@ from .errors import DegenerateParameters, InvalidOrder
 FINANCIAL_CHAOS_ONSET_REFERENCE = 0.8436
 
 
+def has_bool(value) -> bool:
+    """Whether `value` or an item of its nested lists is a boolean (numpy reads True as 1.0)."""
+    if isinstance(value, (list, tuple)):
+        return any(has_bool(v) for v in value)
+    return isinstance(value, (bool, np.bool_))
+
+
+def number_array(value, error, name: str) -> np.ndarray:
+    """`value` as an int or float array; strings (even "0.9"), None and booleans raise `error`."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or has_bool(value):
+        raise error(f"{name} must be numbers, got {value!r}")
+    return arr
+
+
 def order_array(orders, shape: tuple) -> np.ndarray:
     """Derivative orders as a new float64 array of `shape`.
 
@@ -45,12 +64,7 @@ def order_array(orders, shape: tuple) -> np.ndarray:
     """
     if isinstance(orders, FractionalOrders):
         orders = orders.q
-    try:
-        arr = np.asarray(orders)
-    except ValueError:
-        raise InvalidOrder(f"orders must be numbers, got {orders!r}")
-    if arr.dtype.kind not in "iuf":
-        raise InvalidOrder(f"orders must be numbers, got {orders!r}")
+    arr = number_array(orders, InvalidOrder, "orders")
     # broadcast_to takes a few microseconds, as long as the rest of this
     # check, so it runs only when the shape does not already fit.
     if arr.shape != shape:
@@ -105,22 +119,24 @@ class VoltaParams:
 def financial_rhs(state, p: FinancialParams) -> np.ndarray:
     """Financial vector field; state has shape (..., 3)."""
     s = np.asarray(state, dtype=np.float64)
-    x, y, z = s[..., 0], s[..., 1], s[..., 2]
+    x, y, z = s.T
     out = np.empty(s.shape)
-    out[..., 0] = z + (y - p.alpha) * x
-    out[..., 1] = 1.0 - p.beta * y - x * x
-    out[..., 2] = -x - p.gamma * z
+    o = out.T
+    o[0] = z + (y - p.alpha) * x
+    o[1] = 1.0 - p.beta * y - x * x
+    o[2] = -x - p.gamma * z
     return out
 
 
 def volta_rhs(state, p: VoltaParams) -> np.ndarray:
     """Volta vector field; state has shape (..., 3)."""
     s = np.asarray(state, dtype=np.float64)
-    x, y, z = s[..., 0], s[..., 1], s[..., 2]
+    x, y, z = s.T
     out = np.empty(s.shape)
-    out[..., 0] = -x - p.a * y - z * y
-    out[..., 1] = -y - p.b * x - x * z
-    out[..., 2] = p.c * z + x * y + 1.0
+    o = out.T
+    o[0] = -x - p.a * y - z * y
+    o[1] = -y - p.b * x - x * z
+    o[2] = p.c * z + x * y + 1.0
     return out
 
 

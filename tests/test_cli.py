@@ -439,6 +439,39 @@ class TestBooleanFields:
         assert not out.exists()
 
 
+class TestNumericStrings:
+    # float() and numpy parse "0.01"; every number field must refuse a string, as orders do.
+    @pytest.mark.parametrize(
+        "command,payload,field",
+        [
+            ("simulate", {"h": "0.01"}, "h"),
+            ("simulate", {"t_end": "10"}, "t_end"),
+            ("simulate", {"initial_state": ["2", -1, 1]}, "initial_state"),
+            ("simulate", {"financial": {"alpha": "1"}}, "financial.alpha"),
+            ("simulate", {"volta": {"c": "0.73"}}, "volta.c"),
+            ("synchronize", {"sync_tol": "1e-3"}, "sync_tol"),
+            ("synchronize", {"master_initial": ["2", -1, 1]}, "master_initial"),
+            ("synchronize", {"slave_initial": [8, 2, "3"]}, "slave_initial"),
+            ("synchronize", {"lambda": "-1"}, "lambda"),
+            ("synchronize", {"lambda": ["-1", "-1", "-1"]}, "lambda"),
+            ("synchronize", {"mode": "literal",
+                             "gain": [["0", "19", "-1"], ["11", "0", "0"], ["1", "0", "-1.73"]]},
+             "gain"),
+            ("stability", {"matrix": {"source": "explicit",
+                                      "values": [["-1", 0, 0], [0, -1, 0], [0, 0, -1]]}},
+             "matrix.values"),
+        ],
+    )
+    def test_rejected(self, tmp_path, capsys, command, payload, field):
+        out = tmp_path / "never"
+        code = _run(command, "--config", _write_config(tmp_path, payload), "--out", out)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {field}: " in err
+        assert "number" in err
+        assert not out.exists()
+
+
 class TestConvergence:
     def test_exit_code_matches_report(self, tmp_path):
         out = tmp_path / "conv"

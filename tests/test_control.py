@@ -118,7 +118,8 @@ class TestLiteralControl:
             assert np.array_equal(batch[k], control_literal(m[k], s[k], FP, VP, gain))
 
     def test_rejects_bad_gain(self):
-        for bad in (np.zeros((3, 2)), "abc", {"a": 1}, [["a", "b", "c"]] * 3):
+        numeric_strings = [["0", "19", "-1"], ["11", "0", "0"], ["1", "0", "-1.73"]]
+        for bad in (np.zeros((3, 2)), "abc", {"a": 1}, [["a", "b", "c"]] * 3, numeric_strings):
             with pytest.raises(InvalidGain):
                 control_literal(MASTER0, SLAVE0, FP, VP, bad)
             with pytest.raises(InvalidGain):
@@ -153,7 +154,9 @@ class TestExactControl:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "bad", [0.0, 1.0, [-1.0, 0.0, -1.0], float("nan"), "abc", [[-1.0]], {"a": -1.0}, None]
+        "bad",
+        [0.0, 1.0, [-1.0, 0.0, -1.0], float("nan"), "abc", [[-1.0]], {"a": -1.0}, None, "-1",
+         ["-1", "-1", "-1"]],
     )
     def test_rejects_nonnegative_rates(self, bad):
         with pytest.raises(InvalidGain):
@@ -166,7 +169,7 @@ class TestControllerConfigs:
         assert ctl.lam == (-1.0, -1.0, -1.0)
 
     def test_exact_rejects_unstable_rates(self):
-        for bad in ((0.0, -1.0, -1.0), (2.0, -1.0, -1.0), "abc", [[-1.0]]):
+        for bad in ((0.0, -1.0, -1.0), (2.0, -1.0, -1.0), "abc", [[-1.0]], "-1", ("-1",) * 3):
             with pytest.raises(InvalidGain):
                 ExactCancellation(lam=bad)
 
@@ -191,6 +194,8 @@ class TestControllerConfigs:
             {"a": 1},
             [[1.0, 2.0, 3.0], [4.0, 5.0], [6.0]],
             list(range(9)),
+            [["0", "19", "-1"], ["11", "0", "0"], ["1", "0", "-1.73"]],
+            [[0.0, 19.0, -1.0], [11.0, 0.0, 0.0], [True, 0.0, -1.73]],
         ):
             with pytest.raises(InvalidGain):
                 LiteralFeedback(gain=bad)

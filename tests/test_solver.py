@@ -13,10 +13,12 @@ import pytest
 
 import fracsync
 from fracsync import (
+    ExactCancellation,
     FinancialParams,
     FractionalOrders,
     SolverConfig,
     SystemDef,
+    VoltaParams,
     financial_system,
     integrate,
     integrate_classical_pece,
@@ -26,6 +28,7 @@ from fracsync import (
     zero_system,
 )
 from fracsync.errors import InvalidOrder, NonFiniteState
+from fracsync.experiments import run_synchronization
 
 
 def _scalar_system(name, fn):
@@ -297,6 +300,14 @@ class TestFailurePaths:
             integrate(financial_system(), 0.9, [2.0, -1.0], cfg)
         with pytest.raises(ValueError):
             integrate(financial_system(), 0.9, [2.0, float("inf"), 1.0], cfg)
+        with pytest.raises(ValueError):
+            integrate(financial_system(), 0.9, ["2", "-1", "1"], cfg)
+
+    @pytest.mark.parametrize("master", [["2", "-1", "1"], [True, -1.0, 1.0]])
+    def test_synchronization_refuses_non_numeric_initial_state(self, master):
+        with pytest.raises(ValueError, match="initial state must be numbers"):
+            run_synchronization(FinancialParams(), VoltaParams(), ExactCancellation(), 0.9,
+                                master, [8.0, 2.0, 3.0], SolverConfig(h=0.01, n_steps=5), 1e-3)
 
     def test_classical_rejects_bad_initial_state(self):
         cfg = SolverConfig(h=0.01, n_steps=5)

@@ -169,7 +169,9 @@ class TestFractionalOrders:
     def test_unit_order_allowed(self):
         assert FractionalOrders.uniform(1.0).q == (1.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("bad", [None, 0.9, "0.9", {"a": 0.9}, ("a", 0.9, 0.9)])
+    @pytest.mark.parametrize(
+        "bad", [None, 0.9, "0.9", {"a": 0.9}, ("a", 0.9, 0.9), (True, 0.9, 0.9), ("0.9",) * 3]
+    )
     def test_non_numeric_rejected(self, bad):
         with pytest.raises(InvalidOrder):
             FractionalOrders(bad)
