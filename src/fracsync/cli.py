@@ -1,15 +1,17 @@
 """Command line front end.
 
 Four subcommands: simulate, synchronize, stability, convergence. Each
-reads an optional JSON config, applies flag overrides, validates fully
-before touching the filesystem, and then writes its artifacts into the
-output directory: trajectory.csv for time series and report.json for
-everything else. Reports embed the resolved configuration and contain
-no wall-clock data, so a rerun with the same inputs is byte-identical;
-timing is printed to stdout only. The "backend" entry of simulate and
-synchronize reports always reads "numpy", the one integration driver;
-it stays so that reports keep the bytes they had when a second driver
-existed.
+reads an optional JSON config, applies flag overrides and validates fully
+before writing anything: each key is checked by the code that reads (pops)
+it, and a key left over once the subcommand's reads are done is a config
+error, so a key unused with the given settings is refused, not ignored.
+Artifacts go into the output directory: trajectory.csv for time series
+and report.json for everything else. Reports embed the resolved
+configuration and contain no wall-clock data, so a rerun with the same
+inputs is byte-identical; timing is printed to stdout only. The
+"backend" entry of simulate and synchronize reports always reads
+"numpy", the one integration driver; it stays so that reports keep the
+bytes they had when a second driver existed.
 
 Exit codes: 0 success, 2 invalid configuration, 3 run left the finite
 range (partial trajectory retained), 4 convergence order out of band.
@@ -57,19 +59,6 @@ _DEFAULT_IC = {
     "zero": (0.0, 0.0, 0.0),
 }
 
-_COMMON_KEYS = {"h", "t_end", "orders", "memory", "financial", "volta"}
-_KNOWN_KEYS = _COMMON_KEYS | {
-    "system",
-    "initial_state",
-    "mode",
-    "lambda",
-    "gain",
-    "master_initial",
-    "slave_initial",
-    "sync_tol",
-    "matrix",
-}
-
 
 # ---------------------------------------------------------------------------
 # Config loading and validation. Everything funnels into ConfigError so the
@@ -89,15 +78,19 @@ def _load_config(args) -> dict:
             raise ConfigError("config", f"invalid JSON in {path}: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError("config", "top level must be a JSON object")
-    for key in cfg:
-        if key not in _KNOWN_KEYS:
-            raise ConfigError("config", f"unknown key {key!r}")
     for key in ("h", "t_end", "orders", "mode", "memory"):
         value = getattr(args, key, None)
         if value is not None:
             # One --orders value is the uniform order; any other count goes to the check.
             cfg[key] = value[0] if key == "orders" and len(value) == 1 else value
     return cfg
+
+
+def _refuse_leftovers(cfg: dict, where: str, prefix: str = "") -> None:
+    """ConfigError naming the keys of `cfg` that the reads of `where` did not consume."""
+    if cfg:
+        keys = ", ".join(prefix + key for key in cfg)
+        raise ConfigError(keys, f"not used by {where} with these settings")
 
 
 def _read(key, build, raw):
@@ -165,7 +158,7 @@ def _matrix(raw) -> np.ndarray:
 
 
 def _params(cfg, key, cls):
-    raw = cfg.get(key, {})
+    raw = cfg.pop(key, {})
     if not isinstance(raw, dict):
         raise ConfigError(key, f"expected an object, got {raw!r}")
     fields = [f.name for f in dataclasses.fields(cls)]
@@ -179,7 +172,7 @@ def _model(cfg):
     """Both systems' parameters and the orders, with their echo for the report."""
     fp = _params(cfg, "financial", FinancialParams)
     vp = _params(cfg, "volta", VoltaParams)
-    orders = _read("orders", _orders, cfg.get("orders", 0.99))
+    orders = _read("orders", _orders, cfg.pop("orders", 0.99))
     echo = {
         "financial": dataclasses.asdict(fp),
         "volta": dataclasses.asdict(vp),
@@ -190,30 +183,26 @@ def _model(cfg):
 
 def _grid(cfg, default_t_end):
     """SolverConfig from h, t_end and memory, with its echo for the report."""
-    h = _read("h", _positive, cfg.get("h", _DEFAULT_H))
-    t_end = _read("t_end", _positive, cfg.get("t_end", default_t_end))
+    h = _read("h", _positive, cfg.pop("h", _DEFAULT_H))
+    t_end = _read("t_end", _positive, cfg.pop("t_end", default_t_end))
     n_steps = round(t_end / h)
     if n_steps < 1:
         raise ConfigError("t_end", f"horizon {t_end} allows no step at h = {h}")
     if n_steps > 5_000_000:
         raise ConfigError("t_end", f"horizon needs {n_steps} steps; reduce t_end or raise h")
-    window = cfg.get("memory", "full")
+    window = cfg.pop("memory", "full")
     config = _read("memory", lambda raw: SolverConfig(h, n_steps, _window(raw)), window)
     memory = "full" if config.memory is None else config.memory
     return config, {"h": h, "t_end": t_end, "n_steps": n_steps, "memory": memory}
 
 
 def _controller(cfg):
-    mode = cfg.get("mode", "exact")
+    mode = cfg.pop("mode", "exact")
     if mode == "exact":
-        if cfg.get("gain") is not None:
-            raise ConfigError("gain", "only valid with mode 'literal'")
-        lam = cfg.get("lambda", ctl.ExactCancellation.lam)
+        lam = cfg.pop("lambda", ctl.ExactCancellation.lam)
         return mode, _read("lambda", ctl.ExactCancellation, lam)
     if mode == "literal":
-        if "lambda" in cfg:
-            raise ConfigError("lambda", "only valid with mode 'exact'")
-        return mode, _read("gain", ctl.LiteralFeedback, cfg.get("gain"))
+        return mode, _read("gain", ctl.LiteralFeedback, cfg.pop("gain", None))
     raise ConfigError("mode", f"expected 'exact' or 'literal', got {mode!r}")
 
 
@@ -246,15 +235,15 @@ def _write_report(path: Path, report: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    name = cfg.get("system", "financial")
-    if name not in ("financial", "volta", "zero"):
-        raise ConfigError("system", f"expected 'financial', 'volta' or 'zero', got {name!r}")
+    name = cfg.pop("system", "financial")
+    if not isinstance(name, str) or name not in _DEFAULT_IC:
+        raise ConfigError("system", f"expected one of {', '.join(_DEFAULT_IC)}, got {name!r}")
     fp, vp, orders, model = _model(cfg)
     config, grid = _grid(cfg, _SIM_T_END)
-    ic = _read("initial_state", _vec3, cfg.get("initial_state", _DEFAULT_IC[name]))
+    ic = _read("initial_state", _vec3, cfg.pop("initial_state", _DEFAULT_IC[name]))
     resolved = {"system": name, **model, **grid, "initial_state": ic}
 
-    outdir = _outdir(args)
+    outdir = _outdir(args, cfg)
     system = experiments.build_system(name, fp, vp)
     t0 = time.perf_counter()
     run = experiments.run_simulation(system, orders, ic, config)
@@ -283,9 +272,9 @@ def _cmd_synchronize(args) -> int:
     fp, vp, orders, model = _model(cfg)
     config, grid = _grid(cfg, _SYNC_T_END)
     mode, controller = _controller(cfg)
-    master0 = _read("master_initial", _vec3, cfg.get("master_initial", _DEFAULT_IC["financial"]))
-    slave0 = _read("slave_initial", _vec3, cfg.get("slave_initial", _DEFAULT_IC["volta"]))
-    tol = _read("sync_tol", _positive, cfg.get("sync_tol", _DEFAULT_TOL))
+    master0 = _read("master_initial", _vec3, cfg.pop("master_initial", _DEFAULT_IC["financial"]))
+    slave0 = _read("slave_initial", _vec3, cfg.pop("slave_initial", _DEFAULT_IC["volta"]))
+    tol = _read("sync_tol", _positive, cfg.pop("sync_tol", _DEFAULT_TOL))
     resolved = {
         **model,
         **grid,
@@ -299,7 +288,7 @@ def _cmd_synchronize(args) -> int:
     else:
         resolved["gain"] = controller.gain_array(vp).tolist()
 
-    outdir = _outdir(args)
+    outdir = _outdir(args, cfg)
     t0 = time.perf_counter()
     run = experiments.run_synchronization(
         fp, vp, controller, orders, master0, slave0, config, tol
@@ -351,10 +340,10 @@ def _stability_entry(matrix: np.ndarray, orders: FractionalOrders) -> dict:
 def _cmd_stability(args) -> int:
     cfg = _load_config(args)
     fp, vp, orders, model = _model(cfg)
-    spec = cfg.get("matrix", {"source": "closed_loop"})
+    spec = cfg.pop("matrix", {})
     if not isinstance(spec, dict):
         raise ConfigError("matrix", f"expected an object, got {spec!r}")
-    source = spec.get("source", "closed_loop")
+    source = spec.pop("source", "closed_loop")
     if source not in ("closed_loop", "equilibria", "explicit"):
         raise ConfigError(
             "matrix.source", f"expected 'closed_loop', 'equilibria' or 'explicit', got {source!r}"
@@ -368,9 +357,10 @@ def _cmd_stability(args) -> int:
         resolved["mode"] = mode
         report["closed_loop"] = _stability_entry(controller.design_matrix(vp), orders)
     elif source == "explicit":
-        if spec.get("values") is None:
+        values = spec.pop("values", None)
+        if values is None:
             raise ConfigError("matrix.values", "required for source 'explicit'")
-        matrix = _read("matrix.values", _matrix, spec["values"])
+        matrix = _read("matrix.values", _matrix, values)
         report["explicit"] = _stability_entry(matrix, orders)
     else:
         entries = []
@@ -388,7 +378,8 @@ def _cmd_stability(args) -> int:
                 "delta": system_threshold - FINANCIAL_CHAOS_ONSET_REFERENCE,
             }
 
-    outdir = _outdir(args)
+    _refuse_leftovers(spec, "stability", "matrix.")
+    outdir = _outdir(args, cfg)
     _write_report(outdir / "report.json", report)
     print(f"stability: source {source}")
     print(f"wrote {outdir / 'report.json'}")
@@ -396,8 +387,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    # The refinement study is pinned; a config file is validated but not consulted.
-    _load_config(args)
+    # The refinement study is pinned: it reads no key, so any key is refused.
+    outdir = _outdir(args, _load_config(args))
     t0 = time.perf_counter()
     cases, ok = experiments.convergence_selftest()
     elapsed = time.perf_counter() - t0
@@ -411,7 +402,6 @@ def _cmd_convergence(args) -> int:
         "cases": [c.to_dict() for c in cases],
         "all_in_band": bool(ok),
     }
-    outdir = _outdir(args)
     _write_report(outdir / "report.json", report)
     for c in cases:
         status = "in band" if c.in_band else "OUT OF BAND"
@@ -429,7 +419,9 @@ _COMMANDS = {
 }
 
 
-def _outdir(args) -> Path:
+def _outdir(args, cfg: dict) -> Path:
+    """The output directory, created once every key of `cfg` has been read."""
+    _refuse_leftovers(cfg, args.command)
     outdir = Path(args.out) if args.out is not None else Path("out") / args.command
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir

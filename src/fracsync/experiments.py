@@ -23,13 +23,12 @@ from .analysis import (
     sync_time,
 )
 from .errors import NonFiniteState
-from .solver import SolverConfig, Trajectory, integrate
+from .solver import SolverConfig, Trajectory, _initial_state, integrate
 from .systems import (
     FinancialParams,
     SystemDef,
     VoltaParams,
     financial_system,
-    number_array,
     order_array,
     volta_system,
     zero_system,
@@ -92,7 +91,7 @@ def run_synchronization(
 ) -> SyncRun:
     q = order_array(orders, (3,))
     system = ctl.coupled_system(fp, vp, controller)
-    y0 = np.concatenate([number_array(v, ValueError, "initial state") for v in (master0, slave0)])
+    y0 = np.concatenate([_initial_state(master0, 3), _initial_state(slave0, 3)])
     blowup = None
     try:
         # Master and slave components share the same three orders.

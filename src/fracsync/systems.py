@@ -218,9 +218,12 @@ def volta_system(params: VoltaParams | None = None) -> SystemDef:
 
 
 def zero_system(dimension: int = 3) -> SystemDef:
-    """Field that is identically zero; a diagnostic stub."""
-    return SystemDef(
-        name="zero",
-        dimension=dimension,
-        rhs=lambda t, y: np.zeros(dimension),
-    )
+    """Field that is identically zero; a diagnostic stub. The state has shape (..., dimension)."""
+
+    def rhs(t, y):
+        shape = np.shape(y)
+        if shape[-1:] != (dimension,):
+            raise ValueError(f"state must have a last axis of length {dimension}, got {shape}")
+        return np.zeros(shape)
+
+    return SystemDef(name="zero", dimension=dimension, rhs=rhs)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,6 +471,65 @@ class TestNumericStrings:
         assert f"config error: {field}: " in err
         assert "number" in err
         assert not out.exists()
+
+
+EYE = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+
+
+class TestLeftoverKeys:
+    # Each subcommand pops the keys it reads; a key left over is refused, not ignored.
+    @pytest.mark.parametrize(
+        "command,payload,key",
+        [
+            ("simulate", {"mode": "sliding", "lambda": "x", "sync_tol": -1,
+                          "master_initial": "abc", "matrix": 5}, "master_initial"),
+            ("synchronize", {"system": "lorenz"}, "system"),
+            ("synchronize", {"initial_state": [2.0, -1.0, 1.0]}, "initial_state"),
+            ("synchronize", {"gain": None}, "gain"),
+            ("synchronize", {"mode": "literal", "lambda": -1}, "lambda"),
+            ("stability", {"h": "abc"}, "h"),
+            ("stability", {"memory": 10}, "memory"),
+            ("stability", {"mode": "sliding", "matrix": {"source": "explicit", "values": EYE}},
+             "mode"),
+            ("stability", {"lambda": -2, "matrix": {"source": "equilibria"}}, "lambda"),
+            ("stability", {"matrix": {"source": "equilibria", "values": "junk"}}, "matrix.values"),
+            ("stability", {"matrix": {"values": EYE}}, "matrix.values"),
+            ("stability", {"matrix": {"source": "explicit", "values": EYE, "rows": 3}},
+             "matrix.rows"),
+            ("stability", {"gain": None}, "gain"),
+            ("stability", {"mode": "literal", "lambda": -1}, "lambda"),
+            ("convergence", {"h": -1}, "h"),
+            ("convergence", {"orders": 0.9}, "orders"),
+        ],
+    )
+    def test_refused(self, tmp_path, capsys, command, payload, key):
+        out = tmp_path / "never"
+        code = _run(command, "--config", _write_config(tmp_path, payload), "--out", out)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: " in err
+        assert key in err
+        assert f"not used by {command}" in err
+        assert not out.exists()
+
+    def test_mode_flag_beside_an_explicit_matrix(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        cfg = _write_config(tmp_path, {"matrix": {"source": "explicit", "values": EYE}})
+        code = _run("stability", "--config", cfg, "--mode", "literal", "--out", out)
+        assert code == EXIT_CONFIG
+        assert "config error: mode: not used by stability" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_readme_simulate_config_runs(tmp_path):
+    # The documented config must stay valid under the leftover-key rule.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### simulate\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    out = tmp_path / "sim"
+    cfg = _write_config(tmp_path, json.loads(block))
+    assert _run("simulate", "--config", cfg, "--t-end", 0.05, "--out", out) == EXIT_OK
+    assert _report(out)["status"] == "ok"
 
 
 class TestConvergence:

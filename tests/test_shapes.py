@@ -24,6 +24,7 @@ from fracsync import (
     financial_rhs,
     gain_matrix_default,
     volta_rhs,
+    zero_system,
 )
 from fracsync.experiments import run_synchronization
 
@@ -37,6 +38,7 @@ GAIN = gain_matrix_default(VP)
 FUNCTIONS = {
     "financial_rhs": (3, lambda y: financial_rhs(y, FP)),
     "volta_rhs": (3, lambda y: volta_rhs(y, VP)),
+    "zero": (3, partial(zero_system(3).rhs, 0.0)),
     "control_exact": (6, lambda y: control_exact(y[..., :3], y[..., 3:], FP, VP, LAM)),
     "control_literal": (6, lambda y: control_literal(y[..., :3], y[..., 3:], FP, VP, GAIN)),
     "coupled_exact": (6, partial(coupled_system(FP, VP, ExactCancellation(LAM)).rhs, 0.0)),
@@ -87,6 +89,7 @@ def test_wrong_last_axis_raises(shape):
     calls = (
         lambda: financial_rhs(bad, FP),
         lambda: volta_rhs(bad, VP),
+        lambda: zero_system(3).rhs(0.0, bad),
         lambda: control_exact(bad, bad, FP, VP, LAM),
         lambda: control_literal(bad, bad, FP, VP, GAIN),
     )

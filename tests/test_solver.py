@@ -309,6 +309,15 @@ class TestFailurePaths:
             run_synchronization(FinancialParams(), VoltaParams(), ExactCancellation(), 0.9,
                                 master, [8.0, 2.0, 3.0], SolverConfig(h=0.01, n_steps=5), 1e-3)
 
+    @pytest.mark.parametrize(
+        "master,slave", [([2.0, -1.0], [1.0, 8.0, 2.0, 3.0]), ([2.0, -1.0, 1.0, 8.0], [2.0, 3.0])]
+    )
+    def test_synchronization_refuses_a_split_of_six_components(self, master, slave):
+        # Six components in total, but each state must be a (3,) vector on its own.
+        with pytest.raises(ValueError, match=r"initial state must have shape \(3,\)"):
+            run_synchronization(FinancialParams(), VoltaParams(), ExactCancellation(), 0.9,
+                                master, slave, SolverConfig(h=0.01, n_steps=5), 1e-3)
+
     def test_classical_rejects_bad_initial_state(self):
         cfg = SolverConfig(h=0.01, n_steps=5)
         with pytest.raises(ValueError):
