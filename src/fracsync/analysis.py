@@ -29,7 +29,7 @@ from .errors import (
     ZeroInitialSeparation,
 )
 from .solver import SolverConfig, Trajectory, integrate
-from .systems import SystemDef, order_array
+from .systems import SystemDef, number_array, order_array, positive_number
 
 _MAX_ABS_ARG = 30.0
 # exp(-s) underflows past s = 745, so the integrands vanish (or reach 1)
@@ -97,10 +97,7 @@ def mittag_leffler(q: float, z: float) -> float:
     that is from x^(1/q) > ln(DBL_MAX) on.
     """
     q = float(order_array(q, ()))
-    z_arr = np.asarray(z)
-    if z_arr.shape != () or z_arr.dtype.kind not in "iuf" or not math.isfinite(z_arr):
-        raise DomainExceeded(f"argument must be a finite real number, got {z!r}")
-    z = float(z_arr)
+    z = float(number_array(z, DomainExceeded, "argument", ()))
     x = abs(z)
     if x > _MAX_ABS_ARG:
         raise DomainExceeded(f"|z| = {x:g} exceeds the supported domain ({_MAX_ABS_ARG:g})")
@@ -144,13 +141,16 @@ def mittag_leffler(q: float, z: float) -> float:
 def predicted_error(e0, orders, t: float) -> np.ndarray:
     """Exact error components e0_i * E_{q_i}(-t^{q_i}) of the cancellation loop.
 
-    The orders are broadcast to the shape of e0 (`systems.order_array`),
-    and the result has that shape.
+    e0 is an array of finite numbers of any shape and t a finite number
+    >= 0, both under the `systems.number_array` rule, which raises
+    ValueError for strings, booleans, None, NaN, infinities and ragged
+    lists. The orders are broadcast to the shape of e0
+    (`systems.order_array`), and the result has that shape.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    e0 = np.asarray(e0, dtype=np.float64)
+    t = float(number_array(t, ValueError, "time", ()))
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t!r}")
+    e0 = number_array(e0, ValueError, "e0")
     q = order_array(orders, e0.shape)
     terms = [e * mittag_leffler(v, -(t**v)) for e, v in zip(e0.flat, q.flat)]
     return np.array(terms).reshape(e0.shape)
@@ -186,12 +186,13 @@ def sync_time(traj: Trajectory, tol: float) -> SyncSummary:
     """Earliest grid time after which max_i |e_i| stays below tol for good.
 
     sync_time is None when the last grid point still violates the
-    threshold; a trajectory that never violates it reports time zero.
+    threshold; a trajectory that never violates it reports time zero. tol
+    must be a positive number (`systems.positive_number`): a string, a
+    boolean, NaN, an infinity or an array raises ValueError.
     """
     if traj.errors is None:
         raise MissingErrors("trajectory carries no error columns")
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = positive_number(tol, "tol")
     sup = np.max(np.abs(traj.errors), axis=1)
     above = np.flatnonzero(sup >= tol)
     if above.size == 0:
@@ -201,7 +202,7 @@ def sync_time(traj: Trajectory, tol: float) -> SyncSummary:
     else:
         t_star = float(traj.times[above[-1] + 1])
     final = tuple(float(v) for v in traj.errors[-1])
-    return SyncSummary(sync_time=t_star, final_errors=final, tol=float(tol))
+    return SyncSummary(sync_time=t_star, final_errors=final, tol=tol)
 
 
 def divergence_factor(a: Trajectory, b: Trajectory) -> float:
@@ -267,7 +268,7 @@ def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> Co
         h = float(h0) / (2.0**k)
         cfg = SolverConfig.for_horizon(h, problem.t_end)
         traj = integrate(problem.system, problem.orders, problem.y0, cfg)
-        ref = np.asarray(problem.exact(problem.t_end), dtype=np.float64)
+        ref = number_array(problem.exact(problem.t_end), ValueError, "exact solution")
         errs.append(float(np.max(np.abs(traj.final_state - ref))))
         hs.append(h)
     return ConvergenceReport(

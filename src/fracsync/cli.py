@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -42,6 +41,7 @@ from .systems import (
     financial_jacobian,
     has_bool,
     number_array,
+    positive_number,
 )
 
 EXIT_OK = 0
@@ -109,26 +109,15 @@ def _read(key, build, raw):
 
 
 def _number(raw) -> float:
-    if isinstance(raw, str):
-        raise ValueError(f"expected a number, got the string {raw!r}")
-    val = float(raw)
-    if not math.isfinite(val):
-        raise ValueError(f"must be finite, got {raw!r}")
-    return val
+    return float(number_array(raw, ValueError, "value", ()))
 
 
 def _positive(raw) -> float:
-    val = _number(raw)
-    if val <= 0:
-        raise ValueError(f"must be positive, got {raw!r}")
-    return val
+    return positive_number(raw, "value")
 
 
 def _vec3(raw) -> list:
-    vec = [_number(v) for v in raw]
-    if len(vec) != 3:
-        raise ValueError(f"expected 3 finite numbers, got {raw!r}")
-    return vec
+    return number_array(raw, ValueError, "value", (3,)).tolist()
 
 
 def _orders(raw) -> FractionalOrders:
@@ -151,10 +140,9 @@ def _window(raw):
 
 
 def _matrix(raw) -> np.ndarray:
-    matrix = number_array(raw, ValueError, "matrix entries").astype(np.float64).reshape(3, 3)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("entries must be finite")
-    return matrix
+    """3x3 matrix given as three rows or as the flat list of nine numbers."""
+    shape = (9,) if np.ndim(raw) == 1 else (3, 3)
+    return number_array(raw, ValueError, "value", shape).reshape(3, 3)
 
 
 def _params(cfg, key, cls):

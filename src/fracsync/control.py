@@ -54,13 +54,6 @@ def gain_matrix_default(p: VoltaParams) -> np.ndarray:
     )
 
 
-def _gain_array(gain) -> np.ndarray:
-    arr = number_array(gain, InvalidGain, "gain").astype(np.float64)
-    if arr.shape != (3, 3) or not np.all(np.isfinite(arr)):
-        raise InvalidGain(f"gain must be a finite 3x3 matrix, got {gain!r}")
-    return arr
-
-
 def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
     """Design matrix of the linearized error system under gain A."""
     # Linear part of the error dynamics before feedback is added.
@@ -71,16 +64,16 @@ def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
             [-1.0, 0.0, p.c],
         ]
     )
-    return base + _gain_array(gain)
+    return base + number_array(gain, InvalidGain, "gain", (3, 3))
 
 
 def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -> np.ndarray:
     """Algebraic control law plus linear error feedback; shapes (..., 3)."""
-    return _literal_law(master, slave, fp, vp, _gain_array(gain))
+    return _literal_law(master, slave, fp, vp, number_array(gain, InvalidGain, "gain", (3, 3)))
 
 
 def _literal_law(master, slave, fp, vp, gain):
-    # The law for a gain `_gain_array` already checked; the coupled row calls it every step.
+    # The law for a gain already checked; the coupled row calls it every step.
     m = np.asarray(master, dtype=np.float64)
     s = np.asarray(slave, dtype=np.float64)
     x1, y1, z1 = m.T
@@ -105,13 +98,13 @@ def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> n
 
 def _check_lambda(lam) -> np.ndarray:
     # One rate, as a number or a one-element list, is used for all three components.
-    arr = number_array(lam, InvalidGain, "lam").astype(np.float64)
+    arr = number_array(lam, InvalidGain, "lam")
     if arr.shape in ((), (1,)):
         arr = np.full(3, arr.item())
     if arr.shape != (3,):
         raise InvalidGain(f"lam must give 3 rates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr >= 0.0):
-        raise InvalidGain(f"every error rate must be finite and negative, got {arr.tolist()}")
+    if np.any(arr >= 0.0):
+        raise InvalidGain(f"every error rate must be negative, got {arr.tolist()}")
     return arr
 
 
@@ -155,13 +148,13 @@ class LiteralFeedback:
 
     def __post_init__(self):
         if self.gain is not None:
-            arr = _gain_array(self.gain)
+            arr = number_array(self.gain, InvalidGain, "gain", (3, 3))
             object.__setattr__(self, "gain", tuple(tuple(float(v) for v in row) for row in arr))
 
     def gain_array(self, vp: VoltaParams) -> np.ndarray:
         if self.gain is None:
             return gain_matrix_default(vp)
-        return np.asarray(self.gain, dtype=np.float64)
+        return np.array(self.gain)
 
     def control(self, master, slave, fp: FinancialParams, vp: VoltaParams) -> np.ndarray:
         """Control input u for master and slave states of shape (..., 3)."""
@@ -213,11 +206,11 @@ def eigen3(matrix) -> np.ndarray:
     LAPACK computes them (`numpy.linalg.eigvals`); they are sorted by real
     part, then imaginary part. Real roots have an imaginary part of exactly
     0 and complex roots come as exact conjugates, the lower one first.
+    `matrix` must be a 3x3 array of finite numbers (`systems.number_array`):
+    strings, booleans, None, NaN, infinities, ragged lists and any other
+    shape raise ValueError.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    return np.sort_complex(np.linalg.eigvals(m))
+    return np.sort_complex(np.linalg.eigvals(number_array(matrix, ValueError, "matrix", (3, 3))))
 
 
 def _min_argument(lams) -> Optional[float]:
@@ -264,7 +257,8 @@ def matignon_check(matrix, orders) -> StabilityReport:
 
     `orders` is a `FractionalOrders`, a number or 3 numbers, each finite
     and in (0, 1]; a number gives all three thresholds. Anything else
-    raises InvalidOrder (see `systems.order_array`). A spectrum containing
+    raises InvalidOrder (see `systems.order_array`). `matrix` follows
+    `eigen3`'s rule and raises ValueError. A spectrum containing
     a numerically zero eigenvalue has no usable argument; the report is
     then flagged degenerate and not satisfied.
     """
@@ -288,7 +282,8 @@ def chaos_threshold(matrix) -> float:
     """Order below which the argument criterion holds for `matrix`.
 
     Equals (2/pi) * min |arg(lambda)|, clamped to [0, 2]. Raises
-    DegenerateEigenvalue when the spectrum touches zero.
+    ValueError for a matrix `eigen3` refuses, and DegenerateEigenvalue when
+    the spectrum touches zero.
     """
     min_arg = _min_argument(eigen3(matrix))
     if min_arg is None:

@@ -23,13 +23,15 @@ from .analysis import (
     sync_time,
 )
 from .errors import NonFiniteState
-from .solver import SolverConfig, Trajectory, _initial_state, integrate
+from .solver import SolverConfig, Trajectory, integrate
 from .systems import (
     FinancialParams,
     SystemDef,
     VoltaParams,
     financial_system,
+    number_array,
     order_array,
+    positive_number,
     volta_system,
     zero_system,
 )
@@ -90,8 +92,10 @@ def run_synchronization(
     tol: float,
 ) -> SyncRun:
     q = order_array(orders, (3,))
+    positive_number(tol, "tol")  # sync_time's check, made before the run rather than after it
     system = ctl.coupled_system(fp, vp, controller)
-    y0 = np.concatenate([_initial_state(master0, 3), _initial_state(slave0, 3)])
+    states = [number_array(s, ValueError, "initial state", (3,)) for s in (master0, slave0)]
+    y0 = np.concatenate(states)
     blowup = None
     try:
         # Master and slave components share the same three orders.

@@ -8,7 +8,6 @@ and matches a q = 1 fractional run step for step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,15 +15,17 @@ import numpy as np
 
 from . import kernels
 from .errors import NonFiniteState
-from .systems import SystemDef, number_array, order_array
+from .systems import SystemDef, number_array, order_array, positive_number
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Step size, horizon and history policy for one integration.
 
-    memory=None keeps the full history; an integer k restricts every
-    history sum to the most recent k steps.
+    h must be a positive number (`systems.positive_number`), n_steps an
+    integer >= 1, and memory None (full history) or an integer k >= 1 that
+    restricts every history sum to the most recent k steps. Anything else,
+    booleans included, raises ValueError.
     """
 
     h: float
@@ -32,24 +33,17 @@ class SolverConfig:
     memory: Optional[int] = None
 
     def __post_init__(self):
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"step size must be finite and positive, got {self.h!r}")
-        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        object.__setattr__(self, "h", positive_number(self.h, "step size"))
+        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps", 1))
         if self.memory is not None:
-            if not (isinstance(self.memory, (int, np.integer)) and self.memory >= 1):
-                raise ValueError(f"memory window must be a positive integer, got {self.memory!r}")
-        object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        if self.memory is not None:
-            object.__setattr__(self, "memory", int(self.memory))
+            object.__setattr__(self, "memory", _count(self.memory, "memory window", 1))
 
     @classmethod
     def for_horizon(cls, h: float, t_end: float, memory: Optional[int] = None) -> "SolverConfig":
-        """Config covering [0, t_end] with n_steps = round(t_end / h)."""
-        if not (math.isfinite(t_end) and t_end > 0):
-            raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
-        return cls(h=h, n_steps=max(1, round(float(t_end) / float(h))), memory=memory)
+        """Config covering [0, t_end] with n_steps = round(t_end / h); t_end is checked as h is."""
+        h = positive_number(h, "step size")
+        t_end = positive_number(t_end, "t_end")
+        return cls(h=h, n_steps=max(1, round(t_end / h)), memory=memory)
 
     @property
     def window(self) -> int:
@@ -78,6 +72,13 @@ class Trajectory:
         return self.states[-1]
 
 
+def _count(value, name: str, least: int) -> int:
+    """`value` as an int >= `least`; a boolean, a float or any other type raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def weights_b(q: float, n: int) -> np.ndarray:
     """Predictor weights b_j for the step from t_n to t_{n+1}, j = 0 .. n.
 
@@ -85,8 +86,7 @@ def weights_b(q: float, n: int) -> np.ndarray:
     weight is positive for q in (0, 1].
     """
     q = float(order_array(q, ()))
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _count(n, "n", 0)
     return kernels.conv_weights_b(q, n + 1)[::-1].copy()
 
 
@@ -97,23 +97,13 @@ def weights_a(q: float, n: int) -> np.ndarray:
     difference of (n-j)^(q+1), and a_{n+1} = 1. All are positive.
     """
     q = float(order_array(q, ()))
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _count(n, "n", 0)
     parts = [
         np.array([kernels.first_panel_weight(q, n)]),
         kernels.conv_weights_a(q, n)[::-1],
         np.array([1.0]),
     ]
     return np.concatenate(parts)
-
-
-def _initial_state(y0, dimension: int) -> np.ndarray:
-    y0 = number_array(y0, ValueError, "initial state").astype(np.float64).reshape(-1)
-    if y0.shape != (dimension,):
-        raise ValueError(f"initial state must have shape ({dimension},)")
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("initial state must be finite")
-    return y0
 
 
 def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory:
@@ -127,7 +117,9 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
         Per-component orders, each finite and in (0, 1]. They are
         broadcast to (dimension,), so a number applies to every component.
     y0 : array_like
-        Finite initial state of shape (dimension,).
+        Initial state of exactly shape (dimension,), finite numbers under
+        the `systems.number_array` rule: strings, booleans, None, NaN,
+        infinities, nested or ragged lists raise ValueError.
     config : SolverConfig
         Grid and memory policy.
 
@@ -138,6 +130,8 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
 
     Raises
     ------
+    ValueError
+        When y0 breaks the rule above.
     InvalidOrder
         When an order is not a number, is outside (0, 1], or the orders
         do not broadcast to (dimension,); see `systems.order_array`.
@@ -146,7 +140,7 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
         carries the valid prefix of the trajectory.
     """
     q = order_array(orders, (system.dimension,))
-    y0 = _initial_state(y0, system.dimension)
+    y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
     states, fail = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps, config.window)
     times = np.arange(config.n_steps + 1, dtype=np.float64) * config.h
     if fail >= 0:
@@ -156,8 +150,8 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
 
 
 def integrate_classical_pece(system: SystemDef, y0, config: SolverConfig) -> Trajectory:
-    """Order-one predictor-corrector on the same grid, for comparison runs."""
-    y0 = _initial_state(y0, system.dimension)
+    """Order-one predictor-corrector on the same grid; y0 is checked as in `integrate`."""
+    y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
     states = kernels.classical_pece(system.rhs, y0, config.h, config.n_steps)
     times = np.arange(config.n_steps + 1, dtype=np.float64) * config.h
     if not np.all(np.isfinite(states)):

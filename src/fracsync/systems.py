@@ -41,15 +41,34 @@ def has_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def number_array(value, error, name: str) -> np.ndarray:
-    """`value` as an int or float array; strings (even "0.9"), None and booleans raise `error`."""
+def number_array(value, error, name: str, shape: tuple | None = None) -> np.ndarray:
+    """`value` as a new float64 array of finite numbers; anything else raises `error`.
+
+    This is the one rule for numbers a caller supplies. Refused: strings
+    (even "0.9"), None, booleans (also inside lists), complex numbers,
+    ragged nesting, NaN and infinities. When `shape` is given, `value` must
+    have exactly that shape: nothing is reshaped or broadcast.
+    """
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf" or has_bool(value):
-        raise error(f"{name} must be numbers, got {value!r}")
+        raise error(f"{name} must be {'a number' if shape == () else 'numbers'}, got {value!r}")
+    if shape is not None and arr.shape != shape:
+        raise error(f"{name} must have shape {shape}, got shape {arr.shape}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise error(f"{name} must be finite, got {value!r}")
     return arr
+
+
+def positive_number(value, name: str) -> float:
+    """`value` as a positive float by the `number_array` rule; anything else is a ValueError."""
+    val = float(number_array(value, ValueError, name, ()))
+    if val <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return val
 
 
 def order_array(orders, shape: tuple) -> np.ndarray:
@@ -58,9 +77,8 @@ def order_array(orders, shape: tuple) -> np.ndarray:
     `orders` is a `FractionalOrders`, a number or an array_like of numbers,
     broadcast to `shape` by numpy's rules, so one number serves every
     component. Every order must be finite and in (0, 1]. Raises
-    InvalidOrder for anything else: a non-numeric value (strings, None,
-    booleans), a shape that does not broadcast to `shape`, or an order out
-    of range.
+    InvalidOrder for anything else: a value `number_array` refuses, a shape
+    that does not broadcast to `shape`, or an order out of range.
     """
     if isinstance(orders, FractionalOrders):
         orders = orders.q
@@ -69,10 +87,9 @@ def order_array(orders, shape: tuple) -> np.ndarray:
     # check, so it runs only when the shape does not already fit.
     if arr.shape != shape:
         try:
-            arr = np.broadcast_to(arr, shape)
+            arr = np.broadcast_to(arr, shape).copy()
         except ValueError:
             raise InvalidOrder(f"orders of shape {arr.shape} do not broadcast to shape {shape}")
-    arr = arr.astype(np.float64)
     if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise InvalidOrder(f"orders must lie in (0, 1], got {arr.tolist()}")
     return arr
@@ -85,9 +102,7 @@ class FractionalOrders:
     q: tuple[float, float, float] = (0.99, 0.99, 0.99)
 
     def __post_init__(self):
-        q = order_array(self.q, (3,))
-        if np.shape(self.q) != (3,):
-            raise InvalidOrder(f"expected 3 orders, got {self.q!r}")
+        q = order_array(number_array(self.q, InvalidOrder, "orders", (3,)), (3,))
         object.__setattr__(self, "q", tuple(q.tolist()))
 
     @classmethod

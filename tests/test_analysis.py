@@ -1,14 +1,17 @@
 """Mittag-Leffler evaluation, settling detection, refinement diagnostics."""
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import fracsync
 from fracsync import (
     ConvergenceProblem,
     SolverConfig,
@@ -212,7 +215,10 @@ class TestMittagLeffler:
 
     def test_import_leaves_out_mpmath(self):
         code = "import sys, fracsync; sys.exit('mpmath' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+        src = str(Path(fracsync.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestPredictedError:

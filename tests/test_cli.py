@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracsync
 from fracsync.cli import EXIT_BAND, EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -553,6 +555,9 @@ class TestConvergence:
 class TestModuleEntry:
     def test_runs_as_module(self, tmp_path):
         out = tmp_path / "sim"
+        src = str(Path(fracsync.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -566,6 +571,7 @@ class TestModuleEntry:
                 "--out",
                 str(out),
             ],
+            env=env,
             capture_output=True,
             text=True,
             timeout=300,
