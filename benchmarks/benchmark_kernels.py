@@ -1,8 +1,14 @@
-"""Time the integration driver and the Mittag-Leffler evaluator; optionally record BENCH_<tag>.json.
+"""Time integration, its RHS and CSV layers, and mittag_leffler; optionally record BENCH_<tag>.json.
 
 The integration driver is timed at q = 0.99 over t_end = 10 for each case
 and step count. A case whose run leaves the finite range on a coarse grid
 (Volta at 64 steps) is reported with its failing step, not timed.
+
+Two layers are timed on their own. Each case's right-hand side is called
+on its single initial state, as integration calls it twice a step, and
+reported in microseconds per call (RHS_CALLS calls per repeat). The CSV writer of
+`fracsync simulate` (`cli._write_csv`) writes the financial trajectory of
+each step count to a temporary directory.
 
 The Mittag-Leffler part times mittag_leffler(q, z) at every point of the
 analysis-sweep grid (q in 0.1..0.9, 0.99, 1; z from -0.5 to -30), which
@@ -31,13 +37,15 @@ import json
 import os
 import statistics
 import subprocess
+import tempfile
 import time
+import timeit
 from pathlib import Path
 
 import numpy as np
 
 import fracsync
-from fracsync import SolverConfig, integrate
+from fracsync import SolverConfig, cli, integrate
 from fracsync.analysis import mittag_leffler
 from fracsync.control import ExactCancellation, LiteralFeedback, coupled_system
 from fracsync.errors import FracsyncError, NonFiniteState
@@ -57,6 +65,8 @@ CASES = [
         [2.0, -1.0, 1.0, 8.0, 2.0, 3.0],
     ),
 ]
+
+RHS_CALLS = 2000
 
 # The analysis-sweep grid of perfbench/workloads.py, without its seeded jitter;
 # its known hangs E_0.3(-10) and E_0.5(-30) are points of this grid.
@@ -174,6 +184,42 @@ def time_integration(steps, memory, repeats):
     return results
 
 
+def time_rhs(repeats):
+    """Per-call time of each case's right-hand side on its single initial state."""
+    print(f"{'rhs case':<19} {'min (us)':>12} {'median (us)':>12}")
+    results = []
+    for name, system, y0 in CASES:
+        y0 = np.asarray(y0, dtype=np.float64)
+        totals = timeit.repeat(lambda: system.rhs(0.0, y0), number=RHS_CALLS, repeat=repeats)
+        per_call = [t / RHS_CALLS for t in totals]
+        best, median = min(per_call), statistics.median(per_call)
+        results.append({"case": name, "min_us": best * 1e6, "median_us": median * 1e6})
+        print(f"rhs {name:<15} {best * 1e6:>12.2f} {median * 1e6:>12.2f}")
+    return results
+
+
+def time_write_csv(steps, repeats):
+    """Time cli._write_csv on the financial trajectory at each step count."""
+    print(f"{'write_csv case':<25} {'steps':>7} {'min (s)':>12} {'median (s)':>12}")
+    _, system, y0 = CASES[0]
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        for n_steps in steps:
+            traj = integrate(system, 0.99, y0, SolverConfig(h=10.0 / n_steps, n_steps=n_steps))
+            columns = [traj.times, *traj.states.T]
+            samples = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                cli._write_csv(path, "t,x,y,z", columns)
+                samples.append(time.perf_counter() - t0)
+            best, median = min(samples), statistics.median(samples)
+            results.append({"case": "financial", "steps": n_steps, "rows": n_steps + 1,
+                            "min_s": best, "median_s": median, "samples_s": samples})
+            print(f"write_csv {'financial':<15} {n_steps:>7} {best:>12.4f} {median:>12.4f}")
+    return results
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -198,6 +244,8 @@ def main() -> None:
            "settings": {"q": 0.99, "t_end": 10.0, "memory": args.memory,
                         "repeats": args.repeats}}
     run["results"] = time_integration(args.steps, args.memory, args.repeats)
+    run["rhs"] = time_rhs(args.repeats)
+    run["write_csv"] = time_write_csv(args.steps, args.repeats)
     run["mittag_leffler"] = time_mittag_leffler(args.repeats)
 
     if args.tag:

@@ -28,7 +28,7 @@ from .errors import (
     MissingErrors,
     ZeroInitialSeparation,
 )
-from .solver import SolverConfig, Trajectory, integrate
+from .solver import SolverConfig, Trajectory, _count, integrate
 from .systems import SystemDef, number_array, order_array, positive_number
 
 _MAX_ABS_ARG = 30.0
@@ -245,10 +245,15 @@ class ConvergenceReport:
 
 
 def empirical_orders(errors: Sequence[float]) -> tuple:
-    """log2 ratios of successive errors from a halving-step refinement."""
-    errs = [float(e) for e in errors]
-    if len(errs) < 2:
-        raise ValueError("need at least two error values")
+    """log2 ratios of successive errors from a halving-step refinement.
+
+    `errors` must be a list of at least two positive numbers by the
+    `systems.number_array` rule; anything else raises ValueError.
+    """
+    arr = number_array(errors, ValueError, "errors")
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError(f"need a list of at least two error values, got shape {arr.shape}")
+    errs = arr.tolist()
     if any(e <= 0.0 for e in errs):
         raise ValueError("errors must be positive to take ratios")
     return tuple(math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1))
@@ -258,14 +263,16 @@ def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> Co
     """Terminal-error refinement study with step sizes h0 / 2^k.
 
     Runs `levels` integrations, measures max-abs error against the exact
-    solution at t_end, and reports the pairwise empirical orders.
+    solution at t_end, and reports the pairwise empirical orders. `h0`
+    must be a positive number and `levels` an integer >= 2 (a boolean or
+    a float is not); anything else raises ValueError.
     """
-    if levels < 2:
-        raise ValueError("need at least two refinement levels")
+    h0 = positive_number(h0, "h0")
+    levels = _count(levels, "levels", 2)
     hs = []
     errs = []
     for k in range(levels):
-        h = float(h0) / (2.0**k)
+        h = h0 / (2.0**k)
         cfg = SolverConfig.for_horizon(h, problem.t_end)
         traj = integrate(problem.system, problem.orders, problem.y0, cfg)
         ref = number_array(problem.exact(problem.t_end), ValueError, "exact solution")

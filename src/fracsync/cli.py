@@ -53,6 +53,9 @@ _DEFAULT_H = 0.0005
 _SIM_T_END = 50.0
 _SYNC_T_END = 10.0
 _DEFAULT_TOL = 1e-3
+# Rows of trajectory.csv formatted per write. A few hundred rows keep the
+# buffers small; thousands raise peak memory by about 1 MB at 20 000 rows.
+_CSV_CHUNK = 256
 _DEFAULT_IC = {
     "financial": (2.0, -1.0, 1.0),
     "volta": (8.0, 2.0, 3.0),
@@ -199,17 +202,23 @@ def _controller(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(x) -> str:
-    s = repr(float(x))
-    return s[:-2] if s.endswith(".0") else s
-
-
 def _write_csv(path: Path, header: str, columns) -> None:
+    """Write equal-length columns as CSV rows under `header`.
+
+    Each value is its shortest round-trip `repr`, with the ".0" of an
+    integral value dropped ("2" for 2.0, "-0" for -0.0; "nan" and "inf"
+    as they are). The table is formatted and written _CSV_CHUNK rows at a
+    time, so no whole-table copy or list of lines is ever held. `repr`
+    never writes ".0e", so a ".0" before a separator always ends its value
+    and one `replace` per chunk strips them all.
+    """
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
-    lines = [header]
-    for i in range(cols[0].shape[0]):
-        lines.append(",".join(_fmt_float(c[i]) for c in cols))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, cols[0].shape[0], _CSV_CHUNK):
+            rows = np.column_stack([c[i : i + _CSV_CHUNK] for c in cols]).tolist()
+            text = "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
+            fh.write(text.replace(".0,", ",").replace(".0\n", "\n"))
 
 
 def _write_report(path: Path, report: dict) -> None:

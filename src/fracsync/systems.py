@@ -13,16 +13,20 @@ The Volta system, with parameters (a, b, c):
     dy/dt = -y - b*x - x*z
     dz/dt = c*z + x*y + 1
 
-Both right-hand sides take any array whose last axis has length 3 and
-unpack the components along it (`x, y, z = s.T`), so a whole trajectory
-evaluates in one call and equals its rows bit for bit; any other length of
-that axis raises ValueError. Jacobians and equilibria take single states.
+Each field is written once, as a body over (x, y, z), and evaluated by
+`componentwise`: a single state of shape (3,) runs on Python floats, a
+batch of shape (..., 3) on views along its last axis. Both do the same
+IEEE operations in the same order, so a whole trajectory evaluates in one
+call and equals its rows bit for bit; any other length of that axis raises
+ValueError. Parameters are stored as Python floats, checked by the
+`number_array` rule, so a float32 parameter cannot make a single state's
+arithmetic float32. Jacobians and equilibria take single states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -117,42 +121,72 @@ class FractionalOrders:
         return np.array(self.q, dtype=np.float64)
 
 
+def _floats(params) -> None:
+    # Each field of a frozen parameter dataclass as a Python float, by the number rule.
+    for f in fields(params):
+        value = number_array(getattr(params, f.name), ValueError, f.name, ())
+        object.__setattr__(params, f.name, value.item())
+
+
 @dataclass(frozen=True)
 class FinancialParams:
+    """Financial system parameters; each is stored as a Python float (`number_array` rule)."""
+
     alpha: float = 1.0
     beta: float = 0.1
     gamma: float = 1.0
 
+    __post_init__ = _floats
+
 
 @dataclass(frozen=True)
 class VoltaParams:
+    """Volta system parameters; each is stored as a Python float (`number_array` rule)."""
+
     a: float = 19.0
     b: float = 11.0
     c: float = 0.73
 
+    __post_init__ = _floats
 
-def financial_rhs(state, p: FinancialParams) -> np.ndarray:
-    """Financial vector field; state has shape (..., 3)."""
+
+def componentwise(body, state, p) -> np.ndarray:
+    """Evaluate `body(x, y, z, p)`, a tuple of three components, on `state`.
+
+    A 1-D state runs on Python floats (`tolist`), which do the IEEE
+    operations numpy's float64 scalars do, in the same order, with less
+    overhead per operation; the result comes back as a float64 array. A
+    batch is unpacked into views along its last axis. Either way a last
+    axis other than 3 raises ValueError. Bodies use no `/` or `**`, which
+    raise on floats where numpy returns inf or nan.
+    """
     s = np.asarray(state, dtype=np.float64)
+    if s.ndim == 1:
+        x, y, z = s.tolist()
+        return np.array(body(x, y, z, p))
     x, y, z = s.T
     out = np.empty(s.shape)
     o = out.T
-    o[0] = z + (y - p.alpha) * x
-    o[1] = 1.0 - p.beta * y - x * x
-    o[2] = -x - p.gamma * z
+    o[0], o[1], o[2] = body(x, y, z, p)
     return out
+
+
+def _financial(x, y, z, p):
+    return z + (y - p.alpha) * x, 1.0 - p.beta * y - x * x, -x - p.gamma * z
+
+
+def _volta(x, y, z, p):
+    return -x - p.a * y - z * y, -y - p.b * x - x * z, p.c * z + x * y + 1.0
+
+
+def financial_rhs(state, p: FinancialParams) -> np.ndarray:
+    """Financial vector field; state has shape (..., 3)."""
+    return componentwise(_financial, state, p)
 
 
 def volta_rhs(state, p: VoltaParams) -> np.ndarray:
     """Volta vector field; state has shape (..., 3)."""
-    s = np.asarray(state, dtype=np.float64)
-    x, y, z = s.T
-    out = np.empty(s.shape)
-    o = out.T
-    o[0] = -x - p.a * y - z * y
-    o[1] = -y - p.b * x - x * z
-    o[2] = p.c * z + x * y + 1.0
-    return out
+    return componentwise(_volta, state, p)
 
 
 def financial_jacobian(state, p: FinancialParams) -> np.ndarray:

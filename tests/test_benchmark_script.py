@@ -26,5 +26,8 @@ def test_short_run_prints_every_case_and_writes_nothing(tmp_path):
     rows = [line.split() for line in proc.stdout.splitlines()]
     cases = {row[0] for row in rows if row[1:2] == ["64"]}
     assert cases == {"financial", "volta", "coupled", "coupled-literal"}
+    rhs = {row[1] for row in rows if row[:1] == ["rhs"] and len(row) == 4}
+    assert rhs == cases
+    assert ["write_csv", "financial", "64"] in [row[:3] for row in rows]
     assert any(line.startswith("mittag_leffler: 99 calls") for line in proc.stdout.splitlines())
     assert list(tmp_path.iterdir()) == []

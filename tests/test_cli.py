@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fracsync
+from fracsync import cli
 from fracsync.cli import EXIT_BAND, EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -122,6 +123,30 @@ class TestSimulate:
         assert len(rows) == step
         for row in rows:
             assert all(np.isfinite(float(v)) for v in row.split(","))
+
+
+# Values whose shortest repr ends in ".0", carries an exponent, or is not a number.
+CSV_VALUES = [
+    0.0, -0.0, 2.0, -3.0, 1e15, 1e16, 1e22,
+    5e-324, 1e-05, 10.05, 100.0001, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+]
+CHUNK = cli._CSV_CHUNK
+
+
+def _value_text(x):
+    # The per-value format the chunked writer must reproduce.
+    s = repr(float(x))
+    return s[:-2] if s.endswith(".0") else s
+
+
+@pytest.mark.parametrize("n_rows", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_csv_matches_the_per_value_format(tmp_path, n_rows):
+    columns = [np.resize(np.roll(CSV_VALUES, k), n_rows) for k in range(4)]
+    path = tmp_path / "trajectory.csv"
+    cli._write_csv(path, "t,x,y,z", columns)
+    rows = [",".join(_value_text(c[i]) for c in columns) for i in range(n_rows)]
+    assert path.read_bytes() == "\n".join(["t,x,y,z", *rows, ""]).encode()
 
 
 class TestSimulateValidation:

@@ -16,7 +16,9 @@ from fracsync import (
     closed_loop_error_matrix,
     control_exact,
     control_literal,
+    convergence_order,
     eigen3,
+    empirical_orders,
     financial_system,
     integrate,
     integrate_classical_pece,
@@ -29,7 +31,7 @@ from fracsync import (
 from fracsync import experiments
 from fracsync.cli import EXIT_CONFIG, main
 from fracsync.errors import InvalidGain
-from fracsync.experiments import run_synchronization
+from fracsync.experiments import power_forcing_problem, run_synchronization
 from fracsync.systems import number_array, positive_number
 
 _GRID = SolverConfig(h=0.01, n_steps=3)
@@ -96,6 +98,13 @@ ENTRY_POINTS = {
     "for_horizon t_end": (lambda v: SolverConfig.for_horizon(0.01, v), 1.0, ValueError, ()),
     "sync_time tol": (lambda v: sync_time(_SYNCED, v), 1e-3, ValueError, ()),
     "run_synchronization tol": (lambda v: _synchronize(tol=v), 1e-3, ValueError, ()),
+    "FinancialParams alpha": (lambda v: FinancialParams(alpha=v), 1.0, ValueError, ()),
+    "FinancialParams gamma": (lambda v: FinancialParams(gamma=v), 1.0, ValueError, ()),
+    "VoltaParams a": (lambda v: VoltaParams(a=v), 19.0, ValueError, ()),
+    "VoltaParams c": (lambda v: VoltaParams(c=v), 0.73, ValueError, ()),
+    "empirical_orders": (empirical_orders, [4.0, 1.0], ValueError, ()),
+    "convergence_order h0": (
+        lambda v: convergence_order(power_forcing_problem(0.5), v, 2), 0.125, ValueError, ()),
 }
 
 CASES = [
@@ -127,6 +136,21 @@ def test_solver_config_refuses_bad_counts(bad):
 def test_for_horizon_refuses_bad_grids(h, t_end):
     with pytest.raises(ValueError) as info:
         SolverConfig.for_horizon(h, t_end)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("levels", [2.5, True, "3", None, 1])
+def test_convergence_order_refuses_bad_level_counts(levels):
+    with pytest.raises(ValueError) as info:
+        convergence_order(power_forcing_problem(0.5), 0.125, levels)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("errors", [["1", "0.5"], [True, 0.5]])
+def test_empirical_orders_refuses_non_numbers(errors):
+    # Both used to give (1.0,): float("1") and float(True) read as numbers.
+    with pytest.raises(ValueError) as info:
+        empirical_orders(errors)
     assert type(info.value) is ValueError
 
 

@@ -1,5 +1,7 @@
 """Vector fields, Jacobians, equilibria, and order validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,36 @@ class TestVoltaRhs:
         stacked = volta_rhs(batch, p)
         for row, expect in zip(batch, stacked):
             assert np.array_equal(volta_rhs(row, p), expect)
+
+
+FIELDS = [(financial_rhs, FinancialParams), (volta_rhs, VoltaParams)]
+
+
+@pytest.mark.parametrize("rhs,cls", FIELDS)
+@pytest.mark.parametrize("kind", [np.float32, np.int64, int])
+def test_parameter_types_do_not_change_single_states(rhs, cls, kind):
+    # A single state runs on Python floats, where NumPy 2 would keep float32
+    # arithmetic for `float - np.float32`; parameters are stored as floats,
+    # so it still equals the float64 batch row.
+    values = {"alpha": 1.1, "beta": 0.1, "gamma": 3, "a": 19, "b": 11.3, "c": 0.73}
+    names = [f.name for f in dataclasses.fields(cls)]
+    p = cls(**{n: kind(values[n]) for n in names})
+    assert all(type(getattr(p, n)) is float for n in names)
+    batch = np.array([[2.0, -1.0, 1.0], [8.0, 2.0, 3.0], [0.3, 1e-3, -7.5]])
+    for row, expect in zip(batch, rhs(batch, p)):
+        assert np.array_equal(rhs(row, p), expect)
+
+
+@pytest.mark.parametrize("rhs,cls", FIELDS)
+@pytest.mark.parametrize("big", [1e200, np.inf, np.nan])
+def test_non_finite_single_states_follow_numpy(rhs, cls, big):
+    # Overflow to inf and inf - inf give inf and nan as in numpy: no Python
+    # OverflowError or ZeroDivisionError from the float path.
+    batch = np.array([[big, 1.0, -1.0], [1.0, big, -big], [-big, -big, big]])
+    with np.errstate(all="ignore"):
+        rows = rhs(batch, cls())
+    for row, expect in zip(batch, rows):
+        assert np.array_equal(rhs(row, cls()), expect, equal_nan=True)
 
 
 def _fd_jacobian(rhs, state, params, eps=1e-6):
