@@ -56,11 +56,6 @@ _DEFAULT_TOL = 1e-3
 # Rows of trajectory.csv formatted per write. A few hundred rows keep the
 # buffers small; thousands raise peak memory by about 1 MB at 20 000 rows.
 _CSV_CHUNK = 256
-_DEFAULT_IC = {
-    "financial": (2.0, -1.0, 1.0),
-    "volta": (8.0, 2.0, 3.0),
-    "zero": (0.0, 0.0, 0.0),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +182,16 @@ def _grid(cfg, default_t_end):
     return config, {"h": h, "t_end": t_end, "n_steps": n_steps, "memory": memory}
 
 
-def _controller(cfg):
+def _controller(cfg, vp):
+    """Mode and controller from mode, lambda or gain, with the echo of its rates or gain."""
     mode = cfg.pop("mode", "exact")
     if mode == "exact":
         lam = cfg.pop("lambda", ctl.ExactCancellation.lam)
-        return mode, _read("lambda", ctl.ExactCancellation, lam)
+        controller = _read("lambda", ctl.ExactCancellation, lam)
+        return mode, controller, {"lambda": list(controller.lam)}
     if mode == "literal":
-        return mode, _read("gain", ctl.LiteralFeedback, cfg.pop("gain", None))
+        controller = _read("gain", ctl.LiteralFeedback, cfg.pop("gain", None))
+        return mode, controller, {"gain": controller.gain_array(vp).tolist()}
     raise ConfigError("mode", f"expected 'exact' or 'literal', got {mode!r}")
 
 
@@ -225,6 +223,30 @@ def _write_report(path: Path, report: dict) -> None:
     path.write_text(json.dumps(report, indent=2) + "\n")
 
 
+def _write_run(command, outdir: Path, run, resolved: dict, header: str, columns, entries) -> int:
+    """Write a run's trajectory.csv and report.json and return its exit code.
+
+    `entries` fill the report, in their order, between "rows_written" and
+    "files". A run that left the finite range exits EXIT_BLOWUP.
+    """
+    _write_csv(outdir / "trajectory.csv", header, columns)
+    report = {
+        "command": command,
+        "status": "blowup" if run.blowup else "ok",
+        "config": resolved,
+        "backend": "numpy",
+        "rows_written": int(run.trajectory.n_points),
+        **entries,
+        "files": {"trajectory": "trajectory.csv"},
+    }
+    _write_report(outdir / "report.json", report)
+    print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'report.json'}")
+    if run.blowup:
+        print(f"run left the finite range at step {run.blowup.step} (t = {run.blowup.time:g})")
+        return EXIT_BLOWUP
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -232,12 +254,12 @@ def _write_report(path: Path, report: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    name = cfg.pop("system", "financial")
-    if not isinstance(name, str) or name not in _DEFAULT_IC:
-        raise ConfigError("system", f"expected one of {', '.join(_DEFAULT_IC)}, got {name!r}")
+    name, systems = cfg.pop("system", "financial"), experiments.SYSTEMS
+    if not isinstance(name, str) or name not in systems:
+        raise ConfigError("system", f"expected one of {', '.join(systems)}, got {name!r}")
     fp, vp, orders, model = _model(cfg)
     config, grid = _grid(cfg, _SIM_T_END)
-    ic = _read("initial_state", _vec3, cfg.pop("initial_state", _DEFAULT_IC[name]))
+    ic = _read("initial_state", _vec3, cfg.pop("initial_state", systems[name][1]))
     resolved = {"system": name, **model, **grid, "initial_state": ic}
 
     outdir = _outdir(args, cfg)
@@ -247,82 +269,48 @@ def _cmd_simulate(args) -> int:
     elapsed = time.perf_counter() - t0
 
     traj = run.trajectory
-    _write_csv(outdir / "trajectory.csv", "t,x,y,z", [traj.times, *traj.states.T])
-    report = {
-        "command": "simulate",
-        "status": "blowup" if run.blowup else "ok",
-        "config": resolved,
-        "backend": "numpy",
-        "rows_written": int(traj.n_points),
+    print(f"simulate: {name}, {traj.n_points} rows, {elapsed:.2f} s")
+    entries = {
         "blowup": run.blowup.to_dict() if run.blowup else None,
         "final_state": traj.states[-1].tolist() if traj.n_points else None,
-        "files": {"trajectory": "trajectory.csv"},
     }
-    _write_report(outdir / "report.json", report)
-    print(f"simulate: {name}, {traj.n_points} rows, {elapsed:.2f} s")
-    print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'report.json'}")
-    return _exit_code(run)
+    columns = [traj.times, *traj.states.T]
+    return _write_run("simulate", outdir, run, resolved, "t,x,y,z", columns, entries)
 
 
 def _cmd_synchronize(args) -> int:
     cfg = _load_config(args)
     fp, vp, orders, model = _model(cfg)
     config, grid = _grid(cfg, _SYNC_T_END)
-    mode, controller = _controller(cfg)
-    master0 = _read("master_initial", _vec3, cfg.pop("master_initial", _DEFAULT_IC["financial"]))
-    slave0 = _read("slave_initial", _vec3, cfg.pop("slave_initial", _DEFAULT_IC["volta"]))
+    mode, controller, rates = _controller(cfg, vp)
+    (_, master_ic), (_, slave_ic) = experiments.SYSTEMS["financial"], experiments.SYSTEMS["volta"]
+    master0 = _read("master_initial", _vec3, cfg.pop("master_initial", master_ic))
+    slave0 = _read("slave_initial", _vec3, cfg.pop("slave_initial", slave_ic))
     tol = _read("sync_tol", _positive, cfg.pop("sync_tol", _DEFAULT_TOL))
-    resolved = {
-        **model,
-        **grid,
-        "mode": mode,
-        "master_initial": master0,
-        "slave_initial": slave0,
-        "sync_tol": tol,
-    }
-    if mode == "exact":
-        resolved["lambda"] = list(controller.lam)
-    else:
-        resolved["gain"] = controller.gain_array(vp).tolist()
+    resolved = {**model, **grid, "mode": mode, "master_initial": master0,
+                "slave_initial": slave0, "sync_tol": tol, **rates}
 
     outdir = _outdir(args, cfg)
     t0 = time.perf_counter()
-    run = experiments.run_synchronization(
-        fp, vp, controller, orders, master0, slave0, config, tol
-    )
+    run = experiments.run_synchronization(fp, vp, controller, orders, master0, slave0, config, tol)
     elapsed = time.perf_counter() - t0
 
     traj = run.trajectory
-    cols = [traj.times, *traj.states.T, *traj.errors.T, *traj.controls.T]
-    _write_csv(outdir / "trajectory.csv", "t,x1,y1,z1,x2,y2,z2,e1,e2,e3,u1,u2,u3", cols)
-    report = {
-        "command": "synchronize",
-        "status": "blowup" if run.blowup else "ok",
-        "config": resolved,
-        "backend": "numpy",
-        "rows_written": int(traj.n_points),
-        "design_matrix": run.design_matrix.tolist(),
-        "stability": run.stability.to_dict(),
-        "sync": run.summary.to_dict() if run.summary else None,
-        "blowup": run.blowup.to_dict() if run.blowup else None,
-        "files": {"trajectory": "trajectory.csv"},
-    }
-    _write_report(outdir / "report.json", report)
     if run.summary and run.summary.sync_time is not None:
         sync_text = f"synchronized at t = {run.summary.sync_time:g}"
     else:
         sync_text = "not synchronized within the horizon"
     print(f"synchronize: mode {mode}, {traj.n_points} rows, {elapsed:.2f} s")
     print(f"{sync_text} (tol = {tol:g})")
-    print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'report.json'}")
-    return _exit_code(run)
-
-
-def _exit_code(run) -> int:
-    if run.blowup:
-        print(f"run left the finite range at step {run.blowup.step} (t = {run.blowup.time:g})")
-        return EXIT_BLOWUP
-    return EXIT_OK
+    entries = {
+        "design_matrix": run.design_matrix.tolist(),
+        "stability": run.stability.to_dict(),
+        "sync": run.summary.to_dict() if run.summary else None,
+        "blowup": run.blowup.to_dict() if run.blowup else None,
+    }
+    columns = [traj.times, *traj.states.T, *traj.errors.T, *traj.controls.T]
+    header = "t,x1,y1,z1,x2,y2,z2,e1,e2,e3,u1,u2,u3"
+    return _write_run("synchronize", outdir, run, resolved, header, columns, entries)
 
 
 def _stability_entry(matrix: np.ndarray, orders: FractionalOrders) -> dict:
@@ -350,7 +338,7 @@ def _cmd_stability(args) -> int:
     report: dict = {"command": "stability", "config": resolved}
 
     if source == "closed_loop":
-        mode, controller = _controller(cfg)
+        mode, controller, _ = _controller(cfg, vp)
         resolved["mode"] = mode
         report["closed_loop"] = _stability_entry(controller.design_matrix(vp), orders)
     elif source == "explicit":

@@ -19,9 +19,12 @@ term v = A e:
     u3 = -(y2 + 1) x2 - (c + gamma) z1 - 1 + v3
 
 With the default gain A the design matrix of the linearized error system
-is exactly -I. The closed loop keeps one bilinear remainder, so the
-errors settle near, not at, zero; reports carry the design matrix and
-its spectrum rather than a guarantee.
+is exactly -I, and e2 and e3 obey D^q e = -e. The closed loop keeps one
+bilinear remainder, D^q e1 = -e1 + (1 - z2)(1 + y2), a term of the slave
+state that does not vanish with the error, so e1 does not settle: the
+default run (h = 1e-3 to t = 10) ends with |e1| near 1.3 while e2 and e3
+are below 0.005, and it never synchronizes. Reports carry the design
+matrix and its spectrum, which describe the linear part only.
 
 Stability of a matrix under componentwise orders follows the argument
 criterion: every eigenvalue must satisfy |arg(lambda)| > q * pi / 2. The
@@ -76,8 +79,11 @@ def _literal_law(master, slave, fp, vp, gain):
     # The law for a gain already checked; the coupled row calls it every step.
     m = np.asarray(master, dtype=np.float64)
     s = np.asarray(slave, dtype=np.float64)
-    x1, y1, z1 = m.T
-    x2, y2, z2 = s.T
+    try:
+        x1, y1, z1 = m.T
+        x2, y2, z2 = s.T
+    except TypeError:  # a 0-d state, which has no axis to unpack
+        raise ValueError("states must have a last axis of length 3, got shape ()") from None
     v = (s - m) @ gain.T
     v1, v2, v3 = v.T
     u = np.empty(v.shape)
@@ -187,7 +193,10 @@ def coupled_system(
 
     def rhs(t, y):
         out = np.empty(y.shape)  # refuses a last axis of 4, which the exact row broadcasts
-        m, s = y[..., :3], y[..., 3:]
+        try:
+            m, s = y[..., :3], y[..., 3:]
+        except IndexError:  # a 0-d state
+            raise ValueError("state must have a last axis of length 6, got shape ()") from None
         out[..., :3] = fm = financial_rhs(m, fp)
         out[..., 3:] = slave_row(m, s, fm)
         return out

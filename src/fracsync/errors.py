@@ -20,16 +20,21 @@ class NonFiniteState(FracsyncError, ArithmeticError):
         Time of that grid index.
     trajectory : Trajectory or None
         Valid prefix of the run, ending one step before the failure.
+
+    It is also a run's blowup record, and `to_dict` is its report entry.
     """
 
     def __init__(self, step, trajectory=None, time=None):
         self.step = int(step)
         self.trajectory = trajectory
-        self.time = time
+        self.time = None if time is None else float(time)
         msg = f"state became non-finite at step {self.step}"
         if time is not None:
             msg += f" (t = {time:g})"
         super().__init__(msg)
+
+    def to_dict(self) -> dict:
+        return {"step": self.step, "time": self.time}
 
 
 class DegenerateParameters(FracsyncError, ValueError):

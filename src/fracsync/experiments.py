@@ -2,8 +2,9 @@
 
 Each runner returns a small bundle holding the trajectory and whatever
 summaries the run produces. A run that leaves the finite range is not an
-exception at this level: the bundle carries the valid prefix and a
-blowup record so callers can persist partial results.
+exception at this level: the bundle carries the valid prefix, and its
+`blowup` is the caught `NonFiniteState` (its traceback dropped), so
+callers can persist partial results and report `blowup.to_dict()`.
 """
 
 from __future__ import annotations
@@ -37,19 +38,10 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True)
-class BlowupInfo:
-    step: int
-    time: float
-
-    def to_dict(self) -> dict:
-        return {"step": int(self.step), "time": float(self.time)}
-
-
 @dataclass
 class SimRun:
     trajectory: Trajectory
-    blowup: Optional[BlowupInfo] = None
+    blowup: Optional[NonFiniteState] = None
 
 
 @dataclass
@@ -58,27 +50,34 @@ class SyncRun:
     summary: Optional[SyncSummary]
     stability: ctl.StabilityReport
     design_matrix: np.ndarray
-    blowup: Optional[BlowupInfo] = None
+    blowup: Optional[NonFiniteState] = None
+
+
+# System name -> (builder from both parameter sets, default initial state).
+SYSTEMS = {
+    "financial": (lambda fp, vp: financial_system(fp), (2.0, -1.0, 1.0)),
+    "volta": (lambda fp, vp: volta_system(vp), (8.0, 2.0, 3.0)),
+    "zero": (lambda fp, vp: zero_system(), (0.0, 0.0, 0.0)),
+}
 
 
 def build_system(name: str, fp: FinancialParams, vp: VoltaParams) -> SystemDef:
-    if name == "financial":
-        return financial_system(fp)
-    if name == "volta":
-        return volta_system(vp)
-    if name == "zero":
-        return zero_system()
-    raise ValueError(f"unknown system {name!r}")
+    if name not in SYSTEMS:
+        raise ValueError(f"unknown system {name!r}")
+    return SYSTEMS[name][0](fp, vp)
+
+
+def _integrate(system: SystemDef, orders, y0, config: SolverConfig):
+    """(trajectory, None), or the valid prefix and the NonFiniteState as the blowup record."""
+    try:
+        return integrate(system, orders, y0, config), None
+    except NonFiniteState as exc:
+        # A traceback would keep the solver's frames, and the full states array, alive.
+        return exc.trajectory, exc.with_traceback(None)
 
 
 def run_simulation(system: SystemDef, orders, y0, config: SolverConfig) -> SimRun:
-    try:
-        return SimRun(trajectory=integrate(system, orders, y0, config))
-    except NonFiniteState as exc:
-        return SimRun(
-            trajectory=exc.trajectory,
-            blowup=BlowupInfo(step=exc.step, time=float(exc.time)),
-        )
+    return SimRun(*_integrate(system, orders, y0, config))
 
 
 def run_synchronization(
@@ -96,16 +95,10 @@ def run_synchronization(
     system = ctl.coupled_system(fp, vp, controller)
     states = [number_array(s, ValueError, "initial state", (3,)) for s in (master0, slave0)]
     y0 = np.concatenate(states)
-    blowup = None
-    try:
-        # Master and slave components share the same three orders.
-        traj = integrate(system, np.tile(q, 2), y0, config)
-    except NonFiniteState as exc:
-        traj = exc.trajectory
-        blowup = BlowupInfo(step=exc.step, time=float(exc.time))
+    # Master and slave components share the same three orders.
+    traj, blowup = _integrate(system, np.tile(q, 2), y0, config)
 
-    master = traj.states[:, :3]
-    slave = traj.states[:, 3:]
+    master, slave = traj.states[:, :3], traj.states[:, 3:]
     errors = slave - master
     controls = controller.control(master, slave, fp, vp)
     traj = Trajectory(times=traj.times, states=traj.states, errors=errors, controls=controls)
@@ -113,13 +106,7 @@ def run_synchronization(
     matrix = controller.design_matrix(vp)
     stability = ctl.matignon_check(matrix, q)
     summary = None if blowup is not None else sync_time(traj, tol)
-    return SyncRun(
-        trajectory=traj,
-        summary=summary,
-        stability=stability,
-        design_matrix=matrix,
-        blowup=blowup,
-    )
+    return SyncRun(traj, summary, stability, design_matrix=matrix, blowup=blowup)
 
 
 # ---------------------------------------------------------------------------

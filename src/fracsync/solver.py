@@ -142,20 +142,21 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     q = order_array(orders, (system.dimension,))
     y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
     states, fail = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps, config.window)
-    times = np.arange(config.n_steps + 1, dtype=np.float64) * config.h
-    if fail >= 0:
-        partial = Trajectory(times[:fail], states[:fail].copy())
-        raise NonFiniteState(fail, trajectory=partial, time=float(fail * config.h))
-    return Trajectory(times, states)
+    return _finish(states, fail, config)
 
 
 def integrate_classical_pece(system: SystemDef, y0, config: SolverConfig) -> Trajectory:
-    """Order-one predictor-corrector on the same grid; y0 is checked as in `integrate`."""
+    """Order-one predictor-corrector on the same grid; y0 and blowups as in `integrate`."""
     y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
     states = kernels.classical_pece(system.rhs, y0, config.h, config.n_steps)
+    finite = np.isfinite(states).all(axis=1)
+    return _finish(states, -1 if finite.all() else int(np.argmin(finite)), config)
+
+
+def _finish(states: np.ndarray, fail: int, config: SolverConfig) -> Trajectory:
+    """The run's Trajectory, or NonFiniteState with the rows before `fail` when fail >= 0."""
     times = np.arange(config.n_steps + 1, dtype=np.float64) * config.h
-    if not np.all(np.isfinite(states)):
-        bad = np.flatnonzero(~np.all(np.isfinite(states), axis=1))[0]
-        partial = Trajectory(times[:bad], states[:bad].copy())
-        raise NonFiniteState(int(bad), trajectory=partial, time=float(bad * config.h))
+    if fail >= 0:
+        partial = Trajectory(times[:fail], states[:fail].copy())
+        raise NonFiniteState(fail, trajectory=partial, time=fail * config.h)
     return Trajectory(times, states)

@@ -157,13 +157,15 @@ def componentwise(body, state, p) -> np.ndarray:
     operations numpy's float64 scalars do, in the same order, with less
     overhead per operation; the result comes back as a float64 array. A
     batch is unpacked into views along its last axis. Either way a last
-    axis other than 3 raises ValueError. Bodies use no `/` or `**`, which
-    raise on floats where numpy returns inf or nan.
+    axis other than 3, or none at all, raises ValueError. Bodies use no
+    `/` or `**`, which raise on floats where numpy returns inf or nan.
     """
     s = np.asarray(state, dtype=np.float64)
     if s.ndim == 1:
         x, y, z = s.tolist()
         return np.array(body(x, y, z, p))
+    if s.ndim == 0:
+        raise ValueError("state must have a last axis of length 3, got shape ()")
     x, y, z = s.T
     out = np.empty(s.shape)
     o = out.T

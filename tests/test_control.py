@@ -29,6 +29,7 @@ from fracsync import (
     volta_rhs,
 )
 from fracsync.errors import DegenerateEigenvalue, InvalidGain
+from fracsync.experiments import run_synchronization
 
 MASTER0 = np.array([2.0, -1.0, 1.0])
 SLAVE0 = np.array([8.0, 2.0, 3.0])
@@ -124,6 +125,25 @@ class TestLiteralControl:
                 control_literal(MASTER0, SLAVE0, FP, VP, bad)
             with pytest.raises(InvalidGain):
                 closed_loop_error_matrix(bad, VP)
+
+
+    def test_default_gain_leaves_a_state_term_in_e1(self):
+        # Under the default gain e2 and e3 obey D^q e = -e, while D^q e1 keeps
+        # (1 - z2)(1 + y2), a term of the slave state that does not vanish with e.
+        rng = np.random.default_rng(45)
+        y = rng.uniform(-3.0, 3.0, size=(20, 6))
+        d = coupled_system(FP, VP, LiteralFeedback()).rhs(0.0, y)
+        e, de = y[:, 3:] - y[:, :3], d[:, 3:] - d[:, :3]
+        forcing = np.zeros_like(e)
+        forcing[:, 0] = (1.0 - y[:, 5]) * (1.0 + y[:, 4])
+        assert np.allclose(de, forcing - e, rtol=0.0, atol=1e-12)
+
+    def test_default_run_settles_e2_and_e3_but_not_e1(self):
+        run = run_synchronization(FP, VP, LiteralFeedback(), 0.99, MASTER0, SLAVE0,
+                                  SolverConfig.for_horizon(1e-3, 10.0), 1e-3)
+        e1, e2, e3 = np.abs(run.trajectory.errors[-1])
+        assert e1 > 0.1 and e2 < 0.01 and e3 < 0.01
+        assert run.blowup is None and run.summary.sync_time is None
 
 
 class TestExactControl:

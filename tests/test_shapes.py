@@ -4,7 +4,8 @@ Each evaluates componentwise along the last axis, so a batch of any shape
 or memory layout equals its row-by-row evaluation bit for bit. That is what
 makes the control columns computed from a whole trajectory equal the
 control the integrator applied at each step. A last axis of any other
-length raises ValueError instead of returning made-up components.
+length, or a 0-d state with no last axis, raises ValueError instead of
+returning made-up components.
 """
 
 from functools import partial
@@ -83,7 +84,7 @@ def test_control_columns_equal_per_step_control(controller):
         assert np.array_equal(run.trajectory.controls[k], u)
 
 
-@pytest.mark.parametrize("shape", [(4,), (2, 5), (3, 4)])
+@pytest.mark.parametrize("shape", [(), (4,), (2, 5), (3, 4)])
 def test_wrong_last_axis_raises(shape):
     bad = np.ones(shape)
     calls = (
@@ -99,7 +100,7 @@ def test_wrong_last_axis_raises(shape):
 
 
 @pytest.mark.parametrize("controller", [ExactCancellation(LAM), LiteralFeedback()])
-@pytest.mark.parametrize("shape", [(7,), (2, 7), (4,), (2, 5)])
+@pytest.mark.parametrize("shape", [(), (7,), (2, 7), (4,), (2, 5)])
 def test_coupled_rhs_refuses_a_last_axis_other_than_6(controller, shape):
     with pytest.raises(ValueError):
         coupled_system(FP, VP, controller).rhs(0.0, np.ones(shape))

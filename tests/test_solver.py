@@ -1,6 +1,7 @@
 """Integration driver: accuracy, memory policy, determinism, failure paths."""
 
 import functools
+import json
 import math
 import os
 import subprocess
@@ -28,7 +29,7 @@ from fracsync import (
     zero_system,
 )
 from fracsync.errors import InvalidOrder, NonFiniteState
-from fracsync.experiments import run_synchronization
+from fracsync.experiments import run_simulation, run_synchronization
 
 
 def _scalar_system(name, fn):
@@ -284,6 +285,36 @@ class TestFailurePaths:
         with pytest.raises(NonFiniteState) as info:
             integrate(system, 1.0, [10.0], SolverConfig(h=0.1, n_steps=200))
         assert np.all(np.isfinite(info.value.trajectory.states))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda system, cfg: integrate_classical_pece(system, [1.0], cfg),
+            lambda system, cfg: integrate(system, 1.0, [1.0], cfg),
+        ],
+        ids=["classical", "fractional-q1"],
+    )
+    def test_classical_blowup_keeps_the_finite_prefix(self, solve):
+        # y' = y^2, y(0) = 1 is 1/(1 - t); both schemes overflow at the same row.
+        with pytest.raises(NonFiniteState) as info:
+            solve(_scalar_system("quad", lambda t, y: y * y), SolverConfig(h=0.01, n_steps=300))
+        err = info.value
+        assert err.to_dict() == {"step": 106, "time": 1.06}
+        assert err.trajectory.n_points == 106
+        assert np.array_equal(err.trajectory.times, np.arange(106) * 0.01)
+        assert np.all(np.isfinite(err.trajectory.states))
+
+    def test_simulation_keeps_the_error_as_its_blowup_record(self):
+        # The Volta system under a 2000-step window leaves the finite range near t = 9.5.
+        cfg = SolverConfig(h=5e-4, n_steps=100_000, memory=2000)
+        run = run_simulation(volta_system(), 0.99, (8.0, 2.0, 3.0), cfg)
+        assert isinstance(run.blowup, NonFiniteState)
+        assert run.blowup.to_dict() == {"step": 18940, "time": 9.47}
+        assert json.dumps(run.blowup.to_dict()) == '{"step": 18940, "time": 9.47}'
+        assert run.blowup.__traceback__ is None
+        assert run.trajectory.n_points == 18940
+        assert run.blowup.trajectory is run.trajectory
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, -0.3, float("nan")])
     def test_bad_order_rejected(self, bad):
