@@ -1,8 +1,10 @@
 """Time integration, its RHS and CSV layers, and mittag_leffler; optionally record BENCH_<tag>.json.
 
 The integration driver is timed at q = 0.99 over t_end = 10 for each case
-and step count. A case whose run leaves the finite range on a coarse grid
-(Volta at 64 steps) is reported with its failing step, not timed.
+and step count. One more, untimed run of each gives the peak of the
+memory it allocates, as tracemalloc counts it (`peak_bytes`). A case whose
+run leaves the finite range on a coarse grid (Volta at 64 steps) is
+reported with its failing step, not timed.
 
 Two layers are timed on their own. Each case's right-hand side is called
 on its single initial state, as integration calls it twice a step, and
@@ -40,6 +42,7 @@ import subprocess
 import tempfile
 import time
 import timeit
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +122,16 @@ def _time_case(system, y0, config, repeats):
     return samples
 
 
+def _peak_bytes(system, y0, config):
+    """tracemalloc peak of one integration, run apart from the timed ones."""
+    tracemalloc.start()
+    try:
+        integrate(system, 0.99, y0, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _git(*args) -> str | None:
     src = Path(fracsync.__file__).resolve().parent
     try:
@@ -158,7 +171,7 @@ def machine_facts() -> dict:
 
 
 def time_integration(steps, memory, repeats):
-    header = f"{'system':<15} {'steps':>7} {'min (s)':>12} {'median (s)':>12}"
+    header = f"{'system':<15} {'steps':>7} {'min (s)':>12} {'median (s)':>12} {'peak (MB)':>10}"
     print(header)
     print("-" * len(header))
 
@@ -173,14 +186,16 @@ def time_integration(steps, memory, repeats):
                 print(f"{name:<15} {n_steps:>7} left the finite range at step {exc.step}")
                 continue
             best, median = min(samples), statistics.median(samples)
+            peak = _peak_bytes(system, y0, config)
             results.append({
                 "case": name,
                 "steps": n_steps,
                 "min_s": best,
                 "median_s": median,
                 "samples_s": samples,
+                "peak_bytes": peak,
             })
-            print(f"{name:<15} {n_steps:>7} {best:>12.4f} {median:>12.4f}")
+            print(f"{name:<15} {n_steps:>7} {best:>12.4f} {median:>12.4f} {peak / 1e6:>10.3f}")
     return results
 
 

@@ -6,8 +6,11 @@ any Python right-hand side. Its history sums are FFT-tiled (see
 O(N^2) of direct summation, and they match direct summation to rounding
 error: the test suite pins the states to 1e-12 of an independent
 direct-sum integrator. None of its sums go through BLAS, so results do
-not depend on the BLAS thread count. ``benchmarks/benchmark_kernels.py``
-times it.
+not depend on the BLAS thread count. Each step's pending sums live in the
+history row that the step fills next, so N steps of a d-dimensional
+system hold (N + 1) * d floats of states and (N + 1) * 2d of history, plus
+the FFT tiles. ``benchmarks/benchmark_kernels.py`` times it and records
+its peak memory.
 
 The scheme discretizes the componentwise Caputo initial value problem
 D^q_i y_i = f_i(t, y) on the uniform grid t_j = j*h. With the history
@@ -131,6 +134,15 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     O(N log^2 N) cost. A memory window only zeroes the weights at lags
     >= window.
 
+    Row j of the history holds (f_j, f_j) once step j - 1 is done. Until
+    then it holds the pending sums of step j - 1: y0, the a0 term and the
+    far tiles, to which the tiles add as they are computed. Step n reads
+    rows n - r .. n + 1, with r = n % BLOCK, in one weighted sum whose
+    weight on row n + 1 is one, and then overwrites row n + 1 with
+    f_{n+1}. History and pending sums therefore share (N + 1) * 2d floats.
+    The rows are added in order, so the sum is the near sum plus the
+    pending sums to the last bit.
+
     Parameters
     ----------
     rhs : callable
@@ -166,7 +178,8 @@ def abm_python(rhs, q, y0, h, n_steps, window):
             out[:m, d + i] = hq2[i] * conv_weights_a(q[i], m)
         return out
 
-    near = kernel(BLOCK)[::-1].copy()  # near[BLOCK - 1 - l] holds lag l
+    # near[BLOCK - 1 - l] holds lag l; the row of ones after lag 0 adds acc[n].
+    near = np.concatenate([kernel(BLOCK)[::-1], np.ones((1, 2 * d))])
     spectra = {}  # FFT length -> spectrum of kernel(length), kept while a later tile needs it
 
     states = np.empty((n_steps + 1, d))
@@ -179,8 +192,9 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     hist[0, 1] = 0.0
     flat = hist.reshape(n_steps + 1, 2 * d)
     # acc[n] collects y0, the a0(n) term and the sums over the blocks before
-    # the one holding step n.
-    acc = np.empty((n_steps, 2 * d))
+    # the one holding step n. It lives in row n + 1 of the history, which
+    # step n reads last and then overwrites with f_{n+1}.
+    acc = flat[1:]
     acc[:, :d] = y0
     acc[:, d:] = y0
     for i in range(d):
@@ -204,13 +218,15 @@ def abm_python(rhs, q, y0, h, n_steps, window):
             tile *= spec
             del spec  # an uncached spectrum is freed before the inverse transform
             acc[n:stop] += np.fft.irfft(tile, length, axis=0)[size:]
-        sums = acc[n] + (near[BLOCK - 1 - r :] * flat[n - r : n + 1]).sum(axis=0)
+        # Rows f_{n-r} .. f_n, then acc[n], added in order.
+        sums = np.add.reduce(near[BLOCK - 1 - r :] * flat[n - r : n + 2], axis=0)
         pred = sums[:d]
         if not all(map(math.isfinite, pred.tolist())):
             return states, n + 1
         t1 = (n + 1) * h
-        new = sums[d:] + hq2 * rhs(t1, pred)
-        states[n + 1] = new
+        new = states[n + 1]
+        np.multiply(hq2, rhs(t1, pred), out=new)
+        np.add(sums[d:], new, out=new)
         if not all(map(math.isfinite, new.tolist())):
             return states, n + 1
         hist[n + 1] = rhs(t1, new)
@@ -226,7 +242,9 @@ def classical_pece(rhs, y0, h, n_steps):
         predict:  y0 + h * sum_{j<=n} f_j
         correct:  y0 + h * (sum_{j<=n} f_j - f_0/2 + f(t_{n+1}, predicted)/2)
 
-    Returns states of shape (n_steps + 1, d).
+    Returns states of shape (n_steps + 1, d) and the failing grid index,
+    -1 when every state stayed finite; like `abm_python`, it stops at the
+    first non-finite predictor or corrector.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     d = y0.shape[0]
@@ -237,9 +255,13 @@ def classical_pece(rhs, y0, h, n_steps):
     for n in range(n_steps):
         t1 = (n + 1) * h
         pred = y0 + h * sf
+        if not all(map(math.isfinite, pred.tolist())):
+            return states, n + 1
         fp = np.asarray(rhs(t1, pred), dtype=np.float64)
         new = y0 + h * (sf - 0.5 * f0 + 0.5 * fp)
         states[n + 1] = new
+        if not all(map(math.isfinite, new.tolist())):
+            return states, n + 1
         sf = sf + np.asarray(rhs(t1, new), dtype=np.float64)
-    return states
+    return states, -1
 

@@ -148,9 +148,7 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
 def integrate_classical_pece(system: SystemDef, y0, config: SolverConfig) -> Trajectory:
     """Order-one predictor-corrector on the same grid; y0 and blowups as in `integrate`."""
     y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
-    states = kernels.classical_pece(system.rhs, y0, config.h, config.n_steps)
-    finite = np.isfinite(states).all(axis=1)
-    return _finish(states, -1 if finite.all() else int(np.argmin(finite)), config)
+    return _finish(*kernels.classical_pece(system.rhs, y0, config.h, config.n_steps), config)
 
 
 def _finish(states: np.ndarray, fail: int, config: SolverConfig) -> Trajectory:

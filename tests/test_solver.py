@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -218,6 +219,38 @@ class TestTiledHistory:
         want = _direct_abm(system.rhs, orders, self.Y0, self.H, self.N_STEPS, memory)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    # The pending sums of step n live in history row n + 1: check the first
+    # and last steps and the steps around the first block boundary.
+    @pytest.mark.parametrize("memory", [None, 1])
+    @pytest.mark.parametrize("n_steps", [1, 2, 63, 64, 65])
+    def test_matches_direct_sums_at_block_edges(self, n_steps, memory):
+        system = financial_system()
+        orders = self.ORDERS[1]
+        cfg = SolverConfig(h=self.H, n_steps=n_steps, memory=memory)
+        got = integrate(system, orders, self.Y0, cfg).states
+        want = _direct_abm(system.rhs, orders, self.Y0, self.H, n_steps, memory)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_history_and_pending_sums_share_rows(self):
+        # At 5 000 steps the states take 0.12 MB, the history rows, which also
+        # hold the pending sums, 0.24 MB, and the FFT tiles about 0.6 MB; a
+        # separate pending-sum array would add 0.24 MB, a 1.20 MB peak.
+        cfg = SolverConfig(h=0.002, n_steps=5000)
+        integrate(financial_system(), 0.99, self.Y0, cfg)  # lazy imports and caches
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            integrate(financial_system(), 0.99, self.Y0, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 1.08e6
+
     @pytest.mark.parametrize("orders", ORDERS)
     def test_window_covering_whole_run_is_bit_identical(self, orders):
         system = financial_system()
@@ -297,8 +330,17 @@ class TestFailurePaths:
     )
     def test_classical_blowup_keeps_the_finite_prefix(self, solve):
         # y' = y^2, y(0) = 1 is 1/(1 - t); both schemes overflow at the same row.
+        calls = []
+
+        def quad(t, y):
+            calls.append(t)
+            return y * y
+
         with pytest.raises(NonFiniteState) as info:
-            solve(_scalar_system("quad", lambda t, y: y * y), SolverConfig(h=0.01, n_steps=300))
+            solve(_scalar_system("quad", quad), SolverConfig(h=0.01, n_steps=300))
+        # Both stop at the non-finite predictor of row 106: one call for f_0,
+        # then two a step, none after the failure.
+        assert len(calls) == 1 + 2 * 105
         err = info.value
         assert err.to_dict() == {"step": 106, "time": 1.06}
         assert err.trajectory.n_points == 106
