@@ -8,9 +8,12 @@ error: the test suite pins the states to 1e-12 of an independent
 direct-sum integrator. None of its sums go through BLAS, so results do
 not depend on the BLAS thread count. Each step's pending sums live in the
 history row that the step fills next, so N steps of a d-dimensional
-system hold (N + 1) * d floats of states and (N + 1) * 2d of history, plus
-the FFT tiles. ``benchmarks/benchmark_kernels.py`` times it and records
-its peak memory.
+system hold (N + 1) * d floats of states and (N + 1) * 2d of history. The
+FFT tiles add little to that: the weight kernel is built once per distinct
+order (once in all when the orders are equal), and a long tile is
+transformed a few components at a time, so that no tile array is
+(length, 2d) wide. ``benchmarks/benchmark_kernels.py`` times the driver and
+records its peak memory.
 
 The scheme discretizes the componentwise Caputo initial value problem
 D^q_i y_i = f_i(t, y) on the uniform grid t_j = j*h. With the history
@@ -117,6 +120,11 @@ def first_panel_weights(q: float, steps) -> np.ndarray:
 # Steps per block of the tiled history sums. Sums over the current block run
 # directly; older blocks reach a step through FFT tiles.
 BLOCK = 64
+# An FFT tile of length L transforms max(1, min(d, TILE_BUDGET // L))
+# components, both halves of each, per call: a long tile one component at a
+# time, so that none of its arrays is 2d columns wide, and a short one in a
+# single call, which splitting would only slow.
+TILE_BUDGET = 8192
 
 
 def abm_python(rhs, q, y0, h, n_steps, window):
@@ -133,6 +141,16 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     one such tile, so the sums equal the direct ones up to rounding at
     O(N log^2 N) cost. A memory window only zeroes the weights at lags
     >= window.
+
+    The weights depend only on the order, so the kernel has one column
+    pair per distinct order: one when every order equals q[0] (the
+    commensurate case), d otherwise. The cached kernel spectra are that
+    narrow too, and the tile product broadcasts them over the components.
+    A tile of FFT length L runs over groups of TILE_BUDGET // L components
+    (at least one, at most d), so its transforms of length L are never
+    2d columns wide when L is large. Every column is transformed on its
+    own either way, so the grouping leaves every state bit for bit as it
+    is.
 
     Row j of the history holds (f_j, f_j) once step j - 1 is done. Until
     then it holds the pending sums of step j - 1: y0, the a0 term and the
@@ -167,19 +185,23 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     hq1 = h**q / np.array([math.gamma(v + 1.0) for v in q])
     hq2 = h**q / np.array([math.gamma(v + 2.0) for v in q])
 
+    # One kernel column per component, or a single one shared by all.
+    m = 1 if np.all(q == q[0]) else d
+
     def kernel(count):
-        # Row l holds the scaled weights at lag l: hq1*b[l] for the predictor
-        # in columns [0, d), hq2*a[l] for the corrector in [d, 2d). Lags at
-        # or beyond the window stay zero.
-        out = np.zeros((count, 2 * d))
-        m = min(count, klen)
-        for i in range(d):
-            out[:m, i] = hq1[i] * conv_weights_b(q[i], m)
-            out[:m, d + i] = hq2[i] * conv_weights_a(q[i], m)
+        # out[l, 0] holds the scaled predictor weights hq1*b[l] at lag l,
+        # out[l, 1] the corrector weights hq2*a[l]. Lags at or beyond the
+        # window stay zero.
+        out = np.zeros((count, 2, m))
+        k = min(count, klen)
+        for i in range(m):
+            out[:k, 0, i] = hq1[i] * conv_weights_b(q[i], k)
+            out[:k, 1, i] = hq2[i] * conv_weights_a(q[i], k)
         return out
 
     # near[BLOCK - 1 - l] holds lag l; the row of ones after lag 0 adds acc[n].
-    near = np.concatenate([kernel(BLOCK)[::-1], np.ones((1, 2 * d))])
+    lags = np.broadcast_to(kernel(BLOCK)[::-1], (BLOCK, 2, d)).reshape(BLOCK, 2 * d)
+    near = np.concatenate([lags, np.ones((1, 2 * d))])
     spectra = {}  # FFT length -> spectrum of kernel(length), kept while a later tile needs it
 
     states = np.empty((n_steps + 1, d))
@@ -194,11 +216,10 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     # acc[n] collects y0, the a0(n) term and the sums over the blocks before
     # the one holding step n. It lives in row n + 1 of the history, which
     # step n reads last and then overwrites with f_{n+1}.
-    acc = flat[1:]
-    acc[:, :d] = y0
-    acc[:, d:] = y0
+    acc = hist[1:]
+    acc[:] = y0
     for i in range(d):
-        acc[:klen, d + i] += hq2[i] * f0[i] * first_panel_weights(q[i], np.arange(klen))
+        acc[:klen, 1, i] += hq2[i] * f0[i] * first_panel_weights(q[i], np.arange(klen))
 
     for n in range(n_steps):
         r = n % BLOCK
@@ -214,10 +235,14 @@ def abm_python(rhs, q, y0, h, n_steps, window):
                 spec = np.fft.rfft(kernel(length), axis=0)
             if n + 3 * size <= n_steps:  # the next tile of this size, at n + 2*size, is as long
                 spectra[length] = spec
-            tile = np.fft.rfft(flat[n - size : n], length, axis=0)
-            tile *= spec
-            del spec  # an uncached spectrum is freed before the inverse transform
-            acc[n:stop] += np.fft.irfft(tile, length, axis=0)[size:]
+            group = max(1, min(d, TILE_BUDGET // length))
+            for lo in range(0, d, group):
+                comps = slice(lo, lo + group)
+                tile = np.fft.rfft(hist[n - size : n, :, comps], length, axis=0)
+                tile *= spec if m == 1 else spec[:, :, comps]
+                if lo + group >= d:
+                    del spec  # an uncached spectrum is freed before the last inverse transform
+                acc[n:stop, :, comps] += np.fft.irfft(tile, length, axis=0)[size:]
         # Rows f_{n-r} .. f_n, then acc[n], added in order.
         sums = np.add.reduce(near[BLOCK - 1 - r :] * flat[n - r : n + 2], axis=0)
         pred = sums[:d]
@@ -229,7 +254,8 @@ def abm_python(rhs, q, y0, h, n_steps, window):
         np.add(sums[d:], new, out=new)
         if not all(map(math.isfinite, new.tolist())):
             return states, n + 1
-        hist[n + 1] = rhs(t1, new)
+        if n + 1 < n_steps:  # no sum reads f at the last grid point
+            hist[n + 1] = rhs(t1, new)
     return states, -1
 
 
@@ -262,6 +288,7 @@ def classical_pece(rhs, y0, h, n_steps):
         states[n + 1] = new
         if not all(map(math.isfinite, new.tolist())):
             return states, n + 1
-        sf = sf + np.asarray(rhs(t1, new), dtype=np.float64)
+        if n + 1 < n_steps:
+            sf = sf + np.asarray(rhs(t1, new), dtype=np.float64)
     return states, -1
 

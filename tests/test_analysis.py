@@ -25,6 +25,7 @@ from fracsync import (
     predicted_error,
     sync_time,
 )
+from fracsync import analysis
 from fracsync.errors import (
     DomainExceeded,
     GridMismatch,
@@ -212,6 +213,14 @@ class TestMittagLeffler:
         q = 1e-9
         limit = 1.0 / (1.0 - z) + 0.5772156649015329 * q * z / (1.0 - z) ** 2
         assert abs(mittag_leffler(q, z) - limit) <= 1e-14 * limit
+
+    def test_quadrature_rule_is_numpys_leggauss(self):
+        # The hard-coded rule is numpy's to the bit, so every value is as well.
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(32)
+        assert np.array_equal(analysis._GL_NODES, nodes)
+        assert np.array_equal(analysis._GL_WEIGHTS, weights)
 
     def test_import_leaves_out_mpmath(self):
         code = "import sys, fracsync; sys.exit('mpmath' in sys.modules)"

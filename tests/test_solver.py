@@ -29,6 +29,8 @@ from fracsync import (
     weights_b,
     zero_system,
 )
+from fracsync import kernels
+from fracsync.control import coupled_system
 from fracsync.errors import InvalidOrder, NonFiniteState
 from fracsync.experiments import run_simulation, run_synchronization
 
@@ -232,24 +234,60 @@ class TestTiledHistory:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_history_and_pending_sums_share_rows(self):
-        # At 5 000 steps the states take 0.12 MB, the history rows, which also
-        # hold the pending sums, 0.24 MB, and the FFT tiles about 0.6 MB; a
-        # separate pending-sum array would add 0.24 MB, a 1.20 MB peak.
-        cfg = SolverConfig(h=0.002, n_steps=5000)
-        integrate(financial_system(), 0.99, self.Y0, cfg)  # lazy imports and caches
+    @staticmethod
+    def _peak_bytes(n_steps):
+        """tracemalloc peak of one financial run of n_steps over t = 10, after a warm-up run."""
+        cfg = SolverConfig(h=10.0 / n_steps, n_steps=n_steps)
+        integrate(financial_system(), 0.99, TestTiledHistory.Y0, cfg)  # lazy imports and caches
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            integrate(financial_system(), 0.99, self.Y0, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            integrate(financial_system(), 0.99, TestTiledHistory.Y0, cfg)
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak < 1.08e6
+
+    def test_history_and_pending_sums_share_rows(self):
+        # At 5 000 steps the states take 0.12 MB and the history rows, which
+        # also hold the pending sums, 0.24 MB; the peak is 0.90 MB. A separate
+        # pending-sum array would add 0.24 MB.
+        assert self._peak_bytes(5000) < 1.08e6
+
+    def test_fft_tiles_stay_narrow(self):
+        # At 20 000 steps the states and history take 1.44 MB and the peak is
+        # 2.64 MB. A kernel per component and full-width tiles would bring the
+        # peak to 3.81 MB.
+        assert self._peak_bytes(20000) < 3.0e6
+
+    # A tile of FFT length L runs in groups of TILE_BUDGET // L components: a
+    # budget of 1 splits every tile into single components, one of 2**40
+    # runs every tile as one call. At 3 000 steps the default already splits
+    # the longest tiles into groups of two or four components.
+    @pytest.mark.parametrize("budget", [1, 2**40])
+    @pytest.mark.parametrize(
+        "system,orders,y0,memory",
+        [
+            (financial_system(), 0.99, Y0, None),
+            (volta_system(), (0.98, 0.99, 0.97), (8.0, 2.0, 3.0), None),
+            (volta_system(), (0.98, 0.99, 0.97), (8.0, 2.0, 3.0), 300),
+            (
+                coupled_system(FinancialParams(), VoltaParams(), ExactCancellation()),
+                (0.99, 0.95, 0.9, 0.99, 0.95, 0.9),
+                (2.0, -1.0, 1.0, 8.0, 2.0, 3.0),
+                None,
+            ),
+        ],
+        ids=["financial", "volta", "volta-memory300", "coupled-exact-mixed"],
+    )
+    def test_tile_groups_are_bit_identical(self, monkeypatch, budget, system, orders, y0, memory):
+        cfg = SolverConfig(h=5e-4, n_steps=3000, memory=memory)
+        default = integrate(system, orders, y0, cfg).states
+        monkeypatch.setattr(kernels, "TILE_BUDGET", budget)
+        assert np.array_equal(integrate(system, orders, y0, cfg).states, default)
 
     @pytest.mark.parametrize("orders", ORDERS)
     def test_window_covering_whole_run_is_bit_identical(self, orders):
@@ -346,6 +384,27 @@ class TestFailurePaths:
         assert err.trajectory.n_points == 106
         assert np.array_equal(err.trajectory.times, np.arange(106) * 0.01)
         assert np.all(np.isfinite(err.trajectory.states))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda system, cfg: integrate_classical_pece(system, [1.0], cfg),
+            lambda system, cfg: integrate(system, 0.9, [1.0], cfg),
+        ],
+        ids=["classical", "fractional"],
+    )
+    @pytest.mark.parametrize("n_steps", [1, 2, 500])
+    def test_finished_run_makes_two_rhs_calls_a_step(self, solve, n_steps):
+        # f_0, then the predicted and the corrected state of every step but
+        # the last, whose corrected field no sum reads.
+        calls = []
+
+        def relax(t, y):
+            calls.append(t)
+            return -y
+
+        solve(_scalar_system("relax", relax), SolverConfig(h=0.01, n_steps=n_steps))
+        assert len(calls) == 2 * n_steps
 
     def test_simulation_keeps_the_error_as_its_blowup_record(self):
         # The Volta system under a 2000-step window leaves the finite range near t = 9.5.
