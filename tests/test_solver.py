@@ -234,18 +234,17 @@ class TestTiledHistory:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @staticmethod
-    def _peak_bytes(n_steps):
+    def _peak_bytes(self, n_steps):
         """tracemalloc peak of one financial run of n_steps over t = 10, after a warm-up run."""
         cfg = SolverConfig(h=10.0 / n_steps, n_steps=n_steps)
-        integrate(financial_system(), 0.99, TestTiledHistory.Y0, cfg)  # lazy imports and caches
+        integrate(financial_system(), 0.99, self.Y0, cfg)  # lazy imports and caches
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            integrate(financial_system(), 0.99, TestTiledHistory.Y0, cfg)
+            integrate(financial_system(), 0.99, self.Y0, cfg)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
