@@ -1,10 +1,10 @@
 """Time integration, its RHS and CSV layers, and mittag_leffler; optionally record BENCH_<tag>.json.
 
-The integration driver is timed at q = 0.99 over t_end = 10 for each case
-and step count. One more, untimed run of each gives the peak of the
-memory it allocates, as tracemalloc counts it (`peak_bytes`). A case whose
-run leaves the finite range on a coarse grid (Volta at 64 steps) is
-reported with its failing step, not timed.
+The integration driver is timed at q = 0.99 over t_end = 10, with full
+memory, for each case and step count. One more, untimed run of each gives
+the peak of the memory it allocates, as tracemalloc counts it
+(`peak_bytes`). A case whose run leaves the finite range on a coarse grid
+(Volta at 64 steps) is reported with its failing step, not timed.
 
 Two layers are timed on their own. Each case's right-hand side is called
 on its single initial state, as integration calls it twice a step, and
@@ -170,7 +170,7 @@ def machine_facts() -> dict:
     }
 
 
-def time_integration(steps, memory, repeats):
+def time_integration(steps, repeats):
     header = f"{'system':<15} {'steps':>7} {'min (s)':>12} {'median (s)':>12} {'peak (MB)':>10}"
     print(header)
     print("-" * len(header))
@@ -178,7 +178,7 @@ def time_integration(steps, memory, repeats):
     results = []
     for name, system, y0 in CASES:
         for n_steps in steps:
-            config = SolverConfig(h=10.0 / n_steps, n_steps=n_steps, memory=memory)
+            config = SolverConfig(h=10.0 / n_steps, n_steps=n_steps)
             try:
                 samples = _time_case(system, y0, config, repeats)
             except NonFiniteState as exc:  # a grid too coarse for the case
@@ -245,20 +245,13 @@ def main() -> None:
         help="grid sizes to time (number of steps at h chosen for t_end=10)",
     )
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats per cell")
-    parser.add_argument(
-        "--memory",
-        type=int,
-        default=None,
-        help="optional history window; default keeps the full history",
-    )
     parser.add_argument("--tag", help="write the timings to BENCH_<tag>.json")
     parser.add_argument("--label", default="run", help="name of this run inside the JSON file")
     args = parser.parse_args()
 
     run = {"facts": machine_facts(),
-           "settings": {"q": 0.99, "t_end": 10.0, "memory": args.memory,
-                        "repeats": args.repeats}}
-    run["results"] = time_integration(args.steps, args.memory, args.repeats)
+           "settings": {"q": 0.99, "t_end": 10.0, "repeats": args.repeats}}
+    run["results"] = time_integration(args.steps, args.repeats)
     run["rhs"] = time_rhs(args.repeats)
     run["write_csv"] = time_write_csv(args.steps, args.repeats)
     run["mittag_leffler"] = time_mittag_leffler(args.repeats)

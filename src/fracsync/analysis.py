@@ -27,8 +27,8 @@ from .errors import (
     MissingErrors,
     ZeroInitialSeparation,
 )
-from .solver import SolverConfig, Trajectory, _count, integrate
-from .systems import SystemDef, number_array, order_array, positive_number
+from .solver import SolverConfig, Trajectory, integrate
+from .systems import SystemDef, count_number, number_array, order_array, positive_number
 
 _MAX_ABS_ARG = 30.0
 # exp(-s) underflows past s = 745, so the integrands vanish (or reach 1)
@@ -274,7 +274,7 @@ def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> Co
     a float is not); anything else raises ValueError.
     """
     h0 = positive_number(h0, "h0")
-    levels = _count(levels, "levels", 2)
+    levels = count_number(levels, "levels", 2)
     hs = []
     errs = []
     for k in range(levels):

@@ -125,16 +125,24 @@ def _orders(raw) -> FractionalOrders:
 
 
 def _window(raw):
-    """Memory window in steps from 'full', k, 'k', 'last:k' or {"last": k}; None is full."""
+    """Memory window in steps from 'full', k, 'k', 'last:k' or {"last": k}; None is full.
+
+    In a string, k is ASCII digits and nothing else. A bare k and the k of
+    {"last": k} are whole numbers by the `number_array` rule.
+    """
     if raw is None or raw == "full":
         return None
     if isinstance(raw, dict) and set(raw) == {"last"}:
-        raw = f"last:{raw['last']}"
-    if isinstance(raw, str) and raw.startswith("last:"):
-        raw = raw[5:]
-    if isinstance(raw, float) and not raw.is_integer():
+        raw = raw["last"]
+    elif isinstance(raw, str):
+        digits = raw[5:] if raw.startswith("last:") else raw
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"expected 'full', 'k' or 'last:k' with k in digits, got {raw!r}")
+        return int(digits)
+    value = float(number_array(raw, ValueError, "window", ()))
+    if not value.is_integer():
         raise ValueError(f"window must be a whole number of steps, got {raw!r}")
-    return int(raw)
+    return int(value)
 
 
 def _matrix(raw) -> np.ndarray:
@@ -171,9 +179,7 @@ def _grid(cfg, default_t_end):
     """SolverConfig from h, t_end and memory, with its echo for the report."""
     h = _read("h", _positive, cfg.pop("h", _DEFAULT_H))
     t_end = _read("t_end", _positive, cfg.pop("t_end", default_t_end))
-    n_steps = round(t_end / h)
-    if n_steps < 1:
-        raise ConfigError("t_end", f"horizon {t_end} allows no step at h = {h}")
+    n_steps = _read("t_end", lambda raw: SolverConfig.for_horizon(h, raw).n_steps, t_end)
     if n_steps > 5_000_000:
         raise ConfigError("t_end", f"horizon needs {n_steps} steps; reduce t_end or raise h")
     window = cfg.pop("memory", "full")

@@ -47,62 +47,42 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def conv_weights_b(q: float, count: int) -> np.ndarray:
-    """Predictor weight kernel b[k] = (k+1)^q - k^q for k = 0 .. count-1.
+def _power_steps(p: float, count: int) -> np.ndarray:
+    """(k+1)^p - k^p for k = 0 .. count-1; empty when count <= 0.
 
-    Parameters
-    ----------
-    q : float
-        Derivative order, 0 < q <= 1.
-    count : int
-        Number of kernel values to produce.
-
-    Returns
-    -------
-    ndarray
-        Shape (count,). b[0] is exactly 1.
+    Entry 0 is exactly 1. Entry k >= 1 is k^p * expm1(p*log1p(1/k)), so
+    no two large powers cancel.
     """
-    if count <= 0:
-        return np.empty(0)
-    if q == 1.0:
-        return np.ones(count)
-    out = np.empty(count)
-    out[0] = 1.0
-    if count > 1:
-        k = np.arange(1, count, dtype=np.float64)
-        out[1:] = k**q * np.expm1(q * np.log1p(1.0 / k))
+    out = np.ones(max(count, 0))
+    k = np.arange(1, out.shape[0], dtype=np.float64)
+    out[1:] = k**p * np.expm1(p * np.log1p(1.0 / k))
     return out
+
+
+def conv_weights_b(q: float, count: int) -> np.ndarray:
+    """Predictor weight kernel b[k] = (k+1)^q - k^q for k = 0 .. count-1; b[0] is exactly 1."""
+    if q == 1.0:
+        return np.ones(max(count, 0))
+    return _power_steps(q, count)
 
 
 def conv_weights_a(q: float, count: int) -> np.ndarray:
     """Interior corrector weight kernel a[k] for k = 0 .. count-1.
 
     a[k] = (k+2)^p + k^p - 2*(k+1)^p with p = q+1, computed as the first
-    difference of g(k) = (k+1)^p - k^p so no large powers cancel.
+    difference of `_power_steps` at p, so no large powers cancel.
     """
-    if count <= 0:
-        return np.empty(0)
     if q == 1.0:
-        return np.full(count, 2.0)
-    p = q + 1.0
-    g = np.empty(count + 1)
-    g[0] = 1.0
-    k = np.arange(1, count + 1, dtype=np.float64)
-    g[1:] = k**p * np.expm1(p * np.log1p(1.0 / k))
-    return np.diff(g)
-
-
-def first_panel_weight(q: float, n: int) -> float:
-    """Corrector weight of the j = 0 sample when advancing from step n.
-
-    Equals n^(q+1) - (n-q)*(n+1)^q, evaluated as
-    (n+1)^q * (q + n*expm1(q*log1p(-1/(n+1)))) to avoid cancellation.
-    """
-    return float(first_panel_weights(q, np.array([n]))[0])
+        return np.full(max(count, 0), 2.0)
+    return np.diff(_power_steps(q + 1.0, count + 1))
 
 
 def first_panel_weights(q: float, steps) -> np.ndarray:
-    """`first_panel_weight` for every step index in the integer array `steps`."""
+    """Corrector weight a0(n) of the j = 0 sample for each step index n in `steps`.
+
+    a0(n) = n^(q+1) - (n-q)*(n+1)^q, evaluated as
+    (n+1)^q * (q + n*expm1(q*log1p(-1/(n+1)))) to avoid cancellation.
+    """
     n = np.asarray(steps, dtype=np.float64)
     if q == 1.0:
         return np.ones(n.shape)

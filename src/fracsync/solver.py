@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NonFiniteState
-from .systems import SystemDef, number_array, order_array, positive_number
+from .systems import SystemDef, count_number, number_array, order_array, positive_number
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,23 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "h", positive_number(self.h, "step size"))
-        object.__setattr__(self, "n_steps", _count(self.n_steps, "n_steps", 1))
+        object.__setattr__(self, "n_steps", count_number(self.n_steps, "n_steps", 1))
         if self.memory is not None:
-            object.__setattr__(self, "memory", _count(self.memory, "memory window", 1))
+            object.__setattr__(self, "memory", count_number(self.memory, "memory window", 1))
 
     @classmethod
     def for_horizon(cls, h: float, t_end: float, memory: Optional[int] = None) -> "SolverConfig":
-        """Config covering [0, t_end] with n_steps = round(t_end / h); t_end is checked as h is."""
+        """Config covering [0, t_end] with n_steps = round(t_end / h).
+
+        t_end is checked as h is. A horizon that rounds to no step, such as
+        t_end = 0.1 at h = 1, raises ValueError; it is not stretched to one.
+        """
         h = positive_number(h, "step size")
         t_end = positive_number(t_end, "t_end")
-        return cls(h=h, n_steps=max(1, round(t_end / h)), memory=memory)
+        n_steps = round(t_end / h)
+        if n_steps < 1:
+            raise ValueError(f"horizon {t_end} allows no step at h = {h}")
+        return cls(h=h, n_steps=n_steps, memory=memory)
 
     @property
     def window(self) -> int:
@@ -72,13 +79,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _count(value, name: str, least: int) -> int:
-    """`value` as an int >= `least`; a boolean, a float or any other type raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def weights_b(q: float, n: int) -> np.ndarray:
     """Predictor weights b_j for the step from t_n to t_{n+1}, j = 0 .. n.
 
@@ -86,7 +86,7 @@ def weights_b(q: float, n: int) -> np.ndarray:
     weight is positive for q in (0, 1].
     """
     q = float(order_array(q, ()))
-    n = _count(n, "n", 0)
+    n = count_number(n, "n", 0)
     return kernels.conv_weights_b(q, n + 1)[::-1].copy()
 
 
@@ -97,9 +97,9 @@ def weights_a(q: float, n: int) -> np.ndarray:
     difference of (n-j)^(q+1), and a_{n+1} = 1. All are positive.
     """
     q = float(order_array(q, ()))
-    n = _count(n, "n", 0)
+    n = count_number(n, "n", 0)
     parts = [
-        np.array([kernels.first_panel_weight(q, n)]),
+        kernels.first_panel_weights(q, [n]),
         kernels.conv_weights_a(q, n)[::-1],
         np.array([1.0]),
     ]

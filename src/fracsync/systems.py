@@ -67,6 +67,13 @@ def number_array(value, error, name: str, shape: tuple | None = None) -> np.ndar
     return arr
 
 
+def count_number(value, name: str, least: int) -> int:
+    """`value` as an int >= `least`; a boolean, a float or any other type raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def positive_number(value, name: str) -> float:
     """`value` as a positive float by the `number_array` rule; anything else is a ValueError."""
     val = float(number_array(value, ValueError, name, ()))

@@ -93,6 +93,13 @@ class TestSimulate:
         assert code == EXIT_OK
         assert _report(out)["config"]["memory"] == 40
 
+    def test_memory_object_form_takes_a_whole_float(self, tmp_path):
+        out = tmp_path / "sim"
+        cfg = _write_config(tmp_path, {"memory": {"last": 40.0}})
+        code = _run("simulate", "--config", cfg, "--h", 0.01, "--t-end", 0.5, "--out", out)
+        assert code == EXIT_OK
+        assert _report(out)["config"]["memory"] == 40
+
     @pytest.mark.parametrize("memory", [40, 40.0, "40", "last:40"])
     def test_memory_number_and_string_forms_in_config(self, tmp_path, memory):
         out = tmp_path / "sim"
@@ -201,13 +208,24 @@ class TestSimulateValidation:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"memory": 2.5}', '{"memory": 1e400}', '{"memory": 0}', '{"memory": {"last": true}}'],
+        ['{"memory": 2.5}', '{"memory": 1e400}', '{"memory": 0}', '{"memory": {"last": true}}',
+         '{"memory": "4_0"}', '{"memory": " 40 "}', '{"memory": "last: 40"}',
+         '{"memory": "+40"}', '{"memory": "\\u0664\\u0660"}', '{"memory": {"last": " 40"}}',
+         '{"memory": {"last": "40"}}'],
     )
     def test_bad_memory_window(self, tmp_path, capsys, text):
         # 1e400 parses as float infinity; a window must be a finite whole number of steps.
+        # int() reads each string here as 40; a string window is "k" or "last:k" in ASCII digits.
         cfg = tmp_path / "config.json"
         cfg.write_text(text)
         self._expect_config_error(tmp_path, capsys, "simulate", "--config", cfg, field="memory")
+
+    def test_horizon_that_rounds_to_no_step(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"h": 1.0, "t_end": 0.1})
+        assert _run("simulate", "--config", cfg, "--out", tmp_path / "never") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: t_end: horizon 0.1 allows no step at h = 1.0\n"
+        assert not (tmp_path / "never").exists()
 
     def test_nonpositive_step(self, tmp_path, capsys):
         self._expect_config_error(tmp_path, capsys, "simulate", "--h", -0.1, field="h")

@@ -475,6 +475,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig.for_horizon(h=0.01, t_end=-1.0)
 
+    @pytest.mark.parametrize("h,t_end", [(1.0, 0.1), (0.01, 0.004)])
+    def test_for_horizon_refuses_a_horizon_that_rounds_to_no_step(self, h, t_end):
+        with pytest.raises(ValueError) as info:
+            SolverConfig.for_horizon(h, t_end)
+        assert str(info.value) == f"horizon {t_end} allows no step at h = {h}"
+
     def test_window_property(self):
         assert SolverConfig(h=0.1, n_steps=40).window == 41
         assert SolverConfig(h=0.1, n_steps=40, memory=7).window == 7

@@ -5,7 +5,7 @@ import pytest
 
 from fracsync import weights_a, weights_b
 from fracsync.errors import InvalidOrder
-from fracsync.kernels import first_panel_weight
+from fracsync.kernels import conv_weights_a, conv_weights_b, first_panel_weights
 
 
 def _naive_b(q, n):
@@ -97,12 +97,46 @@ class TestCorrectorWeights:
             assert w[-1] == 1.0
 
     def test_first_panel_weight_limits(self):
-        assert first_panel_weight(1.0, 17) == 1.0
-        assert first_panel_weight(0.25, 0) == 0.25
+        assert first_panel_weights(1.0, [17])[0] == 1.0
+        assert first_panel_weights(0.25, [0])[0] == 0.25
         # large-n closed form stays positive and decays toward zero for q < 1
-        vals = [first_panel_weight(0.5, n) for n in (10, 100, 10_000, 1_000_000)]
+        vals = first_panel_weights(0.5, [10, 100, 10_000, 1_000_000]).tolist()
         assert all(v > 0.0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def _spelled_out_b(q, count):
+    if count <= 0:
+        return np.empty(0)
+    if q == 1.0:
+        return np.ones(count)
+    out = np.empty(count)
+    out[0] = 1.0
+    if count > 1:
+        k = np.arange(1, count, dtype=np.float64)
+        out[1:] = k**q * np.expm1(q * np.log1p(1.0 / k))
+    return out
+
+
+def _spelled_out_a(q, count):
+    if count <= 0:
+        return np.empty(0)
+    if q == 1.0:
+        return np.full(count, 2.0)
+    p = q + 1.0
+    g = np.empty(count + 1)
+    g[0] = 1.0
+    k = np.arange(1, count + 1, dtype=np.float64)
+    g[1:] = k**p * np.expm1(p * np.log1p(1.0 / k))
+    return np.diff(g)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.99, 1.0])
+@pytest.mark.parametrize("count", [0, 1, 2, 64, 5000])
+def test_kernels_equal_their_spelled_out_forms(q, count):
+    # Each kernel written out on its own, with the power difference inline.
+    assert np.array_equal(conv_weights_b(q, count), _spelled_out_b(q, count))
+    assert np.array_equal(conv_weights_a(q, count), _spelled_out_a(q, count))
 
 
 class TestValidation:
