@@ -139,10 +139,10 @@ def _window(raw):
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"expected 'full', 'k' or 'last:k' with k in digits, got {raw!r}")
         return int(digits)
-    value = float(number_array(raw, ValueError, "window", ()))
-    if not value.is_integer():
+    number_array(raw, ValueError, "window", ())
+    if isinstance(raw, float) and not raw.is_integer():
         raise ValueError(f"window must be a whole number of steps, got {raw!r}")
-    return int(value)
+    return int(raw)
 
 
 def _matrix(raw) -> np.ndarray:
