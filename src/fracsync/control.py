@@ -230,10 +230,6 @@ def _min_argument(lams) -> Optional[float]:
     return min(abs(cmath.phase(z)) for z in lams)
 
 
-def _order_bound(min_arg: float) -> float:
-    return min(max((2.0 / math.pi) * min_arg, 0.0), 2.0)
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Spectrum of a matrix against the per-order argument thresholds."""
@@ -247,8 +243,10 @@ class StabilityReport:
 
     @property
     def chaos_threshold(self) -> Optional[float]:
-        """`chaos_threshold` of the same matrix, or None when the spectrum is degenerate."""
-        return None if self.degenerate else _order_bound(self.min_argument)
+        """(2/pi) * min |arg(lambda)| clamped to [0, 2], or None when the spectrum is degenerate."""
+        if self.degenerate:
+            return None
+        return min(max((2.0 / math.pi) * self.min_argument, 0.0), 2.0)
 
     def to_dict(self) -> dict:
         return {
@@ -290,11 +288,11 @@ def matignon_check(matrix, orders) -> StabilityReport:
 def chaos_threshold(matrix) -> float:
     """Order below which the argument criterion holds for `matrix`.
 
-    Equals (2/pi) * min |arg(lambda)|, clamped to [0, 2]. Raises
-    ValueError for a matrix `eigen3` refuses, and DegenerateEigenvalue when
-    the spectrum touches zero.
+    Equals `StabilityReport.chaos_threshold` of `matignon_check(matrix, 1)`.
+    Raises ValueError for a matrix `eigen3` refuses, and
+    DegenerateEigenvalue when the spectrum touches zero.
     """
-    min_arg = _min_argument(eigen3(matrix))
-    if min_arg is None:
+    threshold = matignon_check(matrix, 1.0).chaos_threshold
+    if threshold is None:
         raise DegenerateEigenvalue("spectrum touches zero; no argument threshold exists")
-    return _order_bound(min_arg)
+    return threshold

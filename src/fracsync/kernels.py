@@ -9,11 +9,12 @@ direct-sum integrator. None of its sums go through BLAS, so results do
 not depend on the BLAS thread count. Each step's pending sums live in the
 history row that the step fills next, so N steps of a d-dimensional
 system hold (N + 1) * d floats of states and (N + 1) * 2d of history. The
-FFT tiles add little to that: the weight kernel is built once per distinct
-order (once in all when the orders are equal), and a long tile is
-transformed a few components at a time, so that no tile array is
-(length, 2d) wide. ``benchmarks/benchmark_kernels.py`` times the driver and
-records its peak memory.
+FFT tiles add little to that: the weight kernel has one column pair per
+distinct order, which every component of that order reads through a
+column index, and a long tile is transformed a few components at a time,
+so that no tile array is (length, 2d) wide.
+``benchmarks/benchmark_kernels.py`` times the driver and records its peak
+memory.
 
 The scheme discretizes the componentwise Caputo initial value problem
 D^q_i y_i = f_i(t, y) on the uniform grid t_j = j*h. With the history
@@ -123,14 +124,15 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     >= window.
 
     The weights depend only on the order, so the kernel has one column
-    pair per distinct order: one when every order equals q[0] (the
-    commensurate case), d otherwise. The cached kernel spectra are that
-    narrow too, and the tile product broadcasts them over the components.
-    A tile of FFT length L runs over groups of TILE_BUDGET // L components
-    (at least one, at most d), so its transforms of length L are never
-    2d columns wide when L is large. Every column is transformed on its
-    own either way, so the grouping leaves every state bit for bit as it
-    is.
+    pair per distinct order, built from the first component of that
+    order, and component i reads column col[i]: one column when every
+    order is equal, three for a coupled run that repeats three orders on
+    master and slave. The cached kernel spectra are that narrow too; the
+    near sums and every tile product read them through col. A tile of FFT
+    length L runs over groups of TILE_BUDGET // L components (at least
+    one, at most d), so its transforms of length L are never 2d columns
+    wide when L is large. Every column is transformed on its own either
+    way, so the grouping leaves every state bit for bit as it is.
 
     Row j of the history holds (f_j, f_j) once step j - 1 is done. Until
     then it holds the pending sums of step j - 1: y0, the a0 term and the
@@ -165,22 +167,25 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     hq1 = h**q / np.array([math.gamma(v + 1.0) for v in q])
     hq2 = h**q / np.array([math.gamma(v + 2.0) for v in q])
 
-    # One kernel column per component, or a single one shared by all.
-    m = 1 if np.all(q == q[0]) else d
+    # One kernel column per distinct order: first[c] is the first component
+    # of order column c, and col[i] the column of component i.
+    orders = q.tolist()
+    first = [i for i, v in enumerate(orders) if orders.index(v) == i]
+    col = [first.index(orders.index(v)) for v in orders]
 
     def kernel(count):
         # out[l, 0] holds the scaled predictor weights hq1*b[l] at lag l,
         # out[l, 1] the corrector weights hq2*a[l]. Lags at or beyond the
         # window stay zero.
-        out = np.zeros((count, 2, m))
+        out = np.zeros((count, 2, len(first)))
         k = min(count, klen)
-        for i in range(m):
-            out[:k, 0, i] = hq1[i] * conv_weights_b(q[i], k)
-            out[:k, 1, i] = hq2[i] * conv_weights_a(q[i], k)
+        for c, i in enumerate(first):
+            out[:k, 0, c] = hq1[i] * conv_weights_b(q[i], k)
+            out[:k, 1, c] = hq2[i] * conv_weights_a(q[i], k)
         return out
 
     # near[BLOCK - 1 - l] holds lag l; the row of ones after lag 0 adds acc[n].
-    lags = np.broadcast_to(kernel(BLOCK)[::-1], (BLOCK, 2, d)).reshape(BLOCK, 2 * d)
+    lags = kernel(BLOCK)[::-1, :, col].reshape(BLOCK, 2 * d)
     near = np.concatenate([lags, np.ones((1, 2 * d))])
     spectra = {}  # FFT length -> spectrum of kernel(length), kept while a later tile needs it
 
@@ -219,9 +224,8 @@ def abm_python(rhs, q, y0, h, n_steps, window):
             for lo in range(0, d, group):
                 comps = slice(lo, lo + group)
                 tile = np.fft.rfft(hist[n - size : n, :, comps], length, axis=0)
-                tile *= spec if m == 1 else spec[:, :, comps]
-                if lo + group >= d:
-                    del spec  # an uncached spectrum is freed before the last inverse transform
+                for j, c in enumerate(col[comps]):
+                    tile[:, :, j] *= spec[:, :, c]
                 acc[n:stop, :, comps] += np.fft.irfft(tile, length, axis=0)[size:]
         # Rows f_{n-r} .. f_n, then acc[n], added in order.
         sums = np.add.reduce(near[BLOCK - 1 - r :] * flat[n - r : n + 2], axis=0)

@@ -8,6 +8,7 @@ and matches a q = 1 fractional run step for step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,9 +45,13 @@ class SolverConfig:
 
         t_end is checked as h is. A horizon that rounds to no step, such as
         t_end = 0.1 at h = 1, raises ValueError; it is not stretched to one.
+        So does one whose step count overflows, such as t_end = 1e300 at
+        h = 1e-300.
         """
         h = positive_number(h, "step size")
         t_end = positive_number(t_end, "t_end")
+        if not math.isfinite(t_end / h):
+            raise ValueError(f"horizon {t_end} allows no finite step count at h = {h}")
         n_steps = round(t_end / h)
         if n_steps < 1:
             raise ValueError(f"horizon {t_end} allows no step at h = {h}")

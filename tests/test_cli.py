@@ -227,6 +227,13 @@ class TestSimulateValidation:
         assert err == "config error: t_end: horizon 0.1 allows no step at h = 1.0\n"
         assert not (tmp_path / "never").exists()
 
+    def test_horizon_whose_step_count_overflows(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"h": 1e-300, "t_end": 1e300})
+        assert _run("simulate", "--config", cfg, "--out", tmp_path / "never") == EXIT_CONFIG
+        want = "config error: t_end: horizon 1e+300 allows no finite step count at h = 1e-300\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "never").exists()
+
     def test_nonpositive_step(self, tmp_path, capsys):
         self._expect_config_error(tmp_path, capsys, "simulate", "--h", -0.1, field="h")
 

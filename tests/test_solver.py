@@ -288,6 +288,26 @@ class TestTiledHistory:
         monkeypatch.setattr(kernels, "TILE_BUDGET", budget)
         assert np.array_equal(integrate(system, orders, y0, cfg).states, default)
 
+    def test_kernel_has_one_column_per_distinct_order(self, monkeypatch):
+        # Every kernel build calls conv_weights_b once per column. The coupled
+        # run repeats its three orders on master and slave, so it builds three
+        # columns where the commensurate run builds one, on the same schedule.
+        calls = []
+        weights = kernels.conv_weights_b
+
+        def counted(q, count):
+            calls.append(q)
+            return weights(q, count)
+
+        monkeypatch.setattr(kernels, "conv_weights_b", counted)
+        cfg = SolverConfig(h=5e-4, n_steps=3000)
+        integrate(financial_system(), 0.99, self.Y0, cfg)
+        commensurate = len(calls)
+        calls.clear()
+        coupled = coupled_system(FinancialParams(), VoltaParams(), ExactCancellation())
+        integrate(coupled, (0.99, 0.95, 0.9) * 2, self.Y0 + (8.0, 2.0, 3.0), cfg)
+        assert len(calls) == 3 * commensurate
+
     @pytest.mark.parametrize("orders", ORDERS)
     def test_window_covering_whole_run_is_bit_identical(self, orders):
         system = financial_system()
@@ -356,8 +376,8 @@ class TestFailurePaths:
             integrate(system, 1.0, [10.0], SolverConfig(h=0.1, n_steps=200))
         assert np.all(np.isfinite(info.value.trajectory.states))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize(
+    # The classical driver and the fractional one at q = 1, which it matches step for step.
+    CLASSICAL_DRIVERS = pytest.mark.parametrize(
         "solve",
         [
             lambda system, cfg: integrate_classical_pece(system, [1.0], cfg),
@@ -365,6 +385,9 @@ class TestFailurePaths:
         ],
         ids=["classical", "fractional-q1"],
     )
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @CLASSICAL_DRIVERS
     def test_classical_blowup_keeps_the_finite_prefix(self, solve):
         # y' = y^2, y(0) = 1 is 1/(1 - t); both schemes overflow at the same row.
         calls = []
@@ -382,6 +405,27 @@ class TestFailurePaths:
         assert err.to_dict() == {"step": 106, "time": 1.06}
         assert err.trajectory.n_points == 106
         assert np.array_equal(err.trajectory.times, np.arange(106) * 0.01)
+        assert np.all(np.isfinite(err.trajectory.states))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @CLASSICAL_DRIVERS
+    def test_classical_corrector_blowup_keeps_the_finite_prefix(self, solve):
+        # y' = -y until the field turns infinite after t = 0.5: the predictor
+        # of row 51 is finite, and its corrector, at f(0.51) = inf, is not.
+        calls = []
+
+        def cliff(t, y):
+            calls.append(t)
+            return np.full(y.shape, np.inf) if t > 0.5 else -y
+
+        with pytest.raises(NonFiniteState) as info:
+            solve(_scalar_system("cliff", cliff), SolverConfig(h=0.01, n_steps=100))
+        # f_0, two calls for each of the 50 finished steps, then the predicted
+        # state of the failing one.
+        assert len(calls) == 1 + 2 * 50 + 1
+        err = info.value
+        assert err.to_dict() == {"step": 51, "time": 0.51}
+        assert err.trajectory.n_points == 51
         assert np.all(np.isfinite(err.trajectory.states))
 
     @pytest.mark.parametrize(
@@ -480,6 +524,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError) as info:
             SolverConfig.for_horizon(h, t_end)
         assert str(info.value) == f"horizon {t_end} allows no step at h = {h}"
+
+    # t_end / h overflows to inf, which round() would turn into OverflowError.
+    @pytest.mark.parametrize("h,t_end", [(1e-300, 1e300), (1e-10, 1e300), (5e-324, 1.0)])
+    def test_for_horizon_refuses_a_step_count_that_overflows(self, h, t_end):
+        with pytest.raises(ValueError) as info:
+            SolverConfig.for_horizon(h, t_end)
+        assert str(info.value) == f"horizon {t_end} allows no finite step count at h = {h}"
 
     def test_window_property(self):
         assert SolverConfig(h=0.1, n_steps=40).window == 41
