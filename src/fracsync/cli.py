@@ -71,13 +71,15 @@ def _load_config(args) -> dict:
         if not path.is_file():
             raise ConfigError("config", f"file not found: {path}")
         try:
-            cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            cfg = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError("config", f"not UTF-8 text in {path}: {exc}")
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
             raise ConfigError("config", f"invalid JSON in {path}: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError("config", "top level must be a JSON object")
-    for key in ("h", "t_end", "orders", "mode", "memory"):
-        value = getattr(args, key, None)
+    for key in _COMMANDS[args.command][2]:
+        value = getattr(args, key)
         if value is not None:
             # One --orders value is the uniform order; any other count goes to the check.
             cfg[key] = value[0] if key == "orders" and len(value) == 1 else value
@@ -166,7 +168,7 @@ def _model(cfg):
     """Both systems' parameters and the orders, with their echo for the report."""
     fp = _params(cfg, "financial", FinancialParams)
     vp = _params(cfg, "volta", VoltaParams)
-    orders = _read("orders", _orders, cfg.pop("orders", 0.99))
+    orders = _read("orders", _orders, cfg.pop("orders", FractionalOrders.q))
     echo = {
         "financial": dataclasses.asdict(fp),
         "volta": dataclasses.asdict(vp),
@@ -402,11 +404,24 @@ def _cmd_convergence(args) -> int:
     return EXIT_OK if ok else EXIT_BAND
 
 
+# Each flag overrides the config key of its name; --t-end sets t_end.
+_FLAGS = {
+    "h": {"type": float, "help": "step size override"},
+    "t_end": {"type": float, "help": "horizon override"},
+    "memory": {"help": "history policy: full, last:<k>, or an integer"},
+    "orders": {"type": float, "nargs": "+", "help": "derivative orders override (1 or 3 values)"},
+    "mode": {"choices": ["exact", "literal"], "help": "controller family"},
+}
+
+# Subcommand -> (handler, help text, the flags it takes in --help order).
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "synchronize": _cmd_synchronize,
-    "stability": _cmd_stability,
-    "convergence": _cmd_convergence,
+    "simulate": (_cmd_simulate, "integrate one system and write its trajectory",
+                 ("h", "t_end", "memory", "orders")),
+    "synchronize": (_cmd_synchronize, "run the driven pair and write errors and controls",
+                    ("h", "t_end", "memory", "orders", "mode")),
+    "stability": (_cmd_stability, "eigenvalue and argument-criterion report for a matrix",
+                  ("orders", "mode")),
+    "convergence": (_cmd_convergence, "step-halving self test on a known solution", ()),
 }
 
 
@@ -414,7 +429,10 @@ def _outdir(args, cfg: dict) -> Path:
     """The output directory, created once every key of `cfg` has been read."""
     _refuse_leftovers(cfg, args.command)
     outdir = Path(args.out) if args.out is not None else Path("out") / args.command
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot create directory {outdir}: {exc.strerror}")
     return outdir
 
 
@@ -424,36 +442,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fractional-order chaotic systems: simulation, synchronization, stability.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "simulate": "integrate one system and write its trajectory",
-        "synchronize": "run the driven pair and write errors and controls",
-        "stability": "eigenvalue and argument-criterion report for a matrix",
-        "convergence": "step-halving self test on a known solution",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        # No prefixes: "stability --h 0.1" would otherwise be read as --help.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default out/<command>)")
-        if name in ("simulate", "synchronize"):
-            p.add_argument("--h", type=float, help="step size override")
-            p.add_argument("--t-end", type=float, dest="t_end", help="horizon override")
-            p.add_argument("--memory", help="history policy: full, last:<k>, or an integer")
-        if name in ("simulate", "synchronize", "stability"):
-            p.add_argument(
-                "--orders",
-                type=float,
-                nargs="+",
-                help="derivative orders override (1 or 3 values)",
-            )
-        if name in ("synchronize", "stability"):
-            p.add_argument("--mode", choices=["exact", "literal"], help="controller family")
+        for key in flags:
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -46,17 +46,6 @@ from .systems import (FinancialParams, SystemDef, VoltaParams, financial_rhs, nu
                       order_array, volta_rhs)
 
 
-def gain_matrix_default(p: VoltaParams) -> np.ndarray:
-    """Feedback gain that turns the design matrix into exactly -I."""
-    return np.array(
-        [
-            [0.0, p.a, -1.0],
-            [p.b, 0.0, 0.0],
-            [1.0, 0.0, -1.0 - p.c],
-        ]
-    )
-
-
 def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
     """Design matrix of the linearized error system under gain A."""
     # Linear part of the error dynamics before feedback is added.
@@ -68,6 +57,16 @@ def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
         ]
     )
     return base + number_array(gain, InvalidGain, "gain", (3, 3))
+
+
+def gain_matrix_default(p: VoltaParams) -> np.ndarray:
+    """Feedback gain that turns the design matrix into exactly -I.
+
+    It is -I less the design matrix at zero gain. np.diag keeps the zeros
+    of -I positive (-np.eye(3) has -0.0 there), so the zeros of the gain,
+    which reports echo, stay 0.0.
+    """
+    return np.diag([-1.0, -1.0, -1.0]) - closed_loop_error_matrix(np.zeros((3, 3)), p)
 
 
 def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -> np.ndarray:

@@ -94,6 +94,21 @@ def first_panel_weights(q: float, steps) -> np.ndarray:
     return out
 
 
+def _start(rhs, y0, n_steps):
+    """y0 as float64, the states array with row 0 filled, and f0 = rhs(0, y0).
+
+    Both drivers begin here. An f0 whose shape is not y0's raises
+    ValueError naming both shapes, before any step is taken.
+    """
+    y0 = np.asarray(y0, dtype=np.float64)
+    states = np.empty((n_steps + 1, y0.shape[0]))
+    states[0] = y0
+    f0 = np.asarray(rhs(0.0, y0), dtype=np.float64)
+    if f0.shape != y0.shape:
+        raise ValueError(f"rhs returned shape {f0.shape} for a state of shape {y0.shape}")
+    return y0, states, f0
+
+
 # ---------------------------------------------------------------------------
 # numpy driver with FFT-tiled history sums.
 # ---------------------------------------------------------------------------
@@ -146,7 +161,8 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     Parameters
     ----------
     rhs : callable
-        rhs(t, y) -> ndarray of shape (d,).
+        rhs(t, y) -> ndarray of shape (d,); the first call is checked
+        (`_start`), and another shape raises ValueError.
     q, y0 : ndarray
         Orders and initial state, shape (d,).
     h : float
@@ -161,8 +177,7 @@ def abm_python(rhs, q, y0, h, n_steps, window):
         -1 when every state stayed finite.
     """
     q = np.asarray(q, dtype=np.float64)
-    y0 = np.asarray(y0, dtype=np.float64)
-    d = y0.shape[0]
+    d = q.shape[0]
     klen = max(1, min(window, n_steps))
     hq1 = h**q / np.array([math.gamma(v + 1.0) for v in q])
     hq2 = h**q / np.array([math.gamma(v + 2.0) for v in q])
@@ -189,9 +204,7 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     near = np.concatenate([lags, np.ones((1, 2 * d))])
     spectra = {}  # FFT length -> spectrum of kernel(length), kept while a later tile needs it
 
-    states = np.empty((n_steps + 1, d))
-    states[0] = y0
-    f0 = np.asarray(rhs(0.0, y0), dtype=np.float64)
+    y0, states, f0 = _start(rhs, y0, n_steps)
     # hist[j] = (f_j, f_j), except that the corrector half of row 0 is zero:
     # the corrector weighs f_0 with a0(n), not with the kernel.
     hist = np.empty((n_steps + 1, 2, d))
@@ -254,13 +267,10 @@ def classical_pece(rhs, y0, h, n_steps):
 
     Returns states of shape (n_steps + 1, d) and the failing grid index,
     -1 when every state stayed finite; like `abm_python`, it stops at the
-    first non-finite predictor or corrector.
+    first non-finite predictor or corrector and checks the shape of the
+    first rhs value.
     """
-    y0 = np.asarray(y0, dtype=np.float64)
-    d = y0.shape[0]
-    states = np.empty((n_steps + 1, d))
-    states[0] = y0
-    f0 = np.asarray(rhs(0.0, y0), dtype=np.float64)
+    y0, states, f0 = _start(rhs, y0, n_steps)
     sf = f0.copy()
     for n in range(n_steps):
         t1 = (n + 1) * h

@@ -64,7 +64,12 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid solution, optionally with error and control columns."""
+    """Uniform-grid solution, optionally with error and control columns.
+
+    It holds at least one grid point, and states, errors and controls
+    (when given) have one row per grid point; anything else raises
+    ValueError.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -72,8 +77,13 @@ class Trajectory:
     controls: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.states.shape[0] != self.times.shape[0]:
-            raise ValueError("times and states must have one row per grid point")
+        n = self.times.shape[0]
+        if n == 0:
+            raise ValueError("a trajectory needs at least one grid point")
+        for name in ("states", "errors", "controls"):
+            rows = getattr(self, name)
+            if rows is not None and rows.shape[0] != n:
+                raise ValueError(f"times and {name} must have one row per grid point")
 
     @property
     def n_points(self) -> int:
@@ -136,7 +146,8 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     Raises
     ------
     ValueError
-        When y0 breaks the rule above.
+        When y0 breaks the rule above, or when the first value of
+        system.rhs does not have y0's shape.
     InvalidOrder
         When an order is not a number, is outside (0, 1], or the orders
         do not broadcast to (dimension,); see `systems.order_array`.

@@ -325,6 +325,22 @@ class TestSyncTime:
         with pytest.raises(ValueError):
             sync_time(traj, 0.0)
 
+    @pytest.mark.parametrize("n_errors,n_times", [(5, 3), (2, 5)])
+    def test_error_rows_must_match_the_grid(self, n_errors, n_times):
+        with pytest.raises(ValueError, match="times and errors must have one row per grid point"):
+            Trajectory(times=np.arange(float(n_times)), states=np.zeros((n_times, 1)),
+                       errors=np.zeros((n_errors, 1)))
+
+    def test_control_rows_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="times and controls must have one row per grid point"):
+            Trajectory(times=np.arange(3.0), states=np.zeros((3, 6)), errors=np.zeros((3, 3)),
+                       controls=np.zeros((2, 3)))
+
+    def test_empty_trajectory_is_refused(self):
+        # sync_time and divergence_factor read row 0 and the last row.
+        with pytest.raises(ValueError, match="at least one grid point"):
+            Trajectory(times=np.zeros(0), states=np.zeros((0, 1)), errors=np.zeros((0, 1)))
+
     def test_summary_serialization(self):
         traj = _error_trajectory(np.arange(3.0), [5.0, 5e-4, 5e-4])
         d = sync_time(traj, 1e-3).to_dict()

@@ -176,6 +176,16 @@ class TestSimulateValidation:
         bad.write_text("{nope")
         self._expect_config_error(tmp_path, capsys, "simulate", "--config", bad, field="config")
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        self._expect_config_error(tmp_path, capsys, "simulate", "--config", bad, field="config")
+
+    def test_config_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        self._expect_config_error(tmp_path, capsys, "simulate", "--config", deep, field="config")
+
     def test_non_object_top_level(self, tmp_path, capsys):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2]")
@@ -571,6 +581,42 @@ class TestLeftoverKeys:
         assert code == EXIT_CONFIG
         assert "config error: mode: not used by stability" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputDirectory:
+    # An --out that cannot be a directory is a config error, and nothing is written.
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_refused(self, tmp_path, capsys, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        out = blocker / "sub" if below else blocker
+        assert _run("stability", "--out", out) == EXIT_CONFIG
+        assert f"config error: out: cannot create directory {out}" in capsys.readouterr().err
+        assert blocker.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
+# The flags each subcommand takes, with a value that parses.
+FLAG_VALUES = {"h": "0.1", "t_end": "1", "memory": "full", "orders": "0.9", "mode": "exact"}
+COMMAND_FLAGS = {
+    "simulate": {"h", "t_end", "memory", "orders"},
+    "synchronize": {"h", "t_end", "memory", "orders", "mode"},
+    "stability": {"orders", "mode"},
+    "convergence": set(),
+}
+
+
+@pytest.mark.parametrize("flag", FLAG_VALUES)
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_subcommand_takes_only_its_flags(capsys, command, flag):
+    argv = [command, "--" + flag.replace("_", "-"), FLAG_VALUES[flag]]
+    if flag in COMMAND_FLAGS[command]:
+        assert getattr(cli._build_parser().parse_args(argv), flag) is not None
+    else:
+        with pytest.raises(SystemExit) as info:
+            cli._build_parser().parse_args(argv)
+        assert info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_readme_simulate_config_runs(tmp_path):

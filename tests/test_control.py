@@ -1,6 +1,7 @@
 """Controllers, the coupled system, and the argument criterion."""
 
 import cmath
+import json
 import math
 
 import mpmath
@@ -48,6 +49,11 @@ class TestGainAndDesignMatrix:
     def test_default_gain_entries(self):
         expect = np.array([[0.0, 19.0, -1.0], [11.0, 0.0, 0.0], [1.0, 0.0, -1.73]])
         assert np.array_equal(gain_matrix_default(VP), expect)
+
+    def test_default_gain_zeros_are_positive(self):
+        # array_equal treats -0.0 as 0.0; the echoed gain in report.json does not.
+        text = json.dumps(gain_matrix_default(VP).tolist())
+        assert text == "[[0.0, 19.0, -1.0], [11.0, 0.0, 0.0], [1.0, 0.0, -1.73]]"
 
     def test_default_gain_gives_minus_identity(self):
         closed = closed_loop_error_matrix(gain_matrix_default(VP), VP)

@@ -449,6 +449,38 @@ class TestFailurePaths:
         solve(_scalar_system("relax", relax), SolverConfig(h=0.01, n_steps=n_steps))
         assert len(calls) == 2 * n_steps
 
+    # Both drivers; the fractional one at q = 0.9.
+    BOTH_DRIVERS = pytest.mark.parametrize(
+        "solve",
+        [
+            lambda system, y0, cfg: integrate_classical_pece(system, y0, cfg),
+            lambda system, y0, cfg: integrate(system, 0.9, y0, cfg),
+        ],
+        ids=["classical", "fractional"],
+    )
+
+    @BOTH_DRIVERS
+    def test_rhs_of_the_wrong_shape_is_refused_at_the_first_call(self, solve):
+        # A (1,) field for a 3-dimensional state would broadcast, or fail mid-step.
+        calls = []
+
+        def narrow(t, y):
+            calls.append(t)
+            return -y[:1]
+
+        system = SystemDef(name="narrow", dimension=3, rhs=narrow)
+        match = r"rhs returned shape \(1,\) for a state of shape \(3,\)"
+        with pytest.raises(ValueError, match=match):
+            solve(system, [1.0, 2.0, 3.0], SolverConfig(h=0.01, n_steps=10))
+        assert calls == [0.0]
+
+    @BOTH_DRIVERS
+    def test_zero_dimensional_rhs_is_refused(self, solve):
+        system = _scalar_system("scalar", lambda t, y: -y[0])
+        match = r"rhs returned shape \(\) for a state of shape \(1,\)"
+        with pytest.raises(ValueError, match=match):
+            solve(system, [1.0], SolverConfig(h=0.01, n_steps=10))
+
     def test_simulation_keeps_the_error_as_its_blowup_record(self):
         # The Volta system under a 2000-step window leaves the finite range near t = 9.5.
         cfg = SolverConfig(h=5e-4, n_steps=100_000, memory=2000)
