@@ -1,20 +1,23 @@
 """Command line front end.
 
-Four subcommands: simulate, synchronize, stability, convergence. Each
-reads an optional JSON config, applies flag overrides and validates fully
-before writing anything: each key is checked by the code that reads (pops)
-it, and a key left over once the subcommand's reads are done is a config
-error, so a key unused with the given settings is refused, not ignored.
-Artifacts go into the output directory: trajectory.csv for time series
-and report.json for everything else. Reports embed the resolved
+Four subcommands: simulate, synchronize, stability, convergence. `main`
+loads the optional JSON config with its flag overrides; each subcommand
+then validates fully before anything is written: each key is checked by
+the code that reads (pops) it, and a key left over once the subcommand's
+reads are done is a config error, so a key unused with the given
+settings is refused, not ignored. Each subcommand returns its report
+and, for a time series, its table; `main` writes them into the output
+directory (trajectory.csv for the table, report.json for the report) and
+takes the exit code from the report. Reports embed the resolved
 configuration and contain no wall-clock data, so a rerun with the same
 inputs is byte-identical; timing is printed to stdout only. The
 "backend" entry of simulate and synchronize reports always reads
 "numpy", the one integration driver; it stays so that reports keep the
 bytes they had when a second driver existed.
 
-Exit codes: 0 success, 2 invalid configuration, 3 run left the finite
-range (partial trajectory retained), 4 convergence order out of band.
+Exit codes: 0 success, 2 invalid configuration or an unreadable config
+or unwritable artifact, 3 run left the finite range (partial trajectory
+retained), 4 convergence order out of band.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ def _load_config(args) -> dict:
             raise ConfigError("config", f"not UTF-8 text in {path}: {exc}")
         except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
             raise ConfigError("config", f"invalid JSON in {path}: {exc}")
+        except OSError as exc:
+            raise ConfigError("config", f"cannot read {path}: {exc.strerror}")
         if not isinstance(cfg, dict):
             raise ConfigError("config", "top level must be a JSON object")
     for key in _COMMANDS[args.command][2]:
@@ -231,15 +236,27 @@ def _write_report(path: Path, report: dict) -> None:
     path.write_text(json.dumps(report, indent=2) + "\n")
 
 
-def _write_run(command, outdir: Path, run, resolved: dict, header: str, columns, entries) -> int:
-    """Write a run's trajectory.csv and report.json and return its exit code.
+def _write(outdir: Path, report: dict, table) -> None:
+    """Write trajectory.csv from `table` (header, columns), if given, then report.json.
 
-    `entries` fill the report, in their order, between "rows_written" and
-    "files". A run that left the finite range exits EXIT_BLOWUP.
+    A file that cannot be written is a ConfigError on "out" naming it; a
+    file written before the failure stays.
     """
-    _write_csv(outdir / "trajectory.csv", header, columns)
-    report = {
-        "command": command,
+    path = outdir / "trajectory.csv"
+    try:
+        if table:
+            _write_csv(path, *table)
+        path = outdir / "report.json"
+        _write_report(path, report)
+    except OSError as exc:
+        # Name the file here: an error of write itself, such as ENOSPC, carries no filename.
+        raise ConfigError("out", f"cannot write {path}: {exc.strerror}")
+    print(f"wrote {outdir / 'trajectory.csv'} and {path}" if table else f"wrote {path}")
+
+
+def _run_report(run, resolved: dict, entries: dict) -> dict:
+    """A simulate or synchronize report body, `entries` in order before "files"."""
+    return {
         "status": "blowup" if run.blowup else "ok",
         "config": resolved,
         "backend": "numpy",
@@ -247,21 +264,15 @@ def _write_run(command, outdir: Path, run, resolved: dict, header: str, columns,
         **entries,
         "files": {"trajectory": "trajectory.csv"},
     }
-    _write_report(outdir / "report.json", report)
-    print(f"wrote {outdir / 'trajectory.csv'} and {outdir / 'report.json'}")
-    if run.blowup:
-        print(f"run left the finite range at step {run.blowup.step} (t = {run.blowup.time:g})")
-        return EXIT_BLOWUP
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands. Each reads its keys from the loaded config, runs, and returns
+# (outdir, report, table); `main` writes them and sets the exit code.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def _cmd_simulate(args, cfg):
     name, systems = cfg.pop("system", "financial"), experiments.SYSTEMS
     if not isinstance(name, str) or name not in systems:
         raise ConfigError("system", f"expected one of {', '.join(systems)}, got {name!r}")
@@ -278,16 +289,12 @@ def _cmd_simulate(args) -> int:
 
     traj = run.trajectory
     print(f"simulate: {name}, {traj.n_points} rows, {elapsed:.2f} s")
-    entries = {
-        "blowup": run.blowup.to_dict() if run.blowup else None,
-        "final_state": traj.states[-1].tolist() if traj.n_points else None,
-    }
-    columns = [traj.times, *traj.states.T]
-    return _write_run("simulate", outdir, run, resolved, "t,x,y,z", columns, entries)
+    entries = {"blowup": run.blowup.to_dict() if run.blowup else None,
+               "final_state": traj.states[-1].tolist()}
+    return outdir, _run_report(run, resolved, entries), ("t,x,y,z", [traj.times, *traj.states.T])
 
 
-def _cmd_synchronize(args) -> int:
-    cfg = _load_config(args)
+def _cmd_synchronize(args, cfg):
     fp, vp, orders, model = _model(cfg)
     config, grid = _grid(cfg, _SYNC_T_END)
     mode, controller, rates = _controller(cfg, vp)
@@ -318,7 +325,7 @@ def _cmd_synchronize(args) -> int:
     }
     columns = [traj.times, *traj.states.T, *traj.errors.T, *traj.controls.T]
     header = "t,x1,y1,z1,x2,y2,z2,e1,e2,e3,u1,u2,u3"
-    return _write_run("synchronize", outdir, run, resolved, header, columns, entries)
+    return outdir, _run_report(run, resolved, entries), (header, columns)
 
 
 def _stability_entry(matrix: np.ndarray, orders: FractionalOrders) -> dict:
@@ -330,20 +337,14 @@ def _stability_entry(matrix: np.ndarray, orders: FractionalOrders) -> dict:
     }
 
 
-def _cmd_stability(args) -> int:
-    cfg = _load_config(args)
+def _cmd_stability(args, cfg):
     fp, vp, orders, model = _model(cfg)
     spec = cfg.pop("matrix", {})
     if not isinstance(spec, dict):
         raise ConfigError("matrix", f"expected an object, got {spec!r}")
     source = spec.pop("source", "closed_loop")
-    if source not in ("closed_loop", "equilibria", "explicit"):
-        raise ConfigError(
-            "matrix.source", f"expected 'closed_loop', 'equilibria' or 'explicit', got {source!r}"
-        )
-
     resolved = {**model, "matrix_source": source}
-    report: dict = {"command": "stability", "config": resolved}
+    report: dict = {"config": resolved}
 
     if source == "closed_loop":
         mode, controller, _ = _controller(cfg, vp)
@@ -355,7 +356,7 @@ def _cmd_stability(args) -> int:
             raise ConfigError("matrix.values", "required for source 'explicit'")
         matrix = _read("matrix.values", _matrix, values)
         report["explicit"] = _stability_entry(matrix, orders)
-    else:
+    elif source == "equilibria":
         entries = []
         for state in _read("financial", financial_equilibria, fp):
             entry = _stability_entry(financial_jacobian(state, fp), orders)
@@ -370,23 +371,24 @@ def _cmd_stability(args) -> int:
                 "reported_onset": FINANCIAL_CHAOS_ONSET_REFERENCE,
                 "delta": system_threshold - FINANCIAL_CHAOS_ONSET_REFERENCE,
             }
+    else:
+        raise ConfigError(
+            "matrix.source", f"expected 'closed_loop', 'equilibria' or 'explicit', got {source!r}"
+        )
 
     _refuse_leftovers(spec, "stability", "matrix.")
     outdir = _outdir(args, cfg)
-    _write_report(outdir / "report.json", report)
     print(f"stability: source {source}")
-    print(f"wrote {outdir / 'report.json'}")
-    return EXIT_OK
+    return outdir, report, None
 
 
-def _cmd_convergence(args) -> int:
+def _cmd_convergence(args, cfg):
     # The refinement study is pinned: it reads no key, so any key is refused.
-    outdir = _outdir(args, _load_config(args))
+    outdir = _outdir(args, cfg)
     t0 = time.perf_counter()
     cases, ok = experiments.convergence_selftest()
     elapsed = time.perf_counter() - t0
     report = {
-        "command": "convergence",
         "config": {
             "h0": experiments.CONVERGENCE_H0,
             "levels": experiments.CONVERGENCE_LEVELS,
@@ -395,13 +397,12 @@ def _cmd_convergence(args) -> int:
         "cases": [c.to_dict() for c in cases],
         "all_in_band": bool(ok),
     }
-    _write_report(outdir / "report.json", report)
     for c in cases:
         status = "in band" if c.in_band else "OUT OF BAND"
         orders_text = ", ".join(f"{v:.3f}" for v in c.report.orders)
         print(f"q = {c.q:g}: orders [{orders_text}] vs {c.band[0]:g}..{c.band[1]:g} ({status})")
-    print(f"convergence study finished in {elapsed:.2f} s; wrote {outdir / 'report.json'}")
-    return EXIT_OK if ok else EXIT_BAND
+    print(f"convergence study finished in {elapsed:.2f} s")
+    return outdir, report, None
 
 
 # Each flag overrides the config key of its name; --t-end sets t_end.
@@ -455,10 +456,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        outdir, report, table = _COMMANDS[args.command][0](args, _load_config(args))
+        _write(outdir, {"command": args.command, **report}, table)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    blowup = report.get("blowup")
+    if blowup:
+        print(f"run left the finite range at step {blowup['step']} (t = {blowup['time']:g})")
+        return EXIT_BLOWUP
+    return EXIT_BAND if report.get("all_in_band") is False else EXIT_OK
 
 
 def entry() -> None:

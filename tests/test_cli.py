@@ -596,6 +596,77 @@ class TestOutputDirectory:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
 
+# Short argv for each subcommand, and the artifacts it writes in order.
+SHORT_RUNS = {
+    "simulate": (["--h", 0.01, "--t-end", 0.1], ["trajectory.csv", "report.json"]),
+    "synchronize": (["--h", 0.01, "--t-end", 0.1], ["trajectory.csv", "report.json"]),
+    "stability": ([], ["report.json"]),
+    "convergence": ([], ["report.json"]),
+}
+
+
+class TestArtifactWriteFailure:
+    # An artifact that cannot be written after the run is a config error on "out".
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [(c, name) for c, (_, names) in SHORT_RUNS.items() for name in names],
+    )
+    def test_named_and_exit_2(self, tmp_path, capsys, command, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv, names = SHORT_RUNS[command]
+        assert _run(command, *argv, "--out", out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: out: cannot write {out / blocked}: " in err
+        assert "Traceback" not in err
+        # Files before the blocked one were written; none after it was.
+        earlier = names[: names.index(blocked)]
+        assert sorted(p.name for p in out.iterdir()) == sorted([blocked, *earlier])
+
+
+@pytest.mark.parametrize("command", SHORT_RUNS)
+def test_unreadable_config(tmp_path, capsys, monkeypatch, command):
+    cfg = _write_config(tmp_path, {})
+    out = tmp_path / "never"
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert _run(command, "--config", cfg, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: config: cannot read {cfg}: Permission denied" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, payload, expected",
+    [
+        (["simulate", "--h", 0.01, "--t-end", 0.5], None, EXIT_OK),
+        (["simulate"], {"system": "volta", "memory": "last:2000", "t_end": 10}, EXIT_BLOWUP),
+        (["synchronize", "--h", 0.01, "--t-end", 0.5], None, EXIT_OK),
+        (["stability"], None, EXIT_OK),
+        (["convergence"], None, EXIT_BAND),
+    ],
+    ids=["simulate", "volta-blowup", "synchronize", "stability", "convergence"],
+)
+def test_exit_code_follows_report(tmp_path, capsys, argv, payload, expected):
+    out = tmp_path / "out"
+    config = [] if payload is None else ["--config", _write_config(tmp_path, payload)]
+    code = _run(*argv, *config, "--out", out)
+    report = _report(out)
+    assert report["command"] == argv[0]
+    assert code == expected
+    blowup = report.get("blowup")
+    assert bool(blowup) == (code == EXIT_BLOWUP)
+    assert (report.get("all_in_band") is False) == (code == EXIT_BAND)
+    stdout = capsys.readouterr().out
+    if blowup:
+        line = f"run left the finite range at step {blowup['step']} (t = {blowup['time']:g})"
+        assert stdout.splitlines()[-1] == line
+    else:
+        assert stdout.splitlines()[-1].startswith("wrote ")
+
 # The flags each subcommand takes, with a value that parses.
 FLAG_VALUES = {"h": "0.1", "t_end": "1", "memory": "full", "orders": "0.9", "mode": "exact"}
 COMMAND_FLAGS = {
