@@ -219,16 +219,20 @@ def _write_csv(path: Path, header: str, columns) -> None:
     Each value is its shortest round-trip `repr`, with the ".0" of an
     integral value dropped ("2" for 2.0, "-0" for -0.0; "nan" and "inf"
     as they are). The table is formatted and written _CSV_CHUNK rows at a
-    time, so no whole-table copy or list of lines is ever held. `repr`
-    never writes ".0e", so a ".0" before a separator always ends its value
-    and one `replace` per chunk strips them all.
+    time, so no whole-table copy or list of lines is ever held. A chunk is
+    one `%` format: the row format "%r,...,%r\n", one "%r" per column,
+    repeated once per row of the chunk, applied to the chunk's values in
+    row order; "%r" is `repr`, so each value reads as it would on its own.
+    `repr` never writes ".0e", so a ".0" before a separator always ends its
+    value and one `replace` per chunk strips them all.
     """
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    row = ",".join(["%r"] * len(cols)) + "\n"
     with path.open("w") as fh:
         fh.write(header + "\n")
         for i in range(0, cols[0].shape[0], _CSV_CHUNK):
-            rows = np.column_stack([c[i : i + _CSV_CHUNK] for c in cols]).tolist()
-            text = "\n".join([",".join(map(repr, row)) for row in rows]) + "\n"
+            values = np.column_stack([c[i : i + _CSV_CHUNK] for c in cols]).ravel().tolist()
+            text = row * (len(values) // len(cols)) % tuple(values)
             fh.write(text.replace(".0,", ",").replace(".0\n", "\n"))
 
 

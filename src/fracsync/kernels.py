@@ -12,7 +12,12 @@ system hold (N + 1) * d floats of states and (N + 1) * 2d of history. The
 FFT tiles add little to that: the weight kernel has one column pair per
 distinct order, which every component of that order reads through a
 column index, and a long tile is transformed a few components at a time,
-so that no tile array is (length, 2d) wide.
+so that no tile array is (length, 2d) wide. The per-step near sums write
+into scratch that each call builds once, a (BLOCK + 1, 2d) product buffer
+and a 2d-float `sums` vector, so a step allocates no array for them. That
+adds (BLOCK + 1) * 2d + 2d floats and 2 * BLOCK views of them, about 20 kB
+at d = 3 whatever N is; being local to the call, the scratch keeps a
+nested integration inside an rhs from touching the outer one's sums.
 ``benchmarks/benchmark_kernels.py`` times the driver and records its peak
 memory.
 
@@ -158,6 +163,17 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     The rows are added in order, so the sum is the near sum plus the
     pending sums to the last bit.
 
+    The near sums run in scratch built once per call: for each r, the
+    weight view near[BLOCK - 1 - r:] and the first r + 2 rows of one
+    (BLOCK + 1, 2d) product buffer, and one `sums` array of 2d floats whose
+    halves are the predictor and the corrector sums. Each step multiplies
+    into the product view and reduces into `sums` with `out=`, the same
+    operations in the same order as fresh arrays. The scratch adds
+    (BLOCK + 1) * 2d + 2d floats and the 2 * BLOCK views; no step allocates
+    an array for its near sums. The predictor handed to rhs is the
+    first half of `sums`, overwritten by the next step, so an rhs that keeps
+    its state argument must copy it.
+
     Parameters
     ----------
     rhs : callable
@@ -203,6 +219,14 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     lags = kernel(BLOCK)[::-1, :, col].reshape(BLOCK, 2 * d)
     near = np.concatenate([lags, np.ones((1, 2 * d))])
     spectra = {}  # FFT length -> spectrum of kernel(length), kept while a later tile needs it
+    # Near-sum scratch, indexed by r = n % BLOCK: the weights of rows
+    # n - r .. n + 1 and the first r + 2 rows of one product buffer.
+    prod = np.empty((BLOCK + 1, 2 * d))
+    weights = [near[BLOCK - 1 - r :] for r in range(BLOCK)]
+    products = [prod[: r + 2] for r in range(BLOCK)]
+    sums = np.empty(2 * d)
+    pred, corr = sums[:d], sums[d:]
+    multiply, add, reduce, isfinite = np.multiply, np.add, np.add.reduce, math.isfinite
 
     y0, states, f0 = _start(rhs, y0, n_steps)
     # hist[j] = (f_j, f_j), except that the corrector half of row 0 is zero:
@@ -241,15 +265,16 @@ def abm_python(rhs, q, y0, h, n_steps, window):
                     tile[:, :, j] *= spec[:, :, c]
                 acc[n:stop, :, comps] += np.fft.irfft(tile, length, axis=0)[size:]
         # Rows f_{n-r} .. f_n, then acc[n], added in order.
-        sums = np.add.reduce(near[BLOCK - 1 - r :] * flat[n - r : n + 2], axis=0)
-        pred = sums[:d]
-        if not all(map(math.isfinite, pred.tolist())):
+        product = products[r]
+        multiply(weights[r], flat[n - r : n + 2], out=product)
+        reduce(product, axis=0, out=sums)
+        if not all(map(isfinite, pred.tolist())):
             return states, n + 1
         t1 = (n + 1) * h
         new = states[n + 1]
-        np.multiply(hq2, rhs(t1, pred), out=new)
-        np.add(sums[d:], new, out=new)
-        if not all(map(math.isfinite, new.tolist())):
+        multiply(hq2, rhs(t1, pred), out=new)
+        add(corr, new, out=new)
+        if not all(map(isfinite, new.tolist())):
             return states, n + 1
         if n + 1 < n_steps:  # no sum reads f at the last grid point
             hist[n + 1] = rhs(t1, new)

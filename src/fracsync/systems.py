@@ -249,7 +249,9 @@ class SystemDef:
     """A named dynamical system ready for integration.
 
     rhs(t, y) must accept a state of shape (d,) and return the same shape;
-    it is the only definition of the field that integration uses.
+    it is the only definition of the field that integration uses. The
+    driver may reuse the array it passes as y on its next step, so an rhs
+    that keeps y must copy it.
     """
 
     name: str
@@ -262,7 +264,7 @@ def financial_system(params: FinancialParams | None = None) -> SystemDef:
     return SystemDef(
         name="financial",
         dimension=3,
-        rhs=lambda t, y: financial_rhs(y, p),
+        rhs=lambda t, y: componentwise(_financial, y, p),
     )
 
 
@@ -271,7 +273,7 @@ def volta_system(params: VoltaParams | None = None) -> SystemDef:
     return SystemDef(
         name="volta",
         dimension=3,
-        rhs=lambda t, y: volta_rhs(y, p),
+        rhs=lambda t, y: componentwise(_volta, y, p),
     )
 
 

@@ -147,13 +147,24 @@ def _value_text(x):
     return s[:-2] if s.endswith(".0") else s
 
 
-@pytest.mark.parametrize("n_rows", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
-def test_csv_matches_the_per_value_format(tmp_path, n_rows):
-    columns = [np.resize(np.roll(CSV_VALUES, k), n_rows) for k in range(4)]
+# The writer builds its row format from the column count, so each width is
+# checked: 4 (simulate, whose ids are the row count alone), 13 (synchronize)
+# and 1.
+@pytest.mark.parametrize(
+    "n_rows,n_cols",
+    [
+        pytest.param(n_rows, n_cols, id=str(n_rows) if n_cols == 4 else f"{n_rows}-{n_cols}cols")
+        for n_cols in (4, 1, 13)
+        for n_rows in (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+    ],
+)
+def test_csv_matches_the_per_value_format(tmp_path, n_rows, n_cols):
+    columns = [np.resize(np.roll(CSV_VALUES, k), n_rows) for k in range(n_cols)]
+    header = ",".join(f"c{k}" for k in range(n_cols))
     path = tmp_path / "trajectory.csv"
-    cli._write_csv(path, "t,x,y,z", columns)
+    cli._write_csv(path, header, columns)
     rows = [",".join(_value_text(c[i]) for c in columns) for i in range(n_rows)]
-    assert path.read_bytes() == "\n".join(["t,x,y,z", *rows, ""]).encode()
+    assert path.read_bytes() == "\n".join([header, *rows, ""]).encode()
 
 
 class TestSimulateValidation:

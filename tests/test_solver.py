@@ -352,6 +352,22 @@ class TestDeterminism:
         b = integrate(system, 0.9, [2.0, -1.0, 1.0], cfg)
         assert np.array_equal(a.states, b.states)
 
+    def test_an_rhs_that_integrates_matches_the_field_alone(self):
+        # Each integrate call keeps its own near-sum scratch: a nested run
+        # inside every rhs call leaves the outer sums, and so the states, as
+        # they are.
+        field = financial_system()
+        inner = SolverConfig(h=0.01, n_steps=8)
+
+        def nested(t, y):
+            integrate(field, 0.9, y, inner)
+            return field.rhs(t, y)
+
+        cfg = SolverConfig(h=0.002, n_steps=150)
+        plain = integrate(field, 0.99, [2.0, -1.0, 1.0], cfg)
+        outer = integrate(SystemDef("nested", 3, nested), 0.99, [2.0, -1.0, 1.0], cfg)
+        assert np.array_equal(outer.states, plain.states)
+
 
 class TestFailurePaths:
     # The runaway tests drive the state through float overflow on purpose.

@@ -96,6 +96,32 @@ def test_non_finite_single_states_follow_numpy(rhs, cls, big):
         assert np.array_equal(rhs(row, cls()), expect, equal_nan=True)
 
 
+@pytest.mark.parametrize(
+    "system,rhs,cls",
+    [(financial_system, financial_rhs, FinancialParams), (volta_system, volta_rhs, VoltaParams)],
+)
+def test_system_rhs_is_the_public_field_bit_for_bit(system, rhs, cls):
+    # SystemDef.rhs enters the field body directly; it must still read every
+    # state as financial_rhs and volta_rhs do.
+    p = cls()
+    field = system(p).rhs
+    six = np.array([8.0, 0.5, 2.0, -1.5, 3.0, 1e-3])
+    states = [
+        np.array([2.0, -1.0, 1.0]),
+        six[::2],
+        six[:3],
+        [8.0, 2.0, 3.0],
+        np.array([2, -1, 3], dtype=np.int64),
+        np.array([0.1, -2.5, 7.3], dtype=np.float32),
+    ]
+    for state in states:
+        out, expect = field(0.0, state), rhs(state, p)
+        assert out.dtype == expect.dtype == np.float64
+        assert np.array_equal(out, expect)
+    with pytest.raises(ValueError):
+        field(0.0, np.ones(4))
+
+
 def _fd_jacobian(rhs, state, params, eps=1e-6):
     out = np.empty((3, 3))
     for j in range(3):
