@@ -204,6 +204,8 @@ def _controller(cfg, vp):
         return mode, controller, {"lambda": list(controller.lam)}
     if mode == "literal":
         controller = _read("gain", ctl.LiteralFeedback, cfg.pop("gain", None))
+        # Reports carry the design matrix and its spectrum, so both must be finite.
+        _read("gain", lambda c: ctl.eigen3(c.design_matrix(vp)), controller)
         return mode, controller, {"gain": controller.gain_array(vp).tolist()}
     raise ConfigError("mode", f"expected 'exact' or 'literal', got {mode!r}")
 
@@ -332,8 +334,9 @@ def _cmd_synchronize(args, cfg):
     return outdir, _run_report(run, resolved, entries), (header, columns)
 
 
-def _stability_entry(matrix: np.ndarray, orders: FractionalOrders) -> dict:
-    report = ctl.matignon_check(matrix, orders)
+def _stability_entry(key: str, matrix: np.ndarray, orders: FractionalOrders) -> dict:
+    """Report entry of `matrix`, whose spectrum `eigen3` may refuse as a ConfigError(key)."""
+    report = _read(key, lambda m: ctl.matignon_check(m, orders), matrix)
     return {
         "matrix": matrix.tolist(),
         "stability": report.to_dict(),
@@ -353,17 +356,18 @@ def _cmd_stability(args, cfg):
     if source == "closed_loop":
         mode, controller, _ = _controller(cfg, vp)
         resolved["mode"] = mode
-        report["closed_loop"] = _stability_entry(controller.design_matrix(vp), orders)
+        key = "gain" if mode == "literal" else "lambda"
+        report["closed_loop"] = _stability_entry(key, controller.design_matrix(vp), orders)
     elif source == "explicit":
         values = spec.pop("values", None)
         if values is None:
             raise ConfigError("matrix.values", "required for source 'explicit'")
         matrix = _read("matrix.values", _matrix, values)
-        report["explicit"] = _stability_entry(matrix, orders)
+        report["explicit"] = _stability_entry("matrix.values", matrix, orders)
     elif source == "equilibria":
         entries = []
         for state in _read("financial", financial_equilibria, fp):
-            entry = _stability_entry(financial_jacobian(state, fp), orders)
+            entry = _stability_entry("financial", financial_jacobian(state, fp), orders)
             entry["state"] = state.tolist()
             entries.append(entry)
         thresholds = [e["chaos_threshold"] for e in entries if e["chaos_threshold"] is not None]

@@ -41,13 +41,18 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateEigenvalue, InvalidGain
+from .errors import DegenerateEigenvalue, DomainExceeded, InvalidGain
 from .systems import (FinancialParams, SystemDef, VoltaParams, financial_rhs, number_array,
                       order_array, volta_rhs)
 
 
 def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
-    """Design matrix of the linearized error system under gain A."""
+    """Design matrix of the linearized error system under gain A.
+
+    `gain` must be a 3x3 array of finite numbers (`systems.number_array`),
+    and its sum with the linear part of the error dynamics must be finite
+    too: anything else raises InvalidGain.
+    """
     # Linear part of the error dynamics before feedback is added.
     base = np.array(
         [
@@ -56,7 +61,11 @@ def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
             [-1.0, 0.0, p.c],
         ]
     )
-    return base + number_array(gain, InvalidGain, "gain", (3, 3))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        matrix = base + number_array(gain, InvalidGain, "gain", (3, 3))
+    if not np.isfinite(matrix).all():
+        raise InvalidGain(f"the design matrix overflows float64: {matrix.tolist()}")
+    return matrix
 
 
 def gain_matrix_default(p: VoltaParams) -> np.ndarray:
@@ -216,9 +225,13 @@ def eigen3(matrix) -> np.ndarray:
     0 and complex roots come as exact conjugates, the lower one first.
     `matrix` must be a 3x3 array of finite numbers (`systems.number_array`):
     strings, booleans, None, NaN, infinities, ragged lists and any other
-    shape raise ValueError.
+    shape raise ValueError. A finite matrix whose spectrum overflows
+    float64 raises DomainExceeded, a ValueError as well.
     """
-    return np.sort_complex(np.linalg.eigvals(number_array(matrix, ValueError, "matrix", (3, 3))))
+    lams = np.sort_complex(np.linalg.eigvals(number_array(matrix, ValueError, "matrix", (3, 3))))
+    if not np.isfinite(lams).all():
+        raise DomainExceeded(f"the spectrum overflows float64: {lams.tolist()}")
+    return lams
 
 
 def _min_argument(lams) -> Optional[float]:

@@ -227,7 +227,10 @@ def financial_equilibria(p: FinancialParams) -> list[np.ndarray]:
 
     Setting the field to zero gives z = -x/gamma, x*(y - alpha - 1/gamma) = 0
     and y = (1 - x^2)/beta. The x = 0 branch always exists; the symmetric
-    pair exists when 1 - beta*(alpha + 1/gamma) >= 0.
+    pair exists when 1 - beta*(alpha + 1/gamma) >= 0. Raises
+    DegenerateParameters for beta = 0 or gamma = 0, and for parameters
+    that put an equilibrium beyond float64 (1/beta overflows for a
+    subnormal beta).
     """
     if p.beta == 0.0 or p.gamma == 0.0:
         raise DegenerateParameters(
@@ -241,6 +244,8 @@ def financial_equilibria(p: FinancialParams) -> list[np.ndarray]:
         y = p.alpha + 1.0 / p.gamma
         states.append(np.array([x, y, -x / p.gamma]))
         states.append(np.array([-x, y, x / p.gamma]))
+    if not np.isfinite(states).all():
+        raise DegenerateParameters(f"an equilibrium overflows float64 at {p}")
     return states
 
 

@@ -89,6 +89,14 @@ SWEEP_CALL_S = 0.05
 SWEEP_REL = 1e-10
 
 
+def _assert_refused(q, z):
+    """E_q(z) off the domain [-30, 0] raises DomainExceeded within the per-call bound."""
+    t0 = time.perf_counter()
+    with pytest.raises(DomainExceeded):
+        mittag_leffler(q, z)
+    assert time.perf_counter() - t0 < SWEEP_CALL_S
+
+
 class TestMittagLeffler:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.99, 1.0])
     def test_zero_argument(self, q):
@@ -96,6 +104,9 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("x", [-30.0, -10.0, -1.0, 0.5, 3.0])
     def test_unit_order_is_exp(self, x):
+        if x > 0.0:  # the positive axis is refused at q = 1 as at every order
+            _assert_refused(1.0, x)
+            return
         got = mittag_leffler(1.0, x)
         assert abs(got - math.exp(x)) <= 1e-12 * math.exp(x)
 
@@ -111,8 +122,8 @@ class TestMittagLeffler:
         assert abs(got - expect) <= 1e-12 * abs(expect)
 
     def test_half_order_positive_argument(self):
-        expect = _half_order_oracle(2.0)
-        assert abs(mittag_leffler(0.5, 2.0) - expect) <= 1e-12 * abs(expect)
+        # E_{1/2}(2) = exp(4) erfc(-2) is finite, but no caller evaluates z > 0
+        _assert_refused(0.5, 2.0)
 
     def test_series_oracle_at_interior_order(self):
         # plain high-precision summation, independent of the library's path
@@ -164,45 +175,41 @@ class TestMittagLeffler:
         # one untimed call first, so that the time bound leaves out the
         # first-use build of the quadrature nodes
         mittag_leffler(0.5, -1.0)
-        log_max = math.log(sys.float_info.max)
-        negative = []
+        values = []
         for x in SWEEP_X:
-            for z in (-x, x):
-                # the leading term exp(x^(1/q)) / q overflows past this
-                s = math.exp(min(math.log(x) / q, 700.0))
-                overflows = z > 0 and s - math.log(q) > log_max
-                t0 = time.perf_counter()
-                if overflows:
-                    with pytest.raises(DomainExceeded):
-                        mittag_leffler(q, z)
-                    assert time.perf_counter() - t0 < SWEEP_CALL_S
-                    continue
-                got = mittag_leffler(q, z)
-                elapsed = time.perf_counter() - t0
-                assert elapsed < SWEEP_CALL_S, f"E_{q}({z}) took {elapsed:.3f} s"
-                if z < 0 and s > 200.0:
-                    expect = _asymptotic_oracle(q, x)
-                else:
-                    expect = _series_oracle(q, z)
-                assert abs(got - expect) <= SWEEP_REL * abs(expect), (q, z, got, expect)
-                if q == 1.0:
-                    assert abs(got - math.exp(z)) <= 1e-14 * math.exp(z)
-                if q == 0.5:
-                    closed = _half_order_oracle(z)
-                    assert abs(got - closed) <= SWEEP_REL * closed
-                if q == SWEEP_Q[0] and z < 1.0:
-                    # q -> 0: E_q(z) = 1/(1 - z) + Euler's gamma q z/(1 - z)^2 + O(q^2)
-                    limit = 1.0 / (1.0 - z) + 0.5772156649015329 * q * z / (1.0 - z) ** 2
-                    assert abs(got - limit) <= 5.0 * q * q * limit
-                if z < 0:
-                    negative.append(got)
-        assert all(b < a for a, b in zip(negative, negative[1:]))
+            z = -x
+            t0 = time.perf_counter()
+            got = mittag_leffler(q, z)
+            elapsed = time.perf_counter() - t0
+            assert elapsed < SWEEP_CALL_S, f"E_{q}({z}) took {elapsed:.3f} s"
+            if math.log(x) / q > math.log(200.0):  # x^(1/q) > 200
+                expect = _asymptotic_oracle(q, x)
+            else:
+                expect = _series_oracle(q, z)
+            assert abs(got - expect) <= SWEEP_REL * abs(expect), (q, z, got, expect)
+            if q == 1.0:
+                assert abs(got - math.exp(z)) <= 1e-14 * math.exp(z)
+            if q == 0.5:
+                closed = _half_order_oracle(z)
+                assert abs(got - closed) <= SWEEP_REL * closed
+            if q == SWEEP_Q[0]:
+                # q -> 0: E_q(z) = 1/(1 - z) + Euler's gamma q z/(1 - z)^2 + O(q^2)
+                limit = 1.0 / (1.0 - z) + 0.5772156649015329 * q * z / (1.0 - z) ** 2
+                assert abs(got - limit) <= 5.0 * q * q * limit
+            values.append(got)
+        assert all(b < a for a, b in zip(values, values[1:]))
+        # the positive axis is refused, from the least subnormal on
+        for z in (5e-324, *SWEEP_X):
+            _assert_refused(q, z)
 
     @pytest.mark.parametrize("z", [-30.0, -1.0, -1e-6, 1.0, 30.0])
     def test_order_near_one(self, z):
         # the Lorentzian peak is 1e-9 of its centre wide here; nodes taken
         # as absolute positions would lose about 7 digits resolving it
         q = 1.0 - 1e-9
+        if z > 0.0:
+            _assert_refused(q, z)
+            return
         expect = _series_oracle(q, z)
         assert abs(mittag_leffler(q, z) - expect) <= SWEEP_REL * expect
 
@@ -211,6 +218,9 @@ class TestMittagLeffler:
         # E_q(z) = 1/(1 - z) + Euler's gamma q z/(1 - z)^2 + O(q^2): at
         # q = 1e-9 the remainder is below roundoff, and any 1/q loss shows
         q = 1e-9
+        if z > 0.0:
+            _assert_refused(q, z)
+            return
         limit = 1.0 / (1.0 - z) + 0.5772156649015329 * q * z / (1.0 - z) ** 2
         assert abs(mittag_leffler(q, z) - limit) <= 1e-14 * limit
 

@@ -19,8 +19,13 @@ def _run(*argv):
     return main([str(a) for a in argv])
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not JSON")
+
+
 def _report(outdir):
-    return json.loads((outdir / "report.json").read_text())
+    # Strict JSON (RFC 8259): Python's json writes inf and nan as bare Infinity and NaN.
+    return json.loads((outdir / "report.json").read_text(), parse_constant=_refuse_constant)
 
 
 def _csv(outdir):
@@ -479,6 +484,45 @@ class TestStability:
         code = _run("stability", "--config", cfg, "--out", out)
         assert code == EXIT_CONFIG
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Finite entries whose spectrum LAPACK returns with an eigenvalue of +inf.
+OVERFLOWING_SPECTRUM = [[1e308, 1e308, 1e308], [1e308, 1e308, 1e308], [1e308, 1e308, -1e308]]
+# Finite numbers whose design matrix entry -a + gain[0][1] is -inf.
+OVERFLOWING_DESIGN = {"mode": "literal", "volta": {"a": 1e308},
+                      "gain": [[0, -1e308, 0], [0, 0, 0], [0, 0, 0]]}
+SHORT_GRID = {"h": 0.01, "t_end": 0.1}
+
+
+class TestOverflowRefused:
+    # Finite inputs whose matrix, spectrum or equilibrium overflows are refused
+    # before any run or directory, never reported as inf.
+    @pytest.mark.parametrize(
+        "command,payload,key",
+        [
+            ("stability", {"matrix": {"source": "explicit", "values": OVERFLOWING_SPECTRUM}},
+             "matrix.values"),
+            ("stability", OVERFLOWING_DESIGN, "gain"),
+            ("synchronize", {**OVERFLOWING_DESIGN, **SHORT_GRID}, "gain"),
+            ("stability", {"mode": "literal", "gain": OVERFLOWING_SPECTRUM}, "gain"),
+            ("synchronize", {"mode": "literal", "gain": OVERFLOWING_SPECTRUM, **SHORT_GRID},
+             "gain"),
+            ("stability", {"financial": {"beta": 1e-320}, "matrix": {"source": "equilibria"}},
+             "financial"),
+            # a finite equilibrium whose Jacobian entry y - alpha overflows
+            ("stability", {"financial": {"beta": 1.1e-308, "alpha": -1e308},
+                           "matrix": {"source": "equilibria"}}, "financial"),
+        ],
+        ids=["explicit-spectrum", "stability-design", "synchronize-design",
+             "stability-gain-spectrum", "synchronize-gain-spectrum", "equilibrium",
+             "equilibrium-jacobian"],
+    )
+    def test_exit_2_naming_the_key(self, tmp_path, capsys, command, payload, key):
+        out = tmp_path / "never"
+        code = _run(command, "--config", _write_config(tmp_path, payload), "--out", out)
+        assert code == EXIT_CONFIG
+        assert f"config error: {key}: " in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -29,7 +29,7 @@ from fracsync import (
     matignon_check,
     volta_rhs,
 )
-from fracsync.errors import DegenerateEigenvalue, InvalidGain
+from fracsync.errors import DegenerateEigenvalue, DomainExceeded, InvalidGain
 from fracsync.experiments import run_synchronization
 
 MASTER0 = np.array([2.0, -1.0, 1.0])
@@ -37,6 +37,9 @@ SLAVE0 = np.array([8.0, 2.0, 3.0])
 Y0 = np.concatenate([MASTER0, SLAVE0])
 FP = FinancialParams()
 VP = VoltaParams()
+# Finite entries whose spectrum LAPACK returns with an eigenvalue of +inf.
+OVERFLOWING_SPECTRUM = np.full((3, 3), 1e308)
+OVERFLOWING_SPECTRUM[2, 2] = -1e308
 
 
 def _unfolded_rhs(controller, y):
@@ -84,6 +87,15 @@ class TestGainAndDesignMatrix:
     def test_rejects_wrong_shape(self):
         with pytest.raises(InvalidGain):
             closed_loop_error_matrix(np.zeros((2, 3)), VP)
+
+    def test_rejects_an_overflowing_sum(self):
+        # every number is finite, but -a - 1e308 is -inf
+        vp = VoltaParams(a=1e308)
+        gain = [[0.0, -1e308, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(InvalidGain, match="overflows"):
+            closed_loop_error_matrix(gain, vp)
+        with pytest.raises(InvalidGain, match="overflows"):
+            LiteralFeedback(gain).design_matrix(vp)
 
 
 class TestLiteralControl:
@@ -355,6 +367,12 @@ class TestEigen3:
         with pytest.raises(ValueError):
             eigen3(np.zeros((2, 2)))
 
+    def test_rejects_an_overflowing_spectrum(self):
+        assert np.isfinite(OVERFLOWING_SPECTRUM).all()
+        with pytest.raises(DomainExceeded, match="overflows"):
+            eigen3(OVERFLOWING_SPECTRUM)
+        assert issubclass(DomainExceeded, ValueError)
+
 
 class TestMatignon:
     def test_minus_identity_satisfies_all_orders(self):
@@ -403,6 +421,10 @@ class TestMatignon:
             assert rep.satisfied == (q < qstar)
             count += 1
 
+    def test_overflowing_spectrum_is_refused_not_degenerate(self):
+        with pytest.raises(DomainExceeded):
+            matignon_check(OVERFLOWING_SPECTRUM, 0.9)
+
     def test_report_serialization(self):
         d = matignon_check(-np.eye(3), (0.9, 0.95, 1.0)).to_dict()
         assert d["satisfied"] is True
@@ -426,3 +448,7 @@ class TestChaosThreshold:
     def test_singular_matrix_raises(self):
         with pytest.raises(DegenerateEigenvalue):
             chaos_threshold(np.diag([0.0, 1.0, 2.0]))
+
+    def test_overflowing_spectrum_raises_domain_exceeded(self):
+        with pytest.raises(DomainExceeded):
+            chaos_threshold(OVERFLOWING_SPECTRUM)

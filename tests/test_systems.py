@@ -199,6 +199,12 @@ class TestEquilibria:
         with pytest.raises(DegenerateParameters):
             financial_equilibria(FinancialParams(gamma=0.0))
 
+    @pytest.mark.parametrize("params", [{"beta": 1e-320}, {"gamma": -1e-320}])
+    def test_overflowing_equilibrium_raises(self, params):
+        # 1/beta puts the axis point at y = inf; 1/gamma makes the pair's x infinite
+        with pytest.raises(DegenerateParameters, match="overflows"):
+            financial_equilibria(FinancialParams(**params))
+
 
 class TestFractionalOrders:
     def test_defaults(self):
