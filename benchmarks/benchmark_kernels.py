@@ -1,4 +1,4 @@
-"""Time integration, its RHS and CSV layers, and mittag_leffler; optionally record BENCH_<tag>.json.
+"""Time integration, its RHS and CSV layers, mittag_leffler, the CLI and the test suite.
 
 The integration driver is timed at q = 0.99 over t_end = 10, with full
 memory, for each case and step count. One more, untimed run of each gives
@@ -7,8 +7,9 @@ the peak of the memory it allocates, as tracemalloc counts it
 (Volta at 64 steps) is reported with its failing step, not timed.
 
 Two layers are timed on their own. Each case's right-hand side is called
-on its single initial state, as integration calls it twice a step, and
-reported in microseconds per call (RHS_CALLS calls per repeat). The CSV writer of
+on its single initial state as a list of floats, as integration calls it
+twice a step, and reported in microseconds per call (RHS_CALLS calls per
+repeat). The CSV writer of
 `fracsync simulate` (`cli._write_csv`) writes the financial trajectory of
 each step count to a temporary directory.
 
@@ -19,19 +20,32 @@ E_0.5(-30). Per point it keeps the median over the repeats and the outcome
 (ok, or the error raised); it reports the median and the max of those
 per-call times and how many calls raised.
 
+With --end-to-end LABEL=CHECKOUT ... the script times whole processes
+instead, and nothing else, for each checkout root given: `python -m
+fracsync` from its `src` for `simulate` and for `synchronize` in exact and
+literal mode at their default horizons, each in a fresh temporary output
+directory, as the minimum of the repeats; and its test suite (`python -m
+pytest -q` in its root), as the median of the repeats. Each repeat runs
+every checkout once, in alternating order, so that a shared host's load
+reaches them alike; the timings go under each checkout's label.
+
 With --tag, the minimum and median of the repeats go into BENCH_<tag>.json
-in the working directory under the name given by --label, beside the
-machine facts (nproc, numpy and BLAS build, OPENBLAS_NUM_THREADS) and the
-commit of the imported package. Other labels already in the file are kept,
-so a before/after record is two runs with the same tag, for example:
+in the working directory under the name given by --label (with
+--end-to-end, under each checkout's label), beside the machine facts
+(nproc, numpy and BLAS build, OPENBLAS_NUM_THREADS) and the commit of the
+package timed. Other labels already in the file are kept,
+and a label's other entries too, so a before/after record is runs with the
+same tag, for example:
 
     PYTHONPATH=<parent checkout>/src python benchmarks/benchmark_kernels.py --tag fft --label parent
     PYTHONPATH=src python benchmarks/benchmark_kernels.py --tag fft --label change
+    python benchmarks/benchmark_kernels.py --tag fft --end-to-end parent=<parent checkout> change=.
 
 Usage:
     python benchmarks/benchmark_kernels.py
     python benchmarks/benchmark_kernels.py --steps 2000 8000 --repeats 5
     python benchmarks/benchmark_kernels.py --repeats 5 --tag ml --label change
+    python benchmarks/benchmark_kernels.py --end-to-end change=. --repeats 1
 """
 
 import argparse
@@ -39,6 +53,7 @@ import json
 import os
 import statistics
 import subprocess
+import sys
 import tempfile
 import time
 import timeit
@@ -132,8 +147,10 @@ def _peak_bytes(system, y0, config):
         tracemalloc.stop()
 
 
-def _git(*args) -> str | None:
-    src = Path(fracsync.__file__).resolve().parent
+PACKAGE = Path(fracsync.__file__).resolve().parent
+
+
+def _git(src, *args) -> str | None:
     try:
         out = subprocess.run(
             ["git", "-C", str(src), *args],
@@ -144,17 +161,18 @@ def _git(*args) -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def _package_commit() -> str:
-    """HEAD of the checkout holding the imported package, '-dirty' with tracked edits."""
-    commit = _git("rev-parse", "HEAD")
+def _package_commit(src) -> str:
+    """HEAD of the checkout holding package directory `src`, '-dirty' with tracked edits."""
+    commit = _git(src, "rev-parse", "HEAD")
     if commit is None:
         return "unknown"
-    if _git("status", "--porcelain", "--untracked-files=no"):
+    if _git(src, "status", "--porcelain", "--untracked-files=no"):
         commit += "-dirty"
     return commit
 
 
-def machine_facts() -> dict:
+def machine_facts(src=PACKAGE) -> dict:
+    """The machine, and the package directory `src` with its commit."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         vendor = f"{blas.get('name')} {blas.get('version')}"
@@ -165,8 +183,8 @@ def machine_facts() -> dict:
         "numpy": np.__version__,
         "blas": vendor,
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
-        "package": str(Path(fracsync.__file__).resolve().parent),
-        "commit": _package_commit(),
+        "package": str(src),
+        "commit": _package_commit(src),
     }
 
 
@@ -204,7 +222,7 @@ def time_rhs(repeats):
     print(f"{'rhs case':<19} {'min (us)':>12} {'median (us)':>12}")
     results = []
     for name, system, y0 in CASES:
-        y0 = np.asarray(y0, dtype=np.float64)
+        y0 = [float(v) for v in y0]
         totals = timeit.repeat(lambda: system.rhs(0.0, y0), number=RHS_CALLS, repeat=repeats)
         per_call = [t / RHS_CALLS for t in totals]
         best, median = min(per_call), statistics.median(per_call)
@@ -235,6 +253,62 @@ def time_write_csv(steps, repeats):
     return results
 
 
+# Whole-process CLI runs at default horizons: name -> subcommand arguments.
+CLI_RUNS = {
+    "simulate": ["simulate"],
+    "synchronize-exact": ["synchronize"],
+    "synchronize-literal": ["synchronize", "--mode", "literal"],
+}
+
+
+def _wall(argv, **kwargs) -> float:
+    """Wall seconds of one subprocess, which must exit 0."""
+    t0 = time.perf_counter()
+    subprocess.run(argv, check=True, stdout=subprocess.DEVNULL, stdin=subprocess.DEVNULL, **kwargs)
+    return time.perf_counter() - t0
+
+
+SUITE = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p",
+         "no:cacheprovider", "tests"]
+
+
+def time_end_to_end(checkouts, repeats):
+    """{label: whole-process timings} for each checkout root in `checkouts` ({label: root}).
+
+    Each repeat runs every checkout once, in alternating order, so that a
+    change in the load of a shared host reaches every checkout alike.
+    """
+    samples = {label: {name: [] for name in [*CLI_RUNS, "suite"]} for label in checkouts}
+    for i in range(repeats):
+        for label, root in list(checkouts.items())[:: 1 if i % 2 == 0 else -1]:
+            env = dict(os.environ, PYTHONPATH=str(root / "src"))
+            for name, args in CLI_RUNS.items():
+                with tempfile.TemporaryDirectory() as tmp:
+                    argv = [sys.executable, "-m", "fracsync", *args, "--out", tmp]
+                    samples[label][name].append(_wall(argv, env=env))
+            samples[label]["suite"].append(_wall(SUITE, cwd=root, env=env))
+    results = {}
+    for label, runs in samples.items():
+        cli_runs = [{"case": name, "min_s": min(runs[name]), "samples_s": runs[name]}
+                    for name in CLI_RUNS]
+        suite = runs["suite"]
+        results[label] = {"cli": cli_runs, "suite": {"command": " ".join(SUITE[1:]),
+                                                     "median_s": statistics.median(suite),
+                                                     "samples_s": suite}}
+        for row in cli_runs:
+            print(f"{label} cli {row['case']:<20} min {row['min_s']:.3f} s")
+        print(f"{label} test suite median {statistics.median(suite):.2f} s")
+    return results
+
+
+def _checkout(pair):
+    """(label, checkout root) from LABEL=CHECKOUT."""
+    label, sep, root = pair.partition("=")
+    if not (label and sep and root):
+        raise argparse.ArgumentTypeError(f"expected LABEL=CHECKOUT, got {pair!r}")
+    return label, Path(root).resolve()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -247,21 +321,32 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats per cell")
     parser.add_argument("--tag", help="write the timings to BENCH_<tag>.json")
     parser.add_argument("--label", default="run", help="name of this run inside the JSON file")
+    parser.add_argument("--end-to-end", nargs="+", type=_checkout, metavar="LABEL=CHECKOUT",
+                        help="time only the CLI processes and the test suite of each checkout")
     args = parser.parse_args()
 
-    run = {"facts": machine_facts(),
-           "settings": {"q": 0.99, "t_end": 10.0, "repeats": args.repeats}}
-    run["results"] = time_integration(args.steps, args.repeats)
-    run["rhs"] = time_rhs(args.repeats)
-    run["write_csv"] = time_write_csv(args.steps, args.repeats)
-    run["mittag_leffler"] = time_mittag_leffler(args.repeats)
+    if args.end_to_end:
+        checkouts = dict(args.end_to_end)
+        timings = time_end_to_end(checkouts, args.repeats)
+        runs = {label: {"facts": machine_facts(checkouts[label] / "src" / "fracsync"),
+                        "end_to_end": timings[label]} for label in checkouts}
+    else:
+        runs = {args.label: {
+            "facts": machine_facts(),
+            "settings": {"q": 0.99, "t_end": 10.0, "repeats": args.repeats},
+            "results": time_integration(args.steps, args.repeats),
+            "rhs": time_rhs(args.repeats),
+            "write_csv": time_write_csv(args.steps, args.repeats),
+            "mittag_leffler": time_mittag_leffler(args.repeats),
+        }}
 
     if args.tag:
         path = Path(f"BENCH_{args.tag}.json")
         record = json.loads(path.read_text()) if path.exists() else {"runs": {}}
-        record["runs"][args.label] = run
+        for label, run in runs.items():
+            record["runs"].setdefault(label, {}).update(run)
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {path} [{args.label}]")
+        print(f"wrote {path} [{', '.join(runs)}]")
 
 
 if __name__ == "__main__":

@@ -42,8 +42,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DegenerateEigenvalue, DomainExceeded, InvalidGain
-from .systems import (FinancialParams, SystemDef, VoltaParams, financial_rhs, number_array,
-                      order_array, volta_rhs)
+from .systems import (FinancialParams, SystemDef, VoltaParams, financial_rhs, financial_system,
+                      number_array, order_array, volta_rhs, volta_system)
 
 
 def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
@@ -145,11 +145,14 @@ class ExactCancellation:
         G(s) cancels against the -G(s) inside u, so the row is
         F(m) + lam * (s - m): it reuses the master row and evaluates no
         field of its own. This differs from G(s) + u by rounding only.
+        m, s and fm are three components each, floats or equal-shape
+        arrays, and so are the row's.
         """
-        lam = np.array(self.lam)
+        l1, l2, l3 = self.lam
 
         def row(m, s, fm):
-            return fm + (s - m) * lam
+            (m1, m2, m3), (s1, s2, s3), (f1, f2, f3) = m, s, fm
+            return f1 + (s1 - m1) * l1, f2 + (s2 - m2) * l2, f3 + (s3 - m3) * l3
 
         return row
 
@@ -179,11 +182,24 @@ class LiteralFeedback:
         return closed_loop_error_matrix(self.gain_array(vp), vp)
 
     def slave_field(self, fp: FinancialParams, vp: VoltaParams):
-        """Slave row G(s) + u of the coupled field, as row(m, s, fm); fm is unused."""
+        """Slave row G(s) + u of the coupled field, as row(m, s, fm); fm is unused.
+
+        G(s) is the Volta field on the components of s. For the law, the
+        components of m and s are stacked along a last axis into state
+        arrays (the transpose of np.array, which np.stack(m, -1) equals up
+        to the order of the batch axes), so that the feedback keeps its
+        matrix product; transposing u back gives its three components. As
+        in `systems.componentwise`, one state's row comes back as Python
+        floats, so that the driver's step stays in float arithmetic, and a
+        batch's as arrays.
+        """
         gain = self.gain_array(vp)
+        volta = volta_system(vp).rhs
 
         def row(m, s, fm):
-            return volta_rhs(s, vp) + _literal_law(m, s, fp, vp, gain)
+            u = _literal_law(np.array(m).T, np.array(s).T, fp, vp, gain)
+            out = np.add(volta(0.0, s), u.T)
+            return out.tolist() if out.ndim == 1 else out
 
         return row
 
@@ -194,20 +210,20 @@ Controller = Union[ExactCancellation, LiteralFeedback]
 def coupled_system(
     fp: FinancialParams, vp: VoltaParams, controller: Controller
 ) -> SystemDef:
-    """Six-dimensional driven pair as an integrable system: F(m), then G(s) + u."""
-    # The slave row is bound once here, so the right-hand side does not
+    """Six-dimensional driven pair as an integrable system: F(m), then G(s) + u.
+
+    Its rhs takes the six components master then slave, floats or
+    equal-shape arrays, and returns six; any other count raises ValueError.
+    """
+    # Both rows are bound once here, so the right-hand side does not
     # dispatch on the controller at every call.
+    master_row = financial_system(fp).rhs
     slave_row = controller.slave_field(fp, vp)
 
     def rhs(t, y):
-        out = np.empty(y.shape)  # refuses a last axis of 4, which the exact row broadcasts
-        try:
-            m, s = y[..., :3], y[..., 3:]
-        except IndexError:  # a 0-d state
-            raise ValueError("state must have a last axis of length 6, got shape ()") from None
-        out[..., :3] = fm = financial_rhs(m, fp)
-        out[..., 3:] = slave_row(m, s, fm)
-        return out
+        m, s = y[:3], y[3:]
+        fm = master_row(t, m)
+        return (*fm, *slave_row(m, s, fm))
 
     return SystemDef(name="coupled", dimension=6, rhs=rhs)
 

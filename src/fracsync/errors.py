@@ -20,17 +20,23 @@ class NonFiniteState(FracsyncError, ArithmeticError):
         Time of that grid index.
     trajectory : Trajectory or None
         Valid prefix of the run, ending one step before the failure.
+    component : int or None
+        Index of the first state component that was not finite there.
 
-    It is also a run's blowup record, and `to_dict` is its report entry.
+    It is also a run's blowup record, and `to_dict` is its report entry;
+    the entry holds the step and time only.
     """
 
-    def __init__(self, step, trajectory=None, time=None):
+    def __init__(self, step, trajectory=None, time=None, component=None):
         self.step = int(step)
         self.trajectory = trajectory
         self.time = None if time is None else float(time)
+        self.component = None if component is None else int(component)
         msg = f"state became non-finite at step {self.step}"
         if time is not None:
             msg += f" (t = {time:g})"
+        if component is not None:
+            msg += f" in component {self.component}"
         super().__init__(msg)
 
     def to_dict(self) -> dict:

@@ -126,7 +126,7 @@ def power_forcing_problem(q: float) -> ConvergenceProblem:
     system = SystemDef(
         name="power-forcing",
         dimension=1,
-        rhs=lambda t, y: np.array([c * t ** (4.0 - q)]),
+        rhs=lambda t, y: (c * t ** (4.0 - q),),
     )
     return ConvergenceProblem(
         system=system,

@@ -1,7 +1,10 @@
 """Integration kernels for the fractional predictor-corrector scheme.
 
 `abm_python` is the one integration driver, written in numpy. It runs
-any Python right-hand side. Its history sums are FFT-tiled (see
+any Python right-hand side under one contract (`systems.SystemDef`): rhs
+gets a new list of the d state components as Python floats and returns d
+components, so the step's field calls, finiteness checks and corrector
+run on floats, with no array round trip. Its history sums are FFT-tiled (see
 `abm_python`), so N full-memory steps cost O(N log^2 N) instead of the
 O(N^2) of direct summation, and they match direct summation to rounding
 error: the test suite pins the states to 1e-12 of an independent
@@ -45,6 +48,7 @@ while j = 0 is still inside the window.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -102,16 +106,26 @@ def first_panel_weights(q: float, steps) -> np.ndarray:
 def _start(rhs, y0, n_steps):
     """y0 as float64, the states array with row 0 filled, and f0 = rhs(0, y0).
 
-    Both drivers begin here. An f0 whose shape is not y0's raises
-    ValueError naming both shapes, before any step is taken.
+    Both drivers begin here, handing rhs the components of y0 as a list of
+    floats. An f0 whose shape is not y0's raises ValueError naming both
+    shapes, before any step is taken.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     states = np.empty((n_steps + 1, y0.shape[0]))
     states[0] = y0
-    f0 = np.asarray(rhs(0.0, y0), dtype=np.float64)
+    f0 = np.asarray(rhs(0.0, y0.tolist()), dtype=np.float64)
     if f0.shape != y0.shape:
         raise ValueError(f"rhs returned shape {f0.shape} for a state of shape {y0.shape}")
     return y0, states, f0
+
+
+def _first_nonfinite(values) -> int:
+    """Index of the first non-finite number in `values`, which holds one."""
+    return [math.isfinite(v) for v in values].index(False)
+
+
+def _length_error(f, d) -> ValueError:
+    return ValueError(f"rhs returned {len(f)} components for a state of {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +184,22 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     into the product view and reduces into `sums` with `out=`, the same
     operations in the same order as fresh arrays. The scratch adds
     (BLOCK + 1) * 2d + 2d floats and the 2 * BLOCK views; no step allocates
-    an array for its near sums. The predictor handed to rhs is the
-    first half of `sums`, overwritten by the next step, so an rhs that keeps
-    its state argument must copy it.
+    an array for its near sums.
+
+    The rest of a step runs on Python floats. `sums.tolist()` is taken
+    once: its first half is the predictor, checked with math.isfinite and
+    handed to rhs as a new list; the corrector is formed as
+    corr_i + hq2_i * f_i, the same IEEE operations in the same order as
+    the array form, checked, written to the states and handed to the
+    second rhs call. So rhs never sees an array the driver reuses.
 
     Parameters
     ----------
     rhs : callable
-        rhs(t, y) -> ndarray of shape (d,); the first call is checked
-        (`_start`), and another shape raises ValueError.
+        rhs(t, y) with y a list of d floats, returning d components (a
+        tuple, a list or a 1-D float64 array); the first value is checked
+        for shape (`_start`), and a later one of another length raises
+        ValueError.
     q, y0 : ndarray
         Orders and initial state, shape (d,).
     h : float
@@ -188,9 +209,10 @@ def abm_python(rhs, q, y0, h, n_steps, window):
 
     Returns
     -------
-    (ndarray, int)
-        States of shape (n_steps + 1, d) and the failing grid index,
-        -1 when every state stayed finite.
+    (ndarray, int, int)
+        States of shape (n_steps + 1, d), the failing grid index and the
+        first component that left the finite range there; both -1 when
+        every state stayed finite.
     """
     q = np.asarray(q, dtype=np.float64)
     d = q.shape[0]
@@ -225,8 +247,9 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     weights = [near[BLOCK - 1 - r :] for r in range(BLOCK)]
     products = [prod[: r + 2] for r in range(BLOCK)]
     sums = np.empty(2 * d)
-    pred, corr = sums[:d], sums[d:]
-    multiply, add, reduce, isfinite = np.multiply, np.add, np.add.reduce, math.isfinite
+    scale = hq2.tolist()
+    multiply, reduce, isfinite = np.multiply, np.add.reduce, math.isfinite
+    add, mul = operator.add, operator.mul
 
     y0, states, f0 = _start(rhs, y0, n_steps)
     # hist[j] = (f_j, f_j), except that the corrector half of row 0 is zero:
@@ -268,17 +291,24 @@ def abm_python(rhs, q, y0, h, n_steps, window):
         product = products[r]
         multiply(weights[r], flat[n - r : n + 2], out=product)
         reduce(product, axis=0, out=sums)
-        if not all(map(isfinite, pred.tolist())):
-            return states, n + 1
+        s = sums.tolist()
+        pred = s[:d]
+        if not all(map(isfinite, pred)):
+            return states, n + 1, _first_nonfinite(pred)
         t1 = (n + 1) * h
-        new = states[n + 1]
-        multiply(hq2, rhs(t1, pred), out=new)
-        add(corr, new, out=new)
-        if not all(map(isfinite, new.tolist())):
-            return states, n + 1
+        f = rhs(t1, pred)
+        if len(f) != d:
+            raise _length_error(f, d)
+        new = list(map(add, s[d:], map(mul, scale, f)))  # corr + hq2 * f
+        if not all(map(isfinite, new)):
+            return states, n + 1, _first_nonfinite(new)
+        states[n + 1] = new
         if n + 1 < n_steps:  # no sum reads f at the last grid point
-            hist[n + 1] = rhs(t1, new)
-    return states, -1
+            f = rhs(t1, new)
+            if len(f) != d:
+                raise _length_error(f, d)
+            hist[n + 1] = f
+    return states, -1, -1
 
 
 def classical_pece(rhs, y0, h, n_steps):
@@ -290,24 +320,24 @@ def classical_pece(rhs, y0, h, n_steps):
         predict:  y0 + h * sum_{j<=n} f_j
         correct:  y0 + h * (sum_{j<=n} f_j - f_0/2 + f(t_{n+1}, predicted)/2)
 
-    Returns states of shape (n_steps + 1, d) and the failing grid index,
-    -1 when every state stayed finite; like `abm_python`, it stops at the
-    first non-finite predictor or corrector and checks the shape of the
-    first rhs value.
+    Returns what `abm_python` returns; like it, it hands rhs lists of
+    floats, stops at the first non-finite predictor or corrector and checks
+    the shape of the first rhs value.
     """
     y0, states, f0 = _start(rhs, y0, n_steps)
     sf = f0.copy()
     for n in range(n_steps):
         t1 = (n + 1) * h
-        pred = y0 + h * sf
-        if not all(map(math.isfinite, pred.tolist())):
-            return states, n + 1
+        pred = (y0 + h * sf).tolist()
+        if not all(map(math.isfinite, pred)):
+            return states, n + 1, _first_nonfinite(pred)
         fp = np.asarray(rhs(t1, pred), dtype=np.float64)
         new = y0 + h * (sf - 0.5 * f0 + 0.5 * fp)
         states[n + 1] = new
-        if not all(map(math.isfinite, new.tolist())):
-            return states, n + 1
+        new = new.tolist()
+        if not all(map(math.isfinite, new)):
+            return states, n + 1, _first_nonfinite(new)
         if n + 1 < n_steps:
             sf = sf + np.asarray(rhs(t1, new), dtype=np.float64)
-    return states, -1
+    return states, -1, -1
 

@@ -143,22 +143,27 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     Trajectory
         times[j] = j*h and states of shape (n_steps + 1, dimension).
 
+    The driver calls system.rhs(t, y) with y a new list of the state's
+    components as Python floats; it returns as many components (see
+    `systems.SystemDef`).
+
     Raises
     ------
     ValueError
-        When y0 breaks the rule above, or when the first value of
-        system.rhs does not have y0's shape.
+        When y0 breaks the rule above, when the first value of system.rhs
+        does not have y0's shape, or a later one has another length.
     InvalidOrder
         When an order is not a number, is outside (0, 1], or the orders
         do not broadcast to (dimension,); see `systems.order_array`.
     NonFiniteState
         When a state component leaves the finite range; the exception
-        carries the valid prefix of the trajectory.
+        carries the valid prefix of the trajectory and the index of that
+        component.
     """
     q = order_array(orders, (system.dimension,))
     y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
-    states, fail = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps, config.window)
-    return _finish(states, fail, config)
+    run = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps, config.window)
+    return _finish(*run, config)
 
 
 def integrate_classical_pece(system: SystemDef, y0, config: SolverConfig) -> Trajectory:
@@ -167,10 +172,10 @@ def integrate_classical_pece(system: SystemDef, y0, config: SolverConfig) -> Tra
     return _finish(*kernels.classical_pece(system.rhs, y0, config.h, config.n_steps), config)
 
 
-def _finish(states: np.ndarray, fail: int, config: SolverConfig) -> Trajectory:
+def _finish(states: np.ndarray, fail: int, component: int, config: SolverConfig) -> Trajectory:
     """The run's Trajectory, or NonFiniteState with the rows before `fail` when fail >= 0."""
     times = np.arange(config.n_steps + 1, dtype=np.float64) * config.h
     if fail >= 0:
         partial = Trajectory(times[:fail], states[:fail].copy())
-        raise NonFiniteState(fail, trajectory=partial, time=fail * config.h)
+        raise NonFiniteState(fail, trajectory=partial, time=fail * config.h, component=component)
     return Trajectory(times, states)

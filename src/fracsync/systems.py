@@ -13,12 +13,16 @@ The Volta system, with parameters (a, b, c):
     dy/dt = -y - b*x - x*z
     dz/dt = c*z + x*y + 1
 
-Each field is written once, as a body over (x, y, z), and evaluated by
+Each field is written once, as a body over the three components
+(x, y, z) of a state, and the body is what `SystemDef.rhs` calls: the
+integration driver hands it a list of three Python floats, and three
+equal-shape arrays give three arrays, a batch. `financial_rhs` and
+`volta_rhs` evaluate the same body on a state array through
 `componentwise`: a single state of shape (3,) runs on Python floats, a
-batch of shape (..., 3) on views along its last axis. Both do the same
-IEEE operations in the same order, so a whole trajectory evaluates in one
-call and equals its rows bit for bit; any other length of that axis raises
-ValueError. Parameters are stored as Python floats, checked by the
+batch of shape (..., 3) on views along its last axis. All of these do the
+same IEEE operations in the same order, so a whole trajectory evaluates in
+one call and equals its rows bit for bit; any other number of components
+raises ValueError. Parameters are stored as Python floats, checked by the
 `number_array` rule, so a float32 parameter cannot make a single state's
 arithmetic float32. Jacobians and equilibria take single states.
 """
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -158,7 +162,7 @@ class VoltaParams:
 
 
 def componentwise(body, state, p) -> np.ndarray:
-    """Evaluate `body(x, y, z, p)`, a tuple of three components, on `state`.
+    """Evaluate `body(components, p)`, a tuple of three components, on a state array.
 
     A 1-D state runs on Python floats (`tolist`), which do the IEEE
     operations numpy's float64 scalars do, in the same order, with less
@@ -169,22 +173,24 @@ def componentwise(body, state, p) -> np.ndarray:
     """
     s = np.asarray(state, dtype=np.float64)
     if s.ndim == 1:
-        x, y, z = s.tolist()
-        return np.array(body(x, y, z, p))
+        return np.array(body(s.tolist(), p))
     if s.ndim == 0:
         raise ValueError("state must have a last axis of length 3, got shape ()")
-    x, y, z = s.T
     out = np.empty(s.shape)
     o = out.T
-    o[0], o[1], o[2] = body(x, y, z, p)
+    o[0], o[1], o[2] = body(s.T, p)
     return out
 
 
-def _financial(x, y, z, p):
+# The bodies unpack their state, so any number of components but three
+# raises ValueError.
+def _financial(state, p):
+    x, y, z = state
     return z + (y - p.alpha) * x, 1.0 - p.beta * y - x * x, -x - p.gamma * z
 
 
-def _volta(x, y, z, p):
+def _volta(state, p):
+    x, y, z = state
     return -x - p.a * y - z * y, -y - p.b * x - x * z, p.c * z + x * y + 1.0
 
 
@@ -253,15 +259,19 @@ def financial_equilibria(p: FinancialParams) -> list[np.ndarray]:
 class SystemDef:
     """A named dynamical system ready for integration.
 
-    rhs(t, y) must accept a state of shape (d,) and return the same shape;
-    it is the only definition of the field that integration uses. The
-    driver may reuse the array it passes as y on its next step, so an rhs
-    that keeps y must copy it.
+    rhs(t, y) is the only definition of the field that integration uses.
+    y is a list of the d components of a state, Python floats, and rhs
+    returns d components: a tuple, a list or a 1-D float64 array. The
+    driver builds a new list for every call, so an rhs may keep y. Given d
+    equal-shape arrays instead, each built-in field returns d arrays.
+    Python floats raise on `/` by zero and on an overflowing `**` where
+    numpy returns inf; an rhs that wants numpy's rule can call
+    np.asarray(y).
     """
 
     name: str
     dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, list], Sequence[float]]
 
 
 def financial_system(params: FinancialParams | None = None) -> SystemDef:
@@ -269,7 +279,7 @@ def financial_system(params: FinancialParams | None = None) -> SystemDef:
     return SystemDef(
         name="financial",
         dimension=3,
-        rhs=lambda t, y: componentwise(_financial, y, p),
+        rhs=lambda t, y: _financial(y, p),
     )
 
 
@@ -278,17 +288,16 @@ def volta_system(params: VoltaParams | None = None) -> SystemDef:
     return SystemDef(
         name="volta",
         dimension=3,
-        rhs=lambda t, y: componentwise(_volta, y, p),
+        rhs=lambda t, y: _volta(y, p),
     )
 
 
 def zero_system(dimension: int = 3) -> SystemDef:
-    """Field that is identically zero; a diagnostic stub. The state has shape (..., dimension)."""
+    """Field that is identically zero; a diagnostic stub over `dimension` components."""
 
     def rhs(t, y):
-        shape = np.shape(y)
-        if shape[-1:] != (dimension,):
-            raise ValueError(f"state must have a last axis of length {dimension}, got {shape}")
-        return np.zeros(shape)
+        if len(y) != dimension:
+            raise ValueError(f"state must have {dimension} components, got {len(y)}")
+        return np.zeros((dimension, *np.shape(y[0])))  # one row per component
 
     return SystemDef(name="zero", dimension=dimension, rhs=rhs)

@@ -77,7 +77,7 @@ def test_weight_identities():
 
 def test_classical_limit():
     t0 = time.perf_counter()
-    system = SystemDef(name="decay", dimension=1, rhs=lambda t, y: -y)
+    system = SystemDef(name="decay", dimension=1, rhs=lambda t, y: (-y[0],))
     cfg = SolverConfig(h=0.01, n_steps=100)
     frac = integrate(system, 1.0, [1.0], cfg)
     classical = integrate_classical_pece(system, [1.0], cfg)

@@ -27,7 +27,7 @@ from fracsync.experiments import run_synchronization
 def relaxation_problem(q):
     """D^q y = -y, y(0) = 1, whose solution is E_q(-t^q)."""
     return ConvergenceProblem(
-        system=SystemDef(name="relaxation", dimension=1, rhs=lambda t, y: -y),
+        system=SystemDef(name="relaxation", dimension=1, rhs=lambda t, y: (-y[0],)),
         orders=(q,),
         y0=(1.0,),
         t_end=1.0,

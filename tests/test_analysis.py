@@ -254,7 +254,7 @@ class TestPredictedError:
     def test_matches_solver_on_scalar_loop(self):
         # D^q e = -e integrated numerically against the closed form
         q = 0.9
-        system = SystemDef(name="loop", dimension=1, rhs=lambda t, y: -y)
+        system = SystemDef(name="loop", dimension=1, rhs=lambda t, y: (-y[0],))
         cfg = SolverConfig.for_horizon(h=1e-3, t_end=1.0)
         traj = integrate(system, q, [1.0], cfg)
         expect = predicted_error(np.array([1.0]), (q,), 1.0)[0]

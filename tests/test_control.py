@@ -150,7 +150,7 @@ class TestLiteralControl:
         # (1 - z2)(1 + y2), a term of the slave state that does not vanish with e.
         rng = np.random.default_rng(45)
         y = rng.uniform(-3.0, 3.0, size=(20, 6))
-        d = coupled_system(FP, VP, LiteralFeedback()).rhs(0.0, y)
+        d = np.stack(coupled_system(FP, VP, LiteralFeedback()).rhs(0.0, list(y.T)), -1)
         e, de = y[:, 3:] - y[:, :3], d[:, 3:] - d[:, :3]
         forcing = np.zeros_like(e)
         forcing[:, 0] = (1.0 - y[:, 5]) * (1.0 + y[:, 4])
@@ -273,11 +273,23 @@ class TestCoupledSystem:
         for controller, tol in ((ExactCancellation(), 1e-13), (LiteralFeedback(), 0.0)):
             sysdef = coupled_system(FP, VP, controller)
             assert sysdef.dimension == 6
-            assert np.max(np.abs(sysdef.rhs(0.0, ys) - _unfolded_rhs(controller, ys))) <= tol
+            batch = np.stack(sysdef.rhs(0.0, list(ys.T)), -1)
+            assert np.max(np.abs(batch - _unfolded_rhs(controller, ys))) <= tol
+
+    @pytest.mark.parametrize("controller", [ExactCancellation((-1.0, -2.5, -0.5)), LiteralFeedback()])
+    def test_rhs_on_component_arrays_equals_its_rows(self, controller):
+        # A trajectory's columns go through the rhs at once and give, bit for
+        # bit, what the driver got from each row as a list of floats.
+        sysdef = coupled_system(FP, VP, controller)
+        traj = integrate(sysdef, 0.99, Y0, SolverConfig(h=0.005, n_steps=200))
+        columns = sysdef.rhs(0.0, list(traj.states.T))
+        assert len(columns) == 6 and all(c.shape == (201,) for c in columns)
+        rows = [sysdef.rhs(0.0, row) for row in traj.states.tolist()]
+        assert np.array_equal(np.stack(columns, -1), np.array(rows))
 
     def test_folded_exact_law_tracks_unfolded_run(self):
         controller = ExactCancellation()
-        unfolded = SystemDef("unfolded", 6, lambda t, y: _unfolded_rhs(controller, y))
+        unfolded = SystemDef("unfolded", 6, lambda t, y: _unfolded_rhs(controller, np.array(y)))
         cfg = SolverConfig(h=0.005, n_steps=200)
         a = integrate(coupled_system(FP, VP, controller), 0.99, Y0, cfg)
         b = integrate(unfolded, 0.99, Y0, cfg)

@@ -5,10 +5,9 @@ or memory layout equals its row-by-row evaluation bit for bit. That is what
 makes the control columns computed from a whole trajectory equal the
 control the integrator applied at each step. A last axis of any other
 length, or a 0-d state with no last axis, raises ValueError instead of
-returning made-up components.
+returning made-up components. A `SystemDef.rhs` takes and returns the
+components of a state, so it is handed the components along the last axis.
 """
-
-from functools import partial
 
 import numpy as np
 import pytest
@@ -34,16 +33,26 @@ VP = VoltaParams()
 LAM = (-1.0, -2.5, -0.5)
 GAIN = gain_matrix_default(VP)
 
+def _components(y):
+    """The components of a state array along its last axis; a 0-d state has none."""
+    return list(np.moveaxis(y, -1, 0)) if np.ndim(y) else []
+
+
+def _on_arrays(system):
+    """system.rhs as a function of a state array, through the components of its last axis."""
+    return lambda y: np.moveaxis(np.array(system.rhs(0.0, _components(y))), 0, -1)
+
+
 # name -> (width of the last axis, function of one array of that width); the
 # laws take master and slave as column views of a six-component state.
 FUNCTIONS = {
     "financial_rhs": (3, lambda y: financial_rhs(y, FP)),
     "volta_rhs": (3, lambda y: volta_rhs(y, VP)),
-    "zero": (3, partial(zero_system(3).rhs, 0.0)),
+    "zero": (3, _on_arrays(zero_system(3))),
     "control_exact": (6, lambda y: control_exact(y[..., :3], y[..., 3:], FP, VP, LAM)),
     "control_literal": (6, lambda y: control_literal(y[..., :3], y[..., 3:], FP, VP, GAIN)),
-    "coupled_exact": (6, partial(coupled_system(FP, VP, ExactCancellation(LAM)).rhs, 0.0)),
-    "coupled_literal": (6, partial(coupled_system(FP, VP, LiteralFeedback()).rhs, 0.0)),
+    "coupled_exact": (6, _on_arrays(coupled_system(FP, VP, ExactCancellation(LAM)))),
+    "coupled_literal": (6, _on_arrays(coupled_system(FP, VP, LiteralFeedback()))),
 }
 
 
@@ -90,7 +99,7 @@ def test_wrong_last_axis_raises(shape):
     calls = (
         lambda: financial_rhs(bad, FP),
         lambda: volta_rhs(bad, VP),
-        lambda: zero_system(3).rhs(0.0, bad),
+        lambda: zero_system(3).rhs(0.0, _components(bad)),
         lambda: control_exact(bad, bad, FP, VP, LAM),
         lambda: control_literal(bad, bad, FP, VP, GAIN),
     )
@@ -103,4 +112,4 @@ def test_wrong_last_axis_raises(shape):
 @pytest.mark.parametrize("shape", [(), (7,), (2, 7), (4,), (2, 5)])
 def test_coupled_rhs_refuses_a_last_axis_other_than_6(controller, shape):
     with pytest.raises(ValueError):
-        coupled_system(FP, VP, controller).rhs(0.0, np.ones(shape))
+        coupled_system(FP, VP, controller).rhs(0.0, _components(np.ones(shape)))

@@ -39,8 +39,14 @@ def _scalar_system(name, fn):
     return SystemDef(name=name, dimension=1, rhs=fn)
 
 
+def _on_arrays(rhs):
+    """`rhs` as a function of a state array: it is handed the components as a list."""
+    return lambda t, y: np.array(rhs(t, y.tolist()))
+
+
 def _reference_abm(rhs, orders, y0, h, n_steps):
     """Textbook per-step evaluation built only on the published weights."""
+    rhs = _on_arrays(rhs)
     y0 = np.asarray(y0, dtype=np.float64)
     d = y0.size
     qa = np.asarray(orders, dtype=np.float64)
@@ -89,6 +95,7 @@ def _direct_abm(rhs, orders, y0, h, n_steps, memory=None):
     sums: the weights come from high-precision powers, and every step
     sums its whole window term by term.
     """
+    rhs = _on_arrays(rhs)
     y0 = np.asarray(y0, dtype=np.float64)
     d = y0.size
     qa = np.broadcast_to(np.asarray(orders, dtype=np.float64), (d,))
@@ -128,7 +135,7 @@ class TestExactness:
         assert abs(traj.states[1, 0] - expect) <= 1e-14
 
     def test_grid_and_initial_state(self):
-        system = _scalar_system("decay", lambda t, y: -y)
+        system = _scalar_system("decay", lambda t, y: (-y[0],))
         cfg = SolverConfig(h=0.01, n_steps=50)
         traj = integrate(system, 0.9, [2.0], cfg)
         assert traj.n_points == 51
@@ -147,13 +154,13 @@ class TestAccuracy:
         assert abs(traj.states[-1, 0] - 1.0) <= tol
 
     def test_unit_order_decay_matches_exponential(self):
-        system = _scalar_system("decay", lambda t, y: -y)
+        system = _scalar_system("decay", lambda t, y: (-y[0],))
         cfg = SolverConfig.for_horizon(h=1e-3, t_end=1.0)
         traj = integrate(system, 1.0, [1.0], cfg)
         assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 1e-5
 
     def test_matches_reference_scalar(self):
-        system = _scalar_system("affine", lambda t, y: t - y)
+        system = _scalar_system("affine", lambda t, y: (t - y[0],))
         cfg = SolverConfig(h=0.01, n_steps=100)
         traj = integrate(system, 0.6, [1.0], cfg)
         ref = _reference_abm(system.rhs, 0.6, [1.0], 0.01, 100)
@@ -170,7 +177,7 @@ class TestAccuracy:
 
 class TestClassicalLimit:
     def test_scalar_unit_order_agrees_per_step(self):
-        system = _scalar_system("decay", lambda t, y: -y)
+        system = _scalar_system("decay", lambda t, y: (-y[0],))
         cfg = SolverConfig(h=0.01, n_steps=100)
         frac = integrate(system, 1.0, [1.0], cfg)
         classical = integrate_classical_pece(system, [1.0], cfg)
@@ -387,7 +394,7 @@ class TestFailurePaths:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_runaway_generic_system(self):
-        system = _scalar_system("quad", lambda t, y: y * y)
+        system = _scalar_system("quad", lambda t, y: (y[0] * y[0],))
         with pytest.raises(NonFiniteState) as info:
             integrate(system, 1.0, [10.0], SolverConfig(h=0.1, n_steps=200))
         assert np.all(np.isfinite(info.value.trajectory.states))
@@ -410,7 +417,7 @@ class TestFailurePaths:
 
         def quad(t, y):
             calls.append(t)
-            return y * y
+            return (y[0] * y[0],)
 
         with pytest.raises(NonFiniteState) as info:
             solve(_scalar_system("quad", quad), SolverConfig(h=0.01, n_steps=300))
@@ -419,6 +426,8 @@ class TestFailurePaths:
         assert len(calls) == 1 + 2 * 105
         err = info.value
         assert err.to_dict() == {"step": 106, "time": 1.06}
+        assert err.component == 0
+        assert str(err) == "state became non-finite at step 106 (t = 1.06) in component 0"
         assert err.trajectory.n_points == 106
         assert np.array_equal(err.trajectory.times, np.arange(106) * 0.01)
         assert np.all(np.isfinite(err.trajectory.states))
@@ -432,7 +441,7 @@ class TestFailurePaths:
 
         def cliff(t, y):
             calls.append(t)
-            return np.full(y.shape, np.inf) if t > 0.5 else -y
+            return (math.inf,) if t > 0.5 else (-y[0],)
 
         with pytest.raises(NonFiniteState) as info:
             solve(_scalar_system("cliff", cliff), SolverConfig(h=0.01, n_steps=100))
@@ -460,7 +469,7 @@ class TestFailurePaths:
 
         def relax(t, y):
             calls.append(t)
-            return -y
+            return (-y[0],)
 
         solve(_scalar_system("relax", relax), SolverConfig(h=0.01, n_steps=n_steps))
         assert len(calls) == 2 * n_steps
@@ -482,7 +491,7 @@ class TestFailurePaths:
 
         def narrow(t, y):
             calls.append(t)
-            return -y[:1]
+            return (-y[0],)
 
         system = SystemDef(name="narrow", dimension=3, rhs=narrow)
         match = r"rhs returned shape \(1,\) for a state of shape \(3,\)"
@@ -504,9 +513,25 @@ class TestFailurePaths:
         assert isinstance(run.blowup, NonFiniteState)
         assert run.blowup.to_dict() == {"step": 18940, "time": 9.47}
         assert json.dumps(run.blowup.to_dict()) == '{"step": 18940, "time": 9.47}'
+        # x goes first; the report entry stays step and time only.
+        assert run.blowup.component == 0
+        assert str(run.blowup) == "state became non-finite at step 18940 (t = 9.47) in component 0"
         assert run.blowup.__traceback__ is None
         assert run.trajectory.n_points == 18940
         assert run.blowup.trajectory is run.trajectory
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_synchronization_blowup_names_the_slave_component(self):
+        # At lambda = -5000 and h = 5e-4, s = h^q |lambda| = 2.7 is past the
+        # scheme's stability bound: the slave's x leaves the finite range
+        # first, while the master stays on its attractor.
+        run = run_synchronization(FinancialParams(), VoltaParams(), ExactCancellation(-5000.0),
+                                  0.99, [2.0, -1.0, 1.0], [8.0, 2.0, 3.0],
+                                  SolverConfig.for_horizon(5e-4, 10.0), 1e-3)
+        assert run.blowup.to_dict() == {"step": 1020, "time": 0.51}
+        assert run.blowup.component == 3
+        assert "at step 1020 (t = 0.51) in component 3" in str(run.blowup)
+        assert np.all(np.abs(run.trajectory.states[:, :3]) < 100.0)
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, -0.3, float("nan")])
     def test_bad_order_rejected(self, bad):
@@ -547,6 +572,52 @@ class TestFailurePaths:
             integrate_classical_pece(financial_system(), [2.0, -1.0], cfg)
         with pytest.raises(ValueError):
             integrate_classical_pece(financial_system(), [2.0, float("nan"), 1.0], cfg)
+
+
+class TestFieldContract:
+    """rhs(t, y) gets a new list of d floats and returns d components."""
+
+    CFG = SolverConfig(h=0.005, n_steps=300)  # past the first FFT tiles
+    ORDERS = (0.7, 0.9, 1.0)
+    Y0 = [2.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("kind", [tuple, list, np.array])
+    def test_tuple_list_and_array_values_give_the_same_bits(self, kind):
+        field = financial_system().rhs
+        system = SystemDef("wrapped", 3, lambda t, y: kind(field(t, y)))
+        plain = integrate(financial_system(), self.ORDERS, self.Y0, self.CFG)
+        assert np.array_equal(integrate(system, self.ORDERS, self.Y0, self.CFG).states, plain.states)
+
+    def test_an_rhs_may_keep_its_argument(self):
+        field = financial_system().rhs
+        kept = []
+
+        def keeping(t, y):
+            kept.append((y, list(y)))
+            return field(t, y)
+
+        traj = integrate(SystemDef("keeping", 3, keeping), self.ORDERS, self.Y0, self.CFG)
+        # f_0, then the predicted and the corrected state of each step but the last.
+        assert len(kept) == 2 * self.CFG.n_steps
+        assert len({id(y) for y, _ in kept}) == len(kept)
+        assert all(type(y) is list and y == values for y, values in kept)
+        assert all(type(v) is float for y, _ in kept for v in y)
+        assert [y for y, _ in kept[2::2]] == traj.states[1:-1].tolist()
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    @pytest.mark.parametrize("bad_call", [11, 12])  # step 4's corrected state, step 5's predicted one
+    def test_a_later_value_of_another_length_is_refused(self, length, bad_call):
+        field = financial_system().rhs
+        calls = []
+
+        def faulty(t, y):
+            calls.append(t)
+            return (1.0,) * length if len(calls) == bad_call else field(t, y)
+
+        match = f"rhs returned {length} components for a state of 3"
+        with pytest.raises(ValueError, match=match):
+            integrate(SystemDef("faulty", 3, faulty), self.ORDERS, self.Y0, self.CFG)
+        assert len(calls) == bad_call
 
 
 class TestSolverConfig:

@@ -101,8 +101,9 @@ def test_non_finite_single_states_follow_numpy(rhs, cls, big):
     [(financial_system, financial_rhs, FinancialParams), (volta_system, volta_rhs, VoltaParams)],
 )
 def test_system_rhs_is_the_public_field_bit_for_bit(system, rhs, cls):
-    # SystemDef.rhs enters the field body directly; it must still read every
-    # state as financial_rhs and volta_rhs do.
+    # SystemDef.rhs enters the field body directly; on the float components
+    # the driver hands it, it must give what financial_rhs and volta_rhs give
+    # for every state.
     p = cls()
     field = system(p).rhs
     six = np.array([8.0, 0.5, 2.0, -1.5, 3.0, 1e-3])
@@ -115,11 +116,12 @@ def test_system_rhs_is_the_public_field_bit_for_bit(system, rhs, cls):
         np.array([0.1, -2.5, 7.3], dtype=np.float32),
     ]
     for state in states:
-        out, expect = field(0.0, state), rhs(state, p)
+        components = np.asarray(state, dtype=np.float64).tolist()
+        out, expect = np.array(field(0.0, components)), rhs(state, p)
         assert out.dtype == expect.dtype == np.float64
         assert np.array_equal(out, expect)
     with pytest.raises(ValueError):
-        field(0.0, np.ones(4))
+        field(0.0, [1.0] * 4)
 
 
 def _fd_jacobian(rhs, state, params, eps=1e-6):
