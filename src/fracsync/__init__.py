@@ -49,7 +49,6 @@ from .solver import (
     SolverConfig,
     Trajectory,
     integrate,
-    integrate_classical_pece,
     weights_a,
     weights_b,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "financial_system",
     "gain_matrix_default",
     "integrate",
-    "integrate_classical_pece",
     "matignon_check",
     "mittag_leffler",
     "predicted_error",

@@ -100,7 +100,10 @@ def run_synchronization(
 
     master, slave = traj.states[:, :3], traj.states[:, 3:]
     errors = slave - master
-    controls = controller.control(master, slave, fp, vp)
+    # The last rows of a valid prefix may lie near the float limit, where
+    # the control overflows to inf or nan; it is recorded as it comes out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        controls = controller.control(master, slave, fp, vp)
     traj = Trajectory(times=traj.times, states=traj.states, errors=errors, controls=controls)
 
     matrix = controller.design_matrix(vp)

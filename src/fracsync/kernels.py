@@ -103,22 +103,6 @@ def first_panel_weights(q: float, steps) -> np.ndarray:
     return out
 
 
-def _start(rhs, y0, n_steps):
-    """y0 as float64, the states array with row 0 filled, and f0 = rhs(0, y0).
-
-    Both drivers begin here, handing rhs the components of y0 as a list of
-    floats. An f0 whose shape is not y0's raises ValueError naming both
-    shapes, before any step is taken.
-    """
-    y0 = np.asarray(y0, dtype=np.float64)
-    states = np.empty((n_steps + 1, y0.shape[0]))
-    states[0] = y0
-    f0 = np.asarray(rhs(0.0, y0.tolist()), dtype=np.float64)
-    if f0.shape != y0.shape:
-        raise ValueError(f"rhs returned shape {f0.shape} for a state of shape {y0.shape}")
-    return y0, states, f0
-
-
 def _first_nonfinite(values) -> int:
     """Index of the first non-finite number in `values`, which holds one."""
     return [math.isfinite(v) for v in values].index(False)
@@ -197,9 +181,9 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     ----------
     rhs : callable
         rhs(t, y) with y a list of d floats, returning d components (a
-        tuple, a list or a 1-D float64 array); the first value is checked
-        for shape (`_start`), and a later one of another length raises
-        ValueError.
+        tuple, a list or a 1-D float64 array). A first value not of y0's
+        shape raises ValueError naming both shapes before any step is
+        taken, and a later one of another length raises ValueError.
     q, y0 : ndarray
         Orders and initial state, shape (d,).
     h : float
@@ -251,7 +235,12 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     multiply, reduce, isfinite = np.multiply, np.add.reduce, math.isfinite
     add, mul = operator.add, operator.mul
 
-    y0, states, f0 = _start(rhs, y0, n_steps)
+    y0 = np.asarray(y0, dtype=np.float64)
+    states = np.empty((n_steps + 1, d))
+    states[0] = y0
+    f0 = np.asarray(rhs(0.0, y0.tolist()), dtype=np.float64)
+    if f0.shape != y0.shape:
+        raise ValueError(f"rhs returned shape {f0.shape} for a state of shape {y0.shape}")
     # hist[j] = (f_j, f_j), except that the corrector half of row 0 is zero:
     # the corrector weighs f_0 with a0(n), not with the kernel.
     hist = np.empty((n_steps + 1, 2, d))
@@ -309,35 +298,3 @@ def abm_python(rhs, q, y0, h, n_steps, window):
                 raise _length_error(f, d)
             hist[n + 1] = f
     return states, -1, -1
-
-
-def classical_pece(rhs, y0, h, n_steps):
-    """First-order predictor-corrector (Euler predict, trapezoid correct).
-
-    Written in the same global-sum arrangement the fractional loop
-    reduces to at q = 1, so the two agree to rounding error there:
-
-        predict:  y0 + h * sum_{j<=n} f_j
-        correct:  y0 + h * (sum_{j<=n} f_j - f_0/2 + f(t_{n+1}, predicted)/2)
-
-    Returns what `abm_python` returns; like it, it hands rhs lists of
-    floats, stops at the first non-finite predictor or corrector and checks
-    the shape of the first rhs value.
-    """
-    y0, states, f0 = _start(rhs, y0, n_steps)
-    sf = f0.copy()
-    for n in range(n_steps):
-        t1 = (n + 1) * h
-        pred = (y0 + h * sf).tolist()
-        if not all(map(math.isfinite, pred)):
-            return states, n + 1, _first_nonfinite(pred)
-        fp = np.asarray(rhs(t1, pred), dtype=np.float64)
-        new = y0 + h * (sf - 0.5 * f0 + 0.5 * fp)
-        states[n + 1] = new
-        new = new.tolist()
-        if not all(map(math.isfinite, new)):
-            return states, n + 1, _first_nonfinite(new)
-        if n + 1 < n_steps:
-            sf = sf + np.asarray(rhs(t1, new), dtype=np.float64)
-    return states, -1, -1
-

@@ -1,9 +1,8 @@
-"""Fractional predictor-corrector integration and its classical limit.
+"""Fractional predictor-corrector integration.
 
 `integrate` advances a `SystemDef` under componentwise Caputo orders with
 the scheme documented in `kernels`, on its one driver, whatever the
-system. `integrate_classical_pece` is the order-one limit of the same loop
-and matches a q = 1 fractional run step for step.
+system. At q = 1 that scheme is the classical trapezoid predictor-corrector.
 """
 
 from __future__ import annotations
@@ -164,12 +163,6 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
     run = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps, config.window)
     return _finish(*run, config)
-
-
-def integrate_classical_pece(system: SystemDef, y0, config: SolverConfig) -> Trajectory:
-    """Order-one predictor-corrector on the same grid; y0 and blowups as in `integrate`."""
-    y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
-    return _finish(*kernels.classical_pece(system.rhs, y0, config.h, config.n_steps), config)
 
 
 def _finish(states: np.ndarray, fail: int, component: int, config: SolverConfig) -> Trajectory:

@@ -124,13 +124,6 @@ class FractionalOrders:
     def uniform(cls, q: float) -> "FractionalOrders":
         return cls((q, q, q))
 
-    @property
-    def commensurate(self) -> bool:
-        return self.q[0] == self.q[1] == self.q[2]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.q, dtype=np.float64)
-
 
 def _floats(params) -> None:
     # Each field of a frozen parameter dataclass as a Python float, by the number rule.

@@ -21,7 +21,6 @@ from fracsync import (
     empirical_orders,
     financial_system,
     integrate,
-    integrate_classical_pece,
     matignon_check,
     predicted_error,
     sync_time,
@@ -76,8 +75,6 @@ def _synchronize(master0=_STATE, slave0=(8.0, 2.0, 3.0), tol=1e-3):
 ENTRY_POINTS = {
     "integrate y0": (
         lambda v: integrate(financial_system(), 0.9, v, _GRID), _STATE, ValueError, ()),
-    "integrate_classical_pece y0": (
-        lambda v: integrate_classical_pece(financial_system(), v, _GRID), _STATE, ValueError, ()),
     "run_synchronization master0": (lambda v: _synchronize(master0=v), _STATE, ValueError, ()),
     "run_synchronization slave0": (lambda v: _synchronize(slave0=v), _STATE, ValueError, ()),
     "eigen3": (eigen3, _MATRIX, ValueError, ()),

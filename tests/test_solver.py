@@ -23,7 +23,6 @@ from fracsync import (
     VoltaParams,
     financial_system,
     integrate,
-    integrate_classical_pece,
     volta_system,
     weights_a,
     weights_b,
@@ -72,6 +71,29 @@ def _reference_abm(rhs, orders, y0, h, n_steps):
             ynew[i] = y0[i] + h**qi / math.gamma(qi + 2.0) * acc
         states[n + 1] = ynew
         f[n + 1] = rhs(t1, ynew)
+    return states
+
+
+def _classical_pece(rhs, y0, h, n_steps):
+    """Classical predictor-corrector: Euler predictor, trapezoid corrector.
+
+    Written in the global-sum form that the fractional scheme takes at
+    q = 1, so a q = 1 run of `integrate` matches it to rounding error:
+
+        predict:  y0 + h * sum_{j<=n} f_j
+        correct:  y0 + h * (sum_{j<=n} f_j - f_0/2 + f(t_{n+1}, predicted)/2)
+    """
+    rhs = _on_arrays(rhs)
+    y0 = np.asarray(y0, dtype=np.float64)
+    states = np.empty((n_steps + 1, y0.size))
+    states[0] = y0
+    f0 = rhs(0.0, y0)
+    sf = f0
+    for n in range(n_steps):
+        t1 = (n + 1) * h
+        fp = rhs(t1, y0 + h * sf)
+        states[n + 1] = y0 + h * (sf - 0.5 * f0 + 0.5 * fp)
+        sf = sf + rhs(t1, states[n + 1])
     return states
 
 
@@ -171,7 +193,7 @@ class TestAccuracy:
         orders = FractionalOrders((0.9, 0.95, 1.0))
         cfg = SolverConfig(h=0.005, n_steps=120)
         traj = integrate(system, orders, [2.0, -1.0, 1.0], cfg)
-        ref = _reference_abm(system.rhs, orders.as_array(), [2.0, -1.0, 1.0], 0.005, 120)
+        ref = _reference_abm(system.rhs, orders.q, [2.0, -1.0, 1.0], 0.005, 120)
         assert np.max(np.abs(traj.states - ref)) <= 1e-9
 
 
@@ -180,15 +202,15 @@ class TestClassicalLimit:
         system = _scalar_system("decay", lambda t, y: (-y[0],))
         cfg = SolverConfig(h=0.01, n_steps=100)
         frac = integrate(system, 1.0, [1.0], cfg)
-        classical = integrate_classical_pece(system, [1.0], cfg)
-        assert np.max(np.abs(frac.states - classical.states)) <= 1e-12
+        classical = _classical_pece(system.rhs, [1.0], cfg.h, cfg.n_steps)
+        assert np.max(np.abs(frac.states - classical)) <= 1e-12
 
     def test_financial_unit_order_agrees_per_step(self):
         system = financial_system()
         cfg = SolverConfig(h=0.005, n_steps=200)
         frac = integrate(system, 1.0, [2.0, -1.0, 1.0], cfg)
-        classical = integrate_classical_pece(system, [2.0, -1.0, 1.0], cfg)
-        assert np.max(np.abs(frac.states - classical.states)) <= 1e-12
+        classical = _classical_pece(system.rhs, [2.0, -1.0, 1.0], cfg.h, cfg.n_steps)
+        assert np.max(np.abs(frac.states - classical)) <= 1e-12
 
 
 class TestMemoryWindow:
@@ -377,8 +399,6 @@ class TestDeterminism:
 
 
 class TestFailurePaths:
-    # The runaway tests drive the state through float overflow on purpose.
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_runaway_named_system_reports_prefix(self):
         system = financial_system(FinancialParams(alpha=-1000.0))
         cfg = SolverConfig(h=0.01, n_steps=400)
@@ -392,27 +412,20 @@ class TestFailurePaths:
         assert err.time == pytest.approx(err.step * 0.01)
         assert "non-finite" in str(err)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_runaway_generic_system(self):
         system = _scalar_system("quad", lambda t, y: (y[0] * y[0],))
         with pytest.raises(NonFiniteState) as info:
             integrate(system, 1.0, [10.0], SolverConfig(h=0.1, n_steps=200))
         assert np.all(np.isfinite(info.value.trajectory.states))
 
-    # The classical driver and the fractional one at q = 1, which it matches step for step.
+    # The driver at q = 1, where the scheme is the classical trapezoid predictor-corrector.
     CLASSICAL_DRIVERS = pytest.mark.parametrize(
-        "solve",
-        [
-            lambda system, cfg: integrate_classical_pece(system, [1.0], cfg),
-            lambda system, cfg: integrate(system, 1.0, [1.0], cfg),
-        ],
-        ids=["classical", "fractional-q1"],
+        "solve", [lambda system, cfg: integrate(system, 1.0, [1.0], cfg)], ids=["fractional-q1"]
     )
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @CLASSICAL_DRIVERS
     def test_classical_blowup_keeps_the_finite_prefix(self, solve):
-        # y' = y^2, y(0) = 1 is 1/(1 - t); both schemes overflow at the same row.
+        # y' = y^2, y(0) = 1 is 1/(1 - t); the run overflows at row 106.
         calls = []
 
         def quad(t, y):
@@ -421,7 +434,7 @@ class TestFailurePaths:
 
         with pytest.raises(NonFiniteState) as info:
             solve(_scalar_system("quad", quad), SolverConfig(h=0.01, n_steps=300))
-        # Both stop at the non-finite predictor of row 106: one call for f_0,
+        # It stops at the non-finite predictor of row 106: one call for f_0,
         # then two a step, none after the failure.
         assert len(calls) == 1 + 2 * 105
         err = info.value
@@ -432,7 +445,6 @@ class TestFailurePaths:
         assert np.array_equal(err.trajectory.times, np.arange(106) * 0.01)
         assert np.all(np.isfinite(err.trajectory.states))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @CLASSICAL_DRIVERS
     def test_classical_corrector_blowup_keeps_the_finite_prefix(self, solve):
         # y' = -y until the field turns infinite after t = 0.5: the predictor
@@ -454,12 +466,7 @@ class TestFailurePaths:
         assert np.all(np.isfinite(err.trajectory.states))
 
     @pytest.mark.parametrize(
-        "solve",
-        [
-            lambda system, cfg: integrate_classical_pece(system, [1.0], cfg),
-            lambda system, cfg: integrate(system, 0.9, [1.0], cfg),
-        ],
-        ids=["classical", "fractional"],
+        "solve", [lambda system, cfg: integrate(system, 0.9, [1.0], cfg)], ids=["fractional"]
     )
     @pytest.mark.parametrize("n_steps", [1, 2, 500])
     def test_finished_run_makes_two_rhs_calls_a_step(self, solve, n_steps):
@@ -474,17 +481,12 @@ class TestFailurePaths:
         solve(_scalar_system("relax", relax), SolverConfig(h=0.01, n_steps=n_steps))
         assert len(calls) == 2 * n_steps
 
-    # Both drivers; the fractional one at q = 0.9.
-    BOTH_DRIVERS = pytest.mark.parametrize(
-        "solve",
-        [
-            lambda system, y0, cfg: integrate_classical_pece(system, y0, cfg),
-            lambda system, y0, cfg: integrate(system, 0.9, y0, cfg),
-        ],
-        ids=["classical", "fractional"],
+    # The driver at q = 0.9.
+    FRACTIONAL_DRIVER = pytest.mark.parametrize(
+        "solve", [lambda system, y0, cfg: integrate(system, 0.9, y0, cfg)], ids=["fractional"]
     )
 
-    @BOTH_DRIVERS
+    @FRACTIONAL_DRIVER
     def test_rhs_of_the_wrong_shape_is_refused_at_the_first_call(self, solve):
         # A (1,) field for a 3-dimensional state would broadcast, or fail mid-step.
         calls = []
@@ -499,7 +501,7 @@ class TestFailurePaths:
             solve(system, [1.0, 2.0, 3.0], SolverConfig(h=0.01, n_steps=10))
         assert calls == [0.0]
 
-    @BOTH_DRIVERS
+    @FRACTIONAL_DRIVER
     def test_zero_dimensional_rhs_is_refused(self, solve):
         system = _scalar_system("scalar", lambda t, y: -y[0])
         match = r"rhs returned shape \(\) for a state of shape \(1,\)"
@@ -520,7 +522,6 @@ class TestFailurePaths:
         assert run.trajectory.n_points == 18940
         assert run.blowup.trajectory is run.trajectory
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_synchronization_blowup_names_the_slave_component(self):
         # At lambda = -5000 and h = 5e-4, s = h^q |lambda| = 2.7 is past the
         # scheme's stability bound: the slave's x leaves the finite range
@@ -565,13 +566,6 @@ class TestFailurePaths:
         with pytest.raises(ValueError, match=r"initial state must have shape \(3,\)"):
             run_synchronization(FinancialParams(), VoltaParams(), ExactCancellation(), 0.9,
                                 master, slave, SolverConfig(h=0.01, n_steps=5), 1e-3)
-
-    def test_classical_rejects_bad_initial_state(self):
-        cfg = SolverConfig(h=0.01, n_steps=5)
-        with pytest.raises(ValueError):
-            integrate_classical_pece(financial_system(), [2.0, -1.0], cfg)
-        with pytest.raises(ValueError):
-            integrate_classical_pece(financial_system(), [2.0, float("nan"), 1.0], cfg)
 
 
 class TestFieldContract:

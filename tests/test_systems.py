@@ -212,16 +212,10 @@ class TestFractionalOrders:
     def test_defaults(self):
         orders = FractionalOrders()
         assert orders.q == (0.99, 0.99, 0.99)
-        assert orders.commensurate
 
     def test_uniform(self):
         orders = FractionalOrders.uniform(0.8)
         assert orders.q == (0.8, 0.8, 0.8)
-
-    def test_mixed_orders_not_commensurate(self):
-        orders = FractionalOrders((0.9, 0.95, 1.0))
-        assert not orders.commensurate
-        assert np.array_equal(orders.as_array(), [0.9, 0.95, 1.0])
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.2, float("nan"), float("inf")])
     def test_out_of_range_rejected(self, bad):
