@@ -80,26 +80,29 @@ def gain_matrix_default(p: VoltaParams) -> np.ndarray:
 
 def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -> np.ndarray:
     """Algebraic control law plus linear error feedback; shapes (..., 3)."""
-    return _literal_law(master, slave, fp, vp, number_array(gain, InvalidGain, "gain", (3, 3)))
-
-
-def _literal_law(master, slave, fp, vp, gain):
-    # The law for a gain already checked; the coupled row calls it every step.
+    gain = number_array(gain, InvalidGain, "gain", (3, 3)).tolist()
     m = np.asarray(master, dtype=np.float64)
     s = np.asarray(slave, dtype=np.float64)
-    try:
-        x1, y1, z1 = m.T
-        x2, y2, z2 = s.T
-    except TypeError:  # a 0-d state, which has no axis to unpack
-        raise ValueError("states must have a last axis of length 3, got shape ()") from None
-    v = (s - m) @ gain.T
-    v1, v2, v3 = v.T
-    u = np.empty(v.shape)
+    if m.ndim == 0 or s.ndim == 0:
+        raise ValueError("states must have a last axis of length 3, got shape ()")
+    u = np.empty(np.broadcast_shapes(m.shape, s.shape))
     o = u.T
-    o[0] = -(fp.alpha - 1.0) * x1 + (x1 + vp.a) * y1 + (1.0 + y2) + v1
-    o[1] = -(fp.beta - 1.0) * y1 + (vp.b - x1) * x1 + x2 * z2 + 1.0 + v2
-    o[2] = -(y2 + 1.0) * x2 - (vp.c + fp.gamma) * z1 - 1.0 + v3
+    o[0], o[1], o[2] = _literal(m.T, s.T, fp, vp, gain)
     return u
+
+
+def _literal(m, s, fp, vp, gain):
+    # The law on the components of master and slave, floats or equal-shape
+    # arrays, for a gain given as three rows of floats. Each v_i is summed
+    # left to right and added last, so no sum depends on a BLAS kernel.
+    (x1, y1, z1), (x2, y2, z2) = m, s
+    e1, e2, e3 = x2 - x1, y2 - y1, z2 - z1
+    v1, v2, v3 = (a1 * e1 + a2 * e2 + a3 * e3 for a1, a2, a3 in gain)
+    return (
+        -(fp.alpha - 1.0) * x1 + (x1 + vp.a) * y1 + (1.0 + y2) + v1,
+        -(fp.beta - 1.0) * y1 + (vp.b - x1) * x1 + x2 * z2 + 1.0 + v2,
+        -(y2 + 1.0) * x2 - (vp.c + fp.gamma) * z1 - 1.0 + v3,
+    )
 
 
 def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> np.ndarray:
@@ -184,22 +187,16 @@ class LiteralFeedback:
     def slave_field(self, fp: FinancialParams, vp: VoltaParams):
         """Slave row G(s) + u of the coupled field, as row(m, s, fm); fm is unused.
 
-        G(s) is the Volta field on the components of s. For the law, the
-        components of m and s are stacked along a last axis into state
-        arrays (the transpose of np.array, which np.stack(m, -1) equals up
-        to the order of the batch axes), so that the feedback keeps its
-        matrix product; transposing u back gives its three components. As
-        in `systems.componentwise`, one state's row comes back as Python
-        floats, so that the driver's step stays in float arithmetic, and a
-        batch's as arrays.
+        G(s) and u are the Volta body and the law's body on the components
+        of m and s, floats or equal-shape arrays, added component by
+        component; `control` evaluates the same law body on state arrays.
         """
-        gain = self.gain_array(vp)
+        gain = self.gain_array(vp).tolist()
         volta = volta_system(vp).rhs
 
         def row(m, s, fm):
-            u = _literal_law(np.array(m).T, np.array(s).T, fp, vp, gain)
-            out = np.add(volta(0.0, s), u.T)
-            return out.tolist() if out.ndim == 1 else out
+            (g1, g2, g3), (u1, u2, u3) = volta(0.0, s), _literal(m, s, fp, vp, gain)
+            return g1 + u1, g2 + u2, g3 + u3
 
         return row
 

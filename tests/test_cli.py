@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fracsync
-from fracsync import cli
+from fracsync import VoltaParams, cli, closed_loop_error_matrix
 from fracsync.cli import EXIT_BAND, EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -356,6 +356,46 @@ class TestSynchronize:
             assert _run("synchronize", "--h", 0.01, "--t-end", 1.0, "--out", out) == EXIT_OK
         assert (first / "trajectory.csv").read_bytes() == (second / "trajectory.csv").read_bytes()
         assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+
+    def test_literal_blowup_is_silent_and_names_its_component(self, tmp_path, capsys, monkeypatch):
+        # The design matrix -4500 I puts s = h^q * 4500 near 2.4, past the
+        # scheme's stability bound, so roundoff seeds a blowup. The law runs
+        # on Python floats in the driver, so overflow writes no warning.
+        runs = []
+        run_synchronization = cli.experiments.run_synchronization
+
+        def keep_run(*args):
+            runs.append(run_synchronization(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli.experiments, "run_synchronization", keep_run)
+        base = closed_loop_error_matrix(np.zeros((3, 3)), VoltaParams())
+        gain = (-4500.0 * np.eye(3) - base).tolist()
+        cfg = _write_config(tmp_path, {"mode": "literal", "gain": gain, "t_end": 1.0})
+        code = _run("synchronize", "--config", cfg, "--out", tmp_path / "sync")
+        assert code == EXIT_BLOWUP
+        assert capsys.readouterr().err == ""
+        assert _report(tmp_path / "sync")["blowup"]["step"] == 302
+        assert (runs[0].blowup.step, runs[0].blowup.component) == (302, 4)
+
+    def test_literal_artifacts_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        """A literal run under OpenBLAS's Prescott kernel (no FMA) writes the bytes
+        of a run under the kernel the CPU selects: no sum of the law goes
+        through BLAS. Under a BLAS that ignores OPENBLAS_CORETYPE this reduces
+        to a rerun check.
+        """
+        src = str(Path(fracsync.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outs = []
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            outs.append(tmp_path / f"sync{len(outs)}")
+            argv = ["synchronize", "--mode", "literal", "--t-end", "2", "--out", str(outs[-1])]
+            proc = subprocess.run([sys.executable, "-m", "fracsync", *argv], env={**env, **extra},
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        for name in ("report.json", "trajectory.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     @pytest.mark.parametrize(
         "payload,field",

@@ -163,6 +163,16 @@ class TestLiteralControl:
         assert e1 > 0.1 and e2 < 0.01 and e3 < 0.01
         assert run.blowup is None and run.summary.sync_time is None
 
+    @pytest.mark.parametrize("k", [10.0, 100.0])
+    def test_e1_floor_falls_as_one_over_the_rate(self, k):
+        # With the design matrix -k I, e1 settles to the forced floor
+        # residual / rate: k * (tail max |e1|) stays near 3.95 whatever k is.
+        gain = -k * np.eye(3) - closed_loop_error_matrix(np.zeros((3, 3)), VP)
+        run = run_synchronization(FP, VP, LiteralFeedback(gain), 0.99, MASTER0, SLAVE0,
+                                  SolverConfig.for_horizon(5e-4, 10.0), 1e-3)
+        tail = run.trajectory.errors[run.trajectory.times >= 5.0, 0]
+        assert 3.5 <= k * np.max(np.abs(tail)) <= 4.1
+
 
 class TestExactControl:
     def test_hand_values(self):

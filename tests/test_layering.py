@@ -49,3 +49,28 @@ def test_cli_writes_artifacts_and_loads_config_in_one_place():
     assert len(handlers) == 4
     for key in handlers:
         assert names[key] & (writers | {"_write", "_load_config"}) == set(), key
+
+
+# Routines that hand a sum to BLAS, whose kernel the CPU selects at run time.
+BLAS_SUMS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "vecdot"}
+
+
+def test_no_sum_goes_through_blas():
+    # Results must not depend on the machine's BLAS kernel, so no module may
+    # use `@` or a BLAS-backed product. The one LAPACK call is `eigen3`'s
+    # spectrum, which the argument criterion needs; `divergence_factor`'s
+    # norm along an axis is an `np.add` reduction, not BLAS.
+    found, linalg = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    found.append((path.name, node.lineno, "@"))
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in BLAS_SUMS:
+                    found.append((path.name, node.lineno, name))
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                        and node.value.attr == "linalg":
+                    linalg.append((path.name, getattr(top, "name", "<module>"), node.attr))
+    assert found == []
+    assert linalg == [("analysis.py", "divergence_factor", "norm"), ("control.py", "eigen3", "eigvals")]
