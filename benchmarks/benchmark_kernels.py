@@ -62,6 +62,10 @@ from pathlib import Path
 
 import numpy as np
 
+# This checkout's package, after any PYTHONPATH entry, so that
+# PYTHONPATH=<other checkout>/src still selects that checkout's package.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
 import fracsync
 from fracsync import SolverConfig, cli, integrate
 from fracsync.analysis import mittag_leffler

@@ -42,8 +42,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DegenerateEigenvalue, DomainExceeded, InvalidGain
-from .systems import (FinancialParams, SystemDef, VoltaParams, financial_rhs, financial_system,
-                      number_array, order_array, volta_rhs, volta_system)
+from .systems import (FinancialParams, SystemDef, VoltaParams, componentwise, financial_system,
+                      number_array, order_array, volta_system)
 
 
 def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
@@ -81,14 +81,7 @@ def gain_matrix_default(p: VoltaParams) -> np.ndarray:
 def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -> np.ndarray:
     """Algebraic control law plus linear error feedback; shapes (..., 3)."""
     gain = number_array(gain, InvalidGain, "gain", (3, 3)).tolist()
-    m = np.asarray(master, dtype=np.float64)
-    s = np.asarray(slave, dtype=np.float64)
-    if m.ndim == 0 or s.ndim == 0:
-        raise ValueError("states must have a last axis of length 3, got shape ()")
-    u = np.empty(np.broadcast_shapes(m.shape, s.shape))
-    o = u.T
-    o[0], o[1], o[2] = _literal(m.T, s.T, fp, vp, gain)
-    return u
+    return componentwise(lambda m, s: _literal(m, s, fp, vp, gain), master, slave)
 
 
 def _literal(m, s, fp, vp, gain):
@@ -107,10 +100,15 @@ def _literal(m, s, fp, vp, gain):
 
 def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> np.ndarray:
     """Cancellation law u = F(master) - G(slave) + diag(lam) e; shapes (..., 3)."""
-    lam = _check_lambda(lam)
-    m = np.asarray(master, dtype=np.float64)
-    s = np.asarray(slave, dtype=np.float64)
-    return financial_rhs(m, fp) - volta_rhs(s, vp) + (s - m) * lam
+    l1, l2, l3 = _check_lambda(lam).tolist()
+    financial, volta = financial_system(fp).rhs, volta_system(vp).rhs
+
+    def body(m, s):
+        (f1, f2, f3), (g1, g2, g3) = financial(0.0, m), volta(0.0, s)
+        (m1, m2, m3), (s1, s2, s3) = m, s
+        return f1 - g1 + (s1 - m1) * l1, f2 - g2 + (s2 - m2) * l2, f3 - g3 + (s3 - m3) * l3
+
+    return componentwise(body, master, slave)
 
 
 def _check_lambda(lam) -> np.ndarray:

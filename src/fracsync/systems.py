@@ -16,15 +16,17 @@ The Volta system, with parameters (a, b, c):
 Each field is written once, as a body over the three components
 (x, y, z) of a state, and the body is what `SystemDef.rhs` calls: the
 integration driver hands it a list of three Python floats, and three
-equal-shape arrays give three arrays, a batch. `financial_rhs` and
-`volta_rhs` evaluate the same body on a state array through
-`componentwise`: a single state of shape (3,) runs on Python floats, a
-batch of shape (..., 3) on views along its last axis. All of these do the
-same IEEE operations in the same order, so a whole trajectory evaluates in
-one call and equals its rows bit for bit; any other number of components
-raises ValueError. Parameters are stored as Python floats, checked by the
-`number_array` rule, so a float32 parameter cannot make a single state's
-arithmetic float32. Jacobians and equilibria take single states.
+equal-shape arrays give three arrays, a batch. `componentwise` is the one
+adaptor from state arrays to such bodies: `financial_rhs` and `volta_rhs`
+evaluate the field bodies through it, and so do both control laws in
+`control`. A single state of shape (3,) runs on Python floats, a batch of
+shape (..., 3) on views along its last axis. All of these do the same
+IEEE operations in the same order, so a whole trajectory evaluates in one
+call and equals its rows bit for bit, overflow included; any other number
+of components raises ValueError. Parameters are stored as Python floats,
+checked by the `number_array` rule, so a float32 parameter cannot make a
+single state's arithmetic float32. Jacobians take one state of 3 finite
+numbers by the same rule; equilibria take only parameters.
 """
 
 from __future__ import annotations
@@ -154,24 +156,27 @@ class VoltaParams:
     __post_init__ = _floats
 
 
-def componentwise(body, state, p) -> np.ndarray:
-    """Evaluate `body(components, p)`, a tuple of three components, on a state array.
+def componentwise(body, *states) -> np.ndarray:
+    """Evaluate `body` on the components of state arrays; the one array adaptor.
 
-    A 1-D state runs on Python floats (`tolist`), which do the IEEE
-    operations numpy's float64 scalars do, in the same order, with less
-    overhead per operation; the result comes back as a float64 array. A
-    batch is unpacked into views along its last axis. Either way a last
-    axis other than 3, or none at all, raises ValueError. Bodies use no
-    `/` or `**`, which raise on floats where numpy returns inf or nan.
+    `body` takes the three components of each state, in order, and returns
+    three components. When every state is 1-D, the body runs on Python
+    floats (`tolist`), which do the IEEE operations numpy's float64 scalars
+    do, in the same order, with less overhead per operation and no warning
+    on overflow; the result comes back as a float64 array. Otherwise the
+    states broadcast and the body gets views along their last axes. A last
+    axis other than 3, or a 0-d state with none at all, raises ValueError.
+    Bodies use no `/` or `**`, which raise on floats where numpy returns
+    inf or nan.
     """
-    s = np.asarray(state, dtype=np.float64)
-    if s.ndim == 1:
-        return np.array(body(s.tolist(), p))
-    if s.ndim == 0:
+    arrays = [np.asarray(s, dtype=np.float64) for s in states]
+    if any(a.ndim == 0 for a in arrays):
         raise ValueError("state must have a last axis of length 3, got shape ()")
-    out = np.empty(s.shape)
-    o = out.T
-    o[0], o[1], o[2] = body(s.T, p)
+    if all(a.ndim == 1 for a in arrays):
+        return np.array(body(*(a.tolist() for a in arrays)))
+    out = np.empty(np.broadcast_shapes(*(a.shape for a in arrays)))
+    o = np.moveaxis(out, -1, 0)
+    o[0], o[1], o[2] = body(*(np.moveaxis(a, -1, 0) for a in arrays))
     return out
 
 
@@ -189,17 +194,21 @@ def _volta(state, p):
 
 def financial_rhs(state, p: FinancialParams) -> np.ndarray:
     """Financial vector field; state has shape (..., 3)."""
-    return componentwise(_financial, state, p)
+    return componentwise(lambda s: _financial(s, p), state)
 
 
 def volta_rhs(state, p: VoltaParams) -> np.ndarray:
     """Volta vector field; state has shape (..., 3)."""
-    return componentwise(_volta, state, p)
+    return componentwise(lambda s: _volta(s, p), state)
 
 
 def financial_jacobian(state, p: FinancialParams) -> np.ndarray:
-    s = np.asarray(state, dtype=np.float64)
-    x, y = float(s[0]), float(s[1])
+    """Jacobian of the financial field at one state, a 3x3 float64 array.
+
+    `state` must be 3 finite numbers (`number_array` rule); anything else,
+    a batch included, raises ValueError.
+    """
+    x, y, _ = number_array(state, ValueError, "state", (3,)).tolist()
     return np.array(
         [
             [y - p.alpha, x, 1.0],
@@ -210,8 +219,12 @@ def financial_jacobian(state, p: FinancialParams) -> np.ndarray:
 
 
 def volta_jacobian(state, p: VoltaParams) -> np.ndarray:
-    s = np.asarray(state, dtype=np.float64)
-    x, y, z = (float(v) for v in s[:3])
+    """Jacobian of the Volta field at one state, a 3x3 float64 array.
+
+    `state` must be 3 finite numbers (`number_array` rule); anything else,
+    a batch included, raises ValueError.
+    """
+    x, y, z = number_array(state, ValueError, "state", (3,)).tolist()
     return np.array(
         [
             [-1.0, -p.a - z, -y],

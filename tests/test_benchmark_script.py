@@ -54,6 +54,13 @@ def test_short_run_prints_every_case_and_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_script_finds_its_own_package_without_pythonpath(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tagged_run_records_the_peak_memory_of_each_timed_case(tmp_path):
     _run_script(tmp_path, "--tag", "smoke", "--label", "change")
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())

@@ -19,11 +19,13 @@ from fracsync import (
     convergence_order,
     eigen3,
     empirical_orders,
+    financial_jacobian,
     financial_system,
     integrate,
     matignon_check,
     predicted_error,
     sync_time,
+    volta_jacobian,
     weights_a,
     weights_b,
 )
@@ -89,6 +91,9 @@ ENTRY_POINTS = {
     "ExactCancellation": (ExactCancellation, _RATES, InvalidGain, ()),
     "control_exact": (
         lambda v: control_exact(_STATE, _STATE, _FP, _VP, v), _RATES, InvalidGain, ()),
+    "financial_jacobian state": (
+        lambda v: financial_jacobian(v, _FP), _STATE, ValueError, ()),
+    "volta_jacobian state": (lambda v: volta_jacobian(v, _VP), _STATE, ValueError, ()),
     "predicted_error e0": (lambda v: predicted_error(v, 0.9, 1.0), _STATE, ValueError, ANY_SHAPE),
     "SolverConfig h": (lambda v: SolverConfig(h=v, n_steps=3), 0.01, ValueError, ()),
     "for_horizon h": (lambda v: SolverConfig.for_horizon(v, 1.0), 0.01, ValueError, ()),

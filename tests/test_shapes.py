@@ -9,6 +9,8 @@ returning made-up components. A `SystemDef.rhs` takes and returns the
 components of a state, so it is handed the components along the last axis.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,12 @@ LAM = (-1.0, -2.5, -0.5)
 GAIN = gain_matrix_default(VP)
 
 def _components(y):
-    """The components of a state array along its last axis; a 0-d state has none."""
+    """The components of a state array along its last axis; a 0-d state has none.
+
+    A single state gives Python floats, as the integration driver hands them.
+    """
+    if np.ndim(y) == 1:
+        return y.tolist()
     return list(np.moveaxis(y, -1, 0)) if np.ndim(y) else []
 
 
@@ -80,6 +87,38 @@ def test_batch_equals_rows_bit_for_bit(name, layout):
     assert whole.shape == batch.shape[:-1] + (out_width,)
     for idx in np.ndindex(batch.shape[:-1]):
         assert np.array_equal(whole[idx], fn(np.array(batch[idx])))
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+@pytest.mark.parametrize("big", [1e200, np.inf, np.nan])
+def test_non_finite_single_states_equal_their_batch_rows(name, big):
+    # A single state runs on Python floats: overflow gives inf and nan as in
+    # the batch, with no RuntimeWarning and no Python exception.
+    width, fn = FUNCTIONS[name]
+    batch = np.ones((3, width))
+    batch[0, ::2] = big
+    batch[1, 1::2] = -big
+    batch[2, :] = [-big, big] * (width // 2) + [big] * (width % 2)
+    with np.errstate(all="ignore"):
+        rows = fn(batch)
+    for row, expect in zip(batch, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = fn(row.copy())
+        assert np.array_equal(single, expect, equal_nan=True)
+
+
+@pytest.mark.parametrize("law,arg", [(control_exact, LAM), (control_literal, GAIN)],
+                         ids=["control_exact", "control_literal"])
+def test_laws_broadcast_master_and_slave(law, arg):
+    # Master and slave of different shapes broadcast by numpy's rules, leading
+    # axes included, and each pair equals its own single-state call.
+    rng = np.random.default_rng(3)
+    master, slave = rng.uniform(-4.0, 4.0, (4, 1, 3)), rng.uniform(-4.0, 4.0, (5, 3))
+    whole = law(master, slave, FP, VP, arg)
+    assert whole.shape == (4, 5, 3)
+    for i, j in np.ndindex(4, 5):
+        assert np.array_equal(whole[i, j], law(master[i, 0], slave[j], FP, VP, arg))
 
 
 @pytest.mark.parametrize("controller", [ExactCancellation(LAM), LiteralFeedback()])
