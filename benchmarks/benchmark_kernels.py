@@ -1,4 +1,4 @@
-"""Time integration, its RHS and CSV layers, mittag_leffler, the CLI and the test suite.
+"""Time integration and its RHS per case, the CLI processes and the test suite.
 
 The integration driver is timed at q = 0.99 over t_end = 10, with full
 memory, for each case and step count. One more, untimed run of each gives
@@ -6,26 +6,20 @@ the peak of the memory it allocates, as tracemalloc counts it
 (`peak_bytes`). A case whose run leaves the finite range on a coarse grid
 (Volta at 64 steps) is reported with its failing step, not timed.
 
-Two layers are timed on their own. Each case's right-hand side is called
-on its single initial state as a list of floats, as integration calls it
-twice a step, and reported in microseconds per call (RHS_CALLS calls per
-repeat). The CSV writer of
-`fracsync simulate` (`cli._write_csv`) writes the financial trajectory of
-each step count to a temporary directory.
-
-The Mittag-Leffler part times mittag_leffler(q, z) at every point of the
-analysis-sweep grid (q in 0.1..0.9, 0.99, 1; z from -0.5 to -30), which
-holds the two points the old series evaluator hung on, E_0.3(-10) and
-E_0.5(-30). Per point it keeps the median over the repeats and the outcome
-(ok, or the error raised); it reports the median and the max of those
-per-call times and how many calls raised.
+Each case's right-hand side is also timed on its own: called on its
+single initial state as a list of floats, as integration calls it twice a
+step, and reported in microseconds per call (RHS_CALLS calls per repeat).
+The CSV writer and mittag_leffler are not timed here: a traced perfbench
+run (`perfbench/run.py --trace 1`) reports them as `cli.write_s` and
+`analysis.ml_*`.
 
 With --end-to-end LABEL=CHECKOUT ... the script times whole processes
 instead, and nothing else, for each checkout root given: `python -m
-fracsync` from its `src` for `simulate` and for `synchronize` in exact and
-literal mode at their default horizons, each in a fresh temporary output
-directory, as the minimum of the repeats; and its test suite (`python -m
-pytest -q` in its root), as the median of the repeats. Each repeat runs
+fracsync` from its `src` for each subcommand at its defaults (CLI_RUNS:
+`simulate`, exact and literal `synchronize`, `stability`, `convergence`),
+each in a fresh temporary output directory and held to its expected exit
+code, as the minimum of the repeats; and its test suite (`python -m pytest
+-q` in its root), as the median of the repeats. Each repeat runs
 every checkout once, in alternating order, so that a shared host's load
 reaches them alike; the timings go under each checkout's label.
 
@@ -44,7 +38,6 @@ same tag, for example:
 Usage:
     python benchmarks/benchmark_kernels.py
     python benchmarks/benchmark_kernels.py --steps 2000 8000 --repeats 5
-    python benchmarks/benchmark_kernels.py --repeats 5 --tag ml --label change
     python benchmarks/benchmark_kernels.py --end-to-end change=. --repeats 1
 """
 
@@ -67,10 +60,9 @@ import numpy as np
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 import fracsync
-from fracsync import SolverConfig, cli, integrate
-from fracsync.analysis import mittag_leffler
+from fracsync import SolverConfig, integrate
 from fracsync.control import ExactCancellation, LiteralFeedback, coupled_system
-from fracsync.errors import FracsyncError, NonFiniteState
+from fracsync.errors import NonFiniteState
 from fracsync.systems import FinancialParams, VoltaParams, financial_system, volta_system
 
 CASES = [
@@ -89,47 +81,6 @@ CASES = [
 ]
 
 RHS_CALLS = 2000
-
-# The analysis-sweep grid of perfbench/workloads.py, without its seeded jitter;
-# its known hangs E_0.3(-10) and E_0.5(-30) are points of this grid.
-ML_Q = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0)
-ML_Z = (-0.5, -1.0, -2.0, -5.0, -10.0, -15.0, -20.0, -25.0, -30.0)
-
-
-def _time_ml_call(q, z):
-    """(wall seconds, outcome) of one mittag_leffler call; outcome is "ok" or the error's name."""
-    t0 = time.perf_counter()
-    try:
-        mittag_leffler(q, z)
-        outcome = "ok"
-    except FracsyncError as exc:
-        outcome = type(exc).__name__
-    return time.perf_counter() - t0, outcome
-
-
-def time_mittag_leffler(repeats):
-    points = [(q, z) for q in ML_Q for z in ML_Z]
-    samples = {p: [] for p in points}
-    outcomes = {}
-    for _ in range(repeats):
-        for p in points:
-            seconds, outcomes[p] = _time_ml_call(*p)
-            samples[p].append(seconds)
-    per_call = [statistics.median(samples[p]) for p in points]
-    summary = {
-        "calls": len(points),
-        "median_s": statistics.median(per_call),
-        "max_s": max(per_call),
-        "sum_s": sum(per_call),
-        "raised": sum(outcomes[p] != "ok" for p in points),
-    }
-    rows = [{"q": q, "z": z, "median_s": t, "outcome": outcomes[(q, z)]}
-            for (q, z), t in zip(points, per_call)]
-    print(f"mittag_leffler: {summary['calls']} calls, median {summary['median_s'] * 1e6:.0f} us, "
-          f"max {summary['max_s'] * 1e3:.1f} ms, sum {summary['sum_s']:.3f} s, "
-          f"raised {summary['raised']}")
-    return {"summary": summary, "points": rows}
-
 
 def _time_case(system, y0, config, repeats):
     y0 = np.asarray(y0, dtype=np.float64)
@@ -235,41 +186,25 @@ def time_rhs(repeats):
     return results
 
 
-def time_write_csv(steps, repeats):
-    """Time cli._write_csv on the financial trajectory at each step count."""
-    print(f"{'write_csv case':<25} {'steps':>7} {'min (s)':>12} {'median (s)':>12}")
-    _, system, y0 = CASES[0]
-    results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trajectory.csv"
-        for n_steps in steps:
-            traj = integrate(system, 0.99, y0, SolverConfig(h=10.0 / n_steps, n_steps=n_steps))
-            columns = [traj.times, *traj.states.T]
-            samples = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                cli._write_csv(path, "t,x,y,z", columns)
-                samples.append(time.perf_counter() - t0)
-            best, median = min(samples), statistics.median(samples)
-            results.append({"case": "financial", "steps": n_steps, "rows": n_steps + 1,
-                            "min_s": best, "median_s": median, "samples_s": samples})
-            print(f"write_csv {'financial':<15} {n_steps:>7} {best:>12.4f} {median:>12.4f}")
-    return results
-
-
-# Whole-process CLI runs at default horizons: name -> subcommand arguments.
+# Whole-process CLI runs at defaults: name -> (subcommand arguments, exit code).
+# convergence exits 4 at defaults, its known out-of-band q = 0.5 order (README).
 CLI_RUNS = {
-    "simulate": ["simulate"],
-    "synchronize-exact": ["synchronize"],
-    "synchronize-literal": ["synchronize", "--mode", "literal"],
+    "simulate": (["simulate"], 0),
+    "synchronize-exact": (["synchronize"], 0),
+    "synchronize-literal": (["synchronize", "--mode", "literal"], 0),
+    "stability": (["stability"], 0),
+    "convergence": (["convergence"], 4),
 }
 
 
-def _wall(argv, **kwargs) -> float:
-    """Wall seconds of one subprocess, which must exit 0."""
+def _wall(argv, code=0, **kwargs) -> float:
+    """Wall seconds of one subprocess, which must exit with `code`."""
     t0 = time.perf_counter()
-    subprocess.run(argv, check=True, stdout=subprocess.DEVNULL, stdin=subprocess.DEVNULL, **kwargs)
-    return time.perf_counter() - t0
+    proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stdin=subprocess.DEVNULL, **kwargs)
+    seconds = time.perf_counter() - t0
+    if proc.returncode != code:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return seconds
 
 
 SUITE = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p",
@@ -286,10 +221,10 @@ def time_end_to_end(checkouts, repeats):
     for i in range(repeats):
         for label, root in list(checkouts.items())[:: 1 if i % 2 == 0 else -1]:
             env = dict(os.environ, PYTHONPATH=str(root / "src"))
-            for name, args in CLI_RUNS.items():
+            for name, (args, code) in CLI_RUNS.items():
                 with tempfile.TemporaryDirectory() as tmp:
                     argv = [sys.executable, "-m", "fracsync", *args, "--out", tmp]
-                    samples[label][name].append(_wall(argv, env=env))
+                    samples[label][name].append(_wall(argv, code, env=env))
             samples[label]["suite"].append(_wall(SUITE, cwd=root, env=env))
     results = {}
     for label, runs in samples.items():
@@ -340,8 +275,6 @@ def main() -> None:
             "settings": {"q": 0.99, "t_end": 10.0, "repeats": args.repeats},
             "results": time_integration(args.steps, args.repeats),
             "rhs": time_rhs(args.repeats),
-            "write_csv": time_write_csv(args.steps, args.repeats),
-            "mittag_leffler": time_mittag_leffler(args.repeats),
         }}
 
     if args.tag:

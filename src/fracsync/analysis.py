@@ -179,12 +179,17 @@ def sync_time(traj: Trajectory, tol: float) -> SyncSummary:
     sync_time is None when the last grid point still violates the
     threshold; a trajectory that never violates it reports time zero. tol
     must be a positive number (`systems.positive_number`): a string, a
-    boolean, NaN, an infinity or an array raises ValueError.
+    boolean, NaN, an infinity or an array raises ValueError. An infinite
+    error is a violation; a NaN error raises DomainExceeded naming the
+    first grid index that holds one.
     """
     if traj.errors is None:
         raise MissingErrors("trajectory carries no error columns")
     tol = positive_number(tol, "tol")
     sup = np.max(np.abs(traj.errors), axis=1)
+    nan = np.flatnonzero(np.isnan(sup))
+    if nan.size:
+        raise DomainExceeded(f"error is NaN at grid index {nan[0]}")
     above = np.flatnonzero(sup >= tol)
     if above.size == 0:
         t_star: Optional[float] = float(traj.times[0])
@@ -197,14 +202,22 @@ def sync_time(traj: Trajectory, tol: float) -> SyncSummary:
 
 
 def divergence_factor(a: Trajectory, b: Trajectory) -> float:
-    """max_t ||a - b|| / ||a(0) - b(0)|| over a shared time grid."""
+    """max_t ||a - b|| / ||a(0) - b(0)|| over a shared time grid.
+
+    A separation that is not finite, from a non-finite state or from a
+    difference or norm that overflows, raises DomainExceeded.
+    """
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise GridMismatch("trajectories do not share a time grid")
     if a.states.shape != b.states.shape:
         raise GridMismatch(
             f"state shapes differ: {a.states.shape} vs {b.states.shape}"
         )
-    sep = np.linalg.norm(a.states - b.states, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sep = np.linalg.norm(a.states - b.states, axis=1)
+    bad = np.flatnonzero(~np.isfinite(sep))
+    if bad.size:
+        raise DomainExceeded(f"separation is not finite at grid index {bad[0]}")
     if sep[0] == 0.0:
         raise ZeroInitialSeparation("trajectories start from the same state")
     return float(np.max(sep) / sep[0])

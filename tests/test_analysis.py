@@ -351,6 +351,19 @@ class TestSyncTime:
         with pytest.raises(ValueError, match="at least one grid point"):
             Trajectory(times=np.zeros(0), states=np.zeros((0, 1)), errors=np.zeros((0, 1)))
 
+    def test_nan_error_is_refused_not_read_as_settled(self):
+        # NaN fails every comparison, so it read as below tol and max() skipped it
+        traj = _error_trajectory(np.arange(5) * 0.1, [1.0, 0.5, np.nan, 1e-5, 1e-5])
+        with pytest.raises(DomainExceeded, match="grid index 2"):
+            sync_time(traj, 1e-3)
+        final_nan = Trajectory(times=np.arange(2.0), states=np.zeros((2, 3)),
+                               errors=np.array([[1.0, 1.0, 1.0], [1e-5, np.nan, 0.0]]))
+        with pytest.raises(DomainExceeded, match="grid index 1"):
+            sync_time(final_nan, 1e-3)
+        # an infinite error stays a violation
+        traj.errors[2] = np.inf
+        assert sync_time(traj, 1e-3).sync_time == pytest.approx(0.3)
+
     def test_summary_serialization(self):
         traj = _error_trajectory(np.arange(3.0), [5.0, 5e-4, 5e-4])
         d = sync_time(traj, 1e-3).to_dict()
@@ -392,6 +405,17 @@ class TestDivergenceFactor:
     def test_zero_initial_separation(self):
         a, b = _pair([0.0, 1.0], [1.0, 2.0], [1.0, 3.0])
         with pytest.raises(ZeroInitialSeparation):
+            divergence_factor(a, b)
+
+    @pytest.mark.parametrize("late", [np.nan, np.inf])
+    def test_non_finite_state_is_refused(self, late):
+        a, b = _pair([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, late, late])
+        with pytest.raises(DomainExceeded, match="grid index 1"):
+            divergence_factor(a, b)
+
+    def test_overflowing_difference_is_refused(self):
+        a, b = _pair([0.0, 1.0], [0.0, 1e308], [1.0, -1e308])
+        with pytest.raises(DomainExceeded, match="grid index 1"):
             divergence_factor(a, b)
 
 
