@@ -149,11 +149,20 @@ def predicted_error(e0, orders, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SyncSummary:
-    """First time the error norm stays under tol, plus the final errors."""
+    """First time the error norm stays under tol, plus the final errors.
+
+    A NaN final error raises DomainExceeded, as in `sync_time`, wherever it
+    sits; an infinite one is a violation of tol.
+    """
 
     sync_time: Optional[float]
     final_errors: tuple
     tol: float
+
+    def __post_init__(self):
+        nan = [i for i, v in enumerate(self.final_errors) if math.isnan(v)]
+        if nan:
+            raise DomainExceeded(f"final error is NaN at component {nan[0]}")
 
     @property
     def final_max_error(self) -> float:

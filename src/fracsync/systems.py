@@ -17,13 +17,14 @@ Each field is written once, as a body over the three components
 (x, y, z) of a state, and the body is what `SystemDef.rhs` calls: the
 integration driver hands it a list of three Python floats, and three
 equal-shape arrays give three arrays, a batch. `componentwise` is the one
-adaptor from state arrays to such bodies: `financial_rhs` and `volta_rhs`
-evaluate the field bodies through it, and so do both control laws in
-`control`. A single state of shape (3,) runs on Python floats, a batch of
-shape (..., 3) on views along its last axis. All of these do the same
-IEEE operations in the same order, so a whole trajectory evaluates in one
-call and equals its rows bit for bit, overflow included; any other number
-of components raises ValueError. Parameters are stored as Python floats,
+adaptor from state arrays to such bodies: both control laws in `control`
+run through it, and a field evaluates on a state array as
+`componentwise(lambda s: financial_system(p).rhs(0.0, s), state)`. A
+single state of shape (3,) runs on Python floats, a batch of shape
+(..., 3) on views along its last axis. All of these do the same IEEE
+operations in the same order, so a whole trajectory evaluates in one call
+and equals its rows bit for bit, overflow included; any other number of
+components raises ValueError. Parameters are stored as Python floats,
 checked by the `number_array` rule, so a float32 parameter cannot make a
 single state's arithmetic float32. Jacobians take one state of 3 finite
 numbers by the same rule; equilibria take only parameters.
@@ -160,14 +161,15 @@ def componentwise(body, *states) -> np.ndarray:
     """Evaluate `body` on the components of state arrays; the one array adaptor.
 
     `body` takes the three components of each state, in order, and returns
-    three components. When every state is 1-D, the body runs on Python
-    floats (`tolist`), which do the IEEE operations numpy's float64 scalars
-    do, in the same order, with less overhead per operation and no warning
-    on overflow; the result comes back as a float64 array. Otherwise the
-    states broadcast and the body gets views along their last axes. A last
-    axis other than 3, or a 0-d state with none at all, raises ValueError.
-    Bodies use no `/` or `**`, which raise on floats where numpy returns
-    inf or nan.
+    three components: a control law's body, or a field's as
+    `lambda s: system.rhs(0.0, s)`. When every state is 1-D, the body runs
+    on Python floats (`tolist`), which do the IEEE operations numpy's
+    float64 scalars do, in the same order, with less overhead per operation
+    and no warning on overflow; the result comes back as a float64 array.
+    Otherwise the states broadcast and the body gets views along their last
+    axes. A last axis other than 3, or a 0-d state with none at all, raises
+    ValueError. Bodies use no `/` or `**`, which raise on floats where numpy
+    returns inf or nan.
     """
     arrays = [np.asarray(s, dtype=np.float64) for s in states]
     if any(a.ndim == 0 for a in arrays):
@@ -190,16 +192,6 @@ def _financial(state, p):
 def _volta(state, p):
     x, y, z = state
     return -x - p.a * y - z * y, -y - p.b * x - x * z, p.c * z + x * y + 1.0
-
-
-def financial_rhs(state, p: FinancialParams) -> np.ndarray:
-    """Financial vector field; state has shape (..., 3)."""
-    return componentwise(lambda s: _financial(s, p), state)
-
-
-def volta_rhs(state, p: VoltaParams) -> np.ndarray:
-    """Volta vector field; state has shape (..., 3)."""
-    return componentwise(lambda s: _volta(s, p), state)
 
 
 def financial_jacobian(state, p: FinancialParams) -> np.ndarray:

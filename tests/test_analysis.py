@@ -15,6 +15,7 @@ import fracsync
 from fracsync import (
     ConvergenceProblem,
     SolverConfig,
+    SyncSummary,
     SystemDef,
     Trajectory,
     convergence_order,
@@ -363,6 +364,24 @@ class TestSyncTime:
         # an infinite error stays a violation
         traj.errors[2] = np.inf
         assert sync_time(traj, 1e-3).sync_time == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_summary_refuses_a_nan_final_error_wherever_it_sits(self, where):
+        # max() keeps its first operand when a comparison with NaN is False,
+        # so the verdict depended on where the NaN sat.
+        errors = [1e-5, 2e-5, 0.0]
+        errors[where] = math.nan
+        with pytest.raises(DomainExceeded, match=f"component {where}"):
+            SyncSummary(sync_time=0.0, final_errors=tuple(errors), tol=1e-3)
+
+    def test_summary_reads_an_infinite_final_error_as_a_violation(self):
+        for errors in [(math.inf, 1e-5, 0.0), (1e-5, -math.inf, 0.0)]:
+            summary = SyncSummary(sync_time=None, final_errors=errors, tol=1e-3)
+            assert summary.final_max_error == math.inf
+            assert not summary.final_below_tol
+        finite = SyncSummary(sync_time=0.0, final_errors=(1e-5, -2e-5, 0.0), tol=1e-3)
+        assert finite.final_max_error == 2e-5
+        assert finite.final_below_tol
 
     def test_summary_serialization(self):
         traj = _error_trajectory(np.arange(3.0), [5.0, 5e-4, 5e-4])

@@ -11,67 +11,75 @@ from fracsync import (
     VoltaParams,
     financial_equilibria,
     financial_jacobian,
-    financial_rhs,
     financial_system,
     volta_jacobian,
-    volta_rhs,
     volta_system,
     zero_system,
 )
 from fracsync.errors import DegenerateParameters, InvalidOrder
+from fracsync.systems import componentwise
+
+
+def _field(system, state):
+    """`system`'s field on a state array of shape (..., 3), through the package's array adaptor."""
+    return componentwise(lambda s: system.rhs(0.0, s), state)
 
 
 class TestFinancialRhs:
     def test_hand_values(self):
         p = FinancialParams(alpha=1.0, beta=0.1, gamma=1.0)
-        out = financial_rhs(np.array([2.0, -1.0, 1.0]), p)
+        out = _field(financial_system(p), np.array([2.0, -1.0, 1.0]))
         assert np.allclose(out, [-3.0, -2.9, -3.0], rtol=0.0, atol=1e-12)
 
     def test_origin(self):
-        out = financial_rhs(np.zeros(3), FinancialParams())
+        out = _field(financial_system(FinancialParams()), np.zeros(3))
         assert np.array_equal(out, np.array([0.0, 1.0, 0.0]))
 
     def test_vectorized_matches_rowwise(self):
         rng = np.random.default_rng(7)
         p = FinancialParams(alpha=0.9, beta=0.2, gamma=1.2)
         batch = rng.uniform(-4.0, 4.0, size=(6, 3))
-        stacked = financial_rhs(batch, p)
+        stacked = _field(financial_system(p), batch)
         assert stacked.shape == (6, 3)
         for row, expect in zip(batch, stacked):
-            assert np.array_equal(financial_rhs(row, p), expect)
+            assert np.array_equal(_field(financial_system(p), row), expect)
 
     def test_does_not_mutate_input(self):
         s = np.array([1.0, 2.0, 3.0])
         kept = s.copy()
-        financial_rhs(s, FinancialParams())
+        _field(financial_system(FinancialParams()), s)
         assert np.array_equal(s, kept)
 
 
 class TestVoltaRhs:
     def test_hand_values(self):
         p = VoltaParams(a=19.0, b=11.0, c=0.73)
-        out = volta_rhs(np.array([8.0, 2.0, 3.0]), p)
+        out = _field(volta_system(p), np.array([8.0, 2.0, 3.0]))
         assert np.allclose(out, [-52.0, -114.0, 19.19], rtol=0.0, atol=1e-12)
 
     def test_origin(self):
-        out = volta_rhs(np.zeros(3), VoltaParams())
+        out = _field(volta_system(VoltaParams()), np.zeros(3))
         assert np.array_equal(out, np.array([0.0, 0.0, 1.0]))
 
     def test_vectorized_matches_rowwise(self):
         rng = np.random.default_rng(11)
         p = VoltaParams(a=5.0, b=2.0, c=0.5)
         batch = rng.uniform(-3.0, 3.0, size=(5, 3))
-        stacked = volta_rhs(batch, p)
+        stacked = _field(volta_system(p), batch)
         for row, expect in zip(batch, stacked):
-            assert np.array_equal(volta_rhs(row, p), expect)
+            assert np.array_equal(_field(volta_system(p), row), expect)
 
 
-FIELDS = [(financial_rhs, FinancialParams), (volta_rhs, VoltaParams)]
+# The ids keep the names of the array wrappers these tests were written for.
+FIELDS = [
+    pytest.param(financial_system, FinancialParams, id="financial_rhs-FinancialParams"),
+    pytest.param(volta_system, VoltaParams, id="volta_rhs-VoltaParams"),
+]
 
 
-@pytest.mark.parametrize("rhs,cls", FIELDS)
+@pytest.mark.parametrize("system,cls", FIELDS)
 @pytest.mark.parametrize("kind", [np.float32, np.int64, int])
-def test_parameter_types_do_not_change_single_states(rhs, cls, kind):
+def test_parameter_types_do_not_change_single_states(system, cls, kind):
     # A single state runs on Python floats, where NumPy 2 would keep float32
     # arithmetic for `float - np.float32`; parameters are stored as floats,
     # so it still equals the float64 batch row.
@@ -80,30 +88,34 @@ def test_parameter_types_do_not_change_single_states(rhs, cls, kind):
     p = cls(**{n: kind(values[n]) for n in names})
     assert all(type(getattr(p, n)) is float for n in names)
     batch = np.array([[2.0, -1.0, 1.0], [8.0, 2.0, 3.0], [0.3, 1e-3, -7.5]])
-    for row, expect in zip(batch, rhs(batch, p)):
-        assert np.array_equal(rhs(row, p), expect)
+    for row, expect in zip(batch, _field(system(p), batch)):
+        assert np.array_equal(_field(system(p), row), expect)
 
 
-@pytest.mark.parametrize("rhs,cls", FIELDS)
+@pytest.mark.parametrize("system,cls", FIELDS)
 @pytest.mark.parametrize("big", [1e200, np.inf, np.nan])
-def test_non_finite_single_states_follow_numpy(rhs, cls, big):
+def test_non_finite_single_states_follow_numpy(system, cls, big):
     # Overflow to inf and inf - inf give inf and nan as in numpy: no Python
     # OverflowError or ZeroDivisionError from the float path.
     batch = np.array([[big, 1.0, -1.0], [1.0, big, -big], [-big, -big, big]])
     with np.errstate(all="ignore"):
-        rows = rhs(batch, cls())
+        rows = _field(system(cls()), batch)
     for row, expect in zip(batch, rows):
-        assert np.array_equal(rhs(row, cls()), expect, equal_nan=True)
+        assert np.array_equal(_field(system(cls()), row), expect, equal_nan=True)
 
 
 @pytest.mark.parametrize(
-    "system,rhs,cls",
-    [(financial_system, financial_rhs, FinancialParams), (volta_system, volta_rhs, VoltaParams)],
+    "system,cls",
+    [
+        pytest.param(financial_system, FinancialParams,
+                     id="financial_system-financial_rhs-FinancialParams"),
+        pytest.param(volta_system, VoltaParams, id="volta_system-volta_rhs-VoltaParams"),
+    ],
 )
-def test_system_rhs_is_the_public_field_bit_for_bit(system, rhs, cls):
+def test_system_rhs_is_the_public_field_bit_for_bit(system, cls):
     # SystemDef.rhs enters the field body directly; on the float components
-    # the driver hands it, it must give what financial_rhs and volta_rhs give
-    # for every state.
+    # the driver hands it, it must give what the array adaptor gives for
+    # every state, whatever its dtype or strides, alone or as a batch row.
     p = cls()
     field = system(p).rhs
     six = np.array([8.0, 0.5, 2.0, -1.5, 3.0, 1e-3])
@@ -115,23 +127,25 @@ def test_system_rhs_is_the_public_field_bit_for_bit(system, rhs, cls):
         np.array([2, -1, 3], dtype=np.int64),
         np.array([0.1, -2.5, 7.3], dtype=np.float32),
     ]
-    for state in states:
+    rows = _field(system(p), np.array(states, dtype=np.float64))
+    for state, row in zip(states, rows):
         components = np.asarray(state, dtype=np.float64).tolist()
-        out, expect = np.array(field(0.0, components)), rhs(state, p)
+        out, expect = np.array(field(0.0, components)), _field(system(p), state)
         assert out.dtype == expect.dtype == np.float64
         assert np.array_equal(out, expect)
+        assert np.array_equal(out, row)
     with pytest.raises(ValueError):
         field(0.0, [1.0] * 4)
 
 
-def _fd_jacobian(rhs, state, params, eps=1e-6):
+def _fd_jacobian(system, state, eps=1e-6):
     out = np.empty((3, 3))
     for j in range(3):
         hi = state.copy()
         lo = state.copy()
         hi[j] += eps
         lo[j] -= eps
-        out[:, j] = (rhs(hi, params) - rhs(lo, params)) / (2.0 * eps)
+        out[:, j] = (_field(system, hi) - _field(system, lo)) / (2.0 * eps)
     return out
 
 
@@ -142,7 +156,7 @@ class TestJacobians:
         for _ in range(1000):
             s = rng.uniform(-5.0, 5.0, size=3)
             exact = financial_jacobian(s, p)
-            approx = _fd_jacobian(financial_rhs, s, p)
+            approx = _fd_jacobian(financial_system(p), s)
             assert np.all(np.abs(exact - approx) <= 1e-5 * (1.0 + np.abs(exact)))
 
     def test_volta_matches_finite_differences(self):
@@ -151,7 +165,7 @@ class TestJacobians:
         for _ in range(1000):
             s = rng.uniform(-5.0, 5.0, size=3)
             exact = volta_jacobian(s, p)
-            approx = _fd_jacobian(volta_rhs, s, p)
+            approx = _fd_jacobian(volta_system(p), s)
             assert np.all(np.abs(exact - approx) <= 1e-5 * (1.0 + np.abs(exact)))
 
     def test_financial_entries(self):
@@ -186,7 +200,7 @@ class TestEquilibria:
                 gamma=rng.uniform(0.1, 3.0),
             )
             for point in financial_equilibria(p):
-                res = financial_rhs(np.asarray(point), p)
+                res = _field(financial_system(p), np.asarray(point))
                 assert np.max(np.abs(res)) <= 1e-10
 
     def test_negative_discriminant_leaves_only_axis_point(self):
