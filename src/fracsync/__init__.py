@@ -5,19 +5,13 @@ an Adams-Bashforth-Moulton predictor-corrector, couples a financial
 driver to a Volta follower through nonlinear control, and provides the
 spectral machinery (argument criterion, chaos threshold, Mittag-Leffler
 error prediction) to reason about when the coupling locks.
-
-`import fracsync` loads none of the modules below: each loads when one of
-its names is first used, as `fracsync.integrate` or `from fracsync import
-integrate`.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# Home module -> the public names it defines. A name is looked up in its
-# home module on every access and never stored here, so whatever the home
-# module binds, a replacement installed there included, is what callers get.
+# Home module -> the public names it defines, bound here at import.
 _PUBLIC = {
     "analysis": (
         "ConvergenceProblem", "ConvergenceReport", "SyncSummary", "convergence_order",
@@ -41,18 +35,10 @@ _PUBLIC = {
         "volta_jacobian", "volta_system", "zero_system",
     ),
 }
-_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
-__all__ = sorted(_HOME)
+for _home, _names in _PUBLIC.items():
+    _module = importlib.import_module(f".{_home}", __name__)
+    globals().update({name: getattr(_module, name) for name in _names})
+del _home, _names, _module
 
-
-def __getattr__(name):
-    if name in _PUBLIC:
-        return importlib.import_module(f".{name}", __name__)
-    if name in _HOME:
-        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+__all__ = sorted(name for names in _PUBLIC.values() for name in names)

@@ -31,7 +31,8 @@ from fracsync import (
 )
 from fracsync.errors import DegenerateEigenvalue, DomainExceeded, InvalidGain
 from fracsync.experiments import run_synchronization
-from fracsync.systems import componentwise
+
+from fields import field_on
 
 MASTER0 = np.array([2.0, -1.0, 1.0])
 SLAVE0 = np.array([8.0, 2.0, 3.0])
@@ -43,15 +44,10 @@ OVERFLOWING_SPECTRUM = np.full((3, 3), 1e308)
 OVERFLOWING_SPECTRUM[2, 2] = -1e308
 
 
-def _field(system, state):
-    """`system`'s field on a state array of shape (..., 3), through the package's array adaptor."""
-    return componentwise(lambda s: system.rhs(0.0, s), state)
-
-
 def _unfolded_rhs(controller, y):
     m, s = y[..., :3], y[..., 3:]
     u = controller.control(m, s, FP, VP)
-    return np.concatenate([_field(financial_system(FP), m), _field(volta_system(VP), s) + u],
+    return np.concatenate([field_on(financial_system(FP), m), field_on(volta_system(VP), s) + u],
                           axis=-1)
 
 
@@ -194,13 +190,13 @@ class TestExactControl:
             m = rng.uniform(-4.0, 4.0, size=3)
             s = rng.uniform(-4.0, 4.0, size=3)
             u = control_exact(m, s, FP, VP, lam)
-            lhs = _field(volta_system(VP), s) + u - _field(financial_system(FP), m)
+            lhs = field_on(volta_system(VP), s) + u - field_on(financial_system(FP), m)
             scale = 1.0 + np.max(np.abs(u))
             assert np.max(np.abs(lhs - lam * (s - m))) <= 1e-12 * scale
 
     def test_identical_states_leave_pure_cancellation(self):
         u = control_exact(MASTER0, MASTER0, FP, VP, np.array([-1.0, -1.0, -1.0]))
-        expect = _field(financial_system(FP), MASTER0) - _field(volta_system(VP), MASTER0)
+        expect = field_on(financial_system(FP), MASTER0) - field_on(volta_system(VP), MASTER0)
         assert np.array_equal(u, expect)
 
     def test_scalar_rate_broadcasts(self):

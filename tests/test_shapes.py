@@ -10,6 +10,7 @@ components of a state, so it is handed the components along the last axis.
 """
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from fracsync import (
     zero_system,
 )
 from fracsync.experiments import run_synchronization
-from fracsync.systems import componentwise
+
+from fields import field_on
 
 FP = FinancialParams(alpha=0.9, beta=0.2, gamma=1.2)
 VP = VoltaParams()
@@ -51,17 +53,12 @@ def _on_arrays(system):
     return lambda y: np.moveaxis(np.array(system.rhs(0.0, _components(y))), 0, -1)
 
 
-def _componentwise(system):
-    """system.rhs as a function of a state array, through the package's array adaptor."""
-    return lambda y: componentwise(lambda s: system.rhs(0.0, s), y)
-
-
 # name -> (width of the last axis, function of one array of that width); the
 # laws take master and slave as column views of a six-component state. The
 # fields keep the names of the array wrappers these tests were written for.
 FUNCTIONS = {
-    "financial_rhs": (3, _componentwise(financial_system(FP))),
-    "volta_rhs": (3, _componentwise(volta_system(VP))),
+    "financial_rhs": (3, partial(field_on, financial_system(FP))),
+    "volta_rhs": (3, partial(field_on, volta_system(VP))),
     "zero": (3, _on_arrays(zero_system(3))),
     "control_exact": (6, lambda y: control_exact(y[..., :3], y[..., 3:], FP, VP, LAM)),
     "control_literal": (6, lambda y: control_literal(y[..., :3], y[..., 3:], FP, VP, GAIN)),
@@ -143,8 +140,8 @@ def test_control_columns_equal_per_step_control(controller):
 def test_wrong_last_axis_raises(shape):
     bad = np.ones(shape)
     calls = (
-        lambda: _componentwise(financial_system(FP))(bad),
-        lambda: _componentwise(volta_system(VP))(bad),
+        lambda: field_on(financial_system(FP), bad),
+        lambda: field_on(volta_system(VP), bad),
         lambda: zero_system(3).rhs(0.0, _components(bad)),
         lambda: control_exact(bad, bad, FP, VP, LAM),
         lambda: control_literal(bad, bad, FP, VP, GAIN),

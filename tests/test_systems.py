@@ -17,57 +17,53 @@ from fracsync import (
     zero_system,
 )
 from fracsync.errors import DegenerateParameters, InvalidOrder
-from fracsync.systems import componentwise
 
-
-def _field(system, state):
-    """`system`'s field on a state array of shape (..., 3), through the package's array adaptor."""
-    return componentwise(lambda s: system.rhs(0.0, s), state)
+from fields import field_on
 
 
 class TestFinancialRhs:
     def test_hand_values(self):
         p = FinancialParams(alpha=1.0, beta=0.1, gamma=1.0)
-        out = _field(financial_system(p), np.array([2.0, -1.0, 1.0]))
+        out = field_on(financial_system(p), np.array([2.0, -1.0, 1.0]))
         assert np.allclose(out, [-3.0, -2.9, -3.0], rtol=0.0, atol=1e-12)
 
     def test_origin(self):
-        out = _field(financial_system(FinancialParams()), np.zeros(3))
+        out = field_on(financial_system(FinancialParams()), np.zeros(3))
         assert np.array_equal(out, np.array([0.0, 1.0, 0.0]))
 
     def test_vectorized_matches_rowwise(self):
         rng = np.random.default_rng(7)
         p = FinancialParams(alpha=0.9, beta=0.2, gamma=1.2)
         batch = rng.uniform(-4.0, 4.0, size=(6, 3))
-        stacked = _field(financial_system(p), batch)
+        stacked = field_on(financial_system(p), batch)
         assert stacked.shape == (6, 3)
         for row, expect in zip(batch, stacked):
-            assert np.array_equal(_field(financial_system(p), row), expect)
+            assert np.array_equal(field_on(financial_system(p), row), expect)
 
     def test_does_not_mutate_input(self):
         s = np.array([1.0, 2.0, 3.0])
         kept = s.copy()
-        _field(financial_system(FinancialParams()), s)
+        field_on(financial_system(FinancialParams()), s)
         assert np.array_equal(s, kept)
 
 
 class TestVoltaRhs:
     def test_hand_values(self):
         p = VoltaParams(a=19.0, b=11.0, c=0.73)
-        out = _field(volta_system(p), np.array([8.0, 2.0, 3.0]))
+        out = field_on(volta_system(p), np.array([8.0, 2.0, 3.0]))
         assert np.allclose(out, [-52.0, -114.0, 19.19], rtol=0.0, atol=1e-12)
 
     def test_origin(self):
-        out = _field(volta_system(VoltaParams()), np.zeros(3))
+        out = field_on(volta_system(VoltaParams()), np.zeros(3))
         assert np.array_equal(out, np.array([0.0, 0.0, 1.0]))
 
     def test_vectorized_matches_rowwise(self):
         rng = np.random.default_rng(11)
         p = VoltaParams(a=5.0, b=2.0, c=0.5)
         batch = rng.uniform(-3.0, 3.0, size=(5, 3))
-        stacked = _field(volta_system(p), batch)
+        stacked = field_on(volta_system(p), batch)
         for row, expect in zip(batch, stacked):
-            assert np.array_equal(_field(volta_system(p), row), expect)
+            assert np.array_equal(field_on(volta_system(p), row), expect)
 
 
 # The ids keep the names of the array wrappers these tests were written for.
@@ -88,8 +84,8 @@ def test_parameter_types_do_not_change_single_states(system, cls, kind):
     p = cls(**{n: kind(values[n]) for n in names})
     assert all(type(getattr(p, n)) is float for n in names)
     batch = np.array([[2.0, -1.0, 1.0], [8.0, 2.0, 3.0], [0.3, 1e-3, -7.5]])
-    for row, expect in zip(batch, _field(system(p), batch)):
-        assert np.array_equal(_field(system(p), row), expect)
+    for row, expect in zip(batch, field_on(system(p), batch)):
+        assert np.array_equal(field_on(system(p), row), expect)
 
 
 @pytest.mark.parametrize("system,cls", FIELDS)
@@ -99,9 +95,9 @@ def test_non_finite_single_states_follow_numpy(system, cls, big):
     # OverflowError or ZeroDivisionError from the float path.
     batch = np.array([[big, 1.0, -1.0], [1.0, big, -big], [-big, -big, big]])
     with np.errstate(all="ignore"):
-        rows = _field(system(cls()), batch)
+        rows = field_on(system(cls()), batch)
     for row, expect in zip(batch, rows):
-        assert np.array_equal(_field(system(cls()), row), expect, equal_nan=True)
+        assert np.array_equal(field_on(system(cls()), row), expect, equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -127,10 +123,10 @@ def test_system_rhs_is_the_public_field_bit_for_bit(system, cls):
         np.array([2, -1, 3], dtype=np.int64),
         np.array([0.1, -2.5, 7.3], dtype=np.float32),
     ]
-    rows = _field(system(p), np.array(states, dtype=np.float64))
+    rows = field_on(system(p), np.array(states, dtype=np.float64))
     for state, row in zip(states, rows):
         components = np.asarray(state, dtype=np.float64).tolist()
-        out, expect = np.array(field(0.0, components)), _field(system(p), state)
+        out, expect = np.array(field(0.0, components)), field_on(system(p), state)
         assert out.dtype == expect.dtype == np.float64
         assert np.array_equal(out, expect)
         assert np.array_equal(out, row)
@@ -145,7 +141,7 @@ def _fd_jacobian(system, state, eps=1e-6):
         lo = state.copy()
         hi[j] += eps
         lo[j] -= eps
-        out[:, j] = (_field(system, hi) - _field(system, lo)) / (2.0 * eps)
+        out[:, j] = (field_on(system, hi) - field_on(system, lo)) / (2.0 * eps)
     return out
 
 
@@ -200,7 +196,7 @@ class TestEquilibria:
                 gamma=rng.uniform(0.1, 3.0),
             )
             for point in financial_equilibria(p):
-                res = _field(financial_system(p), np.asarray(point))
+                res = field_on(financial_system(p), np.asarray(point))
                 assert np.max(np.abs(res)) <= 1e-10
 
     def test_negative_discriminant_leaves_only_axis_point(self):
