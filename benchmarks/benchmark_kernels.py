@@ -1,47 +1,45 @@
 """Time integration and its RHS per case, the CLI processes and the test suite.
 
+Each LABEL=CHECKOUT names a checkout root to time under that label (by
+default, this script's checkout as `run`). Every cell runs each checkout
+once per repeat, in alternating order, so that a change in the load of a
+shared host reaches them alike. For the layer cells each checkout's
+`src/fracsync` is loaded into this process under a module name of its own.
+
 The integration driver is timed at q = 0.99 over t_end = 10, with full
-memory, for each case and step count. One more, untimed run of each gives
-the peak of the memory it allocates, as tracemalloc counts it
-(`peak_bytes`). A case whose run leaves the finite range on a coarse grid
-(Volta at 64 steps) is reported with its failing step, not timed.
+memory, for each case and step count, after one untimed run; one more
+after the timed ones gives the peak of the memory it allocates, as
+tracemalloc counts it (`peak_bytes`). A case whose run leaves the finite
+range on a coarse grid (Volta at 64 steps) is reported with its failing
+step, not timed. Each case's
+right-hand side is timed on its single initial state as a list of floats,
+as integration calls it, in microseconds per call (RHS_CALLS calls per
+repeat). A traced perfbench run (`perfbench/run.py --trace 1`) times the
+CSV writer and mittag_leffler (`cli.write_s`, `analysis.ml_*`).
 
-Each case's right-hand side is also timed on its own: called on its
-single initial state as a list of floats, as integration calls it twice a
-step, and reported in microseconds per call (RHS_CALLS calls per repeat).
-The CSV writer and mittag_leffler are not timed here: a traced perfbench
-run (`perfbench/run.py --trace 1`) reports them as `cli.write_s` and
-`analysis.ml_*`.
+With --end-to-end the script times whole processes instead: `python -m
+fracsync` from each checkout's `src` for each subcommand at its defaults
+(CLI_RUNS), in a fresh output directory and held to its expected exit
+code, as the minimum of the repeats; and the checkout's test suite, as
+the median. Three repeats do not resolve a 10% change in a whole process
+on a shared 2-vCPU host: a before/after claim needs at least 10.
 
-With --end-to-end LABEL=CHECKOUT ... the script times whole processes
-instead, and nothing else, for each checkout root given: `python -m
-fracsync` from its `src` for each subcommand at its defaults (CLI_RUNS:
-`simulate`, exact and literal `synchronize`, `stability`, `convergence`),
-each in a fresh temporary output directory and held to its expected exit
-code, as the minimum of the repeats; and its test suite (`python -m pytest
--q` in its root), as the median of the repeats. Each repeat runs
-every checkout once, in alternating order, so that a shared host's load
-reaches them alike; the timings go under each checkout's label.
-
-With --tag, the minimum and median of the repeats go into BENCH_<tag>.json
-in the working directory under the name given by --label (with
---end-to-end, under each checkout's label), beside the machine facts
-(nproc, numpy and BLAS build, OPENBLAS_NUM_THREADS) and the commit of the
-package timed. Other labels already in the file are kept,
-and a label's other entries too, so a before/after record is runs with the
-same tag, for example:
-
-    PYTHONPATH=<parent checkout>/src python benchmarks/benchmark_kernels.py --tag fft --label parent
-    PYTHONPATH=src python benchmarks/benchmark_kernels.py --tag fft --label change
-    python benchmarks/benchmark_kernels.py --tag fft --end-to-end parent=<parent checkout> change=.
+With --tag, the timings go into BENCH_<tag>.json in the working directory
+under each label, beside the machine facts (nproc, numpy and BLAS build,
+OPENBLAS_NUM_THREADS) and the commit of the package timed. Other labels
+and a label's other entries already in the file are kept.
 
 Usage:
     python benchmarks/benchmark_kernels.py
     python benchmarks/benchmark_kernels.py --steps 2000 8000 --repeats 5
+    python benchmarks/benchmark_kernels.py parent=../parent change=. --repeats 10 --tag fft
+    python benchmarks/benchmark_kernels.py --end-to-end parent=../parent change=. --tag fft
     python benchmarks/benchmark_kernels.py --end-to-end change=. --repeats 1
 """
 
 import argparse
+import functools
+import importlib.util
 import json
 import os
 import statistics
@@ -55,54 +53,56 @@ from pathlib import Path
 
 import numpy as np
 
-# This checkout's package, after any PYTHONPATH entry, so that
-# PYTHONPATH=<other checkout>/src still selects that checkout's package.
-sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
-
-import fracsync
-from fracsync import SolverConfig, integrate
-from fracsync.control import ExactCancellation, LiteralFeedback, coupled_system
-from fracsync.errors import NonFiniteState
-from fracsync.systems import FinancialParams, VoltaParams, financial_system, volta_system
-
-CASES = [
-    ("financial", financial_system(), [2.0, -1.0, 1.0]),
-    ("volta", volta_system(), [8.0, 2.0, 3.0]),
-    (
-        "coupled",
-        coupled_system(FinancialParams(), VoltaParams(), ExactCancellation()),
-        [2.0, -1.0, 1.0, 8.0, 2.0, 3.0],
-    ),
-    (
-        "coupled-literal",
-        coupled_system(FinancialParams(), VoltaParams(), LiteralFeedback()),
-        [2.0, -1.0, 1.0, 8.0, 2.0, 3.0],
-    ),
-]
-
 RHS_CALLS = 2000
 
-def _time_case(system, y0, config, repeats):
-    y0 = np.asarray(y0, dtype=np.float64)
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        integrate(system, 0.99, y0, config)
-        samples.append(time.perf_counter() - t0)
+
+def _load(index, root):
+    """`root`/src/fracsync imported as `_fracsync<index>`; its imports are relative."""
+    package = root / "src" / "fracsync"
+    name = f"_fracsync{index}"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cases(pkg):
+    """{case: (system, y0)} of each timed case, built by package `pkg`."""
+    fp, vp = pkg.FinancialParams(), pkg.VoltaParams()
+    master, slave = [2.0, -1.0, 1.0], [8.0, 2.0, 3.0]
+    return {
+        "financial": (pkg.financial_system(), master),
+        "volta": (pkg.volta_system(), slave),
+        "coupled": (pkg.coupled_system(fp, vp, pkg.ExactCancellation()), master + slave),
+        "coupled-literal": (pkg.coupled_system(fp, vp, pkg.LiteralFeedback()), master + slave),
+    }
+
+
+def _alternating(runs, repeats):
+    """{label: [runs[label]() per repeat]}; each repeat calls every run, in alternating order."""
+    samples = {label: [] for label in runs}
+    for i in range(repeats):
+        for label in list(runs)[:: 1 if i % 2 == 0 else -1]:
+            samples[label].append(runs[label]())
     return samples
 
 
-def _peak_bytes(system, y0, config):
-    """tracemalloc peak of one integration, run apart from the timed ones."""
+def _seconds(fn, *args):
+    """Wall seconds of one call fn(*args)."""
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def _peak_bytes(fn, *args):
+    """tracemalloc peak of one call, run after the timed ones."""
     tracemalloc.start()
     try:
-        integrate(system, 0.99, y0, config)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-PACKAGE = Path(fracsync.__file__).resolve().parent
 
 
 def _git(src, *args) -> str | None:
@@ -126,7 +126,7 @@ def _package_commit(src) -> str:
     return commit
 
 
-def machine_facts(src=PACKAGE) -> dict:
+def machine_facts(src) -> dict:
     """The machine, and the package directory `src` with its commit."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -143,47 +143,53 @@ def machine_facts(src=PACKAGE) -> dict:
     }
 
 
-def time_integration(steps, repeats):
-    header = f"{'system':<15} {'steps':>7} {'min (s)':>12} {'median (s)':>12} {'peak (MB)':>10}"
-    print(header)
-    print("-" * len(header))
+def _rhs_seconds(system, y0):
+    """Seconds per call of system.rhs on state y0, over RHS_CALLS calls."""
+    return timeit.timeit(lambda: system.rhs(0.0, y0), number=RHS_CALLS) / RHS_CALLS
 
-    results = []
-    for name, system, y0 in CASES:
+
+def time_layers(packages, steps, repeats):
+    """{label: {"results": [row per case and steps], "rhs": [row per case]}} of `packages`."""
+    header = (f"{'label':<10} {'system':<15} {'steps':>7} {'min (s)':>12} {'median (s)':>12} "
+              f"{'peak (MB)':>10}")
+    print(header + "\n" + "-" * len(header))
+    cases = {label: _cases(pkg) for label, pkg in packages.items()}
+    layers = {label: {"results": [], "rhs": []} for label in packages}
+    names = next(iter(cases.values()))
+    for name in names:
         for n_steps in steps:
-            config = SolverConfig(h=10.0 / n_steps, n_steps=n_steps)
-            try:
-                samples = _time_case(system, y0, config, repeats)
-            except NonFiniteState as exc:  # a grid too coarse for the case
-                results.append({"case": name, "steps": n_steps, "blowup_step": exc.step})
-                print(f"{name:<15} {n_steps:>7} left the finite range at step {exc.step}")
-                continue
-            best, median = min(samples), statistics.median(samples)
-            peak = _peak_bytes(system, y0, config)
-            results.append({
-                "case": name,
-                "steps": n_steps,
-                "min_s": best,
-                "median_s": median,
-                "samples_s": samples,
-                "peak_bytes": peak,
-            })
-            print(f"{name:<15} {n_steps:>7} {best:>12.4f} {median:>12.4f} {peak / 1e6:>10.3f}")
-    return results
+            calls = {}
+            for label, pkg in packages.items():
+                system, y0 = cases[label][name]
+                config = pkg.SolverConfig(h=10.0 / n_steps, n_steps=n_steps)
+                args = (pkg.integrate, system, 0.99, np.asarray(y0, dtype=np.float64), config)
+                try:  # an untimed first run, which also warms the process's caches
+                    _seconds(*args)
+                except pkg.NonFiniteState as exc:  # a grid too coarse for the case
+                    layers[label]["results"].append(
+                        {"case": name, "steps": n_steps, "blowup_step": exc.step})
+                    print(f"{label:<10} {name:<15} {n_steps:>7} left the finite range at step "
+                          f"{exc.step}")
+                    continue
+                calls[label] = args
+            runs = {label: functools.partial(_seconds, *args) for label, args in calls.items()}
+            for label, samples in _alternating(runs, repeats).items():
+                best, median = min(samples), statistics.median(samples)
+                peak = _peak_bytes(*calls[label])
+                layers[label]["results"].append({"case": name, "steps": n_steps, "min_s": best,
+                                                 "median_s": median, "samples_s": samples,
+                                                 "peak_bytes": peak})
+                print(f"{label:<10} {name:<15} {n_steps:>7} {best:>12.4f} {median:>12.4f} "
+                      f"{peak / 1e6:>10.3f}")
 
-
-def time_rhs(repeats):
-    """Per-call time of each case's right-hand side on its single initial state."""
-    print(f"{'rhs case':<19} {'min (us)':>12} {'median (us)':>12}")
-    results = []
-    for name, system, y0 in CASES:
-        y0 = [float(v) for v in y0]
-        totals = timeit.repeat(lambda: system.rhs(0.0, y0), number=RHS_CALLS, repeat=repeats)
-        per_call = [t / RHS_CALLS for t in totals]
-        best, median = min(per_call), statistics.median(per_call)
-        results.append({"case": name, "min_us": best * 1e6, "median_us": median * 1e6})
-        print(f"rhs {name:<15} {best * 1e6:>12.2f} {median * 1e6:>12.2f}")
-    return results
+    print(f"{'label':<10} {'rhs case':<19} {'min (us)':>12} {'median (us)':>12}")
+    for name in names:
+        runs = {label: functools.partial(_rhs_seconds, *cases[label][name]) for label in packages}
+        for label, per_call in _alternating(runs, repeats).items():
+            best, median = min(per_call) * 1e6, statistics.median(per_call) * 1e6
+            layers[label]["rhs"].append({"case": name, "min_us": best, "median_us": median})
+            print(f"{label:<10} rhs {name:<15} {best:>12.2f} {median:>12.2f}")
+    return layers
 
 
 # Whole-process CLI runs at defaults: name -> (subcommand arguments, exit code).
@@ -207,36 +213,32 @@ def _wall(argv, code=0, **kwargs) -> float:
     return seconds
 
 
+def _cli_wall(args, code, env) -> float:
+    """Wall seconds of one `python -m fracsync` run in a fresh output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _wall([sys.executable, "-m", "fracsync", *args, "--out", tmp], code, env=env)
+
+
 SUITE = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p",
          "no:cacheprovider", "tests"]
 
 
 def time_end_to_end(checkouts, repeats):
-    """{label: whole-process timings} for each checkout root in `checkouts` ({label: root}).
-
-    Each repeat runs every checkout once, in alternating order, so that a
-    change in the load of a shared host reaches every checkout alike.
-    """
-    samples = {label: {name: [] for name in [*CLI_RUNS, "suite"]} for label in checkouts}
-    for i in range(repeats):
-        for label, root in list(checkouts.items())[:: 1 if i % 2 == 0 else -1]:
-            env = dict(os.environ, PYTHONPATH=str(root / "src"))
-            for name, (args, code) in CLI_RUNS.items():
-                with tempfile.TemporaryDirectory() as tmp:
-                    argv = [sys.executable, "-m", "fracsync", *args, "--out", tmp]
-                    samples[label][name].append(_wall(argv, code, env=env))
-            samples[label]["suite"].append(_wall(SUITE, cwd=root, env=env))
-    results = {}
-    for label, runs in samples.items():
-        cli_runs = [{"case": name, "min_s": min(runs[name]), "samples_s": runs[name]}
-                    for name in CLI_RUNS]
-        suite = runs["suite"]
-        results[label] = {"cli": cli_runs, "suite": {"command": " ".join(SUITE[1:]),
-                                                     "median_s": statistics.median(suite),
-                                                     "samples_s": suite}}
-        for row in cli_runs:
-            print(f"{label} cli {row['case']:<20} min {row['min_s']:.3f} s")
-        print(f"{label} test suite median {statistics.median(suite):.2f} s")
+    """{label: whole-process timings} for each checkout root in `checkouts` ({label: root})."""
+    envs = {label: dict(os.environ, PYTHONPATH=str(root / "src"))
+            for label, root in checkouts.items()}
+    results = {label: {"cli": [], "suite": {"command": " ".join(SUITE[1:])}} for label in checkouts}
+    for name, (args, code) in CLI_RUNS.items():
+        runs = {label: functools.partial(_cli_wall, args, code, envs[label]) for label in checkouts}
+        for label, samples in _alternating(runs, repeats).items():
+            results[label]["cli"].append(
+                {"case": name, "min_s": min(samples), "samples_s": samples})
+            print(f"{label} cli {name:<20} min {min(samples):.3f} s")
+    runs = {label: functools.partial(_wall, SUITE, cwd=root, env=envs[label])
+            for label, root in checkouts.items()}
+    for label, samples in _alternating(runs, repeats).items():
+        results[label]["suite"].update(median_s=statistics.median(samples), samples_s=samples)
+        print(f"{label} test suite median {statistics.median(samples):.2f} s")
     return results
 
 
@@ -250,32 +252,29 @@ def _checkout(pair):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--steps",
-        type=int,
-        nargs="+",
-        default=[1000, 4000, 16000],
-        help="grid sizes to time (number of steps at h chosen for t_end=10)",
-    )
+    parser.add_argument("checkouts", nargs="*", type=_checkout, metavar="LABEL=CHECKOUT",
+                        help="checkout roots to time, alternating (default: run=<this checkout>)")
+    parser.add_argument("--steps", type=int, nargs="+", default=[1000, 4000, 16000],
+                        help="grid sizes to time (number of steps at h chosen for t_end=10)")
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats per cell")
     parser.add_argument("--tag", help="write the timings to BENCH_<tag>.json")
-    parser.add_argument("--label", default="run", help="name of this run inside the JSON file")
-    parser.add_argument("--end-to-end", nargs="+", type=_checkout, metavar="LABEL=CHECKOUT",
+    parser.add_argument("--end-to-end", action="store_true",
                         help="time only the CLI processes and the test suite of each checkout")
-    args = parser.parse_args()
+    args = parser.parse_intermixed_args()
+    labels = [label for label, _ in args.checkouts]
+    if len(set(labels)) < len(labels):
+        parser.error(f"label {max(labels, key=labels.count)!r} is given more than once")
+    checkouts = dict(args.checkouts) or {"run": Path(__file__).resolve().parents[1]}
 
+    runs = {label: {"facts": machine_facts(root / "src" / "fracsync")}
+            for label, root in checkouts.items()}
     if args.end_to_end:
-        checkouts = dict(args.end_to_end)
-        timings = time_end_to_end(checkouts, args.repeats)
-        runs = {label: {"facts": machine_facts(checkouts[label] / "src" / "fracsync"),
-                        "end_to_end": timings[label]} for label in checkouts}
+        for label, timings in time_end_to_end(checkouts, args.repeats).items():
+            runs[label]["end_to_end"] = timings
     else:
-        runs = {args.label: {
-            "facts": machine_facts(),
-            "settings": {"q": 0.99, "t_end": 10.0, "repeats": args.repeats},
-            "results": time_integration(args.steps, args.repeats),
-            "rhs": time_rhs(args.repeats),
-        }}
+        packages = {label: _load(i, root) for i, (label, root) in enumerate(checkouts.items())}
+        for label, layers in time_layers(packages, args.steps, args.repeats).items():
+            runs[label].update(layers, settings={"q": 0.99, "t_end": 10.0, "repeats": args.repeats})
 
     if args.tag:
         path = Path(f"BENCH_{args.tag}.json")

@@ -113,7 +113,7 @@ def test_convergence_order_q08_q10():
         "terminal error is pure product-trapezoid quadrature: measured orders "
         "are 1.97/1.98/1.99, outside the 1.5-centered band [1.3, 1.7]. A "
         "variant with a state coupling that vanishes on the solution measures "
-        "1.57..1.63, matching the 1+q rate; see the analysis unit tests."
+        "1.43..1.47, matching the 1+q rate; see the analysis unit tests."
     ),
 )
 def test_convergence_order_q05():

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import fracsync
 from fracsync import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,12 +26,9 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 STALE_TARGETS = {("experiments", "closed_loop_matrix"), ("control", "control_input")}
 
 
-def _run_script(cwd, *args):
-    src = str(Path(fracsync.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+def _run_script(cwd, *args, repeats=1, env=None):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--steps", "64", "--repeats", "1", *args],
+        [sys.executable, str(SCRIPT), "--steps", "64", "--repeats", str(repeats), *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -43,38 +39,63 @@ def _run_script(cwd, *args):
     return proc
 
 
+CASES = {"financial", "volta", "coupled", "coupled-literal"}
+
+
 def test_short_run_prints_every_case_and_writes_nothing(tmp_path):
     proc = _run_script(tmp_path)
     rows = [line.split() for line in proc.stdout.splitlines()]
-    cases = {row[0] for row in rows if row[1:2] == ["64"]}
-    assert cases == {"financial", "volta", "coupled", "coupled-literal"}
+    cases = {row[1] for row in rows if row[:1] == ["run"] and row[2:3] == ["64"]}
+    assert cases == CASES
     # Volta leaves the finite range at 64 steps; the others print min, median and peak.
-    timed = [row for row in rows if row[1:2] == ["64"] and row[0] != "volta"]
-    assert len(timed) == 3 and all(len(row) == 5 and float(row[4]) > 0 for row in timed)
-    rhs = {row[1] for row in rows if row[:1] == ["rhs"] and len(row) == 4}
+    timed = [row for row in rows if row[2:3] == ["64"] and row[1] != "volta"]
+    assert len(timed) == 3 and all(len(row) == 6 and float(row[5]) > 0 for row in timed)
+    rhs = {row[2] for row in rows if row[:2] == ["run", "rhs"] and len(row) == 5}
     assert rhs == cases
     assert list(tmp_path.iterdir()) == []
 
 
 def test_script_finds_its_own_package_without_pythonpath(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--help"], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_script(tmp_path, "--tag", "smoke", env=env)
+    facts = json.loads((tmp_path / "BENCH_smoke.json").read_text())["runs"]["run"]["facts"]
+    assert facts["package"] == str(ROOT / "src" / "fracsync")
 
 
 def test_tagged_run_records_the_peak_memory_of_each_timed_case(tmp_path):
-    _run_script(tmp_path, "--tag", "smoke", "--label", "change")
+    _run_script(tmp_path, "--tag", "smoke", f"change={ROOT}")
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     # The CSV writer and mittag_leffler are timed by perfbench's traced runs.
     assert set(record["runs"]["change"]) == {"facts", "settings", "results", "rhs"}
     results = record["runs"]["change"]["results"]
-    assert {row["case"] for row in results} == {"financial", "volta", "coupled", "coupled-literal"}
+    assert {row["case"] for row in results} == CASES
     for row in results:
         if "blowup_step" in row:
             assert "peak_bytes" not in row
         else:
             assert isinstance(row["peak_bytes"], int) and row["peak_bytes"] > 0
+
+
+def test_one_run_alternates_and_records_every_label(tmp_path):
+    _run_script(tmp_path, f"a={ROOT}", f"b={ROOT}", "--tag", "smoke", repeats=2)
+    runs = json.loads((tmp_path / "BENCH_smoke.json").read_text())["runs"]
+    assert set(runs) == {"a", "b"}
+    for run in runs.values():
+        assert {row["case"] for row in run["results"]} == CASES
+        assert {row["case"] for row in run["rhs"]} == CASES
+        for row in run["results"]:
+            if row["case"] == "volta":
+                assert "blowup_step" in row and "peak_bytes" not in row
+            else:
+                assert len(row["samples_s"]) == 2
+
+
+@pytest.mark.parametrize("mode", [[], ["--end-to-end"]])
+def test_a_repeated_label_is_refused(tmp_path, mode):
+    proc = subprocess.run([sys.executable, str(SCRIPT), *mode, f"x={ROOT}", f"x={tmp_path}"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "label 'x' is given more than once" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
