@@ -5,6 +5,10 @@ default, this script's checkout as `run`). Every cell runs each checkout
 once per repeat, in alternating order, so that a change in the load of a
 shared host reaches them alike. For the layer cells each checkout's
 `src/fracsync` is loaded into this process under a module name of its own.
+With two or more labels, each label after the first also gets, per cell,
+the ratio of its sample to the first label's sample of the same repeat,
+as a median and quartiles; a before/after claim reads that ratio, with
+the parent first. The pairs may come anywhere among the arguments.
 
 The integration driver is timed at q = 0.99 over t_end = 10, with full
 memory, for each case and step count, after one untimed run; one more
@@ -33,6 +37,7 @@ Usage:
     python benchmarks/benchmark_kernels.py
     python benchmarks/benchmark_kernels.py --steps 2000 8000 --repeats 5
     python benchmarks/benchmark_kernels.py parent=../parent change=. --repeats 10 --tag fft
+    python benchmarks/benchmark_kernels.py --steps 16000 parent=../parent change=. --repeats 10
     python benchmarks/benchmark_kernels.py --end-to-end parent=../parent change=. --tag fft
     python benchmarks/benchmark_kernels.py --end-to-end change=. --repeats 1
 """
@@ -80,12 +85,35 @@ def _cases(pkg):
 
 
 def _alternating(runs, repeats):
-    """{label: [runs[label]() per repeat]}; each repeat calls every run, in alternating order."""
-    samples = {label: [] for label in runs}
+    """(label, samples, extra) for each label of `runs`, samples = [runs[label]() per repeat].
+
+    Each repeat calls every run, in alternating order. `extra` holds what
+    the label's record adds: every label after the first gets a "ratio"
+    entry. A repeat's ratio is the label's sample over the first label's
+    sample of the same repeat, which ran next to it under the same load;
+    the entry holds the first label and the median and quartiles of those
+    ratios.
+    """
+    labels = list(runs)
+    samples = {label: [] for label in labels}
     for i in range(repeats):
-        for label in list(runs)[:: 1 if i % 2 == 0 else -1]:
+        for label in labels[:: 1 if i % 2 == 0 else -1]:
             samples[label].append(runs[label]())
-    return samples
+    extras = {label: {} for label in labels}
+    for label in labels[1:]:
+        ratios = np.array(samples[label]) / np.array(samples[labels[0]])
+        q1, median, q3 = np.percentile(ratios, [25, 50, 75]).tolist()
+        extras[label]["ratio"] = {"to": labels[0], "median": median, "quartiles": [q1, q3]}
+    return [(label, samples[label], extras[label]) for label in labels]
+
+
+def _ratio_text(extra) -> str:
+    """The printed form of a label's "ratio" entry; empty for the first label."""
+    if "ratio" not in extra:
+        return ""
+    ratio = extra["ratio"]
+    q1, q3 = ratio["quartiles"]
+    return f"  ratio to {ratio['to']} {ratio['median']:.3f} [{q1:.3f}, {q3:.3f}]"
 
 
 def _seconds(fn, *args):
@@ -173,22 +201,24 @@ def time_layers(packages, steps, repeats):
                     continue
                 calls[label] = args
             runs = {label: functools.partial(_seconds, *args) for label, args in calls.items()}
-            for label, samples in _alternating(runs, repeats).items():
+            for label, samples, extra in _alternating(runs, repeats):
                 best, median = min(samples), statistics.median(samples)
                 peak = _peak_bytes(*calls[label])
-                layers[label]["results"].append({"case": name, "steps": n_steps, "min_s": best,
-                                                 "median_s": median, "samples_s": samples,
-                                                 "peak_bytes": peak})
+                layers[label]["results"].append(
+                    {"case": name, "steps": n_steps, "min_s": best, "median_s": median,
+                     "samples_s": samples, "peak_bytes": peak, **extra})
                 print(f"{label:<10} {name:<15} {n_steps:>7} {best:>12.4f} {median:>12.4f} "
-                      f"{peak / 1e6:>10.3f}")
+                      f"{peak / 1e6:>10.3f}{_ratio_text(extra)}")
 
     print(f"{'label':<10} {'rhs case':<19} {'min (us)':>12} {'median (us)':>12}")
     for name in names:
         runs = {label: functools.partial(_rhs_seconds, *cases[label][name]) for label in packages}
-        for label, per_call in _alternating(runs, repeats).items():
+        for label, per_call, extra in _alternating(runs, repeats):
             best, median = min(per_call) * 1e6, statistics.median(per_call) * 1e6
-            layers[label]["rhs"].append({"case": name, "min_us": best, "median_us": median})
-            print(f"{label:<10} rhs {name:<15} {best:>12.2f} {median:>12.2f}")
+            layers[label]["rhs"].append(
+                {"case": name, "min_us": best, "median_us": median, **extra})
+            print(f"{label:<10} rhs {name:<15} {best:>12.2f} {median:>12.2f}"
+                  f"{_ratio_text(extra)}")
     return layers
 
 
@@ -230,15 +260,17 @@ def time_end_to_end(checkouts, repeats):
     results = {label: {"cli": [], "suite": {"command": " ".join(SUITE[1:])}} for label in checkouts}
     for name, (args, code) in CLI_RUNS.items():
         runs = {label: functools.partial(_cli_wall, args, code, envs[label]) for label in checkouts}
-        for label, samples in _alternating(runs, repeats).items():
+        for label, samples, extra in _alternating(runs, repeats):
             results[label]["cli"].append(
-                {"case": name, "min_s": min(samples), "samples_s": samples})
-            print(f"{label} cli {name:<20} min {min(samples):.3f} s")
+                {"case": name, "min_s": min(samples), "samples_s": samples, **extra})
+            print(f"{label} cli {name:<20} min {min(samples):.3f} s{_ratio_text(extra)}")
     runs = {label: functools.partial(_wall, SUITE, cwd=root, env=envs[label])
             for label, root in checkouts.items()}
-    for label, samples in _alternating(runs, repeats).items():
-        results[label]["suite"].update(median_s=statistics.median(samples), samples_s=samples)
-        print(f"{label} test suite median {statistics.median(samples):.2f} s")
+    for label, samples, extra in _alternating(runs, repeats):
+        results[label]["suite"].update(median_s=statistics.median(samples), samples_s=samples,
+                                       **extra)
+        print(f"{label} test suite median {statistics.median(samples):.2f} s"
+              f"{_ratio_text(extra)}")
     return results
 
 
@@ -248,6 +280,17 @@ def _checkout(pair):
     if not (label and sep and root):
         raise argparse.ArgumentTypeError(f"expected LABEL=CHECKOUT, got {pair!r}")
     return label, Path(root).resolve()
+
+
+def _pairs_first(argv):
+    """`argv` with its LABEL=CHECKOUT pairs moved to the front, in their order.
+
+    A pair is an argument that holds "=" and is not an option (so a --tag
+    value holds no "="). Moved ahead, no pair is read as a value of
+    --steps, which takes one or more values, so `--steps 64 a=.` parses
+    as `a=. --steps 64` does.
+    """
+    return sorted(argv, key=lambda arg: "=" not in arg or arg.startswith("-"))
 
 
 def main() -> None:
@@ -260,7 +303,7 @@ def main() -> None:
     parser.add_argument("--tag", help="write the timings to BENCH_<tag>.json")
     parser.add_argument("--end-to-end", action="store_true",
                         help="time only the CLI processes and the test suite of each checkout")
-    args = parser.parse_intermixed_args()
+    args = parser.parse_intermixed_args(_pairs_first(sys.argv[1:]))
     labels = [label for label, _ in args.checkouts]
     if len(set(labels)) < len(labels):
         parser.error(f"label {max(labels, key=labels.count)!r} is given more than once")

@@ -213,8 +213,11 @@ def sync_time(traj: Trajectory, tol: float) -> SyncSummary:
 def divergence_factor(a: Trajectory, b: Trajectory) -> float:
     """max_t ||a - b|| / ||a(0) - b(0)|| over a shared time grid.
 
-    A separation that is not finite, from a non-finite state or from a
-    difference or norm that overflows, raises DomainExceeded.
+    Each separation is a scaled Euclidean norm (`np.hypot`), so it is
+    exact to rounding whenever it is a finite float: a separation of
+    1e-200 or 1e160 is not squared out of range. A separation that is
+    not finite, from a non-finite state or from a difference or norm that
+    overflows, raises DomainExceeded, and so does a ratio that overflows.
     """
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise GridMismatch("trajectories do not share a time grid")
@@ -223,13 +226,16 @@ def divergence_factor(a: Trajectory, b: Trajectory) -> float:
             f"state shapes differ: {a.states.shape} vs {b.states.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        sep = np.linalg.norm(a.states - b.states, axis=1)
+        sep = np.hypot.reduce(a.states - b.states, axis=1)
     bad = np.flatnonzero(~np.isfinite(sep))
     if bad.size:
         raise DomainExceeded(f"separation is not finite at grid index {bad[0]}")
-    if sep[0] == 0.0:
+    top, first = float(np.max(sep)), float(sep[0])
+    if first == 0.0:
         raise ZeroInitialSeparation("trajectories start from the same state")
-    return float(np.max(sep) / sep[0])
+    if top / first == math.inf:  # a Python float quotient overflows to inf without a warning
+        raise DomainExceeded(f"divergence factor {top!r} / {first!r} overflows float64")
+    return top / first
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,10 @@ def empirical_orders(errors: Sequence[float]) -> tuple:
     """log2 ratios of successive errors from a halving-step refinement.
 
     `errors` must be a list of at least two positive numbers by the
-    `systems.number_array` rule; anything else raises ValueError.
+    `systems.number_array` rule; anything else raises ValueError. A ratio
+    of successive errors that leaves the float range, 0 (1e-320 then
+    1e300) or inf (1e308 then 1e-308), has no finite log2 and raises
+    DomainExceeded naming its pair.
     """
     arr = number_array(errors, ValueError, "errors")
     if arr.ndim != 1 or arr.size < 2:
@@ -269,7 +278,10 @@ def empirical_orders(errors: Sequence[float]) -> tuple:
     errs = arr.tolist()
     if any(e <= 0.0 for e in errs):
         raise ValueError("errors must be positive to take ratios")
-    return tuple(math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1))
+    for i, (a, b) in enumerate(zip(errs, errs[1:])):
+        if a / b in (0.0, math.inf):
+            raise DomainExceeded(f"error ratio {a!r} / {b!r} of pair {i} leaves the float range")
+    return tuple(math.log2(a / b) for a, b in zip(errs, errs[1:]))
 
 
 def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> ConvergenceReport:

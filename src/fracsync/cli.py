@@ -195,19 +195,25 @@ def _grid(cfg, default_t_end):
     return config, {"h": h, "t_end": t_end, "n_steps": n_steps, "memory": memory}
 
 
-def _controller(cfg, vp):
-    """Mode and controller from mode, lambda or gain, with the echo of its rates or gain."""
+def _controller(cfg, vp, orders):
+    """Mode, controller, the echo of its rates or gain, and its closed-loop verdict.
+
+    The verdict is the `_stability_entry` of the controller's design
+    matrix, which `synchronize` and `stability` both report; this is the
+    one place that takes it. A design matrix or spectrum that overflows is
+    a ConfigError on the controller's own key, lambda or gain.
+    """
     mode = cfg.pop("mode", "exact")
     if mode == "exact":
-        lam = cfg.pop("lambda", ctl.ExactCancellation.lam)
-        controller = _read("lambda", ctl.ExactCancellation, lam)
-        return mode, controller, {"lambda": list(controller.lam)}
-    if mode == "literal":
-        controller = _read("gain", ctl.LiteralFeedback, cfg.pop("gain", None))
-        # Reports carry the design matrix and its spectrum, so both must be finite.
-        _read("gain", lambda c: ctl.eigen3(c.design_matrix(vp)), controller)
-        return mode, controller, {"gain": controller.gain_array(vp).tolist()}
-    raise ConfigError("mode", f"expected 'exact' or 'literal', got {mode!r}")
+        key, build, default = "lambda", ctl.ExactCancellation, ctl.ExactCancellation.lam
+    elif mode == "literal":
+        key, build, default = "gain", ctl.LiteralFeedback, None
+    else:
+        raise ConfigError("mode", f"expected 'exact' or 'literal', got {mode!r}")
+    controller = _read(key, build, cfg.pop(key, default))
+    echo = controller.gain_array(vp) if mode == "literal" else np.array(controller.lam)
+    matrix = _read(key, controller.design_matrix, vp)
+    return mode, controller, {key: echo.tolist()}, _stability_entry(key, matrix, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +309,7 @@ def _cmd_simulate(args, cfg):
 def _cmd_synchronize(args, cfg):
     fp, vp, orders, model = _model(cfg)
     config, grid = _grid(cfg, _SYNC_T_END)
-    mode, controller, rates = _controller(cfg, vp)
+    mode, controller, rates, verdict = _controller(cfg, vp, orders)
     (_, master_ic), (_, slave_ic) = experiments.SYSTEMS["financial"], experiments.SYSTEMS["volta"]
     master0 = _read("master_initial", _vec3, cfg.pop("master_initial", master_ic))
     slave0 = _read("slave_initial", _vec3, cfg.pop("slave_initial", slave_ic))
@@ -324,8 +330,8 @@ def _cmd_synchronize(args, cfg):
     print(f"synchronize: mode {mode}, {traj.n_points} rows, {elapsed:.2f} s")
     print(f"{sync_text} (tol = {tol:g})")
     entries = {
-        "design_matrix": run.design_matrix.tolist(),
-        "stability": run.stability.to_dict(),
+        "design_matrix": verdict["matrix"],
+        "stability": verdict["stability"],
         "sync": run.summary.to_dict() if run.summary else None,
         "blowup": run.blowup.to_dict() if run.blowup else None,
     }
@@ -354,10 +360,7 @@ def _cmd_stability(args, cfg):
     report: dict = {"config": resolved}
 
     if source == "closed_loop":
-        mode, controller, _ = _controller(cfg, vp)
-        resolved["mode"] = mode
-        key = "gain" if mode == "literal" else "lambda"
-        report["closed_loop"] = _stability_entry(key, controller.design_matrix(vp), orders)
+        resolved["mode"], _, _, report["closed_loop"] = _controller(cfg, vp, orders)
     elif source == "explicit":
         values = spec.pop("values", None)
         if values is None:

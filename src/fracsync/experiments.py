@@ -1,10 +1,13 @@
 """End-to-end runs assembled from the solver, control and analysis layers.
 
-Each runner returns a small bundle holding the trajectory and whatever
-summaries the run produces. A run that leaves the finite range is not an
-exception at this level: the bundle carries the valid prefix, and its
-`blowup` is the caught `NonFiniteState` (its traceback dropped), so
-callers can persist partial results and report `blowup.to_dict()`.
+Each runner returns a `Run`, which holds only what the run produced: the
+trajectory and, for a synchronization, its settling summary. A run that
+leaves the finite range is not an exception at this level: the `Run`
+carries the valid prefix, and its `blowup` is the caught `NonFiniteState`
+(its traceback dropped), so callers can persist partial results and
+report `blowup.to_dict()`. The closed-loop verdict depends on the
+controller alone, not on the run, and is taken where the controller is
+read: `matignon_check(controller.design_matrix(vp), orders)`.
 """
 
 from __future__ import annotations
@@ -39,18 +42,12 @@ from .systems import (
 
 
 @dataclass
-class SimRun:
+class Run:
+    """What a run produced: its trajectory, its blowup record, and a synchronized run's summary."""
+
     trajectory: Trajectory
     blowup: Optional[NonFiniteState] = None
-
-
-@dataclass
-class SyncRun:
-    trajectory: Trajectory
-    summary: Optional[SyncSummary]
-    stability: ctl.StabilityReport
-    design_matrix: np.ndarray
-    blowup: Optional[NonFiniteState] = None
+    summary: Optional[SyncSummary] = None
 
 
 # System name -> (builder from both parameter sets, default initial state).
@@ -76,8 +73,8 @@ def _integrate(system: SystemDef, orders, y0, config: SolverConfig):
         return exc.trajectory, exc.with_traceback(None)
 
 
-def run_simulation(system: SystemDef, orders, y0, config: SolverConfig) -> SimRun:
-    return SimRun(*_integrate(system, orders, y0, config))
+def run_simulation(system: SystemDef, orders, y0, config: SolverConfig) -> Run:
+    return Run(*_integrate(system, orders, y0, config))
 
 
 def run_synchronization(
@@ -89,7 +86,7 @@ def run_synchronization(
     slave0,
     config: SolverConfig,
     tol: float,
-) -> SyncRun:
+) -> Run:
     q = order_array(orders, (3,))
     positive_number(tol, "tol")  # sync_time's check, made before the run rather than after it
     system = ctl.coupled_system(fp, vp, controller)
@@ -106,10 +103,8 @@ def run_synchronization(
         controls = controller.control(master, slave, fp, vp)
     traj = Trajectory(times=traj.times, states=traj.states, errors=errors, controls=controls)
 
-    matrix = controller.design_matrix(vp)
-    stability = ctl.matignon_check(matrix, q)
     summary = None if blowup is not None else sync_time(traj, tol)
-    return SyncRun(traj, summary, stability, design_matrix=matrix, blowup=blowup)
+    return Run(traj, blowup, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,23 @@ class TestDivergenceFactor:
         with pytest.raises(DomainExceeded, match="grid index 1"):
             divergence_factor(a, b)
 
+    # Each separation is a scaled norm: squaring it would leave the float
+    # range for separations that are themselves ordinary floats.
+    def test_tiny_initial_separation_is_not_zero(self):
+        a, b = _pair([0.0, 1.0], [0.0, 0.0], [1e-200, 3e-200])
+        assert divergence_factor(a, b) == 3.0
+
+    def test_huge_finite_separation_is_not_refused(self):
+        times = [0.0, 1.0]
+        a = Trajectory(times=np.array(times), states=np.zeros((2, 3)))
+        b = Trajectory(times=np.array(times), states=np.array([[1e159, 0, 0], [3e160, 4e160, 0]]))
+        assert divergence_factor(a, b) == pytest.approx(50.0, rel=1e-15)
+
+    def test_overflowing_ratio_is_refused(self):
+        a, b = _pair([0.0, 1.0], [0.0, 0.0], [1e-160, 1e150])
+        with pytest.raises(DomainExceeded, match="overflows"):
+            divergence_factor(a, b)
+
 
 class TestEmpiricalOrders:
     def test_exact_halving_ratios(self):
@@ -457,6 +474,17 @@ class TestEmpiricalOrders:
             empirical_orders([1.0, 0.0])
         with pytest.raises(ValueError):
             empirical_orders([1.0, -2.0])
+
+    @pytest.mark.parametrize("errors,pair", [([1e308, 1e-308], 0), ([1e-320, 1e300], 0),
+                                             ([4.0, 1.0, 1e-300, 1e100], 2)])
+    def test_ratio_out_of_the_float_range_is_refused(self, errors, pair):
+        # The ratio overflowed to inf, or underflowed to 0 and math.log2 raised a bare error.
+        with pytest.raises(DomainExceeded, match=f"of pair {pair} leaves the float range"):
+            empirical_orders(errors)
+
+    def test_ratios_near_the_float_limits_keep_their_value(self):
+        assert empirical_orders([2.0**1000, 2.0**-20]) == (1020.0,)
+        assert empirical_orders([2.0**-1070, 2.0**0]) == (-1070.0,)
 
 
 class TestRefinementStudy:

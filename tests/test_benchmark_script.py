@@ -77,7 +77,7 @@ def test_tagged_run_records_the_peak_memory_of_each_timed_case(tmp_path):
 
 
 def test_one_run_alternates_and_records_every_label(tmp_path):
-    _run_script(tmp_path, f"a={ROOT}", f"b={ROOT}", "--tag", "smoke", repeats=2)
+    proc = _run_script(tmp_path, f"a={ROOT}", f"b={ROOT}", "--tag", "smoke", repeats=2)
     runs = json.loads((tmp_path / "BENCH_smoke.json").read_text())["runs"]
     assert set(runs) == {"a", "b"}
     for run in runs.values():
@@ -88,6 +88,30 @@ def test_one_run_alternates_and_records_every_label(tmp_path):
                 assert "blowup_step" in row and "peak_bytes" not in row
             else:
                 assert len(row["samples_s"]) == 2
+    # Each timed cell pairs b's sample of a repeat with a's of the same repeat.
+    assert not any("ratio" in row for row in runs["a"]["results"] + runs["a"]["rhs"])
+    for row, first in zip(runs["b"]["results"], runs["a"]["results"]):
+        if "samples_s" in row:
+            paired = [s / f for s, f in zip(row["samples_s"], first["samples_s"])]
+            assert row["ratio"]["median"] == pytest.approx(sum(paired) / 2, rel=1e-12)
+    for row in runs["b"]["results"] + runs["b"]["rhs"]:
+        if "blowup_step" not in row:
+            q1, q3 = row["ratio"]["quartiles"]
+            assert row["ratio"]["to"] == "a" and 0 < q1 <= row["ratio"]["median"] <= q3
+    printed = [line for line in proc.stdout.splitlines() if "ratio to a" in line]
+    assert len(printed) == 2 * len(CASES) - 1 and all(line.startswith("b ") for line in printed)
+
+
+def test_pairs_may_follow_the_step_counts(tmp_path):
+    # --steps takes one or more values; a pair after them is still a pair, in its place.
+    argv = ["--repeats", "1", f"b={ROOT}", "--steps", "64", "65", f"a={ROOT}", "--tag", "smoke"]
+    proc = subprocess.run([sys.executable, str(SCRIPT), *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads((tmp_path / "BENCH_smoke.json").read_text())["runs"]
+    assert set(runs) == {"a", "b"}
+    assert {row["steps"] for row in runs["a"]["results"]} == {64, 65}
+    assert all(row["ratio"]["to"] == "b" for row in runs["a"]["rhs"])
 
 
 @pytest.mark.parametrize("mode", [[], ["--end-to-end"]])

@@ -422,6 +422,40 @@ class TestSynchronize:
         assert field in err
         assert not out.exists()
 
+    def test_literal_run_takes_its_verdict_once(self, tmp_path, monkeypatch):
+        # The design matrix and its spectrum are computed where the controller
+        # is read, and the run does not compute them again.
+        calls = {"eigen3": 0, "design_matrix": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(cli.ctl, "eigen3", counted("eigen3", cli.ctl.eigen3))
+        monkeypatch.setattr(cli.ctl.LiteralFeedback, "design_matrix",
+                            counted("design_matrix", cli.ctl.LiteralFeedback.design_matrix))
+        out = tmp_path / "sync"
+        assert _run("synchronize", "--mode", "literal", "--h", 0.01, "--t-end", 0.1,
+                    "--out", out) == EXIT_OK
+        assert calls == {"eigen3": 1, "design_matrix": 1}
+        assert _report(out)["stability"]["satisfied"] is True
+
+    @pytest.mark.parametrize("payload", [
+        {"lambda": [-1.0, -2.0, -0.5], "orders": [0.99, 0.95, 0.9]},
+        {"mode": "literal", "gain": [[0, 18, -1], [11, 0.5, 0], [1, 0, -2]], "orders": 0.9},
+    ], ids=["exact", "literal"])
+    def test_verdict_equals_the_stability_report(self, tmp_path, payload):
+        cfg = _write_config(tmp_path, payload)
+        sync, stab = tmp_path / "sync", tmp_path / "stab"
+        assert _run("synchronize", "--config", cfg, "--h", 0.01, "--t-end", 0.1,
+                    "--out", sync) == EXIT_OK
+        assert _run("stability", "--config", cfg, "--out", stab) == EXIT_OK
+        closed_loop = _report(stab)["closed_loop"]
+        assert _report(sync)["design_matrix"] == closed_loop["matrix"]
+        assert _report(sync)["stability"] == closed_loop["stability"]
+
 
 class TestStability:
     def test_closed_loop_default(self, tmp_path):

@@ -62,8 +62,7 @@ BLAS_SUMS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "vecdot"}
 def test_no_sum_goes_through_blas():
     # Results must not depend on the machine's BLAS kernel, so no module may
     # use `@` or a BLAS-backed product. The one LAPACK call is `eigen3`'s
-    # spectrum, which the argument criterion needs; `divergence_factor`'s
-    # norm along an axis is an `np.add` reduction, not BLAS.
+    # spectrum, which the argument criterion needs.
     found, linalg = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -77,7 +76,7 @@ def test_no_sum_goes_through_blas():
                         and node.value.attr == "linalg":
                     linalg.append((path.name, getattr(top, "name", "<module>"), node.attr))
     assert found == []
-    assert linalg == [("analysis.py", "divergence_factor", "norm"), ("control.py", "eigen3", "eigvals")]
+    assert linalg == [("control.py", "eigen3", "eigvals")]
 
 
 # The package's public names before they became one table, less the

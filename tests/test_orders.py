@@ -111,4 +111,3 @@ def test_scalar_order_means_every_component():
     scalar = _synchronize(0.9)
     triple = _synchronize(FractionalOrders.uniform(0.9))
     assert np.array_equal(scalar.trajectory.states, triple.trajectory.states)
-    assert scalar.stability == triple.stability
