@@ -131,25 +131,10 @@ def _orders(raw) -> FractionalOrders:
     return FractionalOrders(raw)
 
 
-def _window(raw):
-    """Memory window in steps from 'full', k, 'k', 'last:k' or {"last": k}; None is full.
-
-    In a string, k is ASCII digits and nothing else. A bare k and the k of
-    {"last": k} are whole numbers by the `number_array` rule.
-    """
-    if raw is None or raw == "full":
-        return None
-    if isinstance(raw, dict) and set(raw) == {"last"}:
-        raw = raw["last"]
-    elif isinstance(raw, str):
-        digits = raw[5:] if raw.startswith("last:") else raw
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"expected 'full', 'k' or 'last:k' with k in digits, got {raw!r}")
-        return int(digits)
-    number_array(raw, ValueError, "window", ())
-    if isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"window must be a whole number of steps, got {raw!r}")
-    return int(raw)
+def _full(raw) -> str:
+    if raw != "full":
+        raise ValueError(f"expected 'full', the one history policy, got {raw!r}")
+    return raw
 
 
 def _matrix(raw) -> np.ndarray:
@@ -183,16 +168,19 @@ def _model(cfg):
 
 
 def _grid(cfg, default_t_end):
-    """SolverConfig from h, t_end and memory, with its echo for the report."""
+    """SolverConfig from h and t_end, with its echo for the report.
+
+    Every run keeps its full history, so "full" is the one accepted
+    `memory`. The report still echoes it, so that reports keep the bytes
+    they had when a second history policy existed.
+    """
     h = _read("h", _positive, cfg.pop("h", _DEFAULT_H))
     t_end = _read("t_end", _positive, cfg.pop("t_end", default_t_end))
     n_steps = _read("t_end", lambda raw: SolverConfig.for_horizon(h, raw).n_steps, t_end)
     if n_steps > 5_000_000:
         raise ConfigError("t_end", f"horizon needs {n_steps} steps; reduce t_end or raise h")
-    window = cfg.pop("memory", "full")
-    config = _read("memory", lambda raw: SolverConfig(h, n_steps, _window(raw)), window)
-    memory = "full" if config.memory is None else config.memory
-    return config, {"h": h, "t_end": t_end, "n_steps": n_steps, "memory": memory}
+    memory = _read("memory", _full, cfg.pop("memory", "full"))
+    return SolverConfig(h, n_steps), {"h": h, "t_end": t_end, "n_steps": n_steps, "memory": memory}
 
 
 def _controller(cfg, vp, orders):
@@ -420,7 +408,6 @@ def _cmd_convergence(args, cfg):
 _FLAGS = {
     "h": {"type": float, "help": "step size override"},
     "t_end": {"type": float, "help": "horizon override"},
-    "memory": {"help": "history policy: full, last:<k>, or an integer"},
     "orders": {"type": float, "nargs": "+", "help": "derivative orders override (1 or 3 values)"},
     "mode": {"choices": ["exact", "literal"], "help": "controller family"},
 }
@@ -428,9 +415,9 @@ _FLAGS = {
 # Subcommand -> (handler, help text, the flags it takes in --help order).
 _COMMANDS = {
     "simulate": (_cmd_simulate, "integrate one system and write its trajectory",
-                 ("h", "t_end", "memory", "orders")),
+                 ("h", "t_end", "orders")),
     "synchronize": (_cmd_synchronize, "run the driven pair and write errors and controls",
-                    ("h", "t_end", "memory", "orders", "mode")),
+                    ("h", "t_end", "orders", "mode")),
     "stability": (_cmd_stability, "eigenvalue and argument-criterion report for a matrix",
                   ("orders", "mode")),
     "convergence": (_cmd_convergence, "step-halving self test on a known solution", ()),

@@ -40,9 +40,8 @@ where the weights depend only on the distance k = n - j:
     a0(n) = n^(q+1) - (n-q)*(n+1)^q
 
 All three are differences of nearly equal powers, so they are evaluated
-in cancellation-safe form through expm1/log1p. A finite memory window w
-restricts every history sum to j >= n+1-w; the a0 term participates only
-while j = 0 is still inside the window.
+in cancellation-safe form through expm1/log1p. Every sum runs over the
+whole history, j = 0 .. n.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ BLOCK = 64
 TILE_BUDGET = 8192
 
 
-def abm_python(rhs, q, y0, h, n_steps, window):
+def abm_python(rhs, q, y0, h, n_steps):
     """Integrate with the predictor-corrector loop in plain numpy.
 
     The history sums are split at block boundaries (Hairer, Lubich &
@@ -138,8 +137,7 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     [M, M + 2^k); a tile reaching past the last step is cut short. Every
     (source, output) block pair below the diagonal is covered by exactly
     one such tile, so the sums equal the direct ones up to rounding at
-    O(N log^2 N) cost. A memory window only zeroes the weights at lags
-    >= window.
+    O(N log^2 N) cost.
 
     The weights depend only on the order, so the kernel has one column
     pair per distinct order, built from the first component of that
@@ -188,8 +186,8 @@ def abm_python(rhs, q, y0, h, n_steps, window):
         Orders and initial state, shape (d,).
     h : float
         Step size.
-    n_steps, window : int
-        Step count and history window.
+    n_steps : int
+        Step count.
 
     Returns
     -------
@@ -200,7 +198,6 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     """
     q = np.asarray(q, dtype=np.float64)
     d = q.shape[0]
-    klen = max(1, min(window, n_steps))
     hq1 = h**q / np.array([math.gamma(v + 1.0) for v in q])
     hq2 = h**q / np.array([math.gamma(v + 2.0) for v in q])
 
@@ -212,13 +209,11 @@ def abm_python(rhs, q, y0, h, n_steps, window):
 
     def kernel(count):
         # out[l, 0] holds the scaled predictor weights hq1*b[l] at lag l,
-        # out[l, 1] the corrector weights hq2*a[l]. Lags at or beyond the
-        # window stay zero.
-        out = np.zeros((count, 2, len(first)))
-        k = min(count, klen)
+        # out[l, 1] the corrector weights hq2*a[l].
+        out = np.empty((count, 2, len(first)))
         for c, i in enumerate(first):
-            out[:k, 0, c] = hq1[i] * conv_weights_b(q[i], k)
-            out[:k, 1, c] = hq2[i] * conv_weights_a(q[i], k)
+            out[:, 0, c] = hq1[i] * conv_weights_b(q[i], count)
+            out[:, 1, c] = hq2[i] * conv_weights_a(q[i], count)
         return out
 
     # near[BLOCK - 1 - l] holds lag l; the row of ones after lag 0 adds acc[n].
@@ -253,7 +248,7 @@ def abm_python(rhs, q, y0, h, n_steps, window):
     acc = hist[1:]
     acc[:] = y0
     for i in range(d):
-        acc[:klen, 1, i] += hq2[i] * f0[i] * first_panel_weights(q[i], np.arange(klen))
+        acc[:, 1, i] += hq2[i] * f0[i] * first_panel_weights(q[i], np.arange(n_steps))
 
     for n in range(n_steps):
         r = n % BLOCK

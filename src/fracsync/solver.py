@@ -20,26 +20,24 @@ from .systems import SystemDef, count_number, number_array, order_array, positiv
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step size, horizon and history policy for one integration.
+    """Step size and horizon for one integration; every run keeps its full history.
 
-    h must be a positive number (`systems.positive_number`), n_steps an
-    integer >= 1, and memory None (full history) or an integer k >= 1 that
-    restricts every history sum to the most recent k steps. Anything else,
-    booleans included, raises ValueError.
+    h must be a positive number (`systems.positive_number`) and n_steps an
+    integer >= 1. Anything else, booleans included, raises ValueError.
     """
 
     h: float
     n_steps: int
-    memory: Optional[int] = None
+    # Not a field: perfbench/tracing.py reads config.memory (None is full
+    # history) to count the history work of each traced run.
+    memory = None
 
     def __post_init__(self):
         object.__setattr__(self, "h", positive_number(self.h, "step size"))
         object.__setattr__(self, "n_steps", count_number(self.n_steps, "n_steps", 1))
-        if self.memory is not None:
-            object.__setattr__(self, "memory", count_number(self.memory, "memory window", 1))
 
     @classmethod
-    def for_horizon(cls, h: float, t_end: float, memory: Optional[int] = None) -> "SolverConfig":
+    def for_horizon(cls, h: float, t_end: float) -> "SolverConfig":
         """Config covering [0, t_end] with n_steps = round(t_end / h).
 
         t_end is checked as h is. A horizon that rounds to no step, such as
@@ -54,11 +52,7 @@ class SolverConfig:
         n_steps = round(t_end / h)
         if n_steps < 1:
             raise ValueError(f"horizon {t_end} allows no step at h = {h}")
-        return cls(h=h, n_steps=n_steps, memory=memory)
-
-    @property
-    def window(self) -> int:
-        return self.n_steps + 1 if self.memory is None else self.memory
+        return cls(h=h, n_steps=n_steps)
 
 
 @dataclass
@@ -135,7 +129,7 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
         the `systems.number_array` rule: strings, booleans, None, NaN,
         infinities, nested or ragged lists raise ValueError.
     config : SolverConfig
-        Grid and memory policy.
+        Grid.
 
     Returns
     -------
@@ -161,7 +155,7 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     """
     q = order_array(orders, (system.dimension,))
     y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
-    run = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps, config.window)
+    run = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps)
     return _finish(*run, config)
 
 

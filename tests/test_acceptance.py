@@ -233,17 +233,17 @@ def _divergence_pair(system, orders, y0, config):
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "restricting history to the latest 2000 steps (2 time units at h = 1e-3) "
-        "suppresses the long-memory feedback that sustains this attractor's "
-        "stretching: the measured separation factor by t = 50 is about 1.2e1, "
-        "far below 1e3 (components stay bounded by 2.1). The full-history run "
-        "reaches 1e3 only near t = 100; the passing demonstration below uses it"
+        "under full memory the Volta pair does not separate: from a 1e-6 shift "
+        "of x the factor by t = 50 (h = 1e-3) is 4.46e1, far below 1e3, with "
+        "components bounded by 33.0. The factor of 6.7e7 that a 20000-step "
+        "history window gave came from the window, which moves the scheme's "
+        "fixed points; full memory is the scheme's one history policy"
     ),
 )
-def test_sensitive_dependence_financial_pinned():
+def test_sensitive_dependence_volta_full_memory():
     t0 = time.perf_counter()
-    cfg = SolverConfig.for_horizon(h=1e-3, t_end=50.0, memory=2000)
-    base, pert = _divergence_pair(financial_system(), 0.99, MASTER0, cfg)
+    cfg = SolverConfig.for_horizon(h=1e-3, t_end=50.0)
+    base, pert = _divergence_pair(volta_system(), 0.99, SLAVE0, cfg)
     assert base.blowup is None and pert.blowup is None
     factor = divergence_factor(base.trajectory, pert.trajectory)
     bound = max(
@@ -253,45 +253,9 @@ def test_sensitive_dependence_financial_pinned():
     elapsed = time.perf_counter() - t0
     ok = factor >= 1e3 and bound <= 1e2 and elapsed < 60.0
     _verdict(
-        "sensitive dependence (financial, windowed at 2000)",
+        "sensitive dependence (volta, full memory)",
         ok,
         f"factor {factor:.3e}, bound {bound:.2f}, {elapsed:.2f} s",
-    )
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "under the 2000-step window this system's windowed scheme is itself "
-        "unstable: the state leaves the finite range near t = 13.3, long before "
-        "t = 50, so neither the bound nor the separation factor is attainable. "
-        "An independent per-step reimplementation built only on the published "
-        "weights leaves the finite range at the same point, so this is the "
-        "scheme's truth, not a kernel defect; wider windows integrate cleanly "
-        "(the passing demonstration uses 20000 steps)"
-    ),
-)
-def test_sensitive_dependence_volta_pinned():
-    t0 = time.perf_counter()
-    cfg = SolverConfig.for_horizon(h=1e-3, t_end=50.0, memory=2000)
-    base, pert = _divergence_pair(volta_system(), 0.99, SLAVE0, cfg)
-    blew = base.blowup or pert.blowup
-    detail = "no blowup"
-    if blew:
-        detail = f"left the finite range at t = {blew.time:.2f}"
-    factor = bound = float("nan")
-    if not blew:
-        factor = divergence_factor(base.trajectory, pert.trajectory)
-        bound = max(
-            float(np.max(np.abs(base.trajectory.states))),
-            float(np.max(np.abs(pert.trajectory.states))),
-        )
-    elapsed = time.perf_counter() - t0
-    ok = (not blew) and factor >= 1e3 and bound <= 1e2 and elapsed < 60.0
-    _verdict(
-        "sensitive dependence (volta, windowed at 2000)",
-        ok,
-        f"{detail}, factor {factor:.3}, bound {bound:.3}, {elapsed:.2f} s",
     )
 
 
@@ -305,28 +269,12 @@ def test_sensitive_dependence_demonstrated():
         float(np.max(np.abs(fin_base.trajectory.states))),
         float(np.max(np.abs(fin_pert.trajectory.states))),
     )
-
-    volta_cfg = SolverConfig.for_horizon(h=1e-3, t_end=50.0, memory=20000)
-    v_base, v_pert = _divergence_pair(volta_system(), 0.99, SLAVE0, volta_cfg)
-    assert v_base.blowup is None and v_pert.blowup is None
-    v_factor = divergence_factor(v_base.trajectory, v_pert.trajectory)
-    v_bound = max(
-        float(np.max(np.abs(v_base.trajectory.states))),
-        float(np.max(np.abs(v_pert.trajectory.states))),
-    )
     elapsed = time.perf_counter() - t0
-    ok = (
-        fin_factor >= 1e3
-        and fin_bound <= 1e2
-        and v_factor >= 1e3
-        and v_bound <= 1e2
-        and elapsed < 60.0
-    )
+    ok = fin_factor >= 1e3 and fin_bound <= 1e2 and elapsed < 60.0
     _verdict(
         "sensitive dependence (demonstrated)",
         ok,
         f"financial full history to t=100: factor {fin_factor:.3e}, bound {fin_bound:.2f}; "
-        f"volta windowed at 20000 to t=50: factor {v_factor:.3e}, bound {v_bound:.2f}; "
         f"{elapsed:.2f} s",
     )
 

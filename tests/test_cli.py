@@ -80,39 +80,6 @@ class TestSimulate:
         assert rows[5] == "0.5,0,0,0"
         assert all(r.endswith(",0,0,0") for r in rows)
 
-    @pytest.mark.parametrize(
-        "flag,echoed", [("full", "full"), ("last:50", 50), ("64", 64)]
-    )
-    def test_memory_flag_round_trip(self, tmp_path, flag, echoed):
-        out = tmp_path / "sim"
-        code = _run(
-            "simulate", "--h", 0.01, "--t-end", 0.5, "--memory", flag, "--out", out
-        )
-        assert code == EXIT_OK
-        assert _report(out)["config"]["memory"] == echoed
-
-    def test_memory_object_form_in_config(self, tmp_path):
-        out = tmp_path / "sim"
-        cfg = _write_config(tmp_path, {"memory": {"last": 40}})
-        code = _run("simulate", "--config", cfg, "--h", 0.01, "--t-end", 0.5, "--out", out)
-        assert code == EXIT_OK
-        assert _report(out)["config"]["memory"] == 40
-
-    def test_memory_object_form_takes_a_whole_float(self, tmp_path):
-        out = tmp_path / "sim"
-        cfg = _write_config(tmp_path, {"memory": {"last": 40.0}})
-        code = _run("simulate", "--config", cfg, "--h", 0.01, "--t-end", 0.5, "--out", out)
-        assert code == EXIT_OK
-        assert _report(out)["config"]["memory"] == 40
-
-    @pytest.mark.parametrize("memory", [40, 40.0, "40", "last:40"])
-    def test_memory_number_and_string_forms_in_config(self, tmp_path, memory):
-        out = tmp_path / "sim"
-        cfg = _write_config(tmp_path, {"memory": memory})
-        code = _run("simulate", "--config", cfg, "--h", 0.01, "--t-end", 0.5, "--out", out)
-        assert code == EXIT_OK
-        assert _report(out)["config"]["memory"] == 40
-
     def test_reruns_are_byte_identical(self, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"
@@ -228,20 +195,20 @@ class TestSimulateValidation:
         self._expect_config_error(tmp_path, capsys, "simulate", "--config", cfg, field="orders")
 
     def test_bad_memory_string(self, tmp_path, capsys):
-        self._expect_config_error(
-            tmp_path, capsys, "simulate", "--memory", "sometimes", field="memory"
-        )
+        cfg = _write_config(tmp_path, {"memory": "sometimes"})
+        self._expect_config_error(tmp_path, capsys, "simulate", "--config", cfg, field="memory")
 
     @pytest.mark.parametrize(
         "text",
         ['{"memory": 2.5}', '{"memory": 1e400}', '{"memory": 0}', '{"memory": {"last": true}}',
          '{"memory": "4_0"}', '{"memory": " 40 "}', '{"memory": "last: 40"}',
          '{"memory": "+40"}', '{"memory": "\\u0664\\u0660"}', '{"memory": {"last": " 40"}}',
-         '{"memory": {"last": "40"}}'],
+         '{"memory": {"last": "40"}}', '{"memory": "last:50"}', '{"memory": "64"}',
+         '{"memory": 40}', '{"memory": {"last": 40}}', '{"memory": null}'],
     )
     def test_bad_memory_window(self, tmp_path, capsys, text):
-        # 1e400 parses as float infinity; a window must be a finite whole number of steps.
-        # int() reads each string here as 40; a string window is "k" or "last:k" in ASCII digits.
+        # Every run keeps its full history, so "full" is the one memory value; window
+        # forms such as "last:50", "64", 40 and {"last": 40} are refused like any other.
         cfg = tmp_path / "config.json"
         cfg.write_text(text)
         self._expect_config_error(tmp_path, capsys, "simulate", "--config", cfg, field="memory")
@@ -772,7 +739,7 @@ def test_unreadable_config(tmp_path, capsys, monkeypatch, command):
     "argv, payload, expected",
     [
         (["simulate", "--h", 0.01, "--t-end", 0.5], None, EXIT_OK),
-        (["simulate"], {"system": "volta", "memory": "last:2000", "t_end": 10}, EXIT_BLOWUP),
+        (["simulate"], {"system": "volta", "h": 0.05, "t_end": 10}, EXIT_BLOWUP),
         (["synchronize", "--h", 0.01, "--t-end", 0.5], None, EXIT_OK),
         (["stability"], None, EXIT_OK),
         (["convergence"], None, EXIT_BAND),
@@ -796,11 +763,12 @@ def test_exit_code_follows_report(tmp_path, capsys, argv, payload, expected):
     else:
         assert stdout.splitlines()[-1].startswith("wrote ")
 
-# The flags each subcommand takes, with a value that parses.
+# The flags each subcommand takes, with a value that parses. No subcommand
+# takes --memory: every run keeps its full history.
 FLAG_VALUES = {"h": "0.1", "t_end": "1", "memory": "full", "orders": "0.9", "mode": "exact"}
 COMMAND_FLAGS = {
-    "simulate": {"h", "t_end", "memory", "orders"},
-    "synchronize": {"h", "t_end", "memory", "orders", "mode"},
+    "simulate": {"h", "t_end", "orders"},
+    "synchronize": {"h", "t_end", "orders", "mode"},
     "stability": {"orders", "mode"},
     "convergence": set(),
 }

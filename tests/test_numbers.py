@@ -127,7 +127,7 @@ def test_bad_numbers_rejected_everywhere(entry, case):
     assert type(info.value) is error, repr(info.value)
 
 
-@pytest.mark.parametrize("bad", [(0.1, True), (0.1, 5, True), (0.1, 5.0), (0.1, "5")])
+@pytest.mark.parametrize("bad", [(0.1, True), (0.1, None), (0.1, 5.0), (0.1, "5")])
 def test_solver_config_refuses_bad_counts(bad):
     with pytest.raises(ValueError) as info:
         SolverConfig(*bad)
@@ -165,7 +165,7 @@ def test_weights_refuse_bad_counts(weights, n):
 
 
 def test_counts_accept_numpy_integers():
-    assert SolverConfig(0.1, np.int64(5), memory=np.int32(2)).n_steps == 5
+    assert SolverConfig(0.1, np.int64(5)).n_steps == 5
     assert np.array_equal(weights_b(0.5, np.int64(3)), weights_b(0.5, 3))
 
 

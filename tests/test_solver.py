@@ -1,5 +1,6 @@
-"""Integration driver: accuracy, memory policy, determinism, failure paths."""
+"""Integration driver: accuracy, tiled history sums, determinism, failure paths."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -110,18 +111,17 @@ def _exact_weights(q, count):
     return np.array(b), np.array(a), np.array(a0)
 
 
-def _direct_abm(rhs, orders, y0, h, n_steps, memory=None):
-    """Predictor-corrector by direct summation over the memory window.
+def _direct_abm(rhs, orders, y0, h, n_steps):
+    """Predictor-corrector by direct summation over the full history.
 
     Independent of the package's weight code and of its tiled history
     sums: the weights come from high-precision powers, and every step
-    sums its whole window term by term.
+    sums its whole history term by term.
     """
     rhs = _on_arrays(rhs)
     y0 = np.asarray(y0, dtype=np.float64)
     d = y0.size
     qa = np.broadcast_to(np.asarray(orders, dtype=np.float64), (d,))
-    w = n_steps + 1 if memory is None else memory
     kb, ka, a0 = (np.stack(c, axis=1) for c in zip(*(_exact_weights(q, n_steps) for q in qa)))
     c1 = np.array([h**q / math.gamma(q + 1.0) for q in qa])
     c2 = np.array([h**q / math.gamma(q + 2.0) for q in qa])
@@ -131,12 +131,8 @@ def _direct_abm(rhs, orders, y0, h, n_steps, memory=None):
     f[0] = rhs(0.0, y0)
     for n in range(n_steps):
         t1 = (n + 1) * h
-        j0 = max(0, n + 1 - w)
-        pred = y0 + c1 * np.sum(kb[n - j0 :: -1] * f[j0 : n + 1], axis=0)
-        jlo = max(j0, 1)
-        corr = np.sum(ka[n - jlo :: -1][: n + 1 - jlo] * f[jlo : n + 1], axis=0)
-        if j0 == 0:
-            corr = corr + a0[n] * f[0]
+        pred = y0 + c1 * np.sum(kb[n::-1] * f[: n + 1], axis=0)
+        corr = np.sum(ka[n - 1 :: -1][:n] * f[1 : n + 1], axis=0) + a0[n] * f[0]
         y[n + 1] = y0 + c2 * (rhs(t1, pred) + corr)
         f[n + 1] = rhs(t1, y[n + 1])
     return y
@@ -213,27 +209,6 @@ class TestClassicalLimit:
         assert np.max(np.abs(frac.states - classical)) <= 1e-12
 
 
-class TestMemoryWindow:
-    def test_window_covering_whole_run_changes_nothing(self):
-        system = volta_system()
-        orders = 0.97
-        y0 = [8.0, 2.0, 3.0]
-        full = integrate(system, orders, y0, SolverConfig(h=0.002, n_steps=300))
-        windowed = integrate(system, orders, y0, SolverConfig(h=0.002, n_steps=300, memory=301))
-        assert np.array_equal(full.states, windowed.states)
-
-    def test_short_window_alters_the_tail(self):
-        system = financial_system()
-        cfg_full = SolverConfig(h=0.01, n_steps=200)
-        cfg_short = SolverConfig(h=0.01, n_steps=200, memory=30)
-        full = integrate(system, 0.7, [2.0, -1.0, 1.0], cfg_full)
-        short = integrate(system, 0.7, [2.0, -1.0, 1.0], cfg_short)
-        assert np.all(np.isfinite(short.states))
-        assert not np.array_equal(full.states, short.states)
-        # the first 30 steps see identical history
-        assert np.array_equal(full.states[:31], short.states[:31])
-
-
 class TestTiledHistory:
     # 1 500 steps reach FFT tiles of 64, 128, 256 and 512 steps.
     N_STEPS = 1500
@@ -242,24 +217,22 @@ class TestTiledHistory:
     ORDERS = [(0.99, 0.99, 0.99), (0.7, 0.9, 1.0)]
 
     @pytest.mark.parametrize("orders", ORDERS)
-    @pytest.mark.parametrize("memory", [None, 1, 10, 63, 64, 65, 777])
-    def test_matches_direct_sums(self, orders, memory):
+    def test_matches_direct_sums(self, orders):
         system = financial_system()
-        cfg = SolverConfig(h=self.H, n_steps=self.N_STEPS, memory=memory)
+        cfg = SolverConfig(h=self.H, n_steps=self.N_STEPS)
         got = integrate(system, orders, self.Y0, cfg).states
-        want = _direct_abm(system.rhs, orders, self.Y0, self.H, self.N_STEPS, memory)
+        want = _direct_abm(system.rhs, orders, self.Y0, self.H, self.N_STEPS)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     # The pending sums of step n live in history row n + 1: check the first
     # and last steps and the steps around the first block boundary.
-    @pytest.mark.parametrize("memory", [None, 1])
     @pytest.mark.parametrize("n_steps", [1, 2, 63, 64, 65])
-    def test_matches_direct_sums_at_block_edges(self, n_steps, memory):
+    def test_matches_direct_sums_at_block_edges(self, n_steps):
         system = financial_system()
         orders = self.ORDERS[1]
-        cfg = SolverConfig(h=self.H, n_steps=n_steps, memory=memory)
+        cfg = SolverConfig(h=self.H, n_steps=n_steps)
         got = integrate(system, orders, self.Y0, cfg).states
-        want = _direct_abm(system.rhs, orders, self.Y0, self.H, n_steps, memory)
+        want = _direct_abm(system.rhs, orders, self.Y0, self.H, n_steps)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -297,22 +270,20 @@ class TestTiledHistory:
     # the longest tiles into groups of two or four components.
     @pytest.mark.parametrize("budget", [1, 2**40])
     @pytest.mark.parametrize(
-        "system,orders,y0,memory",
+        "system,orders,y0",
         [
-            (financial_system(), 0.99, Y0, None),
-            (volta_system(), (0.98, 0.99, 0.97), (8.0, 2.0, 3.0), None),
-            (volta_system(), (0.98, 0.99, 0.97), (8.0, 2.0, 3.0), 300),
+            (financial_system(), 0.99, Y0),
+            (volta_system(), (0.98, 0.99, 0.97), (8.0, 2.0, 3.0)),
             (
                 coupled_system(FinancialParams(), VoltaParams(), ExactCancellation()),
                 (0.99, 0.95, 0.9, 0.99, 0.95, 0.9),
                 (2.0, -1.0, 1.0, 8.0, 2.0, 3.0),
-                None,
             ),
         ],
-        ids=["financial", "volta", "volta-memory300", "coupled-exact-mixed"],
+        ids=["financial", "volta", "coupled-exact-mixed"],
     )
-    def test_tile_groups_are_bit_identical(self, monkeypatch, budget, system, orders, y0, memory):
-        cfg = SolverConfig(h=5e-4, n_steps=3000, memory=memory)
+    def test_tile_groups_are_bit_identical(self, monkeypatch, budget, system, orders, y0):
+        cfg = SolverConfig(h=5e-4, n_steps=3000)
         default = integrate(system, orders, y0, cfg).states
         monkeypatch.setattr(kernels, "TILE_BUDGET", budget)
         assert np.array_equal(integrate(system, orders, y0, cfg).states, default)
@@ -336,14 +307,6 @@ class TestTiledHistory:
         coupled = coupled_system(FinancialParams(), VoltaParams(), ExactCancellation())
         integrate(coupled, (0.99, 0.95, 0.9) * 2, self.Y0 + (8.0, 2.0, 3.0), cfg)
         assert len(calls) == 3 * commensurate
-
-    @pytest.mark.parametrize("orders", ORDERS)
-    def test_window_covering_whole_run_is_bit_identical(self, orders):
-        system = financial_system()
-        full = integrate(system, orders, self.Y0, SolverConfig(h=self.H, n_steps=self.N_STEPS))
-        cfg = SolverConfig(h=self.H, n_steps=self.N_STEPS, memory=self.N_STEPS + 1)
-        windowed = integrate(system, orders, self.Y0, cfg)
-        assert np.array_equal(full.states, windowed.states)
 
     def test_independent_of_blas_threads(self, tmp_path):
         code = (
@@ -509,17 +472,17 @@ class TestFailurePaths:
             solve(system, [1.0], SolverConfig(h=0.01, n_steps=10))
 
     def test_simulation_keeps_the_error_as_its_blowup_record(self):
-        # The Volta system under a 2000-step window leaves the finite range near t = 9.5.
-        cfg = SolverConfig(h=5e-4, n_steps=100_000, memory=2000)
+        # At h = 0.05 the Volta system leaves the finite range at step 14.
+        cfg = SolverConfig(h=0.05, n_steps=200)
         run = run_simulation(volta_system(), 0.99, (8.0, 2.0, 3.0), cfg)
         assert isinstance(run.blowup, NonFiniteState)
-        assert run.blowup.to_dict() == {"step": 18940, "time": 9.47}
-        assert json.dumps(run.blowup.to_dict()) == '{"step": 18940, "time": 9.47}'
+        assert run.blowup.to_dict() == {"step": 14, "time": 14 * 0.05}
+        assert json.dumps(run.blowup.to_dict()) == '{"step": 14, "time": 0.7000000000000001}'
         # x goes first; the report entry stays step and time only.
         assert run.blowup.component == 0
-        assert str(run.blowup) == "state became non-finite at step 18940 (t = 9.47) in component 0"
+        assert str(run.blowup) == "state became non-finite at step 14 (t = 0.7) in component 0"
         assert run.blowup.__traceback__ is None
-        assert run.trajectory.n_points == 18940
+        assert run.trajectory.n_points == 14
         assert run.blowup.trajectory is run.trajectory
 
     def test_synchronization_blowup_names_the_slave_component(self):
@@ -622,8 +585,6 @@ class TestSolverConfig:
             SolverConfig(h=-0.1, n_steps=10)
         with pytest.raises(ValueError):
             SolverConfig(h=0.1, n_steps=0)
-        with pytest.raises(ValueError):
-            SolverConfig(h=0.1, n_steps=10, memory=0)
 
     def test_for_horizon_rounds_step_count(self):
         cfg = SolverConfig.for_horizon(h=0.01, t_end=1.0)
@@ -645,6 +606,10 @@ class TestSolverConfig:
             SolverConfig.for_horizon(h, t_end)
         assert str(info.value) == f"horizon {t_end} allows no finite step count at h = {h}"
 
-    def test_window_property(self):
-        assert SolverConfig(h=0.1, n_steps=40).window == 41
-        assert SolverConfig(h=0.1, n_steps=40, memory=7).window == 7
+    def test_takes_no_memory_window(self):
+        # Every run keeps its full history; h and n_steps are the only fields.
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["h", "n_steps"]
+        with pytest.raises(TypeError):
+            SolverConfig(h=0.1, n_steps=40, memory=5)
+        with pytest.raises(TypeError):
+            SolverConfig.for_horizon(h=0.1, t_end=4.0, memory=5)
