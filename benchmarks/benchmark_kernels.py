@@ -26,7 +26,8 @@ fracsync` from each checkout's `src` for each subcommand at its defaults
 (CLI_RUNS), in a fresh output directory and held to its expected exit
 code, as the minimum of the repeats; and the checkout's test suite, as
 the median. Three repeats do not resolve a 10% change in a whole process
-on a shared 2-vCPU host: a before/after claim needs at least 10.
+on a shared 2-vCPU host: a before/after claim needs at least 10, the
+default count.
 
 With --tag, the timings go into BENCH_<tag>.json in the working directory
 under each label, beside the machine facts (nproc, numpy and BLAS build,
@@ -36,8 +37,8 @@ and a label's other entries already in the file are kept.
 Usage:
     python benchmarks/benchmark_kernels.py
     python benchmarks/benchmark_kernels.py --steps 2000 8000 --repeats 5
-    python benchmarks/benchmark_kernels.py parent=../parent change=. --repeats 10 --tag fft
-    python benchmarks/benchmark_kernels.py --steps 16000 parent=../parent change=. --repeats 10
+    python benchmarks/benchmark_kernels.py parent=../parent change=. --tag fft
+    python benchmarks/benchmark_kernels.py --steps 16000 parent=../parent change=.
     python benchmarks/benchmark_kernels.py --end-to-end parent=../parent change=. --tag fft
     python benchmarks/benchmark_kernels.py --end-to-end change=. --repeats 1
 """
@@ -299,7 +300,7 @@ def main() -> None:
                         help="checkout roots to time, alternating (default: run=<this checkout>)")
     parser.add_argument("--steps", type=int, nargs="+", default=[1000, 4000, 16000],
                         help="grid sizes to time (number of steps at h chosen for t_end=10)")
-    parser.add_argument("--repeats", type=int, default=3, help="timing repeats per cell")
+    parser.add_argument("--repeats", type=int, default=10, help="timing repeats per cell")
     parser.add_argument("--tag", help="write the timings to BENCH_<tag>.json")
     parser.add_argument("--end-to-end", action="store_true",
                         help="time only the CLI processes and the test suite of each checkout")

@@ -290,17 +290,22 @@ def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> Co
     Runs `levels` integrations, measures max-abs error against the exact
     solution at t_end, and reports the pairwise empirical orders. `h0`
     must be a positive number and `levels` an integer >= 2 (a boolean or
-    a float is not); anything else raises ValueError.
+    a float is not), t_end a positive number, and the exact solution at
+    t_end, evaluated once before any run, finite numbers of shape
+    (dimension,) by the `systems.number_array` rule; anything else raises
+    ValueError.
     """
     h0 = positive_number(h0, "h0")
     levels = count_number(levels, "levels", 2)
+    t_end = positive_number(problem.t_end, "t_end")
+    shape = (problem.system.dimension,)
+    ref = number_array(problem.exact(t_end), ValueError, "exact solution", shape)
     hs = []
     errs = []
     for k in range(levels):
         h = h0 / (2.0**k)
-        cfg = SolverConfig.for_horizon(h, problem.t_end)
+        cfg = SolverConfig.for_horizon(h, t_end)
         traj = integrate(problem.system, problem.orders, problem.y0, cfg)
-        ref = number_array(problem.exact(problem.t_end), ValueError, "exact solution")
         errs.append(float(np.max(np.abs(traj.final_state - ref))))
         hs.append(h)
     return ConvergenceReport(

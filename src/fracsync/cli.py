@@ -176,11 +176,11 @@ def _grid(cfg, default_t_end):
     """
     h = _read("h", _positive, cfg.pop("h", _DEFAULT_H))
     t_end = _read("t_end", _positive, cfg.pop("t_end", default_t_end))
-    n_steps = _read("t_end", lambda raw: SolverConfig.for_horizon(h, raw).n_steps, t_end)
-    if n_steps > 5_000_000:
-        raise ConfigError("t_end", f"horizon needs {n_steps} steps; reduce t_end or raise h")
+    config = _read("t_end", lambda raw: SolverConfig.for_horizon(h, raw), t_end)
+    if config.n_steps > 5_000_000:
+        raise ConfigError("t_end", f"horizon needs {config.n_steps} steps; reduce t_end or raise h")
     memory = _read("memory", _full, cfg.pop("memory", "full"))
-    return SolverConfig(h, n_steps), {"h": h, "t_end": t_end, "n_steps": n_steps, "memory": memory}
+    return config, {"h": h, "t_end": t_end, "n_steps": config.n_steps, "memory": memory}
 
 
 def _controller(cfg, vp, orders):
@@ -409,7 +409,7 @@ _FLAGS = {
     "h": {"type": float, "help": "step size override"},
     "t_end": {"type": float, "help": "horizon override"},
     "orders": {"type": float, "nargs": "+", "help": "derivative orders override (1 or 3 values)"},
-    "mode": {"choices": ["exact", "literal"], "help": "controller family"},
+    "mode": {"help": "controller family: exact or literal"},
 }
 
 # Subcommand -> (handler, help text, the flags it takes in --help order).
@@ -427,6 +427,8 @@ _COMMANDS = {
 def _outdir(args, cfg: dict) -> Path:
     """The output directory, created once every key of `cfg` has been read."""
     _refuse_leftovers(cfg, args.command)
+    if args.out == "":  # Path("") is the working directory
+        raise ConfigError("out", "expected a directory, got an empty path")
     outdir = Path(args.out) if args.out is not None else Path("out") / args.command
     try:
         outdir.mkdir(parents=True, exist_ok=True)

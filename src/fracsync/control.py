@@ -220,7 +220,7 @@ def coupled_system(
         fm = master_row(t, m)
         return (*fm, *slave_row(m, s, fm))
 
-    return SystemDef(name="coupled", dimension=6, rhs=rhs)
+    return SystemDef(dimension=6, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,28 +16,24 @@ class NonFiniteState(FracsyncError, ArithmeticError):
     ----------
     step : int
         Grid index whose state could not be computed.
-    time : float or None
+    time : float
         Time of that grid index.
-    trajectory : Trajectory or None
+    trajectory : Trajectory
         Valid prefix of the run, ending one step before the failure.
-    component : int or None
+    component : int
         Index of the first state component that was not finite there.
 
     It is also a run's blowup record, and `to_dict` is its report entry;
     the entry holds the step and time only.
     """
 
-    def __init__(self, step, trajectory=None, time=None, component=None):
+    def __init__(self, step, trajectory, time, component):
         self.step = int(step)
         self.trajectory = trajectory
-        self.time = None if time is None else float(time)
-        self.component = None if component is None else int(component)
-        msg = f"state became non-finite at step {self.step}"
-        if time is not None:
-            msg += f" (t = {time:g})"
-        if component is not None:
-            msg += f" in component {self.component}"
-        super().__init__(msg)
+        self.time = float(time)
+        self.component = int(component)
+        where = f"step {self.step} (t = {self.time:g}) in component {self.component}"
+        super().__init__(f"state became non-finite at {where}")
 
     def to_dict(self) -> dict:
         return {"step": self.step, "time": self.time}
@@ -72,12 +68,7 @@ class DegenerateEigenvalue(FracsyncError, ArithmeticError):
 
 
 class ConfigError(FracsyncError, ValueError):
-    """A run configuration failed validation.
-
-    Carries the offending field name so the command line layer can point
-    at it in the error message.
-    """
+    """A run configuration failed validation; the message starts with the offending key."""
 
     def __init__(self, field, message):
-        self.field = field
         super().__init__(f"{field}: {message}")

@@ -121,13 +121,8 @@ CONVERGENCE_LEVELS = 4
 def power_forcing_problem(q: float) -> ConvergenceProblem:
     """Scalar problem D^q y = Gamma(5)/Gamma(5-q) * t^(4-q), solution t^4."""
     c = math.gamma(5.0) / math.gamma(5.0 - q)
-    system = SystemDef(
-        name="power-forcing",
-        dimension=1,
-        rhs=lambda t, y: (c * t ** (4.0 - q),),
-    )
     return ConvergenceProblem(
-        system=system,
+        system=SystemDef(dimension=1, rhs=lambda t, y: (c * t ** (4.0 - q),)),
         orders=(q,),
         y0=(0.0,),
         t_end=1.0,

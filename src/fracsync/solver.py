@@ -59,9 +59,9 @@ class SolverConfig:
 class Trajectory:
     """Uniform-grid solution, optionally with error and control columns.
 
-    It holds at least one grid point, and states, errors and controls
-    (when given) have one row per grid point; anything else raises
-    ValueError.
+    times is a 1-D array of at least one grid point, and states, errors
+    and controls (when given) are arrays with one row per grid point;
+    anything else raises ValueError.
     """
 
     times: np.ndarray
@@ -70,12 +70,18 @@ class Trajectory:
     controls: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not isinstance(self.times, np.ndarray) or self.times.ndim != 1:
+            raise ValueError("times must be a 1-D array")
         n = self.times.shape[0]
         if n == 0:
             raise ValueError("a trajectory needs at least one grid point")
         for name in ("states", "errors", "controls"):
             rows = getattr(self, name)
-            if rows is not None and rows.shape[0] != n:
+            if rows is None and name != "states":
+                continue
+            if not isinstance(rows, np.ndarray) or rows.ndim == 0:
+                raise ValueError(f"{name} must be an array with a first axis")
+            if rows.shape[0] != n:
                 raise ValueError(f"times and {name} must have one row per grid point")
 
     @property

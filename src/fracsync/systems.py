@@ -255,7 +255,7 @@ def financial_equilibria(p: FinancialParams) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class SystemDef:
-    """A named dynamical system ready for integration.
+    """A dynamical system ready for integration: its dimension d and its field.
 
     rhs(t, y) is the only definition of the field that integration uses.
     y is a list of the d components of a state, Python floats, and rhs
@@ -267,35 +267,26 @@ class SystemDef:
     np.asarray(y).
     """
 
-    name: str
     dimension: int
     rhs: Callable[[float, list], Sequence[float]]
 
 
 def financial_system(params: FinancialParams | None = None) -> SystemDef:
     p = params if params is not None else FinancialParams()
-    return SystemDef(
-        name="financial",
-        dimension=3,
-        rhs=lambda t, y: _financial(y, p),
-    )
+    return SystemDef(dimension=3, rhs=lambda t, y: _financial(y, p))
 
 
 def volta_system(params: VoltaParams | None = None) -> SystemDef:
     p = params if params is not None else VoltaParams()
-    return SystemDef(
-        name="volta",
-        dimension=3,
-        rhs=lambda t, y: _volta(y, p),
-    )
+    return SystemDef(dimension=3, rhs=lambda t, y: _volta(y, p))
 
 
-def zero_system(dimension: int = 3) -> SystemDef:
-    """Field that is identically zero; a diagnostic stub over `dimension` components."""
+def zero_system() -> SystemDef:
+    """Field that is identically zero on three components; a diagnostic stub."""
 
     def rhs(t, y):
-        if len(y) != dimension:
-            raise ValueError(f"state must have {dimension} components, got {len(y)}")
-        return np.zeros((dimension, *np.shape(y[0])))  # one row per component
+        if len(y) != 3:
+            raise ValueError(f"state must have 3 components, got {len(y)}")
+        return np.zeros((3, *np.shape(y[0])))  # one row per component
 
-    return SystemDef(name="zero", dimension=dimension, rhs=rhs)
+    return SystemDef(dimension=3, rhs=rhs)

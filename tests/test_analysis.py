@@ -1,5 +1,6 @@
 """Mittag-Leffler evaluation, settling detection, refinement diagnostics."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -262,7 +263,7 @@ class TestPredictedError:
     def test_matches_solver_on_scalar_loop(self):
         # D^q e = -e integrated numerically against the closed form
         q = 0.9
-        system = SystemDef(name="loop", dimension=1, rhs=lambda t, y: (-y[0],))
+        system = SystemDef(dimension=1, rhs=lambda t, y: (-y[0],))
         cfg = SolverConfig.for_horizon(h=1e-3, t_end=1.0)
         traj = integrate(system, q, [1.0], cfg)
         expect = predicted_error(np.array([1.0]), (q,), 1.0)[0]
@@ -353,6 +354,20 @@ class TestSyncTime:
         with pytest.raises(ValueError, match="times and controls must have one row per grid point"):
             Trajectory(times=np.arange(3.0), states=np.zeros((3, 6)), errors=np.zeros((3, 3)),
                        controls=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "columns, match",
+        [
+            ({"times": [0.0, 1.0], "states": np.zeros((2, 3))}, "times must be a 1-D array"),
+            ({"times": np.array(5.0), "states": np.zeros((1, 3))}, "times must be a 1-D array"),
+            ({"times": np.arange(2.0), "states": np.zeros((2, 3)), "errors": [[1.0], [0.0]]},
+             "errors must be an array with a first axis"),
+        ],
+        ids=["list-times", "0-d-times", "list-errors"],
+    )
+    def test_columns_that_are_not_arrays_are_refused(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            Trajectory(**columns)
 
     def test_empty_trajectory_is_refused(self):
         # sync_time and divergence_factor read row 0 and the last row.
@@ -510,7 +525,6 @@ class TestRefinementStudy:
         q = 0.5
         c = math.gamma(5.0) / math.gamma(5.0 - q)
         system = SystemDef(
-            name="power-coupled",
             dimension=1,
             rhs=lambda t, y: np.array([c * t ** (4.0 - q) + y[0] - t**4.0]),
         )
@@ -519,6 +533,31 @@ class TestRefinementStudy:
         )
         report = convergence_order(problem, 1.0 / 32.0, 4)
         assert all(1.3 <= v <= 1.8 for v in report.orders)
+
+    def test_exact_solution_is_evaluated_once(self):
+        base = power_forcing_problem(0.5)
+        calls = []
+
+        def exact(t):
+            calls.append(t)
+            return base.exact(t)
+
+        report = convergence_order(dataclasses.replace(base, exact=exact), 1.0 / 32.0, 4)
+        assert calls == [1.0]
+        assert report == convergence_order(base, 1.0 / 32.0, 4)
+        # t_end is checked first, so the exact solution never sees a bad one.
+        with pytest.raises(ValueError, match="t_end must be a number"):
+            convergence_order(dataclasses.replace(base, t_end="1", exact=exact), 1.0 / 32.0, 4)
+        assert calls == [1.0]
+
+    def test_exact_solution_of_another_shape_is_refused(self):
+        # A (2,) exact solution of a 1-D problem used to broadcast against the state.
+        problem = dataclasses.replace(
+            power_forcing_problem(0.5), exact=lambda t: np.array([t**4.0, t**4.0])
+        )
+        match = r"exact solution must have shape \(1,\), got shape \(2,\)"
+        with pytest.raises(ValueError, match=match):
+            convergence_order(problem, 1.0 / 32.0, 4)
 
     def test_rejects_single_level(self):
         with pytest.raises(ValueError):

@@ -679,6 +679,21 @@ class TestLeftoverKeys:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("given", ["flag", "key"])
+@pytest.mark.parametrize("command", ["synchronize", "stability"])
+def test_bad_mode_is_checked_where_the_controller_is_read(tmp_path, capsys, command, given):
+    # One check, in cli._controller, for the flag as for the config key.
+    out = tmp_path / "never"
+    if given == "flag":
+        argv = ["--mode", "bogus"]
+    else:
+        argv = ["--config", _write_config(tmp_path, {"mode": "bogus"})]
+    assert _run(command, *argv, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: mode: expected 'exact' or 'literal', got 'bogus'\n"
+    assert not out.exists()
+
+
 class TestOutputDirectory:
     # An --out that cannot be a directory is a config error, and nothing is written.
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
@@ -690,6 +705,16 @@ class TestOutputDirectory:
         assert f"config error: out: cannot create directory {out}" in capsys.readouterr().err
         assert blocker.read_text() == "keep"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+    @pytest.mark.parametrize("command", ["stability", "simulate"])
+    def test_empty_path_is_refused(self, tmp_path, capsys, monkeypatch, command):
+        # Path("") is the working directory, which an unset shell variable would fill.
+        monkeypatch.chdir(tmp_path)
+        argv = SHORT_RUNS[command][0]
+        assert _run(command, *argv, "--out", "") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: out: expected a directory, got an empty path\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # Short argv for each subcommand, and the artifacts it writes in order.

@@ -302,7 +302,7 @@ class TestCoupledSystem:
 
     def test_folded_exact_law_tracks_unfolded_run(self):
         controller = ExactCancellation()
-        unfolded = SystemDef("unfolded", 6, lambda t, y: _unfolded_rhs(controller, np.array(y)))
+        unfolded = SystemDef(6, lambda t, y: _unfolded_rhs(controller, np.array(y)))
         cfg = SolverConfig(h=0.005, n_steps=200)
         a = integrate(coupled_system(FP, VP, controller), 0.99, Y0, cfg)
         b = integrate(unfolded, 0.99, Y0, cfg)

@@ -59,7 +59,7 @@ def _on_arrays(system):
 FUNCTIONS = {
     "financial_rhs": (3, partial(field_on, financial_system(FP))),
     "volta_rhs": (3, partial(field_on, volta_system(VP))),
-    "zero": (3, _on_arrays(zero_system(3))),
+    "zero": (3, _on_arrays(zero_system())),
     "control_exact": (6, lambda y: control_exact(y[..., :3], y[..., 3:], FP, VP, LAM)),
     "control_literal": (6, lambda y: control_literal(y[..., :3], y[..., 3:], FP, VP, GAIN)),
     "coupled_exact": (6, _on_arrays(coupled_system(FP, VP, ExactCancellation(LAM)))),
@@ -142,7 +142,7 @@ def test_wrong_last_axis_raises(shape):
     calls = (
         lambda: field_on(financial_system(FP), bad),
         lambda: field_on(volta_system(VP), bad),
-        lambda: zero_system(3).rhs(0.0, _components(bad)),
+        lambda: zero_system().rhs(0.0, _components(bad)),
         lambda: control_exact(bad, bad, FP, VP, LAM),
         lambda: control_literal(bad, bad, FP, VP, GAIN),
     )

@@ -35,8 +35,8 @@ from fracsync.errors import InvalidOrder, NonFiniteState
 from fracsync.experiments import run_simulation, run_synchronization
 
 
-def _scalar_system(name, fn):
-    return SystemDef(name=name, dimension=1, rhs=fn)
+def _scalar_system(fn):
+    return SystemDef(dimension=1, rhs=fn)
 
 
 def _on_arrays(rhs):
@@ -146,14 +146,14 @@ class TestExactness:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.85, 1.0])
     def test_constant_field_first_step(self, q):
         c = 0.7
-        system = _scalar_system("const", lambda t, y: np.array([c]))
+        system = _scalar_system(lambda t, y: np.array([c]))
         h = 0.02
         traj = integrate(system, q, [1.5], SolverConfig(h=h, n_steps=1))
         expect = 1.5 + c * h**q / math.gamma(q + 1.0)
         assert abs(traj.states[1, 0] - expect) <= 1e-14
 
     def test_grid_and_initial_state(self):
-        system = _scalar_system("decay", lambda t, y: (-y[0],))
+        system = _scalar_system(lambda t, y: (-y[0],))
         cfg = SolverConfig(h=0.01, n_steps=50)
         traj = integrate(system, 0.9, [2.0], cfg)
         assert traj.n_points == 51
@@ -166,19 +166,19 @@ class TestAccuracy:
     @pytest.mark.parametrize("q,tol", [(0.5, 5e-4), (1.0, 1e-3)])
     def test_power_forcing_recovers_quartic(self, q, tol):
         g = math.gamma(5.0) / math.gamma(5.0 - q)
-        system = _scalar_system("power", lambda t, y: np.array([g * t ** (4.0 - q)]))
+        system = _scalar_system(lambda t, y: np.array([g * t ** (4.0 - q)]))
         cfg = SolverConfig.for_horizon(h=1.0 / 64.0, t_end=1.0)
         traj = integrate(system, q, [0.0], cfg)
         assert abs(traj.states[-1, 0] - 1.0) <= tol
 
     def test_unit_order_decay_matches_exponential(self):
-        system = _scalar_system("decay", lambda t, y: (-y[0],))
+        system = _scalar_system(lambda t, y: (-y[0],))
         cfg = SolverConfig.for_horizon(h=1e-3, t_end=1.0)
         traj = integrate(system, 1.0, [1.0], cfg)
         assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 1e-5
 
     def test_matches_reference_scalar(self):
-        system = _scalar_system("affine", lambda t, y: (t - y[0],))
+        system = _scalar_system(lambda t, y: (t - y[0],))
         cfg = SolverConfig(h=0.01, n_steps=100)
         traj = integrate(system, 0.6, [1.0], cfg)
         ref = _reference_abm(system.rhs, 0.6, [1.0], 0.01, 100)
@@ -195,7 +195,7 @@ class TestAccuracy:
 
 class TestClassicalLimit:
     def test_scalar_unit_order_agrees_per_step(self):
-        system = _scalar_system("decay", lambda t, y: (-y[0],))
+        system = _scalar_system(lambda t, y: (-y[0],))
         cfg = SolverConfig(h=0.01, n_steps=100)
         frac = integrate(system, 1.0, [1.0], cfg)
         classical = _classical_pece(system.rhs, [1.0], cfg.h, cfg.n_steps)
@@ -357,7 +357,7 @@ class TestDeterminism:
 
         cfg = SolverConfig(h=0.002, n_steps=150)
         plain = integrate(field, 0.99, [2.0, -1.0, 1.0], cfg)
-        outer = integrate(SystemDef("nested", 3, nested), 0.99, [2.0, -1.0, 1.0], cfg)
+        outer = integrate(SystemDef(3, nested), 0.99, [2.0, -1.0, 1.0], cfg)
         assert np.array_equal(outer.states, plain.states)
 
 
@@ -375,8 +375,13 @@ class TestFailurePaths:
         assert err.time == pytest.approx(err.step * 0.01)
         assert "non-finite" in str(err)
 
+    def test_blowup_record_is_always_complete(self):
+        # Integration always knows the prefix, the time and the component.
+        with pytest.raises(TypeError):
+            NonFiniteState(5)
+
     def test_runaway_generic_system(self):
-        system = _scalar_system("quad", lambda t, y: (y[0] * y[0],))
+        system = _scalar_system(lambda t, y: (y[0] * y[0],))
         with pytest.raises(NonFiniteState) as info:
             integrate(system, 1.0, [10.0], SolverConfig(h=0.1, n_steps=200))
         assert np.all(np.isfinite(info.value.trajectory.states))
@@ -396,7 +401,7 @@ class TestFailurePaths:
             return (y[0] * y[0],)
 
         with pytest.raises(NonFiniteState) as info:
-            solve(_scalar_system("quad", quad), SolverConfig(h=0.01, n_steps=300))
+            solve(_scalar_system(quad), SolverConfig(h=0.01, n_steps=300))
         # It stops at the non-finite predictor of row 106: one call for f_0,
         # then two a step, none after the failure.
         assert len(calls) == 1 + 2 * 105
@@ -419,7 +424,7 @@ class TestFailurePaths:
             return (math.inf,) if t > 0.5 else (-y[0],)
 
         with pytest.raises(NonFiniteState) as info:
-            solve(_scalar_system("cliff", cliff), SolverConfig(h=0.01, n_steps=100))
+            solve(_scalar_system(cliff), SolverConfig(h=0.01, n_steps=100))
         # f_0, two calls for each of the 50 finished steps, then the predicted
         # state of the failing one.
         assert len(calls) == 1 + 2 * 50 + 1
@@ -441,7 +446,7 @@ class TestFailurePaths:
             calls.append(t)
             return (-y[0],)
 
-        solve(_scalar_system("relax", relax), SolverConfig(h=0.01, n_steps=n_steps))
+        solve(_scalar_system(relax), SolverConfig(h=0.01, n_steps=n_steps))
         assert len(calls) == 2 * n_steps
 
     # The driver at q = 0.9.
@@ -458,7 +463,7 @@ class TestFailurePaths:
             calls.append(t)
             return (-y[0],)
 
-        system = SystemDef(name="narrow", dimension=3, rhs=narrow)
+        system = SystemDef(dimension=3, rhs=narrow)
         match = r"rhs returned shape \(1,\) for a state of shape \(3,\)"
         with pytest.raises(ValueError, match=match):
             solve(system, [1.0, 2.0, 3.0], SolverConfig(h=0.01, n_steps=10))
@@ -466,7 +471,7 @@ class TestFailurePaths:
 
     @FRACTIONAL_DRIVER
     def test_zero_dimensional_rhs_is_refused(self, solve):
-        system = _scalar_system("scalar", lambda t, y: -y[0])
+        system = _scalar_system(lambda t, y: -y[0])
         match = r"rhs returned shape \(\) for a state of shape \(1,\)"
         with pytest.raises(ValueError, match=match):
             solve(system, [1.0], SolverConfig(h=0.01, n_steps=10))
@@ -541,7 +546,7 @@ class TestFieldContract:
     @pytest.mark.parametrize("kind", [tuple, list, np.array])
     def test_tuple_list_and_array_values_give_the_same_bits(self, kind):
         field = financial_system().rhs
-        system = SystemDef("wrapped", 3, lambda t, y: kind(field(t, y)))
+        system = SystemDef(3, lambda t, y: kind(field(t, y)))
         plain = integrate(financial_system(), self.ORDERS, self.Y0, self.CFG)
         assert np.array_equal(integrate(system, self.ORDERS, self.Y0, self.CFG).states, plain.states)
 
@@ -553,7 +558,7 @@ class TestFieldContract:
             kept.append((y, list(y)))
             return field(t, y)
 
-        traj = integrate(SystemDef("keeping", 3, keeping), self.ORDERS, self.Y0, self.CFG)
+        traj = integrate(SystemDef(3, keeping), self.ORDERS, self.Y0, self.CFG)
         # f_0, then the predicted and the corrected state of each step but the last.
         assert len(kept) == 2 * self.CFG.n_steps
         assert len({id(y) for y, _ in kept}) == len(kept)
@@ -573,7 +578,7 @@ class TestFieldContract:
 
         match = f"rhs returned {length} components for a state of 3"
         with pytest.raises(ValueError, match=match):
-            integrate(SystemDef("faulty", 3, faulty), self.ORDERS, self.Y0, self.CFG)
+            integrate(SystemDef(3, faulty), self.ORDERS, self.Y0, self.CFG)
         assert len(calls) == bad_call
 
 

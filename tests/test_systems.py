@@ -8,6 +8,7 @@ import pytest
 from fracsync import (
     FinancialParams,
     FractionalOrders,
+    SystemDef,
     VoltaParams,
     financial_equilibria,
     financial_jacobian,
@@ -262,3 +263,17 @@ class TestSystemBuilders:
     def test_zero_system_field_vanishes(self):
         sysdef = zero_system()
         assert np.array_equal(sysdef.rhs(1.0, np.array([3.0, -2.0, 5.0])), np.zeros(3))
+
+    def test_zero_system_takes_no_dimension(self):
+        with pytest.raises(TypeError):
+            zero_system(3)
+
+    def test_a_system_is_its_dimension_and_field(self):
+        def rhs(t, y):
+            return (-y[0],)
+
+        assert [f.name for f in dataclasses.fields(SystemDef)] == ["dimension", "rhs"]
+        with pytest.raises(TypeError):
+            SystemDef(name="x", dimension=1, rhs=rhs)
+        with pytest.raises(TypeError):
+            SystemDef("x", 1, rhs)
