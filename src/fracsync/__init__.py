@@ -23,11 +23,7 @@ _PUBLIC = {
         "chaos_threshold", "closed_loop_error_matrix", "control_exact", "control_literal",
         "coupled_system", "eigen3", "gain_matrix_default", "matignon_check",
     ),
-    "errors": (
-        "ConfigError", "DegenerateEigenvalue", "DegenerateParameters", "DomainExceeded",
-        "FracsyncError", "GridMismatch", "InvalidGain", "InvalidOrder", "MissingErrors",
-        "NonFiniteState", "ZeroInitialSeparation",
-    ),
+    "errors": ("ConfigError", "FracsyncError", "InvalidInput", "NonFiniteState"),
     "solver": ("SolverConfig", "Trajectory", "integrate", "weights_a", "weights_b"),
     "systems": (
         "FINANCIAL_CHAOS_ONSET_REFERENCE", "FinancialParams", "FractionalOrders", "SystemDef",

@@ -21,12 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainExceeded,
-    GridMismatch,
-    MissingErrors,
-    ZeroInitialSeparation,
-)
+from .errors import InvalidInput
 from .solver import SolverConfig, Trajectory, integrate
 from .systems import SystemDef, count_number, number_array, order_array, positive_number
 
@@ -92,22 +87,21 @@ def mittag_leffler(q: float, z: float) -> float:
     integrand evaluations (well under 1 ms) for q up to 0.999; the peak's
     panels grow with log(1/(1 - q)) beyond, to about 220 next to q = 1.
     A z above -2^-56 returns 1.0, the correctly rounded value. Raises
-    InvalidOrder for a q that is not a number in (0, 1]
-    (`systems.order_array`), and DomainExceeded for a z outside [-30, 0],
-    for a z that is not a finite real number, and for a subnormal q
-    (1/q overflows).
+    InvalidInput for a q that is not a number in (0, 1]
+    (`systems.order_array`), for a z outside [-30, 0] or not a finite real
+    number, and for a subnormal q (1/q overflows).
     """
     q = float(order_array(q, ()))
-    z = float(number_array(z, DomainExceeded, "argument", ()))
+    z = float(number_array(z, "argument", ()))
     if not -_MAX_ABS_ARG <= z <= 0.0:
-        raise DomainExceeded(f"z = {z:g} lies outside the supported domain [-{_MAX_ABS_ARG:g}, 0]")
+        raise InvalidInput(f"z = {z:g} lies outside the supported domain [-{_MAX_ABS_ARG:g}, 0]")
     x = -z
     if x < _UNIT_ARG:
         return 1.0
     if q == 1.0:
         return math.exp(z)
     if q < sys.float_info.min:
-        raise DomainExceeded(f"order {q!r} is subnormal: 1/q overflows float64")
+        raise InvalidInput(f"order {q!r} is subnormal: 1/q overflows float64")
     sin_q = math.sin(math.pi * min(q, 1.0 - q))  # exact-argument form near q = 1
     cos_q = math.cos(math.pi * q)
     c = -x * cos_q
@@ -134,14 +128,14 @@ def predicted_error(e0, orders, t: float) -> np.ndarray:
 
     e0 is an array of finite numbers of any shape and t a finite number
     >= 0, both under the `systems.number_array` rule, which raises
-    ValueError for strings, booleans, None, NaN, infinities and ragged
+    InvalidInput for strings, booleans, None, NaN, infinities and ragged
     lists. The orders are broadcast to the shape of e0
     (`systems.order_array`), and the result has that shape.
     """
-    t = float(number_array(t, ValueError, "time", ()))
+    t = float(number_array(t, "time", ()))
     if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
-    e0 = number_array(e0, ValueError, "e0")
+        raise InvalidInput(f"time must be nonnegative, got {t!r}")
+    e0 = number_array(e0, "e0")
     q = order_array(orders, e0.shape)
     terms = [e * mittag_leffler(v, -(t**v)) for e, v in zip(e0.flat, q.flat)]
     return np.array(terms).reshape(e0.shape)
@@ -151,7 +145,7 @@ def predicted_error(e0, orders, t: float) -> np.ndarray:
 class SyncSummary:
     """First time the error norm stays under tol, plus the final errors.
 
-    A NaN final error raises DomainExceeded, as in `sync_time`, wherever it
+    A NaN final error raises InvalidInput, as in `sync_time`, wherever it
     sits; an infinite one is a violation of tol.
     """
 
@@ -162,7 +156,7 @@ class SyncSummary:
     def __post_init__(self):
         nan = [i for i, v in enumerate(self.final_errors) if math.isnan(v)]
         if nan:
-            raise DomainExceeded(f"final error is NaN at component {nan[0]}")
+            raise InvalidInput(f"final error is NaN at component {nan[0]}")
 
     @property
     def final_max_error(self) -> float:
@@ -182,23 +176,31 @@ class SyncSummary:
         }
 
 
+def _columns(rows: np.ndarray, name: str) -> np.ndarray:
+    """`rows` if it is 2-D with at least one column; InvalidInput naming `name` otherwise."""
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise InvalidInput(f"{name} must be rows of at least one column, got shape {rows.shape}")
+    return rows
+
+
 def sync_time(traj: Trajectory, tol: float) -> SyncSummary:
     """Earliest grid time after which max_i |e_i| stays below tol for good.
 
     sync_time is None when the last grid point still violates the
-    threshold; a trajectory that never violates it reports time zero. tol
-    must be a positive number (`systems.positive_number`): a string, a
-    boolean, NaN, an infinity or an array raises ValueError. An infinite
-    error is a violation; a NaN error raises DomainExceeded naming the
-    first grid index that holds one.
+    threshold; a trajectory that never violates it reports time zero. The
+    errors must be a 2-D array of one row per grid point and at least one
+    column, and tol a positive number (`systems.positive_number`): a
+    string, a boolean, NaN, an infinity or an array raises InvalidInput. An infinite error is a violation; a NaN
+    error raises InvalidInput naming the first grid index that holds one.
     """
     if traj.errors is None:
-        raise MissingErrors("trajectory carries no error columns")
+        raise InvalidInput("trajectory carries no error columns")
+    errors = _columns(traj.errors, "errors")
     tol = positive_number(tol, "tol")
-    sup = np.max(np.abs(traj.errors), axis=1)
+    sup = np.max(np.abs(errors), axis=1)
     nan = np.flatnonzero(np.isnan(sup))
     if nan.size:
-        raise DomainExceeded(f"error is NaN at grid index {nan[0]}")
+        raise InvalidInput(f"error is NaN at grid index {nan[0]}")
     above = np.flatnonzero(sup >= tol)
     if above.size == 0:
         t_star: Optional[float] = float(traj.times[0])
@@ -206,7 +208,7 @@ def sync_time(traj: Trajectory, tol: float) -> SyncSummary:
         t_star = None
     else:
         t_star = float(traj.times[above[-1] + 1])
-    final = tuple(float(v) for v in traj.errors[-1])
+    final = tuple(float(v) for v in errors[-1])
     return SyncSummary(sync_time=t_star, final_errors=final, tol=tol)
 
 
@@ -217,24 +219,25 @@ def divergence_factor(a: Trajectory, b: Trajectory) -> float:
     exact to rounding whenever it is a finite float: a separation of
     1e-200 or 1e160 is not squared out of range. A separation that is
     not finite, from a non-finite state or from a difference or norm that
-    overflows, raises DomainExceeded, and so does a ratio that overflows.
+    overflows, raises InvalidInput, and so does a ratio that overflows.
+    Both trajectories must share their grid and their state shape, a 2-D
+    array of at least one column, and start apart.
     """
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
-        raise GridMismatch("trajectories do not share a time grid")
+        raise InvalidInput("trajectories do not share a time grid")
     if a.states.shape != b.states.shape:
-        raise GridMismatch(
-            f"state shapes differ: {a.states.shape} vs {b.states.shape}"
-        )
+        raise InvalidInput(f"state shapes differ: {a.states.shape} vs {b.states.shape}")
+    _columns(a.states, "states")
     with np.errstate(over="ignore", invalid="ignore"):
         sep = np.hypot.reduce(a.states - b.states, axis=1)
     bad = np.flatnonzero(~np.isfinite(sep))
     if bad.size:
-        raise DomainExceeded(f"separation is not finite at grid index {bad[0]}")
+        raise InvalidInput(f"separation is not finite at grid index {bad[0]}")
     top, first = float(np.max(sep)), float(sep[0])
     if first == 0.0:
-        raise ZeroInitialSeparation("trajectories start from the same state")
+        raise InvalidInput("trajectories start from the same state")
     if top / first == math.inf:  # a Python float quotient overflows to inf without a warning
-        raise DomainExceeded(f"divergence factor {top!r} / {first!r} overflows float64")
+        raise InvalidInput(f"divergence factor {top!r} / {first!r} overflows float64")
     return top / first
 
 
@@ -267,20 +270,20 @@ def empirical_orders(errors: Sequence[float]) -> tuple:
     """log2 ratios of successive errors from a halving-step refinement.
 
     `errors` must be a list of at least two positive numbers by the
-    `systems.number_array` rule; anything else raises ValueError. A ratio
-    of successive errors that leaves the float range, 0 (1e-320 then
+    `systems.number_array` rule; anything else raises InvalidInput. A
+    ratio of successive errors that leaves the float range, 0 (1e-320 then
     1e300) or inf (1e308 then 1e-308), has no finite log2 and raises
-    DomainExceeded naming its pair.
+    InvalidInput naming its pair.
     """
-    arr = number_array(errors, ValueError, "errors")
+    arr = number_array(errors, "errors")
     if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"need a list of at least two error values, got shape {arr.shape}")
+        raise InvalidInput(f"need a list of at least two error values, got shape {arr.shape}")
     errs = arr.tolist()
     if any(e <= 0.0 for e in errs):
-        raise ValueError("errors must be positive to take ratios")
+        raise InvalidInput("errors must be positive to take ratios")
     for i, (a, b) in enumerate(zip(errs, errs[1:])):
         if a / b in (0.0, math.inf):
-            raise DomainExceeded(f"error ratio {a!r} / {b!r} of pair {i} leaves the float range")
+            raise InvalidInput(f"error ratio {a!r} / {b!r} of pair {i} leaves the float range")
     return tuple(math.log2(a / b) for a, b in zip(errs, errs[1:]))
 
 
@@ -293,13 +296,13 @@ def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> Co
     a float is not), t_end a positive number, and the exact solution at
     t_end, evaluated once before any run, finite numbers of shape
     (dimension,) by the `systems.number_array` rule; anything else raises
-    ValueError.
+    InvalidInput.
     """
     h0 = positive_number(h0, "h0")
     levels = count_number(levels, "levels", 2)
     t_end = positive_number(problem.t_end, "t_end")
     shape = (problem.system.dimension,)
-    ref = number_array(problem.exact(t_end), ValueError, "exact solution", shape)
+    ref = number_array(problem.exact(t_end), "exact solution", shape)
     hs = []
     errs = []
     for k in range(levels):

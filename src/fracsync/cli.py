@@ -33,7 +33,7 @@ import numpy as np
 
 from . import control as ctl
 from . import experiments
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 from .solver import SolverConfig
 from .systems import (
     FINANCIAL_CHAOS_ONSET_REFERENCE,
@@ -114,7 +114,7 @@ def _read(key, build, raw):
 
 
 def _number(raw) -> float:
-    return float(number_array(raw, ValueError, "value", ()))
+    return float(number_array(raw, "value", ()))
 
 
 def _positive(raw) -> float:
@@ -122,7 +122,7 @@ def _positive(raw) -> float:
 
 
 def _vec3(raw) -> list:
-    return number_array(raw, ValueError, "value", (3,)).tolist()
+    return number_array(raw, "value", (3,)).tolist()
 
 
 def _orders(raw) -> FractionalOrders:
@@ -133,14 +133,14 @@ def _orders(raw) -> FractionalOrders:
 
 def _full(raw) -> str:
     if raw != "full":
-        raise ValueError(f"expected 'full', the one history policy, got {raw!r}")
+        raise InvalidInput(f"expected 'full', the one history policy, got {raw!r}")
     return raw
 
 
 def _matrix(raw) -> np.ndarray:
     """3x3 matrix given as three rows or as the flat list of nine numbers."""
     shape = (9,) if np.ndim(raw) == 1 else (3, 3)
-    return number_array(raw, ValueError, "value", shape).reshape(3, 3)
+    return number_array(raw, "value", shape).reshape(3, 3)
 
 
 def _params(cfg, key, cls):

@@ -41,7 +41,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateEigenvalue, DomainExceeded, InvalidGain
+from .errors import InvalidInput
 from .systems import (FinancialParams, SystemDef, VoltaParams, componentwise, financial_system,
                       number_array, order_array, volta_system)
 
@@ -51,7 +51,7 @@ def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
 
     `gain` must be a 3x3 array of finite numbers (`systems.number_array`),
     and its sum with the linear part of the error dynamics must be finite
-    too: anything else raises InvalidGain.
+    too: anything else raises InvalidInput.
     """
     # Linear part of the error dynamics before feedback is added.
     base = np.array(
@@ -62,9 +62,9 @@ def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
         ]
     )
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        matrix = base + number_array(gain, InvalidGain, "gain", (3, 3))
+        matrix = base + number_array(gain, "gain", (3, 3))
     if not np.isfinite(matrix).all():
-        raise InvalidGain(f"the design matrix overflows float64: {matrix.tolist()}")
+        raise InvalidInput(f"the design matrix overflows float64: {matrix.tolist()}")
     return matrix
 
 
@@ -80,7 +80,7 @@ def gain_matrix_default(p: VoltaParams) -> np.ndarray:
 
 def control_literal(master, slave, fp: FinancialParams, vp: VoltaParams, gain) -> np.ndarray:
     """Algebraic control law plus linear error feedback; shapes (..., 3)."""
-    gain = number_array(gain, InvalidGain, "gain", (3, 3)).tolist()
+    gain = number_array(gain, "gain", (3, 3)).tolist()
     return componentwise(lambda m, s: _literal(m, s, fp, vp, gain), master, slave)
 
 
@@ -113,13 +113,13 @@ def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> n
 
 def _check_lambda(lam) -> np.ndarray:
     # One rate, as a number or a one-element list, is used for all three components.
-    arr = number_array(lam, InvalidGain, "lam")
+    arr = number_array(lam, "lam")
     if arr.shape in ((), (1,)):
         arr = np.full(3, arr.item())
     if arr.shape != (3,):
-        raise InvalidGain(f"lam must give 3 rates, got shape {arr.shape}")
+        raise InvalidInput(f"lam must give 3 rates, got shape {arr.shape}")
     if np.any(arr >= 0.0):
-        raise InvalidGain(f"every error rate must be negative, got {arr.tolist()}")
+        raise InvalidInput(f"every error rate must be negative, got {arr.tolist()}")
     return arr
 
 
@@ -166,7 +166,7 @@ class LiteralFeedback:
 
     def __post_init__(self):
         if self.gain is not None:
-            arr = number_array(self.gain, InvalidGain, "gain", (3, 3))
+            arr = number_array(self.gain, "gain", (3, 3))
             object.__setattr__(self, "gain", tuple(tuple(float(v) for v in row) for row in arr))
 
     def gain_array(self, vp: VoltaParams) -> np.ndarray:
@@ -208,7 +208,8 @@ def coupled_system(
     """Six-dimensional driven pair as an integrable system: F(m), then G(s) + u.
 
     Its rhs takes the six components master then slave, floats or
-    equal-shape arrays, and returns six; any other count raises ValueError.
+    equal-shape arrays, and returns six; any other count raises Python's
+    unpacking ValueError, unchecked.
     """
     # Both rows are bound once here, so the right-hand side does not
     # dispatch on the controller at every call.
@@ -236,12 +237,12 @@ def eigen3(matrix) -> np.ndarray:
     0 and complex roots come as exact conjugates, the lower one first.
     `matrix` must be a 3x3 array of finite numbers (`systems.number_array`):
     strings, booleans, None, NaN, infinities, ragged lists and any other
-    shape raise ValueError. A finite matrix whose spectrum overflows
-    float64 raises DomainExceeded, a ValueError as well.
+    shape raise InvalidInput, and so does a finite matrix whose spectrum
+    overflows float64.
     """
-    lams = np.sort_complex(np.linalg.eigvals(number_array(matrix, ValueError, "matrix", (3, 3))))
+    lams = np.sort_complex(np.linalg.eigvals(number_array(matrix, "matrix", (3, 3))))
     if not np.isfinite(lams).all():
-        raise DomainExceeded(f"the spectrum overflows float64: {lams.tolist()}")
+        raise InvalidInput(f"the spectrum overflows float64: {lams.tolist()}")
     return lams
 
 
@@ -287,8 +288,8 @@ def matignon_check(matrix, orders) -> StabilityReport:
 
     `orders` is a `FractionalOrders`, a number or 3 numbers, each finite
     and in (0, 1]; a number gives all three thresholds. Anything else
-    raises InvalidOrder (see `systems.order_array`). `matrix` follows
-    `eigen3`'s rule and raises ValueError. A spectrum containing
+    raises InvalidInput (see `systems.order_array`). `matrix` follows
+    `eigen3`'s rule and raises InvalidInput. A spectrum containing
     a numerically zero eigenvalue has no usable argument; the report is
     then flagged degenerate and not satisfied.
     """
@@ -312,10 +313,10 @@ def chaos_threshold(matrix) -> float:
     """Order below which the argument criterion holds for `matrix`.
 
     Equals `StabilityReport.chaos_threshold` of `matignon_check(matrix, 1)`.
-    Raises ValueError for a matrix `eigen3` refuses, and
-    DegenerateEigenvalue when the spectrum touches zero.
+    Raises InvalidInput for a matrix `eigen3` refuses, and when the
+    spectrum touches zero.
     """
     threshold = matignon_check(matrix, 1.0).chaos_threshold
     if threshold is None:
-        raise DegenerateEigenvalue("spectrum touches zero; no argument threshold exists")
+        raise InvalidInput("spectrum touches zero; no argument threshold exists")
     return threshold

@@ -5,8 +5,8 @@ class FracsyncError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidOrder(FracsyncError, ValueError):
-    """A fractional derivative order lies outside the supported interval (0, 1]."""
+class InvalidInput(FracsyncError, ValueError):
+    """An input the package refuses; the message names the refused argument."""
 
 
 class NonFiniteState(FracsyncError, ArithmeticError):
@@ -37,34 +37,6 @@ class NonFiniteState(FracsyncError, ArithmeticError):
 
     def to_dict(self) -> dict:
         return {"step": self.step, "time": self.time}
-
-
-class DegenerateParameters(FracsyncError, ValueError):
-    """Parameter values for which a requested closed form does not exist."""
-
-
-class InvalidGain(FracsyncError, ValueError):
-    """A feedback gain that cannot yield a decaying error system."""
-
-
-class DomainExceeded(FracsyncError, ValueError):
-    """An argument is outside the supported domain, or the result overflows float64."""
-
-
-class MissingErrors(FracsyncError, ValueError):
-    """A trajectory lacks the error columns an analysis routine needs."""
-
-
-class GridMismatch(FracsyncError, ValueError):
-    """Two trajectories do not share the same time grid or shape."""
-
-
-class ZeroInitialSeparation(FracsyncError, ValueError):
-    """Two trajectories start from identical states, so no separation ratio exists."""
-
-
-class DegenerateEigenvalue(FracsyncError, ArithmeticError):
-    """An eigenvalue at (or numerically indistinguishable from) zero has no argument."""
 
 
 class ConfigError(FracsyncError, ValueError):

@@ -26,7 +26,7 @@ from .analysis import (
     convergence_order,
     sync_time,
 )
-from .errors import NonFiniteState
+from .errors import InvalidInput, NonFiniteState
 from .solver import SolverConfig, Trajectory, integrate
 from .systems import (
     FinancialParams,
@@ -59,8 +59,8 @@ SYSTEMS = {
 
 
 def build_system(name: str, fp: FinancialParams, vp: VoltaParams) -> SystemDef:
-    if name not in SYSTEMS:
-        raise ValueError(f"unknown system {name!r}")
+    if not isinstance(name, str) or name not in SYSTEMS:
+        raise InvalidInput(f"system must be one of {', '.join(SYSTEMS)}, got {name!r}")
     return SYSTEMS[name][0](fp, vp)
 
 
@@ -90,7 +90,7 @@ def run_synchronization(
     q = order_array(orders, (3,))
     positive_number(tol, "tol")  # sync_time's check, made before the run rather than after it
     system = ctl.coupled_system(fp, vp, controller)
-    states = [number_array(s, ValueError, "initial state", (3,)) for s in (master0, slave0)]
+    states = [number_array(s, "initial state", (3,)) for s in (master0, slave0)]
     y0 = np.concatenate(states)
     # Master and slave components share the same three orders.
     traj, blowup = _integrate(system, np.tile(q, 2), y0, config)

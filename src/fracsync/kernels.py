@@ -51,6 +51,8 @@ import operator
 
 import numpy as np
 
+from .errors import InvalidInput
+
 # ---------------------------------------------------------------------------
 # Weight kernels, shared by the public weight functions and the driver.
 # ---------------------------------------------------------------------------
@@ -105,10 +107,6 @@ def first_panel_weights(q: float, steps) -> np.ndarray:
 def _first_nonfinite(values) -> int:
     """Index of the first non-finite number in `values`, which holds one."""
     return [math.isfinite(v) for v in values].index(False)
-
-
-def _length_error(f, d) -> ValueError:
-    return ValueError(f"rhs returned {len(f)} components for a state of {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +177,10 @@ def abm_python(rhs, q, y0, h, n_steps):
     ----------
     rhs : callable
         rhs(t, y) with y a list of d floats, returning d components (a
-        tuple, a list or a 1-D float64 array). A first value not of y0's
-        shape raises ValueError naming both shapes before any step is
-        taken, and a later one of another length raises ValueError.
+        tuple, a list or a 1-D float64 array). A first value that is not
+        real numbers of y0's shape raises InvalidInput naming rhs before
+        any step is taken, and a later one of another length raises
+        InvalidInput.
     q, y0 : ndarray
         Orders and initial state, shape (d,).
     h : float
@@ -233,9 +232,18 @@ def abm_python(rhs, q, y0, h, n_steps):
     y0 = np.asarray(y0, dtype=np.float64)
     states = np.empty((n_steps + 1, d))
     states[0] = y0
-    f0 = np.asarray(rhs(0.0, y0.tolist()), dtype=np.float64)
+    # The first value is checked once, for its type and shape; a NaN or an
+    # infinity in it is left to step 1, like any later non-finite value.
+    value = rhs(0.0, y0.tolist())
+    try:
+        f0 = np.asarray(value)
+    except ValueError:  # ragged nesting
+        f0 = np.asarray(None)
+    if f0.dtype.kind not in "iuf":
+        raise InvalidInput(f"rhs must return real numbers, got {value!r}")
     if f0.shape != y0.shape:
-        raise ValueError(f"rhs returned shape {f0.shape} for a state of shape {y0.shape}")
+        raise InvalidInput(f"rhs returned shape {f0.shape} for a state of shape {y0.shape}")
+    f0 = f0.astype(np.float64)
     # hist[j] = (f_j, f_j), except that the corrector half of row 0 is zero:
     # the corrector weighs f_0 with a0(n), not with the kernel.
     hist = np.empty((n_steps + 1, 2, d))
@@ -282,7 +290,7 @@ def abm_python(rhs, q, y0, h, n_steps):
         t1 = (n + 1) * h
         f = rhs(t1, pred)
         if len(f) != d:
-            raise _length_error(f, d)
+            raise InvalidInput(f"rhs returned {len(f)} components for a state of {d}")
         new = list(map(add, s[d:], map(mul, scale, f)))  # corr + hq2 * f
         if not all(map(isfinite, new)):
             return states, n + 1, _first_nonfinite(new)
@@ -290,6 +298,6 @@ def abm_python(rhs, q, y0, h, n_steps):
         if n + 1 < n_steps:  # no sum reads f at the last grid point
             f = rhs(t1, new)
             if len(f) != d:
-                raise _length_error(f, d)
+                raise InvalidInput(f"rhs returned {len(f)} components for a state of {d}")
             hist[n + 1] = f
     return states, -1, -1

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import NonFiniteState
+from .errors import InvalidInput, NonFiniteState
 from .systems import SystemDef, count_number, number_array, order_array, positive_number
 
 
@@ -23,7 +23,7 @@ class SolverConfig:
     """Step size and horizon for one integration; every run keeps its full history.
 
     h must be a positive number (`systems.positive_number`) and n_steps an
-    integer >= 1. Anything else, booleans included, raises ValueError.
+    integer >= 1. Anything else, booleans included, raises InvalidInput.
     """
 
     h: float
@@ -41,17 +41,17 @@ class SolverConfig:
         """Config covering [0, t_end] with n_steps = round(t_end / h).
 
         t_end is checked as h is. A horizon that rounds to no step, such as
-        t_end = 0.1 at h = 1, raises ValueError; it is not stretched to one.
+        t_end = 0.1 at h = 1, raises InvalidInput; it is not stretched to one.
         So does one whose step count overflows, such as t_end = 1e300 at
         h = 1e-300.
         """
         h = positive_number(h, "step size")
         t_end = positive_number(t_end, "t_end")
         if not math.isfinite(t_end / h):
-            raise ValueError(f"horizon {t_end} allows no finite step count at h = {h}")
+            raise InvalidInput(f"horizon {t_end} allows no finite step count at h = {h}")
         n_steps = round(t_end / h)
         if n_steps < 1:
-            raise ValueError(f"horizon {t_end} allows no step at h = {h}")
+            raise InvalidInput(f"horizon {t_end} allows no step at h = {h}")
         return cls(h=h, n_steps=n_steps)
 
 
@@ -61,7 +61,8 @@ class Trajectory:
 
     times is a 1-D array of at least one grid point, and states, errors
     and controls (when given) are arrays with one row per grid point;
-    anything else raises ValueError.
+    anything else raises InvalidInput. The columns' layout is left to the
+    readers: `analysis.sync_time` and `divergence_factor` need 2-D rows.
     """
 
     times: np.ndarray
@@ -71,18 +72,18 @@ class Trajectory:
 
     def __post_init__(self):
         if not isinstance(self.times, np.ndarray) or self.times.ndim != 1:
-            raise ValueError("times must be a 1-D array")
+            raise InvalidInput("times must be a 1-D array")
         n = self.times.shape[0]
         if n == 0:
-            raise ValueError("a trajectory needs at least one grid point")
+            raise InvalidInput("a trajectory needs at least one grid point")
         for name in ("states", "errors", "controls"):
             rows = getattr(self, name)
             if rows is None and name != "states":
                 continue
             if not isinstance(rows, np.ndarray) or rows.ndim == 0:
-                raise ValueError(f"{name} must be an array with a first axis")
+                raise InvalidInput(f"{name} must be an array with a first axis")
             if rows.shape[0] != n:
-                raise ValueError(f"times and {name} must have one row per grid point")
+                raise InvalidInput(f"times and {name} must have one row per grid point")
 
     @property
     def n_points(self) -> int:
@@ -133,7 +134,7 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     y0 : array_like
         Initial state of exactly shape (dimension,), finite numbers under
         the `systems.number_array` rule: strings, booleans, None, NaN,
-        infinities, nested or ragged lists raise ValueError.
+        infinities, nested or ragged lists raise InvalidInput.
     config : SolverConfig
         Grid.
 
@@ -148,19 +149,18 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
 
     Raises
     ------
-    ValueError
-        When y0 breaks the rule above, when the first value of system.rhs
-        does not have y0's shape, or a later one has another length.
-    InvalidOrder
-        When an order is not a number, is outside (0, 1], or the orders
-        do not broadcast to (dimension,); see `systems.order_array`.
+    InvalidInput
+        When y0 breaks the rule above; when the first value of system.rhs
+        is not real numbers of y0's shape, or a later one has another
+        length; when an order is not a number, is outside (0, 1], or the
+        orders do not broadcast to (dimension,) (`systems.order_array`).
     NonFiniteState
         When a state component leaves the finite range; the exception
         carries the valid prefix of the trajectory and the index of that
         component.
     """
     q = order_array(orders, (system.dimension,))
-    y0 = number_array(y0, ValueError, "initial state", (system.dimension,))
+    y0 = number_array(y0, "initial state", (system.dimension,))
     run = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps)
     return _finish(*run, config)
 

@@ -24,10 +24,11 @@ single state of shape (3,) runs on Python floats, a batch of shape
 (..., 3) on views along its last axis. All of these do the same IEEE
 operations in the same order, so a whole trajectory evaluates in one call
 and equals its rows bit for bit, overflow included; any other number of
-components raises ValueError. Parameters are stored as Python floats,
-checked by the `number_array` rule, so a float32 parameter cannot make a
-single state's arithmetic float32. Jacobians take one state of 3 finite
-numbers by the same rule; equilibria take only parameters.
+components raises Python's unpacking ValueError, unchecked. Parameters
+are stored as Python floats, checked by the `number_array` rule, so a
+float32 parameter cannot make a single state's arithmetic float32.
+Jacobians take one state of 3 finite numbers by the same rule; equilibria
+take only parameters.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParameters, InvalidOrder
+from .errors import InvalidInput
 
 # Reported derivative order at which the commensurate financial system
 # first sustains chaos; used as a reference point by the stability CLI.
@@ -52,8 +53,8 @@ def has_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def number_array(value, error, name: str, shape: tuple | None = None) -> np.ndarray:
-    """`value` as a new float64 array of finite numbers; anything else raises `error`.
+def number_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
+    """`value` as a new float64 array of finite numbers; anything else raises InvalidInput.
 
     This is the one rule for numbers a caller supplies. Refused: strings
     (even "0.9"), None, booleans (also inside lists), complex numbers,
@@ -65,27 +66,28 @@ def number_array(value, error, name: str, shape: tuple | None = None) -> np.ndar
     except (TypeError, ValueError):  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "iuf" or has_bool(value):
-        raise error(f"{name} must be {'a number' if shape == () else 'numbers'}, got {value!r}")
+        kind = "a number" if shape == () else "numbers"
+        raise InvalidInput(f"{name} must be {kind}, got {value!r}")
     if shape is not None and arr.shape != shape:
-        raise error(f"{name} must have shape {shape}, got shape {arr.shape}")
+        raise InvalidInput(f"{name} must have shape {shape}, got shape {arr.shape}")
     arr = arr.astype(np.float64)
     if not np.isfinite(arr).all():
-        raise error(f"{name} must be finite, got {value!r}")
+        raise InvalidInput(f"{name} must be finite, got {value!r}")
     return arr
 
 
 def count_number(value, name: str, least: int) -> int:
-    """`value` as an int >= `least`; a boolean, a float or any other type raises ValueError."""
+    """`value` as an int >= `least`; a boolean, a float or any other type raises InvalidInput."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
 def positive_number(value, name: str) -> float:
-    """`value` as a positive float by the `number_array` rule; anything else is a ValueError."""
-    val = float(number_array(value, ValueError, name, ()))
+    """`value` as a positive float by the `number_array` rule; anything else is InvalidInput."""
+    val = float(number_array(value, name, ()))
     if val <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+        raise InvalidInput(f"{name} must be positive, got {value!r}")
     return val
 
 
@@ -95,21 +97,21 @@ def order_array(orders, shape: tuple) -> np.ndarray:
     `orders` is a `FractionalOrders`, a number or an array_like of numbers,
     broadcast to `shape` by numpy's rules, so one number serves every
     component. Every order must be finite and in (0, 1]. Raises
-    InvalidOrder for anything else: a value `number_array` refuses, a shape
+    InvalidInput for anything else: a value `number_array` refuses, a shape
     that does not broadcast to `shape`, or an order out of range.
     """
     if isinstance(orders, FractionalOrders):
         orders = orders.q
-    arr = number_array(orders, InvalidOrder, "orders")
+    arr = number_array(orders, "orders")
     # broadcast_to takes a few microseconds, as long as the rest of this
     # check, so it runs only when the shape does not already fit.
     if arr.shape != shape:
         try:
             arr = np.broadcast_to(arr, shape).copy()
         except ValueError:
-            raise InvalidOrder(f"orders of shape {arr.shape} do not broadcast to shape {shape}")
+            raise InvalidInput(f"orders of shape {arr.shape} do not broadcast to shape {shape}")
     if not ((arr > 0.0) & (arr <= 1.0)).all():
-        raise InvalidOrder(f"orders must lie in (0, 1], got {arr.tolist()}")
+        raise InvalidInput(f"orders must lie in (0, 1], got {arr.tolist()}")
     return arr
 
 
@@ -120,7 +122,7 @@ class FractionalOrders:
     q: tuple[float, float, float] = (0.99, 0.99, 0.99)
 
     def __post_init__(self):
-        q = order_array(number_array(self.q, InvalidOrder, "orders", (3,)), (3,))
+        q = order_array(number_array(self.q, "orders", (3,)), (3,))
         object.__setattr__(self, "q", tuple(q.tolist()))
 
     @classmethod
@@ -131,7 +133,7 @@ class FractionalOrders:
 def _floats(params) -> None:
     # Each field of a frozen parameter dataclass as a Python float, by the number rule.
     for f in fields(params):
-        value = number_array(getattr(params, f.name), ValueError, f.name, ())
+        value = number_array(getattr(params, f.name), f.name, ())
         object.__setattr__(params, f.name, value.item())
 
 
@@ -167,13 +169,14 @@ def componentwise(body, *states) -> np.ndarray:
     float64 scalars do, in the same order, with less overhead per operation
     and no warning on overflow; the result comes back as a float64 array.
     Otherwise the states broadcast and the body gets views along their last
-    axes. A last axis other than 3, or a 0-d state with none at all, raises
-    ValueError. Bodies use no `/` or `**`, which raise on floats where numpy
-    returns inf or nan.
+    axes. A 0-d state, with no last axis at all, raises InvalidInput; a
+    last axis other than 3 raises the body's unpacking ValueError, which is
+    not checked. Bodies use no `/` or `**`, which raise on floats where
+    numpy returns inf or nan.
     """
     arrays = [np.asarray(s, dtype=np.float64) for s in states]
     if any(a.ndim == 0 for a in arrays):
-        raise ValueError("state must have a last axis of length 3, got shape ()")
+        raise InvalidInput("state must have a last axis of length 3, got shape ()")
     if all(a.ndim == 1 for a in arrays):
         return np.array(body(*(a.tolist() for a in arrays)))
     out = np.empty(np.broadcast_shapes(*(a.shape for a in arrays)))
@@ -183,7 +186,7 @@ def componentwise(body, *states) -> np.ndarray:
 
 
 # The bodies unpack their state, so any number of components but three
-# raises ValueError.
+# raises Python's unpacking ValueError; no check runs per call.
 def _financial(state, p):
     x, y, z = state
     return z + (y - p.alpha) * x, 1.0 - p.beta * y - x * x, -x - p.gamma * z
@@ -198,9 +201,9 @@ def financial_jacobian(state, p: FinancialParams) -> np.ndarray:
     """Jacobian of the financial field at one state, a 3x3 float64 array.
 
     `state` must be 3 finite numbers (`number_array` rule); anything else,
-    a batch included, raises ValueError.
+    a batch included, raises InvalidInput.
     """
-    x, y, _ = number_array(state, ValueError, "state", (3,)).tolist()
+    x, y, _ = number_array(state, "state", (3,)).tolist()
     return np.array(
         [
             [y - p.alpha, x, 1.0],
@@ -214,9 +217,9 @@ def volta_jacobian(state, p: VoltaParams) -> np.ndarray:
     """Jacobian of the Volta field at one state, a 3x3 float64 array.
 
     `state` must be 3 finite numbers (`number_array` rule); anything else,
-    a batch included, raises ValueError.
+    a batch included, raises InvalidInput.
     """
-    x, y, z = number_array(state, ValueError, "state", (3,)).tolist()
+    x, y, z = number_array(state, "state", (3,)).tolist()
     return np.array(
         [
             [-1.0, -p.a - z, -y],
@@ -232,12 +235,12 @@ def financial_equilibria(p: FinancialParams) -> list[np.ndarray]:
     Setting the field to zero gives z = -x/gamma, x*(y - alpha - 1/gamma) = 0
     and y = (1 - x^2)/beta. The x = 0 branch always exists; the symmetric
     pair exists when 1 - beta*(alpha + 1/gamma) >= 0. Raises
-    DegenerateParameters for beta = 0 or gamma = 0, and for parameters
+    InvalidInput for beta = 0 or gamma = 0, and for parameters
     that put an equilibrium beyond float64 (1/beta overflows for a
     subnormal beta).
     """
     if p.beta == 0.0 or p.gamma == 0.0:
-        raise DegenerateParameters(
+        raise InvalidInput(
             f"equilibria need beta != 0 and gamma != 0, got beta={p.beta}, gamma={p.gamma}"
         )
     states = [np.array([0.0, 1.0 / p.beta, 0.0])]
@@ -249,7 +252,7 @@ def financial_equilibria(p: FinancialParams) -> list[np.ndarray]:
         states.append(np.array([x, y, -x / p.gamma]))
         states.append(np.array([-x, y, x / p.gamma]))
     if not np.isfinite(states).all():
-        raise DegenerateParameters(f"an equilibrium overflows float64 at {p}")
+        raise InvalidInput(f"an equilibrium overflows float64 at {p}")
     return states
 
 
@@ -264,11 +267,15 @@ class SystemDef:
     equal-shape arrays instead, each built-in field returns d arrays.
     Python floats raise on `/` by zero and on an overflowing `**` where
     numpy returns inf; an rhs that wants numpy's rule can call
-    np.asarray(y).
+    np.asarray(y). `dimension` must be an integer >= 1 (`count_number`);
+    anything else raises InvalidInput here, once, not in a run.
     """
 
     dimension: int
     rhs: Callable[[float, list], Sequence[float]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "dimension", count_number(self.dimension, "dimension", 1))
 
 
 def financial_system(params: FinancialParams | None = None) -> SystemDef:
@@ -286,7 +293,7 @@ def zero_system() -> SystemDef:
 
     def rhs(t, y):
         if len(y) != 3:
-            raise ValueError(f"state must have 3 components, got {len(y)}")
+            raise InvalidInput(f"state must have 3 components, got {len(y)}")
         return np.zeros((3, *np.shape(y[0])))  # one row per component
 
     return SystemDef(dimension=3, rhs=rhs)

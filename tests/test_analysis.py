@@ -28,13 +28,7 @@ from fracsync import (
     sync_time,
 )
 from fracsync import analysis
-from fracsync.errors import (
-    DomainExceeded,
-    GridMismatch,
-    InvalidOrder,
-    MissingErrors,
-    ZeroInitialSeparation,
-)
+from fracsync.errors import InvalidInput
 from fracsync.experiments import convergence_selftest, power_forcing_problem
 
 
@@ -92,9 +86,9 @@ SWEEP_REL = 1e-10
 
 
 def _assert_refused(q, z):
-    """E_q(z) off the domain [-30, 0] raises DomainExceeded within the per-call bound."""
+    """E_q(z) off the domain [-30, 0] raises InvalidInput within the per-call bound."""
     t0 = time.perf_counter()
-    with pytest.raises(DomainExceeded):
+    with pytest.raises(InvalidInput, match="z = .* outside the supported domain"):
         mittag_leffler(q, z)
     assert time.perf_counter() - t0 < SWEEP_CALL_S
 
@@ -158,12 +152,12 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("q", [0.0, -0.2, 1.2, float("nan")])
     def test_order_validation(self, q):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="orders must"):
             mittag_leffler(q, -1.0)
 
     @pytest.mark.parametrize("z", [30.5, -31.0, float("inf"), float("nan"), None, "-1", [-1.0]])
     def test_argument_domain(self, z):
-        with pytest.raises(DomainExceeded):
+        with pytest.raises(InvalidInput, match="^(argument must|z = )"):
             mittag_leffler(0.9, z)
 
     def test_small_order_asymptotic(self):
@@ -281,7 +275,7 @@ class TestPredictedError:
             predicted_error(np.array([1.0, 2.0]), (0.9, 0.9, 0.9), 1.0)
         with pytest.raises(ValueError):
             predicted_error(np.array([1.0, 1.0, 1.0]), (0.9, 0.9, 0.9), -1.0)
-        with pytest.raises(DomainExceeded):
+        with pytest.raises(InvalidInput, match="z = -31 lies outside"):
             predicted_error(np.array([1.0]), (1.0,), 31.0)
 
 
@@ -296,6 +290,14 @@ def _error_trajectory(times, sup):
 
 
 class TestSyncTime:
+    @pytest.mark.parametrize("shape", [(3,), (3, 0), (3, 2, 1)])
+    def test_refuses_errors_it_cannot_read(self, shape):
+        # 1-D errors raised numpy's AxisError, 3-D a TypeError, and no column
+        # a bare "zero-size array to reduction operation maximum".
+        traj = Trajectory(times=np.arange(3.0), states=np.zeros((3, 1)), errors=np.ones(shape))
+        with pytest.raises(InvalidInput, match="errors must be rows of at least one column"):
+            sync_time(traj, 1e-3)
+
     def test_never_above_reports_start(self):
         traj = _error_trajectory(np.arange(5) * 0.5, [1e-5, 2e-5, 0.0, 1e-6, 5e-6])
         summary = sync_time(traj, 1e-3)
@@ -336,7 +338,7 @@ class TestSyncTime:
 
     def test_requires_error_columns(self):
         bare = Trajectory(times=np.arange(3.0), states=np.zeros((3, 1)))
-        with pytest.raises(MissingErrors):
+        with pytest.raises(InvalidInput, match="no error columns"):
             sync_time(bare, 1e-3)
 
     def test_rejects_bad_tolerance(self):
@@ -377,11 +379,11 @@ class TestSyncTime:
     def test_nan_error_is_refused_not_read_as_settled(self):
         # NaN fails every comparison, so it read as below tol and max() skipped it
         traj = _error_trajectory(np.arange(5) * 0.1, [1.0, 0.5, np.nan, 1e-5, 1e-5])
-        with pytest.raises(DomainExceeded, match="grid index 2"):
+        with pytest.raises(InvalidInput, match="error is NaN at grid index 2"):
             sync_time(traj, 1e-3)
         final_nan = Trajectory(times=np.arange(2.0), states=np.zeros((2, 3)),
                                errors=np.array([[1.0, 1.0, 1.0], [1e-5, np.nan, 0.0]]))
-        with pytest.raises(DomainExceeded, match="grid index 1"):
+        with pytest.raises(InvalidInput, match="error is NaN at grid index 1"):
             sync_time(final_nan, 1e-3)
         # an infinite error stays a violation
         traj.errors[2] = np.inf
@@ -393,7 +395,7 @@ class TestSyncTime:
         # so the verdict depended on where the NaN sat.
         errors = [1e-5, 2e-5, 0.0]
         errors[where] = math.nan
-        with pytest.raises(DomainExceeded, match=f"component {where}"):
+        with pytest.raises(InvalidInput, match=f"final error is NaN at component {where}"):
             SyncSummary(sync_time=0.0, final_errors=tuple(errors), tol=1e-3)
 
     def test_summary_reads_an_infinite_final_error_as_a_violation(self):
@@ -422,6 +424,14 @@ def _pair(times, a_col, b_col):
 
 
 class TestDivergenceFactor:
+    @pytest.mark.parametrize("shape", [(2,), (2, 0), (2, 3, 1)])
+    def test_refuses_states_it_cannot_read(self, shape):
+        # 1-D states raised numpy's AxisError; no column read as no separation.
+        times = np.arange(2.0)
+        a, b = Trajectory(times, np.zeros(shape)), Trajectory(times, np.ones(shape))
+        with pytest.raises(InvalidInput, match="states must be rows of at least one column"):
+            divergence_factor(a, b)
+
     def test_exponential_growth(self):
         times = np.linspace(0.0, 5.0, 51)
         a, b = _pair(times, np.zeros(51), 1e-6 * np.exp(times))
@@ -440,23 +450,23 @@ class TestDivergenceFactor:
     def test_grid_mismatch(self):
         a, _ = _pair([0.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         _, b = _pair([0.0, 2.0], [0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(GridMismatch):
+        with pytest.raises(InvalidInput, match="do not share a time grid"):
             divergence_factor(a, b)
 
     def test_zero_initial_separation(self):
         a, b = _pair([0.0, 1.0], [1.0, 2.0], [1.0, 3.0])
-        with pytest.raises(ZeroInitialSeparation):
+        with pytest.raises(InvalidInput, match="start from the same state"):
             divergence_factor(a, b)
 
     @pytest.mark.parametrize("late", [np.nan, np.inf])
     def test_non_finite_state_is_refused(self, late):
         a, b = _pair([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, late, late])
-        with pytest.raises(DomainExceeded, match="grid index 1"):
+        with pytest.raises(InvalidInput, match="separation is not finite at grid index 1"):
             divergence_factor(a, b)
 
     def test_overflowing_difference_is_refused(self):
         a, b = _pair([0.0, 1.0], [0.0, 1e308], [1.0, -1e308])
-        with pytest.raises(DomainExceeded, match="grid index 1"):
+        with pytest.raises(InvalidInput, match="separation is not finite at grid index 1"):
             divergence_factor(a, b)
 
     # Each separation is a scaled norm: squaring it would leave the float
@@ -473,7 +483,7 @@ class TestDivergenceFactor:
 
     def test_overflowing_ratio_is_refused(self):
         a, b = _pair([0.0, 1.0], [0.0, 0.0], [1e-160, 1e150])
-        with pytest.raises(DomainExceeded, match="overflows"):
+        with pytest.raises(InvalidInput, match="divergence factor .* overflows"):
             divergence_factor(a, b)
 
 
@@ -494,7 +504,7 @@ class TestEmpiricalOrders:
                                              ([4.0, 1.0, 1e-300, 1e100], 2)])
     def test_ratio_out_of_the_float_range_is_refused(self, errors, pair):
         # The ratio overflowed to inf, or underflowed to 0 and math.log2 raised a bare error.
-        with pytest.raises(DomainExceeded, match=f"of pair {pair} leaves the float range"):
+        with pytest.raises(InvalidInput, match=f"of pair {pair} leaves the float range"):
             empirical_orders(errors)
 
     def test_ratios_near_the_float_limits_keep_their_value(self):

@@ -29,7 +29,7 @@ from fracsync import (
     matignon_check,
     volta_system,
 )
-from fracsync.errors import DegenerateEigenvalue, DomainExceeded, InvalidGain
+from fracsync.errors import InvalidInput
 from fracsync.experiments import run_synchronization
 
 from fields import field_on
@@ -88,16 +88,16 @@ class TestGainAndDesignMatrix:
         assert np.array_equal(closed, target)
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(InvalidGain):
+        with pytest.raises(InvalidInput, match="^gain must"):
             closed_loop_error_matrix(np.zeros((2, 3)), VP)
 
     def test_rejects_an_overflowing_sum(self):
         # every number is finite, but -a - 1e308 is -inf
         vp = VoltaParams(a=1e308)
         gain = [[0.0, -1e308, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        with pytest.raises(InvalidGain, match="overflows"):
+        with pytest.raises(InvalidInput, match="design matrix overflows"):
             closed_loop_error_matrix(gain, vp)
-        with pytest.raises(InvalidGain, match="overflows"):
+        with pytest.raises(InvalidInput, match="design matrix overflows"):
             LiteralFeedback(gain).design_matrix(vp)
 
 
@@ -142,9 +142,9 @@ class TestLiteralControl:
     def test_rejects_bad_gain(self):
         numeric_strings = [["0", "19", "-1"], ["11", "0", "0"], ["1", "0", "-1.73"]]
         for bad in (np.zeros((3, 2)), "abc", {"a": 1}, [["a", "b", "c"]] * 3, numeric_strings):
-            with pytest.raises(InvalidGain):
+            with pytest.raises(InvalidInput, match="^gain must"):
                 control_literal(MASTER0, SLAVE0, FP, VP, bad)
-            with pytest.raises(InvalidGain):
+            with pytest.raises(InvalidInput, match="^gain must"):
                 closed_loop_error_matrix(bad, VP)
 
 
@@ -210,7 +210,7 @@ class TestExactControl:
          ["-1", "-1", "-1"]],
     )
     def test_rejects_nonnegative_rates(self, bad):
-        with pytest.raises(InvalidGain):
+        with pytest.raises(InvalidInput, match="^(lam must|every error rate must be negative)"):
             control_exact(MASTER0, SLAVE0, FP, VP, bad)
 
 
@@ -221,7 +221,7 @@ class TestControllerConfigs:
 
     def test_exact_rejects_unstable_rates(self):
         for bad in ((0.0, -1.0, -1.0), (2.0, -1.0, -1.0), "abc", [[-1.0]], "-1", ("-1",) * 3):
-            with pytest.raises(InvalidGain):
+            with pytest.raises(InvalidInput, match="^(lam must|every error rate must be negative)"):
                 ExactCancellation(lam=bad)
 
     def test_exact_single_rate_broadcasts(self):
@@ -248,7 +248,7 @@ class TestControllerConfigs:
             [["0", "19", "-1"], ["11", "0", "0"], ["1", "0", "-1.73"]],
             [[0.0, 19.0, -1.0], [11.0, 0.0, 0.0], [True, 0.0, -1.73]],
         ):
-            with pytest.raises(InvalidGain):
+            with pytest.raises(InvalidInput, match="^gain must"):
                 LiteralFeedback(gain=bad)
 
     def test_dispatch(self):
@@ -394,9 +394,9 @@ class TestEigen3:
 
     def test_rejects_an_overflowing_spectrum(self):
         assert np.isfinite(OVERFLOWING_SPECTRUM).all()
-        with pytest.raises(DomainExceeded, match="overflows"):
+        with pytest.raises(InvalidInput, match="spectrum overflows"):
             eigen3(OVERFLOWING_SPECTRUM)
-        assert issubclass(DomainExceeded, ValueError)
+        assert issubclass(InvalidInput, ValueError)
 
 
 class TestMatignon:
@@ -437,7 +437,7 @@ class TestMatignon:
             m = rng.normal(scale=2.0, size=(3, 3))
             try:
                 qstar = chaos_threshold(m)
-            except DegenerateEigenvalue:
+            except InvalidInput:
                 continue
             q = rng.uniform(0.01, 1.0)
             if abs(q - qstar) < 1e-9:
@@ -447,7 +447,7 @@ class TestMatignon:
             count += 1
 
     def test_overflowing_spectrum_is_refused_not_degenerate(self):
-        with pytest.raises(DomainExceeded):
+        with pytest.raises(InvalidInput, match="spectrum overflows"):
             matignon_check(OVERFLOWING_SPECTRUM, 0.9)
 
     def test_report_serialization(self):
@@ -471,9 +471,9 @@ class TestChaosThreshold:
         assert chaos_threshold(jac) == pytest.approx(0.8536482401280289, abs=1e-12)
 
     def test_singular_matrix_raises(self):
-        with pytest.raises(DegenerateEigenvalue):
+        with pytest.raises(InvalidInput, match="spectrum touches zero"):
             chaos_threshold(np.diag([0.0, 1.0, 2.0]))
 
     def test_overflowing_spectrum_raises_domain_exceeded(self):
-        with pytest.raises(DomainExceeded):
+        with pytest.raises(InvalidInput, match="spectrum overflows"):
             chaos_threshold(OVERFLOWING_SPECTRUM)

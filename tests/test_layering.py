@@ -80,18 +80,18 @@ def test_no_sum_goes_through_blas():
 
 
 # The package's public names before they became one table, less the
-# array-field wrappers `financial_rhs` and `volta_rhs`.
+# array-field wrappers `financial_rhs` and `volta_rhs`, with the eight
+# refusal classes folded into `InvalidInput`.
 PUBLIC = (
-    "ConfigError", "Controller", "ConvergenceProblem", "ConvergenceReport", "DegenerateEigenvalue",
-    "DegenerateParameters", "DomainExceeded", "ExactCancellation", "FINANCIAL_CHAOS_ONSET_REFERENCE",
-    "FinancialParams", "FracsyncError", "FractionalOrders", "GridMismatch", "InvalidGain",
-    "InvalidOrder", "LiteralFeedback", "MissingErrors", "NonFiniteState", "SolverConfig",
-    "StabilityReport", "SyncSummary", "SystemDef", "Trajectory", "VoltaParams",
-    "ZeroInitialSeparation", "chaos_threshold", "closed_loop_error_matrix", "control_exact",
-    "control_literal", "convergence_order", "coupled_system", "divergence_factor", "eigen3",
-    "empirical_orders", "financial_equilibria", "financial_jacobian", "financial_system",
-    "gain_matrix_default", "integrate", "matignon_check", "mittag_leffler", "predicted_error",
-    "sync_time", "volta_jacobian", "volta_system", "weights_a", "weights_b", "zero_system",
+    "ConfigError", "Controller", "ConvergenceProblem", "ConvergenceReport", "ExactCancellation",
+    "FINANCIAL_CHAOS_ONSET_REFERENCE", "FinancialParams", "FracsyncError", "FractionalOrders",
+    "InvalidInput", "LiteralFeedback", "NonFiniteState", "SolverConfig", "StabilityReport",
+    "SyncSummary", "SystemDef", "Trajectory", "VoltaParams", "chaos_threshold",
+    "closed_loop_error_matrix", "control_exact", "control_literal", "convergence_order",
+    "coupled_system", "divergence_factor", "eigen3", "empirical_orders", "financial_equilibria",
+    "financial_jacobian", "financial_system", "gain_matrix_default", "integrate",
+    "matignon_check", "mittag_leffler", "predicted_error", "sync_time", "volta_jacobian",
+    "volta_system", "weights_a", "weights_b", "zero_system",
 )
 
 
@@ -118,3 +118,31 @@ def test_dir_and_star_import_cover_every_public_name():
     assert set(namespace) - {"__builtins__"} == set(fracsync.__all__)
     for name in fracsync.__all__:
         assert namespace[name] is getattr(fracsync, name)
+
+
+def _raises(path):
+    """(line, raised name) for each `raise` in `path`; the name is None for anything but a name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((node.lineno, exc.id if isinstance(exc, ast.Name) else None))
+    return found
+
+
+def test_every_raise_names_a_package_error():
+    # One refusal type: a raise names a FracsyncError subclass that its module
+    # imports from `errors`, never a bare ValueError or a helper's return value.
+    errors = importlib.import_module("fracsync.errors")
+    count, bad = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.level == 1 and node.module == "errors" for a in node.names}
+        for line, name in _raises(path):
+            count += 1
+            cls = getattr(errors, name, None) if name in imported else None
+            if not (isinstance(cls, type) and issubclass(cls, errors.FracsyncError)):
+                bad.append((path.name, line, name))
+    assert count > 40
+    assert bad == []

@@ -1,6 +1,7 @@
 """One number rule at every numeric entry point: `systems.number_array`."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from fracsync import (
 )
 from fracsync import experiments
 from fracsync.cli import EXIT_CONFIG, main
-from fracsync.errors import InvalidGain
+from fracsync.errors import InvalidInput
 from fracsync.experiments import power_forcing_problem, run_synchronization
 from fracsync.systems import number_array, positive_number
 
@@ -73,40 +74,39 @@ def _synchronize(master0=_STATE, slave0=(8.0, 2.0, 3.0), tol=1e-3):
     return run_synchronization(_FP, _VP, ExactCancellation(), 0.9, master0, slave0, _GRID, tol)
 
 
-# name: (call, valid value, documented error type, cases that are valid there)
+# name: (call, valid value, how its message starts, naming the argument, cases valid there)
 ENTRY_POINTS = {
     "integrate y0": (
-        lambda v: integrate(financial_system(), 0.9, v, _GRID), _STATE, ValueError, ()),
-    "run_synchronization master0": (lambda v: _synchronize(master0=v), _STATE, ValueError, ()),
-    "run_synchronization slave0": (lambda v: _synchronize(slave0=v), _STATE, ValueError, ()),
-    "eigen3": (eigen3, _MATRIX, ValueError, ()),
-    "matignon_check": (lambda v: matignon_check(v, 0.9), _MATRIX, ValueError, ()),
-    "chaos_threshold": (chaos_threshold, _MATRIX, ValueError, ()),
-    "closed_loop_error_matrix": (
-        lambda v: closed_loop_error_matrix(v, _VP), _GAIN, InvalidGain, ()),
+        lambda v: integrate(financial_system(), 0.9, v, _GRID), _STATE, "initial state", ()),
+    "run_synchronization master0": (
+        lambda v: _synchronize(master0=v), _STATE, "initial state", ()),
+    "run_synchronization slave0": (lambda v: _synchronize(slave0=v), _STATE, "initial state", ()),
+    "eigen3": (eigen3, _MATRIX, "matrix", ()),
+    "matignon_check": (lambda v: matignon_check(v, 0.9), _MATRIX, "matrix", ()),
+    "chaos_threshold": (chaos_threshold, _MATRIX, "matrix", ()),
+    "closed_loop_error_matrix": (lambda v: closed_loop_error_matrix(v, _VP), _GAIN, "gain", ()),
     "control_literal": (
-        lambda v: control_literal(_STATE, _STATE, _FP, _VP, v), _GAIN, InvalidGain, ()),
+        lambda v: control_literal(_STATE, _STATE, _FP, _VP, v), _GAIN, "gain", ()),
     # gain=None selects the default gain.
-    "LiteralFeedback": (LiteralFeedback, _GAIN, InvalidGain, {"none"}),
-    "ExactCancellation": (ExactCancellation, _RATES, InvalidGain, ()),
-    "control_exact": (
-        lambda v: control_exact(_STATE, _STATE, _FP, _VP, v), _RATES, InvalidGain, ()),
-    "financial_jacobian state": (
-        lambda v: financial_jacobian(v, _FP), _STATE, ValueError, ()),
-    "volta_jacobian state": (lambda v: volta_jacobian(v, _VP), _STATE, ValueError, ()),
-    "predicted_error e0": (lambda v: predicted_error(v, 0.9, 1.0), _STATE, ValueError, ANY_SHAPE),
-    "SolverConfig h": (lambda v: SolverConfig(h=v, n_steps=3), 0.01, ValueError, ()),
-    "for_horizon h": (lambda v: SolverConfig.for_horizon(v, 1.0), 0.01, ValueError, ()),
-    "for_horizon t_end": (lambda v: SolverConfig.for_horizon(0.01, v), 1.0, ValueError, ()),
-    "sync_time tol": (lambda v: sync_time(_SYNCED, v), 1e-3, ValueError, ()),
-    "run_synchronization tol": (lambda v: _synchronize(tol=v), 1e-3, ValueError, ()),
-    "FinancialParams alpha": (lambda v: FinancialParams(alpha=v), 1.0, ValueError, ()),
-    "FinancialParams gamma": (lambda v: FinancialParams(gamma=v), 1.0, ValueError, ()),
-    "VoltaParams a": (lambda v: VoltaParams(a=v), 19.0, ValueError, ()),
-    "VoltaParams c": (lambda v: VoltaParams(c=v), 0.73, ValueError, ()),
-    "empirical_orders": (empirical_orders, [4.0, 1.0], ValueError, ()),
+    "LiteralFeedback": (LiteralFeedback, _GAIN, "gain", {"none"}),
+    "ExactCancellation": (ExactCancellation, _RATES, "lam", ()),
+    "control_exact": (lambda v: control_exact(_STATE, _STATE, _FP, _VP, v), _RATES, "lam", ()),
+    "financial_jacobian state": (lambda v: financial_jacobian(v, _FP), _STATE, "state", ()),
+    "volta_jacobian state": (lambda v: volta_jacobian(v, _VP), _STATE, "state", ()),
+    "predicted_error e0": (lambda v: predicted_error(v, 0.9, 1.0), _STATE, "e0", ANY_SHAPE),
+    "SolverConfig h": (lambda v: SolverConfig(h=v, n_steps=3), 0.01, "step size", ()),
+    "for_horizon h": (lambda v: SolverConfig.for_horizon(v, 1.0), 0.01, "step size", ()),
+    "for_horizon t_end": (lambda v: SolverConfig.for_horizon(0.01, v), 1.0, "t_end", ()),
+    "sync_time tol": (lambda v: sync_time(_SYNCED, v), 1e-3, "tol", ()),
+    "run_synchronization tol": (lambda v: _synchronize(tol=v), 1e-3, "tol", ()),
+    "FinancialParams alpha": (lambda v: FinancialParams(alpha=v), 1.0, "alpha", ()),
+    "FinancialParams gamma": (lambda v: FinancialParams(gamma=v), 1.0, "gamma", ()),
+    "VoltaParams a": (lambda v: VoltaParams(a=v), 19.0, "a ", ()),
+    "VoltaParams c": (lambda v: VoltaParams(c=v), 0.73, "c ", ()),
+    "empirical_orders": (
+        empirical_orders, [4.0, 1.0], "errors |need a list of at least two error values", ()),
     "convergence_order h0": (
-        lambda v: convergence_order(power_forcing_problem(0.5), v, 2), 0.125, ValueError, ()),
+        lambda v: convergence_order(power_forcing_problem(0.5), v, 2), 0.125, "h0", ()),
 }
 
 CASES = [
@@ -119,49 +119,50 @@ CASES = [
 
 @pytest.mark.parametrize("entry,case", CASES, ids=[f"{e}-{c}" for e, c in CASES])
 def test_bad_numbers_rejected_everywhere(entry, case):
-    call, good, error, _ = ENTRY_POINTS[entry]
+    call, good, name, _ = ENTRY_POINTS[entry]
     call(good)  # the valid value runs
     with pytest.raises(Exception) as info:
         call(BAD_NUMBERS[case](good))
-    # Exactly the documented type: numpy's LinAlgError, for one, is also a ValueError.
-    assert type(info.value) is error, repr(info.value)
+    # Exactly the one refusal type: numpy's LinAlgError, for one, is also a ValueError.
+    assert type(info.value) is InvalidInput, repr(info.value)
+    assert re.match(name, str(info.value)), repr(info.value)
 
 
 @pytest.mark.parametrize("bad", [(0.1, True), (0.1, None), (0.1, 5.0), (0.1, "5")])
 def test_solver_config_refuses_bad_counts(bad):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1") as info:
         SolverConfig(*bad)
-    assert type(info.value) is ValueError
+    assert type(info.value) is InvalidInput
 
 
 @pytest.mark.parametrize("h,t_end", [(0.0, 1.0), (0.01, 0.0)])
 def test_for_horizon_refuses_bad_grids(h, t_end):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match="^(step size|t_end) must be positive") as info:
         SolverConfig.for_horizon(h, t_end)
-    assert type(info.value) is ValueError
+    assert type(info.value) is InvalidInput
 
 
 @pytest.mark.parametrize("levels", [2.5, True, "3", None, 1])
 def test_convergence_order_refuses_bad_level_counts(levels):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match="levels must be an integer >= 2") as info:
         convergence_order(power_forcing_problem(0.5), 0.125, levels)
-    assert type(info.value) is ValueError
+    assert type(info.value) is InvalidInput
 
 
 @pytest.mark.parametrize("errors", [["1", "0.5"], [True, 0.5]])
 def test_empirical_orders_refuses_non_numbers(errors):
     # Both used to give (1.0,): float("1") and float(True) read as numbers.
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match="errors must be numbers") as info:
         empirical_orders(errors)
-    assert type(info.value) is ValueError
+    assert type(info.value) is InvalidInput
 
 
 @pytest.mark.parametrize("weights", [weights_a, weights_b])
 @pytest.mark.parametrize("n", [1.5, True, "3", None])
 def test_weights_refuse_bad_counts(weights, n):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match="n must be an integer >= 0") as info:
         weights(0.5, n)
-    assert type(info.value) is ValueError
+    assert type(info.value) is InvalidInput
 
 
 def test_counts_accept_numpy_integers():
@@ -186,24 +187,24 @@ def test_synchronization_checks_tol_before_integrating(monkeypatch):
 class TestNumberArray:
     def test_returns_a_new_float64_array(self):
         src = np.array([1, 2, 3])
-        out = number_array(src, ValueError, "x", (3,))
+        out = number_array(src, "x", (3,))
         assert out.dtype == np.float64
         out[0] = 9.0
         assert src[0] == 1
         floats = np.array([1.0, 2.0])
-        assert number_array(floats, ValueError, "x") is not floats
+        assert number_array(floats, "x") is not floats
 
     def test_neither_reshapes_nor_broadcasts(self):
         for value in ([1.0, 2.0, 3.0], 1.0, [[[1.0, 2.0, 3.0]]], [[1.0, 2.0, 3.0]] * 2):
-            with pytest.raises(ValueError, match=r"x must have shape \(1, 3\)"):
-                number_array(value, ValueError, "x", (1, 3))
-        assert number_array([[1.0, 2.0, 3.0]], ValueError, "x", (1, 3)).shape == (1, 3)
+            with pytest.raises(InvalidInput, match=r"x must have shape \(1, 3\)"):
+                number_array(value, "x", (1, 3))
+        assert number_array([[1.0, 2.0, 3.0]], "x", (1, 3)).shape == (1, 3)
 
-    def test_names_the_input_and_raises_the_given_type(self):
-        with pytest.raises(InvalidGain, match="rates must be finite"):
-            number_array([1.0, float("-inf")], InvalidGain, "rates")
-        with pytest.raises(InvalidGain, match="rates must be a number"):
-            number_array("1", InvalidGain, "rates", ())
+    def test_names_the_input_and_raises_invalid_input(self):
+        with pytest.raises(InvalidInput, match="rates must be finite"):
+            number_array([1.0, float("-inf")], "rates")
+        with pytest.raises(InvalidInput, match="rates must be a number"):
+            number_array("1", "rates", ())
 
     def test_positive_number(self):
         assert positive_number(np.float32(0.5), "x") == 0.5

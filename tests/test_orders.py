@@ -20,7 +20,7 @@ from fracsync import (
     weights_b,
 )
 from fracsync.cli import EXIT_CONFIG, main
-from fracsync.errors import InvalidOrder
+from fracsync.errors import InvalidInput
 from fracsync.experiments import run_synchronization
 from fracsync.systems import order_array
 
@@ -62,7 +62,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("bad", BAD_ORDERS, ids=repr)
 def test_bad_orders_rejected_everywhere(entry, bad):
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(InvalidInput, match="^orders "):
         ENTRY_POINTS[entry](bad)
 
 
@@ -99,7 +99,7 @@ class TestOrderArray:
 
     @pytest.mark.parametrize("bad", [True, (0.9, False, 0.9), 0.9 + 0j, {"q": 0.9}, [0.9, [0.9]]])
     def test_refuses_non_numbers(self, bad):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="^orders "):
             order_array(bad, (3,))
 
 

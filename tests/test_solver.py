@@ -31,7 +31,7 @@ from fracsync import (
 )
 from fracsync import kernels
 from fracsync.control import coupled_system
-from fracsync.errors import InvalidOrder, NonFiniteState
+from fracsync.errors import InvalidInput, NonFiniteState
 from fracsync.experiments import run_simulation, run_synchronization
 
 
@@ -504,11 +504,11 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, -0.3, float("nan")])
     def test_bad_order_rejected(self, bad):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="^orders "):
             integrate(financial_system(), bad, [2.0, -1.0, 1.0], SolverConfig(h=0.01, n_steps=5))
 
     def test_wrong_order_count_rejected(self):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="^orders "):
             integrate(financial_system(), [0.9, 0.9], [2.0, -1.0, 1.0], SolverConfig(h=0.01, n_steps=5))
 
     def test_bad_initial_state_rejected(self):
@@ -580,6 +580,18 @@ class TestFieldContract:
         with pytest.raises(ValueError, match=match):
             integrate(SystemDef(3, faulty), self.ORDERS, self.Y0, self.CFG)
         assert len(calls) == bad_call
+
+    def test_the_first_value_is_checked_for_numbers_not_for_finiteness(self):
+        # "a" raised numpy's bare "could not convert string to float", [1j] a TypeError.
+        for value in ("a", [1j, 0.0, 0.0], [[1.0, 2.0], 3.0, 4.0], (True, False, True), None):
+            with pytest.raises(InvalidInput, match="rhs must return real numbers, got"):
+                integrate(SystemDef(3, lambda t, y: value), self.ORDERS, self.Y0, self.CFG)
+        # A NaN or an infinity is no type error: the run leaves the finite range at step 1.
+        for bad in (math.nan, math.inf):
+            system = SystemDef(3, lambda t, y: (bad, 0.0, 0.0))
+            with pytest.raises(NonFiniteState) as info:
+                integrate(system, self.ORDERS, self.Y0, self.CFG)
+            assert info.value.step == 1
 
 
 class TestSolverConfig:

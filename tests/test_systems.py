@@ -17,7 +17,8 @@ from fracsync import (
     volta_system,
     zero_system,
 )
-from fracsync.errors import DegenerateParameters, InvalidOrder
+from fracsync.errors import InvalidInput
+from fracsync.experiments import build_system
 
 from fields import field_on
 
@@ -207,15 +208,15 @@ class TestEquilibria:
         assert np.allclose(points[0], [0.0, 1.0, 0.0])
 
     def test_degenerate_parameters_raise(self):
-        with pytest.raises(DegenerateParameters):
+        with pytest.raises(InvalidInput, match="^equilibria need beta != 0 and gamma != 0"):
             financial_equilibria(FinancialParams(beta=0.0))
-        with pytest.raises(DegenerateParameters):
+        with pytest.raises(InvalidInput, match="^equilibria need beta != 0 and gamma != 0"):
             financial_equilibria(FinancialParams(gamma=0.0))
 
     @pytest.mark.parametrize("params", [{"beta": 1e-320}, {"gamma": -1e-320}])
     def test_overflowing_equilibrium_raises(self, params):
         # 1/beta puts the axis point at y = inf; 1/gamma makes the pair's x infinite
-        with pytest.raises(DegenerateParameters, match="overflows"):
+        with pytest.raises(InvalidInput, match="equilibrium overflows"):
             financial_equilibria(FinancialParams(**params))
 
 
@@ -230,11 +231,11 @@ class TestFractionalOrders:
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.2, float("nan"), float("inf")])
     def test_out_of_range_rejected(self, bad):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="^orders "):
             FractionalOrders((bad, 0.9, 0.9))
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="^orders "):
             FractionalOrders((0.9, 0.9))
 
     def test_unit_order_allowed(self):
@@ -244,7 +245,7 @@ class TestFractionalOrders:
         "bad", [None, 0.9, "0.9", {"a": 0.9}, ("a", 0.9, 0.9), (True, 0.9, 0.9), ("0.9",) * 3]
     )
     def test_non_numeric_rejected(self, bad):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="^orders "):
             FractionalOrders(bad)
 
 
@@ -277,3 +278,21 @@ class TestSystemBuilders:
             SystemDef(name="x", dimension=1, rhs=rhs)
         with pytest.raises(TypeError):
             SystemDef("x", 1, rhs)
+
+    def test_dimension_is_checked_once_at_construction(self):
+        # "3", 1.0 and True raised a TypeError inside the driver, -1 an order
+        # error, and 0 ran to states of shape (n + 1, 0).
+        rhs = financial_system().rhs
+        for bad in ("3", 1.0, True, -1, 0, None):
+            with pytest.raises(InvalidInput, match="dimension must be an integer >= 1, got"):
+                SystemDef(bad, rhs)
+            with pytest.raises(InvalidInput, match="dimension must be an integer >= 1, got"):
+                dataclasses.replace(financial_system(), dimension=bad)
+        assert type(SystemDef(np.int64(3), rhs).dimension) is int
+
+    @pytest.mark.parametrize("name", [["financial"], "bogus", None])
+    def test_build_system_refuses_an_unknown_name(self, name):
+        # A list raised "TypeError: unhashable type: 'list'".
+        match = "system must be one of financial, volta, zero, got"
+        with pytest.raises(InvalidInput, match=match):
+            build_system(name, FinancialParams(), VoltaParams())

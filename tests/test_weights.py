@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsync import weights_a, weights_b
-from fracsync.errors import InvalidOrder
+from fracsync.errors import InvalidInput
 from fracsync.kernels import conv_weights_a, conv_weights_b, first_panel_weights
 
 
@@ -142,9 +142,9 @@ def test_kernels_equal_their_spelled_out_forms(q, count):
 class TestValidation:
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0001, float("nan")])
     def test_order_outside_unit_interval(self, bad):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="^orders "):
             weights_b(bad, 5)
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidInput, match="^orders "):
             weights_a(bad, 5)
 
     def test_negative_step_index(self):
