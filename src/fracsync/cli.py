@@ -42,7 +42,6 @@ from .systems import (
     VoltaParams,
     financial_equilibria,
     financial_jacobian,
-    has_bool,
     number_array,
     positive_number,
 )
@@ -99,17 +98,15 @@ def _refuse_leftovers(cfg: dict, where: str, prefix: str = "") -> None:
 
 
 def _read(key, build, raw):
-    """build(raw), with any TypeError or ValueError reported as ConfigError(key).
+    """build(raw), with the package's refusal, InvalidInput, reported as ConfigError(key).
 
-    JSON true and false are refused first: Python's float() and int() read
-    them as 1 and 0, so `"h": true` would otherwise run with h = 1.
-    Nested lists are searched too.
+    The config layer holds no input rule of its own: each builder is the
+    package code that owns the rule, and its message is reported under
+    the key. Any other exception is a fault and propagates.
     """
-    if has_bool(raw):
-        raise ConfigError(key, f"expected a number, got {json.dumps(raw)}")
     try:
         return build(raw)
-    except (TypeError, ValueError) as exc:
+    except InvalidInput as exc:
         raise ConfigError(key, str(exc))
 
 
@@ -139,8 +136,8 @@ def _full(raw) -> str:
 
 def _matrix(raw) -> np.ndarray:
     """3x3 matrix given as three rows or as the flat list of nine numbers."""
-    shape = (9,) if np.ndim(raw) == 1 else (3, 3)
-    return number_array(raw, "value", shape).reshape(3, 3)
+    arr = number_array(raw, "value")
+    return number_array(arr, "value", (9,) if arr.ndim == 1 else (3, 3)).reshape(3, 3)
 
 
 def _params(cfg, key, cls):
@@ -183,6 +180,11 @@ def _grid(cfg, default_t_end):
     return config, {"h": h, "t_end": t_end, "n_steps": config.n_steps, "memory": memory}
 
 
+# Controller mode -> (the key of its rates or gain, its class). An absent key
+# builds the class's own default.
+_MODES = {"exact": ("lambda", ctl.ExactCancellation), "literal": ("gain", ctl.LiteralFeedback)}
+
+
 def _controller(cfg, vp, orders):
     """Mode, controller, the echo of its rates or gain, and its closed-loop verdict.
 
@@ -192,13 +194,10 @@ def _controller(cfg, vp, orders):
     a ConfigError on the controller's own key, lambda or gain.
     """
     mode = cfg.pop("mode", "exact")
-    if mode == "exact":
-        key, build, default = "lambda", ctl.ExactCancellation, ctl.ExactCancellation.lam
-    elif mode == "literal":
-        key, build, default = "gain", ctl.LiteralFeedback, None
-    else:
+    if not isinstance(mode, str) or mode not in _MODES:
         raise ConfigError("mode", f"expected 'exact' or 'literal', got {mode!r}")
-    controller = _read(key, build, cfg.pop(key, default))
+    key, cls = _MODES[mode]
+    controller = _read(key, cls, cfg.pop(key)) if key in cfg else cls()
     echo = controller.gain_array(vp) if mode == "literal" else np.array(controller.lam)
     matrix = _read(key, controller.design_matrix, vp)
     return mode, controller, {key: echo.tolist()}, _stability_entry(key, matrix, orders)
@@ -273,16 +272,14 @@ def _run_report(run, resolved: dict, entries: dict) -> dict:
 
 
 def _cmd_simulate(args, cfg):
-    name, systems = cfg.pop("system", "financial"), experiments.SYSTEMS
-    if not isinstance(name, str) or name not in systems:
-        raise ConfigError("system", f"expected one of {', '.join(systems)}, got {name!r}")
     fp, vp, orders, model = _model(cfg)
+    name = cfg.pop("system", "financial")
+    system = _read("system", lambda raw: experiments.build_system(raw, fp, vp), name)
     config, grid = _grid(cfg, _SIM_T_END)
-    ic = _read("initial_state", _vec3, cfg.pop("initial_state", systems[name][1]))
+    ic = _read("initial_state", _vec3, cfg.pop("initial_state", experiments.SYSTEMS[name][1]))
     resolved = {"system": name, **model, **grid, "initial_state": ic}
 
     outdir = _outdir(args, cfg)
-    system = experiments.build_system(name, fp, vp)
     t0 = time.perf_counter()
     run = experiments.run_simulation(system, orders, ic, config)
     elapsed = time.perf_counter() - t0

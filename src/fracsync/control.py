@@ -238,9 +238,13 @@ def eigen3(matrix) -> np.ndarray:
     `matrix` must be a 3x3 array of finite numbers (`systems.number_array`):
     strings, booleans, None, NaN, infinities, ragged lists and any other
     shape raise InvalidInput, and so does a finite matrix whose spectrum
-    overflows float64.
+    overflows float64 or that LAPACK's iteration fails on (entries near
+    1e308 can make it stop unconverged).
     """
-    lams = np.sort_complex(np.linalg.eigvals(number_array(matrix, "matrix", (3, 3))))
+    try:
+        lams = np.sort_complex(np.linalg.eigvals(number_array(matrix, "matrix", (3, 3))))
+    except np.linalg.LinAlgError as exc:
+        raise InvalidInput(f"matrix has no computable spectrum: {exc}") from None
     if not np.isfinite(lams).all():
         raise InvalidInput(f"the spectrum overflows float64: {lams.tolist()}")
     return lams

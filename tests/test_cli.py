@@ -567,35 +567,106 @@ class TestOverflowRefused:
         assert not out.exists()
 
 
+# Python's float() and int() read JSON true/false as 1 and 0, so every key must refuse
+# them. The CLI has no boolean rule of its own: each key's builder refuses, and the CLI
+# reports its message under the key.
+_BOOLEAN_CASES = [
+    ("simulate", {"h": True}, "h", "value must be a number, got True"),
+    ("simulate", {"t_end": True}, "t_end", "value must be a number, got True"),
+    ("simulate", {"memory": True}, "memory",
+     "expected 'full', the one history policy, got True"),
+    ("simulate", {"orders": True}, "orders", "orders must be numbers, got (True, True, True)"),
+    ("simulate", {"orders": [0.9, True, 0.9]}, "orders",
+     "orders must be numbers, got [0.9, True, 0.9]"),
+    ("simulate", {"initial_state": [True, False, True]}, "initial_state",
+     "value must be numbers, got [True, False, True]"),
+    ("simulate", {"financial": {"alpha": True}}, "financial.alpha",
+     "value must be a number, got True"),
+    ("simulate", {"volta": {"c": False}}, "volta.c", "value must be a number, got False"),
+    ("synchronize", {"sync_tol": True}, "sync_tol", "value must be a number, got True"),
+    ("synchronize", {"slave_initial": [True, 0.0, 0.0]}, "slave_initial",
+     "value must be numbers, got [True, 0.0, 0.0]"),
+    ("synchronize", {"lambda": True}, "lambda", "lam must be numbers, got True"),
+    ("synchronize", {"mode": "literal", "gain": [[True, 0, 0], [0, 0, 0], [0, 0, 0]]}, "gain",
+     "gain must be numbers, got [[True, 0, 0], [0, 0, 0], [0, 0, 0]]"),
+    ("stability", {"matrix": {"source": "explicit",
+                              "values": [[True, 0, 0], [0, -1, 0], [0, 0, -1]]}},
+     "matrix.values", "value must be numbers, got [[True, 0, 0], [0, -1, 0], [0, 0, -1]]"),
+]
+
+
 class TestBooleanFields:
-    # float() and int() read JSON true/false as 1 and 0; each number field must refuse them.
     @pytest.mark.parametrize(
-        "command,payload,field",
-        [
-            ("simulate", {"h": True}, "h"),
-            ("simulate", {"t_end": True}, "t_end"),
-            ("simulate", {"memory": True}, "memory"),
-            ("simulate", {"orders": True}, "orders"),
-            ("simulate", {"orders": [0.9, True, 0.9]}, "orders"),
-            ("simulate", {"initial_state": [True, False, True]}, "initial_state"),
-            ("simulate", {"financial": {"alpha": True}}, "financial.alpha"),
-            ("simulate", {"volta": {"c": False}}, "volta.c"),
-            ("synchronize", {"sync_tol": True}, "sync_tol"),
-            ("synchronize", {"slave_initial": [True, 0.0, 0.0]}, "slave_initial"),
-            ("synchronize", {"lambda": True}, "lambda"),
-            ("synchronize", {"mode": "literal", "gain": [[True, 0, 0], [0, 0, 0], [0, 0, 0]]},
-             "gain"),
-            ("stability", {"matrix": {"source": "explicit",
-                                      "values": [[True, 0, 0], [0, -1, 0], [0, 0, -1]]}},
-             "matrix.values"),
-        ],
+        "command,payload,field,message",
+        _BOOLEAN_CASES,
+        # Ids name the command, the payload's index and the key, not the message.
+        ids=[f"{c}-payload{i}-{f}" for i, (c, _, f, _) in enumerate(_BOOLEAN_CASES)],
     )
-    def test_rejected(self, tmp_path, capsys, command, payload, field):
+    def test_rejected(self, tmp_path, capsys, command, payload, field, message):
         out = tmp_path / "never"
         code = _run(command, "--config", _write_config(tmp_path, payload), "--out", out)
         assert code == EXIT_CONFIG
-        assert f"config error: {field}: expected a number, got " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {field}: {message}\n"
         assert not out.exists()
+
+
+class TestPackageMessages:
+    # Each key's rule lives in the package code that reads it; the CLI adds only the key.
+    @pytest.mark.parametrize(
+        "command,payload,want",
+        [
+            ("stability", {"matrix": {"source": "explicit", "values": [[1, 2], [3]]}},
+             "matrix.values: value must be numbers, got [[1, 2], [3]]"),
+            ("stability", {"matrix": {"source": "explicit", "values": [1] * 8}},
+             "matrix.values: value must have shape (9,), got shape (8,)"),
+            ("stability", {"matrix": {"source": "explicit", "values": [[1, 2], [3, 4]]}},
+             "matrix.values: value must have shape (3, 3), got shape (2, 2)"),
+            # Non-finite is checked before shape, as for every other number.
+            ("stability", {"matrix": {"source": "explicit", "values": [float("nan")]}},
+             "matrix.values: value must be finite, got [nan]"),
+            ("simulate", {"system": "lorenz"},
+             "system: system must be one of financial, volta, zero, got 'lorenz'"),
+            ("simulate", {"system": True},
+             "system: system must be one of financial, volta, zero, got True"),
+        ],
+        ids=["ragged", "flat-8", "rows-2x2", "nan-flat-1", "unknown-system", "boolean-system"],
+    )
+    def test_refused(self, tmp_path, capsys, command, payload, want):
+        out = tmp_path / "never"
+        code = _run(command, "--config", _write_config(tmp_path, payload), "--out", out)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {want}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload,field",
+        [({"financial": {"alpha": "1"}}, "financial.alpha"), ({"volta": {"d": 1}}, "volta"),
+         ({"orders": 2.0}, "orders")],
+    )
+    def test_model_keys_are_reported_before_system(self, tmp_path, capsys, payload, field):
+        cfg = _write_config(tmp_path, {"system": "lorenz", **payload})
+        assert _run("simulate", "--config", cfg, "--out", tmp_path / "never") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    def test_an_unconverged_spectrum_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def unconverged(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", unconverged)
+        cfg = _write_config(tmp_path, {"matrix": {"source": "explicit", "values": EYE}})
+        assert _run("stability", "--config", cfg, "--out", tmp_path / "never") == EXIT_CONFIG
+        want = "matrix.values: matrix has no computable spectrum: Eigenvalues did not converge"
+        assert capsys.readouterr().err == f"config error: {want}\n"
+
+    def test_a_bare_type_error_is_a_fault_not_a_config_error(self, tmp_path, monkeypatch):
+        # Only InvalidInput is a refusal; anything else a builder raises propagates.
+        def broken(value, name):
+            raise TypeError("broken builder")
+
+        monkeypatch.setattr(cli, "positive_number", broken)
+        with pytest.raises(TypeError, match="broken builder"):
+            _run("simulate", "--t-end", 0.01, "--out", tmp_path / "never")
+        assert not (tmp_path / "never").exists()
 
 
 class TestNumericStrings:
@@ -691,6 +762,18 @@ def test_bad_mode_is_checked_where_the_controller_is_read(tmp_path, capsys, comm
     assert _run(command, *argv, "--out", out) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == "config error: mode: expected 'exact' or 'literal', got 'bogus'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [["exact"], None, {}], ids=["list", "null", "object"])
+@pytest.mark.parametrize("command", ["synchronize", "stability"])
+def test_a_mode_that_is_not_a_string_is_refused(tmp_path, capsys, command, mode):
+    # The mode table is looked up only with a string: an unhashable mode is refused too.
+    out = tmp_path / "never"
+    cfg = _write_config(tmp_path, {"mode": mode})
+    assert _run(command, "--config", cfg, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: mode: expected 'exact' or 'literal', got {mode!r}\n"
     assert not out.exists()
 
 

@@ -398,6 +398,16 @@ class TestEigen3:
             eigen3(OVERFLOWING_SPECTRUM)
         assert issubclass(InvalidInput, ValueError)
 
+    def test_refuses_a_matrix_lapack_does_not_converge_on(self, monkeypatch):
+        # numpy raises LinAlgError when LAPACK's iteration stops unconverged, as it does
+        # for some finite matrices with entries near 1e308; eigen3 refuses those instead.
+        def unconverged(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", unconverged)
+        with pytest.raises(InvalidInput, match="^matrix has no computable spectrum: Eigen"):
+            eigen3(-np.eye(3))
+
 
 class TestMatignon:
     def test_minus_identity_satisfies_all_orders(self):

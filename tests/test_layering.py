@@ -62,7 +62,8 @@ BLAS_SUMS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "vecdot"}
 def test_no_sum_goes_through_blas():
     # Results must not depend on the machine's BLAS kernel, so no module may
     # use `@` or a BLAS-backed product. The one LAPACK call is `eigen3`'s
-    # spectrum, which the argument criterion needs.
+    # spectrum, which the argument criterion needs; `eigen3` also names the
+    # error numpy raises when that call does not converge.
     found, linalg = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -76,7 +77,8 @@ def test_no_sum_goes_through_blas():
                         and node.value.attr == "linalg":
                     linalg.append((path.name, getattr(top, "name", "<module>"), node.attr))
     assert found == []
-    assert linalg == [("control.py", "eigen3", "eigvals")]
+    assert sorted(linalg) == [("control.py", "eigen3", "LinAlgError"),
+                              ("control.py", "eigen3", "eigvals")]
 
 
 # The package's public names before they became one table, less the
@@ -146,3 +148,15 @@ def test_every_raise_names_a_package_error():
                 bad.append((path.name, line, name))
     assert count > 40
     assert bad == []
+
+
+def test_the_cli_catches_only_the_package_refusal_and_io_errors():
+    # cli._read translates InvalidInput alone: a bare TypeError or ValueError from a
+    # builder is a fault and must propagate, not turn into a config error.
+    caught = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {t.attr if isinstance(t, ast.Attribute) else t.id for t in types}
+    assert caught == {"InvalidInput", "UnicodeDecodeError", "JSONDecodeError",
+                      "RecursionError", "OSError", "ConfigError"}
