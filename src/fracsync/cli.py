@@ -123,7 +123,7 @@ def _vec3(raw) -> list:
 
 
 def _orders(raw) -> FractionalOrders:
-    if isinstance(raw, (int, float)):
+    if type(raw) in (int, float):
         return FractionalOrders.uniform(raw)
     return FractionalOrders(raw)
 

@@ -169,15 +169,17 @@ def abm_python(rhs, q, y0, h, n_steps):
     The rest of a step runs on Python floats. `sums.tolist()` is taken
     once: its first half is the predictor, checked with math.isfinite and
     handed to rhs as a new list; the corrector is formed as
-    corr_i + hq2_i * f_i, the same IEEE operations in the same order as
-    the array form, checked, written to the states and handed to the
-    second rhs call. So rhs never sees an array the driver reuses.
+    corr_i + hq2_i * float(f_i), the same IEEE operations in the same
+    order as the array form, checked, written to the states and handed to
+    the second rhs call. Reading each returned component as a float keeps
+    numpy scalars, float32 ones included, out of the corrector, so rhs gets
+    floats at both calls and never an array the driver reuses.
 
     Parameters
     ----------
     rhs : callable
         rhs(t, y) with y a list of d floats, returning d components (a
-        tuple, a list or a 1-D float64 array). A first value that is not
+        tuple, a list or any real 1-D array). A first value that is not
         real numbers of y0's shape raises InvalidInput naming rhs before
         any step is taken, and a later one of another length raises
         InvalidInput.
@@ -291,7 +293,7 @@ def abm_python(rhs, q, y0, h, n_steps):
         f = rhs(t1, pred)
         if len(f) != d:
             raise InvalidInput(f"rhs returned {len(f)} components for a state of {d}")
-        new = list(map(add, s[d:], map(mul, scale, f)))  # corr + hq2 * f
+        new = list(map(add, s[d:], map(mul, scale, map(float, f))))  # corr + hq2 * f
         if not all(map(isfinite, new)):
             return states, n + 1, _first_nonfinite(new)
         states[n + 1] = new

@@ -13,20 +13,20 @@ The Volta system, with parameters (a, b, c):
     dy/dt = -y - b*x - x*z
     dz/dt = c*z + x*y + 1
 
-Each field is written once, as a body over the three components
-(x, y, z) of a state, and the body is what `SystemDef.rhs` calls: the
+Each field is defined once, as the `rhs` of `financial_system` and
+`volta_system`, over the three components (x, y, z) of a state: the
 integration driver hands it a list of three Python floats, and three
 equal-shape arrays give three arrays, a batch. `componentwise` is the one
 adaptor from state arrays to such bodies: both control laws in `control`
 run through it, and a field evaluates on a state array as
 `componentwise(lambda s: financial_system(p).rhs(0.0, s), state)`. A
-single state of shape (3,) runs on Python floats, a batch of shape
-(..., 3) on views along its last axis. All of these do the same IEEE
-operations in the same order, so a whole trajectory evaluates in one call
-and equals its rows bit for bit, overflow included; any other number of
-components raises Python's unpacking ValueError, unchecked. Parameters
-are stored as Python floats, checked by the `number_array` rule, so a
-float32 parameter cannot make a single state's arithmetic float32.
+single state of shape (3,) and a batch of shape (..., 3) alike run on
+views along the last axis, under one rule for overflow, so a whole
+trajectory evaluates in one call and equals its rows bit for bit, inf and
+nan included; any other number of components raises Python's unpacking
+ValueError, unchecked. Parameters are stored as Python floats, checked by
+the `number_array` rule, so a float32 parameter cannot make a state's
+arithmetic float32.
 Jacobians take one state of 3 finite numbers by the same rule; equilibria
 take only parameters.
 """
@@ -164,37 +164,23 @@ def componentwise(body, *states) -> np.ndarray:
 
     `body` takes the three components of each state, in order, and returns
     three components: a control law's body, or a field's as
-    `lambda s: system.rhs(0.0, s)`. When every state is 1-D, the body runs
-    on Python floats (`tolist`), which do the IEEE operations numpy's
-    float64 scalars do, in the same order, with less overhead per operation
-    and no warning on overflow; the result comes back as a float64 array.
-    Otherwise the states broadcast and the body gets views along their last
-    axes. A 0-d state, with no last axis at all, raises InvalidInput; a
-    last axis other than 3 raises the body's unpacking ValueError, which is
-    not checked. Bodies use no `/` or `**`, which raise on floats where
-    numpy returns inf or nan.
+    `lambda s: system.rhs(0.0, s)`. The states, converted to float64,
+    broadcast, and the body gets views along their last axes, a single
+    state of shape (3,) included; the result is a new float64 array of the
+    broadcast shape. The body runs under np.errstate(over="ignore",
+    invalid="ignore"), so an overflow gives inf or nan with no
+    RuntimeWarning. A 0-d state, with no last axis at all, raises
+    InvalidInput; a last axis other than 3 raises the body's unpacking
+    ValueError, which is not checked.
     """
     arrays = [np.asarray(s, dtype=np.float64) for s in states]
     if any(a.ndim == 0 for a in arrays):
         raise InvalidInput("state must have a last axis of length 3, got shape ()")
-    if all(a.ndim == 1 for a in arrays):
-        return np.array(body(*(a.tolist() for a in arrays)))
     out = np.empty(np.broadcast_shapes(*(a.shape for a in arrays)))
     o = np.moveaxis(out, -1, 0)
-    o[0], o[1], o[2] = body(*(np.moveaxis(a, -1, 0) for a in arrays))
+    with np.errstate(over="ignore", invalid="ignore"):
+        o[0], o[1], o[2] = body(*(np.moveaxis(a, -1, 0) for a in arrays))
     return out
-
-
-# The bodies unpack their state, so any number of components but three
-# raises Python's unpacking ValueError; no check runs per call.
-def _financial(state, p):
-    x, y, z = state
-    return z + (y - p.alpha) * x, 1.0 - p.beta * y - x * x, -x - p.gamma * z
-
-
-def _volta(state, p):
-    x, y, z = state
-    return -x - p.a * y - z * y, -y - p.b * x - x * z, p.c * z + x * y + 1.0
 
 
 def financial_jacobian(state, p: FinancialParams) -> np.ndarray:
@@ -262,13 +248,14 @@ class SystemDef:
 
     rhs(t, y) is the only definition of the field that integration uses.
     y is a list of the d components of a state, Python floats, and rhs
-    returns d components: a tuple, a list or a 1-D float64 array. The
-    driver builds a new list for every call, so an rhs may keep y. Given d
-    equal-shape arrays instead, each built-in field returns d arrays.
-    Python floats raise on `/` by zero and on an overflowing `**` where
-    numpy returns inf; an rhs that wants numpy's rule can call
-    np.asarray(y). `dimension` must be an integer >= 1 (`count_number`);
-    anything else raises InvalidInput here, once, not in a run.
+    returns d real components: a tuple, a list or any real 1-D array,
+    which the driver reads as Python floats. The driver builds a new list
+    for every call, so an rhs may keep y. Given d equal-shape arrays
+    instead, each built-in field returns d arrays. Python floats raise on
+    `/` by zero and on an overflowing `**` where numpy returns inf; an rhs
+    that wants numpy's rule can call np.asarray(y). `dimension` must be an
+    integer >= 1 (`count_number`); anything else raises InvalidInput here,
+    once, not in a run.
     """
 
     dimension: int
@@ -278,14 +265,26 @@ class SystemDef:
         object.__setattr__(self, "dimension", count_number(self.dimension, "dimension", 1))
 
 
+# Each rhs unpacks its state, so any number of components but three raises
+# Python's unpacking ValueError; no check runs per call.
 def financial_system(params: FinancialParams | None = None) -> SystemDef:
     p = params if params is not None else FinancialParams()
-    return SystemDef(dimension=3, rhs=lambda t, y: _financial(y, p))
+
+    def rhs(t, state):
+        x, y, z = state
+        return z + (y - p.alpha) * x, 1.0 - p.beta * y - x * x, -x - p.gamma * z
+
+    return SystemDef(dimension=3, rhs=rhs)
 
 
 def volta_system(params: VoltaParams | None = None) -> SystemDef:
     p = params if params is not None else VoltaParams()
-    return SystemDef(dimension=3, rhs=lambda t, y: _volta(y, p))
+
+    def rhs(t, state):
+        x, y, z = state
+        return -x - p.a * y - z * y, -y - p.b * x - x * z, p.c * z + x * y + 1.0
+
+    return SystemDef(dimension=3, rhs=rhs)
 
 
 def zero_system() -> SystemDef:

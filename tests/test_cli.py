@@ -575,7 +575,7 @@ _BOOLEAN_CASES = [
     ("simulate", {"t_end": True}, "t_end", "value must be a number, got True"),
     ("simulate", {"memory": True}, "memory",
      "expected 'full', the one history policy, got True"),
-    ("simulate", {"orders": True}, "orders", "orders must be numbers, got (True, True, True)"),
+    ("simulate", {"orders": True}, "orders", "orders must be numbers, got True"),
     ("simulate", {"orders": [0.9, True, 0.9]}, "orders",
      "orders must be numbers, got [0.9, True, 0.9]"),
     ("simulate", {"initial_state": [True, False, True]}, "initial_state",

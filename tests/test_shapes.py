@@ -96,8 +96,8 @@ def test_batch_equals_rows_bit_for_bit(name, layout):
 @pytest.mark.parametrize("name", FUNCTIONS)
 @pytest.mark.parametrize("big", [1e200, np.inf, np.nan])
 def test_non_finite_single_states_equal_their_batch_rows(name, big):
-    # A single state runs on Python floats: overflow gives inf and nan as in
-    # the batch, with no RuntimeWarning and no Python exception.
+    # A single state gives inf and nan where its batch row does, with no
+    # RuntimeWarning and no Python exception.
     width, fn = FUNCTIONS[name]
     batch = np.ones((3, width))
     batch[0, ::2] = big
@@ -110,6 +110,22 @@ def test_non_finite_single_states_equal_their_batch_rows(name, big):
             warnings.simplefilter("error")
             single = fn(row.copy())
         assert np.array_equal(single, expect, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["financial_rhs", "volta_rhs", "control_exact", "control_literal"])
+@pytest.mark.parametrize("big", [1e200, np.inf, np.nan])
+def test_non_finite_batches_raise_no_warning(name, big):
+    # `componentwise` gives inf and nan on overflow without a RuntimeWarning,
+    # for a batch as for a single state.
+    width, fn = FUNCTIONS[name]
+    batch = np.ones((3, width))
+    batch[0, ::2] = big
+    batch[1, 1::2] = -big
+    batch[2, :] = [-big, big] * (width // 2) + [big] * (width % 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = fn(batch)
+    assert not np.isfinite(rows).all()
 
 
 @pytest.mark.parametrize("law,arg", [(control_exact, LAM), (control_literal, GAIN)],

@@ -566,6 +566,38 @@ class TestFieldContract:
         assert all(type(v) is float for y, _ in kept for v in y)
         assert [y for y, _ in kept[2::2]] == traj.states[1:-1].tolist()
 
+    @pytest.mark.parametrize(
+        "kind",
+        [tuple, list, np.array, lambda f: np.array(f, np.float32), lambda f: tuple(map(int, f))],
+        ids=["tuple", "list", "float64", "float32", "int"],
+    )
+    def test_rhs_gets_floats_whatever_it_returns(self, kind):
+        # The predicted and the corrected state both reach rhs as Python
+        # floats; a returned array once gave the corrector numpy scalars.
+        field = financial_system().rhs
+        seen = set()
+
+        def spy(t, y):
+            seen.update(type(v) for v in y)
+            return kind(field(t, y))
+
+        integrate(SystemDef(3, spy), self.ORDERS, self.Y0, self.CFG)
+        assert seen == {float}
+
+    def test_a_float32_value_is_read_as_its_float64_twin(self):
+        # The corrector widens each returned component to a float once, so
+        # float32 values give the bits of the same values as float64, not
+        # float32 arithmetic.
+        def narrow(t, y):
+            return np.array([-y[0] + 0.1 * t], np.float32)
+
+        def twin(t, y):
+            return tuple(narrow(t, y).tolist())
+
+        config = SolverConfig(h=0.01, n_steps=200)
+        states = [integrate(SystemDef(1, f), 0.9, [1.0], config).states for f in (narrow, twin)]
+        assert np.array_equal(*states)
+
     @pytest.mark.parametrize("length", [1, 2, 4])
     @pytest.mark.parametrize("bad_call", [11, 12])  # step 4's corrected state, step 5's predicted one
     def test_a_later_value_of_another_length_is_refused(self, length, bad_call):

@@ -78,9 +78,9 @@ FIELDS = [
 @pytest.mark.parametrize("system,cls", FIELDS)
 @pytest.mark.parametrize("kind", [np.float32, np.int64, int])
 def test_parameter_types_do_not_change_single_states(system, cls, kind):
-    # A single state runs on Python floats, where NumPy 2 would keep float32
-    # arithmetic for `float - np.float32`; parameters are stored as floats,
-    # so it still equals the float64 batch row.
+    # NumPy 2 keeps float32 arithmetic for `np.float32 - np.float32`;
+    # parameters are stored as Python floats, so a single state still equals
+    # the float64 batch row.
     values = {"alpha": 1.1, "beta": 0.1, "gamma": 3, "a": 19, "b": 11.3, "c": 0.73}
     names = [f.name for f in dataclasses.fields(cls)]
     p = cls(**{n: kind(values[n]) for n in names})
@@ -93,8 +93,8 @@ def test_parameter_types_do_not_change_single_states(system, cls, kind):
 @pytest.mark.parametrize("system,cls", FIELDS)
 @pytest.mark.parametrize("big", [1e200, np.inf, np.nan])
 def test_non_finite_single_states_follow_numpy(system, cls, big):
-    # Overflow to inf and inf - inf give inf and nan as in numpy: no Python
-    # OverflowError or ZeroDivisionError from the float path.
+    # Overflow to inf and inf - inf give inf and nan as in the batch, and no
+    # Python OverflowError or ZeroDivisionError.
     batch = np.array([[big, 1.0, -1.0], [1.0, big, -big], [-big, -big, big]])
     with np.errstate(all="ignore"):
         rows = field_on(system(cls()), batch)
