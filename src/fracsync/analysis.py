@@ -130,13 +130,19 @@ def predicted_error(e0, orders, t: float) -> np.ndarray:
     >= 0, both under the `systems.number_array` rule, which raises
     InvalidInput for strings, booleans, None, NaN, infinities and ragged
     lists. The orders are broadcast to the shape of e0
-    (`systems.order_array`), and the result has that shape.
+    (`systems.order_array`), and the result has that shape. `mittag_leffler`
+    serves z = -t^q_i down to -30, so t must be at most 30^(1/q_i) for every
+    order q_i (30 at q = 1, about 43.8 at q = 0.9); a later time raises
+    InvalidInput before any evaluation.
     """
     t = float(number_array(t, "time", ()))
     if t < 0.0:
         raise InvalidInput(f"time must be nonnegative, got {t!r}")
     e0 = number_array(e0, "e0")
     q = order_array(orders, e0.shape)
+    # t^q grows with q once t > 1, so the largest order is one that a late time passes.
+    if any(t**v > 30.0 for v in q.flat):
+        raise InvalidInput(f"time must be <= 30^(1/q), got {t!r} at order q = {float(q.max())!r}")
     terms = [e * mittag_leffler(v, -(t**v)) for e, v in zip(e0.flat, q.flat)]
     return np.array(terms).reshape(e0.shape)
 

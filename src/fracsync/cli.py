@@ -43,6 +43,7 @@ from .systems import (
     financial_equilibria,
     financial_jacobian,
     number_array,
+    order_array,
     positive_number,
 )
 
@@ -85,8 +86,7 @@ def _load_config(args) -> dict:
     for key in _COMMANDS[args.command][2]:
         value = getattr(args, key)
         if value is not None:
-            # One --orders value is the uniform order; any other count goes to the check.
-            cfg[key] = value[0] if key == "orders" and len(value) == 1 else value
+            cfg[key] = value
     return cfg
 
 
@@ -122,12 +122,6 @@ def _vec3(raw) -> list:
     return number_array(raw, "value", (3,)).tolist()
 
 
-def _orders(raw) -> FractionalOrders:
-    if type(raw) in (int, float):
-        return FractionalOrders.uniform(raw)
-    return FractionalOrders(raw)
-
-
 def _full(raw) -> str:
     if raw != "full":
         raise InvalidInput(f"expected 'full', the one history policy, got {raw!r}")
@@ -155,11 +149,12 @@ def _model(cfg):
     """Both systems' parameters and the orders, with their echo for the report."""
     fp = _params(cfg, "financial", FinancialParams)
     vp = _params(cfg, "volta", VoltaParams)
-    orders = _read("orders", _orders, cfg.pop("orders", FractionalOrders.q))
+    orders = _read("orders", lambda raw: order_array(raw, (3,)),
+                   cfg.pop("orders", FractionalOrders.q))
     echo = {
         "financial": dataclasses.asdict(fp),
         "volta": dataclasses.asdict(vp),
-        "orders": list(orders.q),
+        "orders": orders.tolist(),
     }
     return fp, vp, orders, echo
 
@@ -325,7 +320,7 @@ def _cmd_synchronize(args, cfg):
     return outdir, _run_report(run, resolved, entries), (header, columns)
 
 
-def _stability_entry(key: str, matrix: np.ndarray, orders: FractionalOrders) -> dict:
+def _stability_entry(key: str, matrix: np.ndarray, orders: np.ndarray) -> dict:
     """Report entry of `matrix`, whose spectrum `eigen3` may refuse as a ConfigError(key)."""
     report = _read(key, lambda m: ctl.matignon_check(m, orders), matrix)
     return {

@@ -42,8 +42,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidInput
-from .systems import (FinancialParams, SystemDef, VoltaParams, componentwise, financial_system,
-                      number_array, order_array, volta_system)
+from .systems import (FinancialParams, SystemDef, VoltaParams, broadcast_numbers, componentwise,
+                      financial_system, number_array, order_array, volta_system)
 
 
 def closed_loop_error_matrix(gain, p: VoltaParams) -> np.ndarray:
@@ -112,12 +112,8 @@ def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> n
 
 
 def _check_lambda(lam) -> np.ndarray:
-    # One rate, as a number or a one-element list, is used for all three components.
-    arr = number_array(lam, "lam")
-    if arr.shape in ((), (1,)):
-        arr = np.full(3, arr.item())
-    if arr.shape != (3,):
-        raise InvalidInput(f"lam must give 3 rates, got shape {arr.shape}")
+    # One rate, as a number or a one-element list, serves all three components.
+    arr = broadcast_numbers(lam, "lam", (3,))
     if np.any(arr >= 0.0):
         raise InvalidInput(f"every error rate must be negative, got {arr.tolist()}")
     return arr
@@ -209,7 +205,8 @@ def coupled_system(
 
     Its rhs takes the six components master then slave, floats or
     equal-shape arrays, and returns six; any other count raises Python's
-    unpacking ValueError, unchecked.
+    unpacking ValueError, unchecked. `systems.componentwise` evaluates it
+    on states of shape (..., 6), overflow included, as it does the fields.
     """
     # Both rows are bound once here, so the right-hand side does not
     # dispatch on the controller at every call.

@@ -91,25 +91,38 @@ def positive_number(value, name: str) -> float:
     return val
 
 
-def order_array(orders, shape: tuple) -> np.ndarray:
-    """Derivative orders as a new float64 array of `shape`.
+def broadcast_numbers(value, name: str, shape: tuple) -> np.ndarray:
+    """`value` by the `number_array` rule, broadcast to `shape`, as a new float64 array.
 
-    `orders` is a `FractionalOrders`, a number or an array_like of numbers,
-    broadcast to `shape` by numpy's rules, so one number serves every
-    component. Every order must be finite and in (0, 1]. Raises
-    InvalidInput for anything else: a value `number_array` refuses, a shape
-    that does not broadcast to `shape`, or an order out of range.
+    This is the one rule for a number given per component, such as the
+    derivative orders and the error rates: numpy's broadcasting, so one
+    number, or a list of one, serves every component. A value
+    `number_array` refuses, or one whose shape does not broadcast to
+    `shape` ((2,), (1, 3) or (3, 1) for shape (3,)), raises InvalidInput.
     """
-    if isinstance(orders, FractionalOrders):
-        orders = orders.q
-    arr = number_array(orders, "orders")
+    arr = number_array(value, name)
     # broadcast_to takes a few microseconds, as long as the rest of this
     # check, so it runs only when the shape does not already fit.
     if arr.shape != shape:
         try:
             arr = np.broadcast_to(arr, shape).copy()
         except ValueError:
-            raise InvalidInput(f"orders of shape {arr.shape} do not broadcast to shape {shape}")
+            raise InvalidInput(f"{name} must broadcast to shape {shape}, got shape {arr.shape}")
+    return arr
+
+
+def order_array(orders, shape: tuple) -> np.ndarray:
+    """Derivative orders as a new float64 array of `shape`.
+
+    `orders` is a `FractionalOrders`, a number or an array_like of numbers,
+    broadcast to `shape` by `broadcast_numbers`, so one number serves every
+    component. Every order must be finite and in (0, 1]. Raises
+    InvalidInput for anything else: a value `number_array` refuses, a shape
+    that does not broadcast to `shape`, or an order out of range.
+    """
+    if isinstance(orders, FractionalOrders):
+        orders = orders.q
+    arr = broadcast_numbers(orders, "orders", shape)
     if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise InvalidInput(f"orders must lie in (0, 1], got {arr.tolist()}")
     return arr
@@ -162,16 +175,18 @@ class VoltaParams:
 def componentwise(body, *states) -> np.ndarray:
     """Evaluate `body` on the components of state arrays; the one array adaptor.
 
-    `body` takes the three components of each state, in order, and returns
-    three components: a control law's body, or a field's as
-    `lambda s: system.rhs(0.0, s)`. The states, converted to float64,
-    broadcast, and the body gets views along their last axes, a single
-    state of shape (3,) included; the result is a new float64 array of the
-    broadcast shape. The body runs under np.errstate(over="ignore",
-    invalid="ignore"), so an overflow gives inf or nan with no
-    RuntimeWarning. A 0-d state, with no last axis at all, raises
-    InvalidInput; a last axis other than 3 raises the body's unpacking
-    ValueError, which is not checked.
+    `body` takes the components of each state, in order, and returns one
+    component per entry of the states' broadcast last axis: a control
+    law's body (three from master and slave), or any system's field as
+    `lambda s: system.rhs(0.0, s)`, the coupled pair's six included. The
+    states, converted to float64, broadcast, and the body gets views along
+    their last axes, a single state included; the result is a new float64
+    array of the broadcast shape. The body runs under
+    np.errstate(over="ignore", invalid="ignore"), so an overflow gives inf
+    or nan with no RuntimeWarning. A 0-d state, with no last axis at all,
+    raises InvalidInput. A last axis the body cannot unpack raises the
+    body's ValueError, and a body that returns another count of
+    components raises zip's ValueError; neither is checked.
     """
     arrays = [np.asarray(s, dtype=np.float64) for s in states]
     if any(a.ndim == 0 for a in arrays):
@@ -179,7 +194,10 @@ def componentwise(body, *states) -> np.ndarray:
     out = np.empty(np.broadcast_shapes(*(a.shape for a in arrays)))
     o = np.moveaxis(out, -1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        o[0], o[1], o[2] = body(*(np.moveaxis(a, -1, 0) for a in arrays))
+        values = body(*(np.moveaxis(a, -1, 0) for a in arrays))
+        # Not o[...] = values, which would broadcast a one-component body into every entry.
+        for i, v in zip(range(len(o)), values, strict=True):
+            o[i] = v
     return out
 
 
@@ -251,7 +269,8 @@ class SystemDef:
     returns d real components: a tuple, a list or any real 1-D array,
     which the driver reads as Python floats. The driver builds a new list
     for every call, so an rhs may keep y. Given d equal-shape arrays
-    instead, each built-in field returns d arrays. Python floats raise on
+    instead, each built-in field returns d arrays, so `componentwise`
+    evaluates it on states of shape (..., d). Python floats raise on
     `/` by zero and on an overflowing `**` where numpy returns inf; an rhs
     that wants numpy's rule can call np.asarray(y). `dimension` must be an
     integer >= 1 (`count_number`); anything else raises InvalidInput here,

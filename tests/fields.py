@@ -4,5 +4,5 @@ from fracsync.systems import componentwise
 
 
 def field_on(system, state):
-    """`system`'s field on a state array of shape (..., 3), through the package's array adaptor."""
+    """`system`'s field on a state array of shape (..., d), through the package's array adaptor."""
     return componentwise(lambda s: system.rhs(0.0, s), state)

@@ -275,8 +275,21 @@ class TestPredictedError:
             predicted_error(np.array([1.0, 2.0]), (0.9, 0.9, 0.9), 1.0)
         with pytest.raises(ValueError):
             predicted_error(np.array([1.0, 1.0, 1.0]), (0.9, 0.9, 0.9), -1.0)
-        with pytest.raises(InvalidInput, match="z = -31 lies outside"):
+        late = r"^time must be <= 30\^\(1/q\), got "
+        with pytest.raises(InvalidInput, match=late + "31.0 at order q = 1.0$"):
             predicted_error(np.array([1.0]), (1.0,), 31.0)
+
+    def test_a_time_past_the_served_domain_is_refused_by_name(self):
+        # t = 100 at q = 0.9 was refused as "z = -63.0957 lies outside the
+        # supported domain [-30, 0]", naming an internal, not the time.
+        late = r"^time must be <= 30\^\(1/q\), got "
+        with pytest.raises(InvalidInput, match=late + "100.0 at order q = 0.9$"):
+            predicted_error([1.0], 0.9, 100.0)
+        # Only the largest order passes 30 at t = 40.
+        with pytest.raises(InvalidInput, match="at order q = 1.0$"):
+            predicted_error([1.0, 1.0], (0.9, 1.0), 40.0)
+        assert predicted_error([1.0, 1.0], (0.9, 1.0), 30.0)[1] == mittag_leffler(1.0, -30.0)
+        assert predicted_error([], 0.9, 1e300).shape == (0,)
 
 
 def _error_trajectory(times, sup):

@@ -248,6 +248,38 @@ class TestSimulateValidation:
         )
 
 
+@pytest.mark.parametrize("command", ["simulate", "synchronize", "stability"])
+def test_one_order_reads_alike_as_a_number_a_list_and_a_flag(tmp_path, command):
+    # {"orders": [0.9]} was refused ("must have shape (3,)") where 0.9 and
+    # --orders 0.9 ran.
+    grid = () if command == "stability" else ("--h", 0.01, "--t-end", 0.5)
+    number, listed = tmp_path / "number.json", tmp_path / "list.json"
+    number.write_text(json.dumps({"orders": 0.9}))
+    listed.write_text(json.dumps({"orders": [0.9]}))
+    written = []
+    for i, argv in enumerate([("--config", number), ("--config", listed), ("--orders", 0.9)]):
+        out = tmp_path / f"out{i}"
+        assert _run(command, *grid, *argv, "--out", out) == EXIT_OK
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert written[0] == written[1] == written[2]
+    assert _report(out)["config"]["orders"] == [0.9, 0.9, 0.9]
+
+
+@pytest.mark.parametrize("key,value,flag", [("orders", [0.9, 0.9], ("--orders", 0.9, 0.9)),
+                                            ("lambda", [-1.0, -1.0], None)],
+                         ids=["orders", "lambda"])
+def test_a_count_that_does_not_broadcast_reads_alike_from_flag_and_config(
+        tmp_path, capsys, key, value, flag):
+    # Orders read "must have shape (3,)" and rates "lam must give 3 rates" before.
+    name = "lam" if key == "lambda" else key
+    want = f"config error: {key}: {name} must broadcast to shape (3,), got shape (2,)\n"
+    cfg = _write_config(tmp_path, {key: value})
+    for argv in [("--config", cfg)] + ([flag] if flag else []):
+        assert _run("synchronize", *argv, "--out", tmp_path / "never") == EXIT_CONFIG
+        assert capsys.readouterr().err == want
+    assert not (tmp_path / "never").exists()
+
+
 class TestSynchronize:
     def test_exact_mode_artifacts(self, tmp_path):
         out = tmp_path / "sync"

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fracsync
+from fracsync import cli
 
 PACKAGE = Path(fracsync.__file__).resolve().parent
 
@@ -53,6 +54,24 @@ def test_cli_writes_artifacts_and_loads_config_in_one_place():
     assert len(handlers) == 4
     for key in handlers:
         assert names[key] & (writers | {"_write", "_load_config"}) == set(), key
+
+
+def test_per_component_numbers_broadcast_by_one_rule():
+    # Orders and error rates broadcast in `systems.broadcast_numbers` alone:
+    # neither the command line nor the controllers spread a number over the
+    # components themselves, and the config loader takes every flag alike,
+    # with no branch on the key of one.
+    found = []
+    for name in ("cli.py", "control.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in {"broadcast_to", "full"}:
+                found.append((name, node.lineno, node.func.attr))
+    load = next(node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_load_config")
+    found += [("cli.py", node.lineno, node.value) for node in ast.walk(load)
+              if isinstance(node, ast.Constant) and node.value in cli._FLAGS]
+    assert found == []
 
 
 # Routines that hand a sum to BLAS, whose kernel the CPU selects at run time.

@@ -30,6 +30,7 @@ from fracsync import (
     zero_system,
 )
 from fracsync.experiments import run_synchronization
+from fracsync.systems import componentwise
 
 from fields import field_on
 
@@ -48,22 +49,18 @@ def _components(y):
     return list(np.moveaxis(y, -1, 0)) if np.ndim(y) else []
 
 
-def _on_arrays(system):
-    """system.rhs as a function of a state array, through the components of its last axis."""
-    return lambda y: np.moveaxis(np.array(system.rhs(0.0, _components(y))), 0, -1)
-
-
 # name -> (width of the last axis, function of one array of that width); the
-# laws take master and slave as column views of a six-component state. The
+# laws take master and slave as column views of a six-component state, and
+# every field, the coupled pair's included, goes through `field_on`. The
 # fields keep the names of the array wrappers these tests were written for.
 FUNCTIONS = {
     "financial_rhs": (3, partial(field_on, financial_system(FP))),
     "volta_rhs": (3, partial(field_on, volta_system(VP))),
-    "zero": (3, _on_arrays(zero_system())),
+    "zero": (3, partial(field_on, zero_system())),
     "control_exact": (6, lambda y: control_exact(y[..., :3], y[..., 3:], FP, VP, LAM)),
     "control_literal": (6, lambda y: control_literal(y[..., :3], y[..., 3:], FP, VP, GAIN)),
-    "coupled_exact": (6, _on_arrays(coupled_system(FP, VP, ExactCancellation(LAM)))),
-    "coupled_literal": (6, _on_arrays(coupled_system(FP, VP, LiteralFeedback()))),
+    "coupled_exact": (6, partial(field_on, coupled_system(FP, VP, ExactCancellation(LAM)))),
+    "coupled_literal": (6, partial(field_on, coupled_system(FP, VP, LiteralFeedback()))),
 }
 
 
@@ -103,8 +100,7 @@ def test_non_finite_single_states_equal_their_batch_rows(name, big):
     batch[0, ::2] = big
     batch[1, 1::2] = -big
     batch[2, :] = [-big, big] * (width // 2) + [big] * (width % 2)
-    with np.errstate(all="ignore"):
-        rows = fn(batch)
+    rows = fn(batch)
     for row, expect in zip(batch, rows):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -112,11 +108,12 @@ def test_non_finite_single_states_equal_their_batch_rows(name, big):
         assert np.array_equal(single, expect, equal_nan=True)
 
 
-@pytest.mark.parametrize("name", ["financial_rhs", "volta_rhs", "control_exact", "control_literal"])
+# Every function but `zero`, whose field is 0 everywhere.
+@pytest.mark.parametrize("name", [name for name in FUNCTIONS if name != "zero"])
 @pytest.mark.parametrize("big", [1e200, np.inf, np.nan])
 def test_non_finite_batches_raise_no_warning(name, big):
     # `componentwise` gives inf and nan on overflow without a RuntimeWarning,
-    # for a batch as for a single state.
+    # for a batch as for a single state, the coupled pair's included.
     width, fn = FUNCTIONS[name]
     batch = np.ones((3, width))
     batch[0, ::2] = big
@@ -165,6 +162,14 @@ def test_wrong_last_axis_raises(shape):
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+@pytest.mark.parametrize("shape", [(3,), (5, 3)])
+def test_a_body_returning_another_count_raises(count, shape):
+    # One returned component is not broadcast into every entry of the last axis.
+    with pytest.raises(ValueError):
+        componentwise(lambda s: (s[0],) * count, np.ones(shape))
 
 
 @pytest.mark.parametrize("controller", [ExactCancellation(LAM), LiteralFeedback()])

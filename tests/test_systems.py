@@ -1,11 +1,13 @@
 """Vector fields, Jacobians, equilibria, and order validation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from fracsync import (
+    ExactCancellation,
     FinancialParams,
     FractionalOrders,
     SystemDef,
@@ -19,6 +21,7 @@ from fracsync import (
 )
 from fracsync.errors import InvalidInput
 from fracsync.experiments import build_system
+from fracsync.systems import broadcast_numbers, order_array
 
 from fields import field_on
 
@@ -247,6 +250,42 @@ class TestFractionalOrders:
     def test_non_numeric_rejected(self, bad):
         with pytest.raises(InvalidInput, match="^orders "):
             FractionalOrders(bad)
+
+
+# Numbers given per component, with a value in range and the reader that
+# broadcasts them to three components through `broadcast_numbers`.
+PER_COMPONENT = {
+    "orders": (0.9, lambda value: order_array(value, (3,))),
+    "lam": (-2.0, lambda value: np.array(ExactCancellation(value).lam)),
+}
+
+
+class TestBroadcastNumbers:
+    @pytest.mark.parametrize("name", PER_COMPONENT)
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_one_number_or_three_serve_three_components(self, name, shape):
+        value, read = PER_COMPONENT[name]
+        given = np.full(shape, value).tolist()
+        assert broadcast_numbers(given, name, (3,)).tolist() == [value] * 3
+        assert read(given).tolist() == [value] * 3
+
+    @pytest.mark.parametrize("name", PER_COMPONENT)
+    @pytest.mark.parametrize("shape", [(2,), (1, 3), (3, 1)])
+    def test_other_shapes_get_one_message(self, name, shape):
+        # Orders read "do not broadcast" and rates "must give 3 rates" before.
+        value, read = PER_COMPONENT[name]
+        given = np.full(shape, value).tolist()
+        want = re.escape(f"{name} must broadcast to shape (3,), got shape {shape}")
+        for call in (lambda: broadcast_numbers(given, name, (3,)), lambda: read(given)):
+            with pytest.raises(InvalidInput, match=f"^{want}$"):
+                call()
+
+    def test_the_result_is_a_new_float64_array(self):
+        given = np.array([1], dtype=np.int32)
+        out = broadcast_numbers(given, "value", (2, 3))
+        assert out.dtype == np.float64 and out.shape == (2, 3)
+        out[0, 0] = 5.0
+        assert out[1, 1] == 1.0 and given[0] == 1
 
 
 class TestSystemBuilders:
