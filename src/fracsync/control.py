@@ -113,7 +113,7 @@ def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> n
 
 def _check_lambda(lam) -> np.ndarray:
     # One rate, as a number or a one-element list, serves all three components.
-    arr = broadcast_numbers(lam, "lam", (3,))
+    arr = broadcast_numbers(lam, "lambda", (3,))
     if np.any(arr >= 0.0):
         raise InvalidInput(f"every error rate must be negative, got {arr.tolist()}")
     return arr

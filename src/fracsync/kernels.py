@@ -4,8 +4,10 @@
 any Python right-hand side under one contract (`systems.SystemDef`): rhs
 gets a new list of the d state components as Python floats and returns d
 components, so the step's field calls, finiteness checks and corrector
-run on floats, with no array round trip. Its history sums are FFT-tiled (see
-`abm_python`), so N full-memory steps cost O(N log^2 N) instead of the
+run on floats, with no array round trip. That part of the step runs in a
+loop written out for the state width d, one name per component, and
+compiled from source once per d (`_step_loop`). The history sums are
+FFT-tiled (see `abm_python`), so N full-memory steps cost O(N log^2 N) instead of the
 O(N^2) of direct summation, and they match direct summation to rounding
 error: the test suite pins the states to 1e-12 of an independent
 direct-sum integrator. None of its sums go through BLAS, so results do
@@ -46,8 +48,9 @@ whole history, j = 0 .. n.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
-import operator
 
 import numpy as np
 
@@ -105,8 +108,15 @@ def first_panel_weights(q: float, steps) -> np.ndarray:
 
 
 def _first_nonfinite(values) -> int:
-    """Index of the first non-finite number in `values`, which holds one."""
-    return [math.isfinite(v) for v in values].index(False)
+    """Index of the first non-finite number in `values`; -1 when every one is finite.
+
+    The step loop asks only when the sum of `values` is not finite, which
+    it also is when a sum of finite numbers overflows.
+    """
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            return i
+    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +131,64 @@ BLOCK = 64
 # time, so that none of its arrays is 2d columns wide, and a short one in a
 # single call, which splitting would only slow.
 TILE_BUDGET = 8192
+
+# The step loop of `abm_python` for d components, written out with one name
+# per component: {p} stands for "p0, p1, ...", {p_sum} for "p0 + p1 + ...",
+# and {corrector} for one line "y_i = c_i + k_i * float(f_i)" per component.
+_STEP_LOOP = """\
+def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, scale):
+    {k}, = scale
+    multiply, reduce, isfinite = np.multiply, np.add.reduce, math.isfinite
+    for lo in range(0, n_steps, BLOCK):
+        if lo:
+            tiles(lo)
+        for n, weight, product in zip(range(lo, min(lo + BLOCK, n_steps)), weights, products):
+            # Rows f_lo .. f_n, then the pending sums in row n + 1, added in order;
+            # `out` is passed by position, which numpy parses faster.
+            multiply(weight, flat[lo : n + 2], product)
+            reduce(product, 0, None, sums)
+            {p}, {c}, = sums.tolist()
+            if not isfinite({p_sum}) and (i := _first_nonfinite(({p},))) >= 0:
+                return n + 1, i
+            t1 = (n + 1) * h
+            f = rhs(t1, [{p}])
+            if len(f) != {d}:
+                raise InvalidInput(f"rhs returned {{len(f)}} components for a state of {d}")
+            {f}, = f
+{corrector}
+            if not isfinite({y_sum}) and (i := _first_nonfinite(({y},))) >= 0:
+                return n + 1, i
+            states[n + 1] = {y},
+            if n + 1 < n_steps:  # no sum reads f at the last grid point
+                f = rhs(t1, [{y}])
+                if len(f) != {d}:
+                    raise InvalidInput(f"rhs returned {{len(f)}} components for a state of {d}")
+                {g}, = f
+                flat[n + 1] = {g}, {g}
+    return -1, -1
+"""
+
+
+@functools.cache
+def _step_loop(d: int):
+    """`_STEP_LOOP` written out for d components, compiled once per d.
+
+    Its source is registered with linecache under its file name, so a
+    traceback through the loop shows its lines.
+    """
+    names = {x: [f"{x}{i}" for i in range(d)] for x in "pcfgky"}
+    source = _STEP_LOOP.format(
+        d=d,
+        p_sum=" + ".join(names["p"]),
+        y_sum=" + ".join(names["y"]),
+        corrector="\n".join(f"            y{i} = c{i} + k{i} * float(f{i})" for i in range(d)),
+        **{x: ", ".join(v) for x, v in names.items()},
+    )
+    filename = f"<fracsync step loop, d={d}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["step_loop"]
 
 
 def abm_python(rhs, q, y0, h, n_steps):
@@ -166,14 +234,22 @@ def abm_python(rhs, q, y0, h, n_steps):
     (BLOCK + 1) * 2d + 2d floats and the 2 * BLOCK views; no step allocates
     an array for its near sums.
 
-    The rest of a step runs on Python floats. `sums.tolist()` is taken
-    once: its first half is the predictor, checked with math.isfinite and
-    handed to rhs as a new list; the corrector is formed as
-    corr_i + hq2_i * float(f_i), the same IEEE operations in the same
-    order as the array form, checked, written to the states and handed to
-    the second rhs call. Reading each returned component as a float keeps
-    numpy scalars, float32 ones included, out of the corrector, so rhs gets
-    floats at both calls and never an array the driver reuses.
+    The rest of a step runs on Python floats, in the loop `_step_loop(d)`
+    writes out for the state width d: every component has a name of its
+    own, so a step builds no list to map over. `sums.tolist()` is unpacked
+    once into the predictor p_i and the corrector sums c_i. The predictor
+    is checked as isfinite(p_0 + p_1 + ...), which holds whenever every
+    p_i is finite; only a sum that is not (a NaN, an infinity, or finite
+    values whose sum overflows) is searched one component at a time. It is
+    handed to rhs as a new list. The corrector is c_i + hq2_i * float(f_i),
+    the same IEEE operations in the same order as the array form; it is
+    checked the same way, written to the states and handed to the second
+    rhs call, whose value fills the history row as (g_0, .., g_0, ..).
+    Reading each returned component as a float keeps numpy scalars,
+    float32 ones included, out of the corrector, so rhs gets floats at
+    both calls and never an array the driver reuses. The loop's source
+    depends on d alone and is compiled once per d; the FFT tiles stay
+    ordinary code, which the loop calls once per BLOCK steps.
 
     Parameters
     ----------
@@ -228,8 +304,6 @@ def abm_python(rhs, q, y0, h, n_steps):
     products = [prod[: r + 2] for r in range(BLOCK)]
     sums = np.empty(2 * d)
     scale = hq2.tolist()
-    multiply, reduce, isfinite = np.multiply, np.add.reduce, math.isfinite
-    add, mul = operator.add, operator.mul
 
     y0 = np.asarray(y0, dtype=np.float64)
     states = np.empty((n_steps + 1, d))
@@ -260,46 +334,25 @@ def abm_python(rhs, q, y0, h, n_steps):
     for i in range(d):
         acc[:, 1, i] += hq2[i] * f0[i] * first_panel_weights(q[i], np.arange(n_steps))
 
-    for n in range(n_steps):
-        r = n % BLOCK
-        if r == 0 and n:
-            # Tile of `size` source steps before n onto the outputs [n, stop).
-            # Output n + o needs lags up to size + o, so an FFT of length
-            # size + (stop - n) convolves without wrapping around.
-            size = (n // BLOCK & -(n // BLOCK)) * BLOCK
-            stop = min(n + size, n_steps)
-            length = size + stop - n
-            spec = spectra.pop(length, None)
-            if spec is None:
-                spec = np.fft.rfft(kernel(length), axis=0)
-            if n + 3 * size <= n_steps:  # the next tile of this size, at n + 2*size, is as long
-                spectra[length] = spec
-            group = max(1, min(d, TILE_BUDGET // length))
-            for lo in range(0, d, group):
-                comps = slice(lo, lo + group)
-                tile = np.fft.rfft(hist[n - size : n, :, comps], length, axis=0)
-                for j, c in enumerate(col[comps]):
-                    tile[:, :, j] *= spec[:, :, c]
-                acc[n:stop, :, comps] += np.fft.irfft(tile, length, axis=0)[size:]
-        # Rows f_{n-r} .. f_n, then acc[n], added in order.
-        product = products[r]
-        multiply(weights[r], flat[n - r : n + 2], out=product)
-        reduce(product, axis=0, out=sums)
-        s = sums.tolist()
-        pred = s[:d]
-        if not all(map(isfinite, pred)):
-            return states, n + 1, _first_nonfinite(pred)
-        t1 = (n + 1) * h
-        f = rhs(t1, pred)
-        if len(f) != d:
-            raise InvalidInput(f"rhs returned {len(f)} components for a state of {d}")
-        new = list(map(add, s[d:], map(mul, scale, map(float, f))))  # corr + hq2 * f
-        if not all(map(isfinite, new)):
-            return states, n + 1, _first_nonfinite(new)
-        states[n + 1] = new
-        if n + 1 < n_steps:  # no sum reads f at the last grid point
-            f = rhs(t1, new)
-            if len(f) != d:
-                raise InvalidInput(f"rhs returned {len(f)} components for a state of {d}")
-            hist[n + 1] = f
-    return states, -1, -1
+    def tiles(n):
+        # Tile of `size` source steps before n onto the outputs [n, stop).
+        # Output n + o needs lags up to size + o, so an FFT of length
+        # size + (stop - n) convolves without wrapping around.
+        size = (n // BLOCK & -(n // BLOCK)) * BLOCK
+        stop = min(n + size, n_steps)
+        length = size + stop - n
+        spec = spectra.pop(length, None)
+        if spec is None:
+            spec = np.fft.rfft(kernel(length), axis=0)
+        if n + 3 * size <= n_steps:  # the next tile of this size, at n + 2*size, is as long
+            spectra[length] = spec
+        group = max(1, min(d, TILE_BUDGET // length))
+        for lo in range(0, d, group):
+            comps = slice(lo, lo + group)
+            tile = np.fft.rfft(hist[n - size : n, :, comps], length, axis=0)
+            for j, c in enumerate(col[comps]):
+                tile[:, :, j] *= spec[:, :, c]
+            acc[n:stop, :, comps] += np.fft.irfft(tile, length, axis=0)[size:]
+
+    loop = _step_loop(d)
+    return states, *loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, scale)

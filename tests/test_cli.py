@@ -270,9 +270,9 @@ def test_one_order_reads_alike_as_a_number_a_list_and_a_flag(tmp_path, command):
                          ids=["orders", "lambda"])
 def test_a_count_that_does_not_broadcast_reads_alike_from_flag_and_config(
         tmp_path, capsys, key, value, flag):
-    # Orders read "must have shape (3,)" and rates "lam must give 3 rates" before.
-    name = "lam" if key == "lambda" else key
-    want = f"config error: {key}: {name} must broadcast to shape (3,), got shape (2,)\n"
+    # Orders read "must have shape (3,)" and rates "lam must give 3 rates" before;
+    # the rates' message named the library's argument, not the config key.
+    want = f"config error: {key}: {key} must broadcast to shape (3,), got shape (2,)\n"
     cfg = _write_config(tmp_path, {key: value})
     for argv in [("--config", cfg)] + ([flag] if flag else []):
         assert _run("synchronize", *argv, "--out", tmp_path / "never") == EXIT_CONFIG
@@ -618,7 +618,7 @@ _BOOLEAN_CASES = [
     ("synchronize", {"sync_tol": True}, "sync_tol", "value must be a number, got True"),
     ("synchronize", {"slave_initial": [True, 0.0, 0.0]}, "slave_initial",
      "value must be numbers, got [True, 0.0, 0.0]"),
-    ("synchronize", {"lambda": True}, "lambda", "lam must be numbers, got True"),
+    ("synchronize", {"lambda": True}, "lambda", "lambda must be numbers, got True"),
     ("synchronize", {"mode": "literal", "gain": [[True, 0, 0], [0, 0, 0], [0, 0, 0]]}, "gain",
      "gain must be numbers, got [[True, 0, 0], [0, 0, 0], [0, 0, 0]]"),
     ("stability", {"matrix": {"source": "explicit",

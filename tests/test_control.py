@@ -210,7 +210,7 @@ class TestExactControl:
          ["-1", "-1", "-1"]],
     )
     def test_rejects_nonnegative_rates(self, bad):
-        with pytest.raises(InvalidInput, match="^(lam must|every error rate must be negative)"):
+        with pytest.raises(InvalidInput, match="^(lambda must|every error rate must be negative)"):
             control_exact(MASTER0, SLAVE0, FP, VP, bad)
 
 
@@ -221,7 +221,7 @@ class TestControllerConfigs:
 
     def test_exact_rejects_unstable_rates(self):
         for bad in ((0.0, -1.0, -1.0), (2.0, -1.0, -1.0), "abc", [[-1.0]], "-1", ("-1",) * 3):
-            with pytest.raises(InvalidInput, match="^(lam must|every error rate must be negative)"):
+            with pytest.raises(InvalidInput, match="^(lambda must|every error rate must be negative)"):
                 ExactCancellation(lam=bad)
 
     def test_exact_single_rate_broadcasts(self):

@@ -89,8 +89,8 @@ ENTRY_POINTS = {
         lambda v: control_literal(_STATE, _STATE, _FP, _VP, v), _GAIN, "gain", ()),
     # gain=None selects the default gain.
     "LiteralFeedback": (LiteralFeedback, _GAIN, "gain", {"none"}),
-    "ExactCancellation": (ExactCancellation, _RATES, "lam", ()),
-    "control_exact": (lambda v: control_exact(_STATE, _STATE, _FP, _VP, v), _RATES, "lam", ()),
+    "ExactCancellation": (ExactCancellation, _RATES, "lambda", ()),
+    "control_exact": (lambda v: control_exact(_STATE, _STATE, _FP, _VP, v), _RATES, "lambda", ()),
     "financial_jacobian state": (lambda v: financial_jacobian(v, _FP), _STATE, "state", ()),
     "volta_jacobian state": (lambda v: volta_jacobian(v, _VP), _STATE, "state", ()),
     "predicted_error e0": (lambda v: predicted_error(v, 0.9, 1.0), _STATE, "e0", ANY_SHAPE),

@@ -224,6 +224,51 @@ class TestTiledHistory:
         want = _direct_abm(system.rhs, orders, self.Y0, self.H, self.N_STEPS)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    # The step loop is written out for each state width d: one, two and
+    # seven components of mixed orders, and the coupled pair of six.
+    WIDTHS = {
+        1: (SystemDef(1, lambda t, y: (math.sin(t) - y[0],)), 0.8, (1.0,)),
+        2: (SystemDef(2, lambda t, y: (y[1], -y[0] - 0.1 * y[1])), (0.9, 0.95), (1.0, 0.0)),
+        6: (
+            coupled_system(FinancialParams(), VoltaParams(), ExactCancellation()),
+            (0.99, 0.95, 0.9) * 2,
+            Y0 + (8.0, 2.0, 3.0),
+        ),
+        7: (
+            SystemDef(7, lambda t, y: [0.2 * y[i - 1] - 0.5 * y[i] for i in range(7)]),
+            (0.6, 0.7, 0.8, 0.9, 1.0, 0.9, 0.8),
+            (1.0, -1.0, 2.0, 0.5, 0.0, -2.0, 1.5),
+        ),
+    }
+
+    @pytest.mark.parametrize("d", WIDTHS)
+    def test_matches_direct_sums_at_each_width(self, d):
+        system, orders, y0 = self.WIDTHS[d]
+        cfg = SolverConfig(h=self.H, n_steps=self.N_STEPS)
+        got = integrate(system, orders, y0, cfg).states
+        want = _direct_abm(system.rhs, orders, y0, self.H, self.N_STEPS)
+        assert got.shape == (self.N_STEPS + 1, d)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_one_step_loop_per_width(self):
+        assert kernels._step_loop(3) is kernels._step_loop(3)
+        assert kernels._step_loop(3) is not kernels._step_loop(6)
+
+    def test_a_traceback_shows_the_step_loop(self):
+        # The loop is compiled from generated source; linecache holds its lines.
+        field = financial_system().rhs
+
+        def failing(t, y):
+            if t > 0.0:
+                raise ZeroDivisionError("in the field")
+            return field(t, y)
+
+        with pytest.raises(ZeroDivisionError) as info:
+            integrate(SystemDef(3, failing), 0.9, self.Y0, SolverConfig(h=0.01, n_steps=5))
+        frame = [e for e in info.traceback if e.path == "<fracsync step loop, d=3>"]
+        assert len(frame) == 1
+        assert str(frame[0].statement).strip() == "f = rhs(t1, [p0, p1, p2])"
+
     # The pending sums of step n live in history row n + 1: check the first
     # and last steps and the steps around the first block boundary.
     @pytest.mark.parametrize("n_steps", [1, 2, 63, 64, 65])
@@ -598,19 +643,33 @@ class TestFieldContract:
         states = [integrate(SystemDef(1, f), 0.9, [1.0], config).states for f in (narrow, twin)]
         assert np.array_equal(*states)
 
-    @pytest.mark.parametrize("length", [1, 2, 4])
+    # The financial system of three components, then one and six components.
+    # The three-component cases keep their names, the length alone.
+    @pytest.mark.parametrize(
+        "d,length",
+        [(3, 1), (3, 2), (3, 4), (1, 2), (1, 4), (6, 1), (6, 3), (6, 7)],
+        ids=["1", "2", "4", "d1-2", "d1-4", "d6-1", "d6-3", "d6-7"],
+    )
     @pytest.mark.parametrize("bad_call", [11, 12])  # step 4's corrected state, step 5's predicted one
-    def test_a_later_value_of_another_length_is_refused(self, length, bad_call):
-        field = financial_system().rhs
+    def test_a_later_value_of_another_length_is_refused(self, d, length, bad_call):
+        field, orders, y0 = {
+            1: (lambda t, y: (-y[0],), 0.9, [1.0]),
+            3: (financial_system().rhs, self.ORDERS, self.Y0),
+            6: (
+                coupled_system(FinancialParams(), VoltaParams(), ExactCancellation()).rhs,
+                self.ORDERS * 2,
+                self.Y0 + [8.0, 2.0, 3.0],
+            ),
+        }[d]
         calls = []
 
         def faulty(t, y):
             calls.append(t)
             return (1.0,) * length if len(calls) == bad_call else field(t, y)
 
-        match = f"rhs returned {length} components for a state of 3"
+        match = f"rhs returned {length} components for a state of {d}"
         with pytest.raises(ValueError, match=match):
-            integrate(SystemDef(3, faulty), self.ORDERS, self.Y0, self.CFG)
+            integrate(SystemDef(d, faulty), orders, y0, self.CFG)
         assert len(calls) == bad_call
 
     def test_the_first_value_is_checked_for_numbers_not_for_finiteness(self):

@@ -252,11 +252,13 @@ class TestFractionalOrders:
             FractionalOrders(bad)
 
 
-# Numbers given per component, with a value in range and the reader that
-# broadcasts them to three components through `broadcast_numbers`.
+# Numbers given per component, with a value in range, the reader that
+# broadcasts them to three components through `broadcast_numbers`, and the
+# name its messages give them: the rates are `lam` in the library and
+# `lambda` in a config file, and the messages say `lambda`.
 PER_COMPONENT = {
-    "orders": (0.9, lambda value: order_array(value, (3,))),
-    "lam": (-2.0, lambda value: np.array(ExactCancellation(value).lam)),
+    "orders": (0.9, lambda value: order_array(value, (3,)), "orders"),
+    "lam": (-2.0, lambda value: np.array(ExactCancellation(value).lam), "lambda"),
 }
 
 
@@ -264,7 +266,7 @@ class TestBroadcastNumbers:
     @pytest.mark.parametrize("name", PER_COMPONENT)
     @pytest.mark.parametrize("shape", [(), (1,), (3,)])
     def test_one_number_or_three_serve_three_components(self, name, shape):
-        value, read = PER_COMPONENT[name]
+        value, read, _ = PER_COMPONENT[name]
         given = np.full(shape, value).tolist()
         assert broadcast_numbers(given, name, (3,)).tolist() == [value] * 3
         assert read(given).tolist() == [value] * 3
@@ -273,10 +275,10 @@ class TestBroadcastNumbers:
     @pytest.mark.parametrize("shape", [(2,), (1, 3), (3, 1)])
     def test_other_shapes_get_one_message(self, name, shape):
         # Orders read "do not broadcast" and rates "must give 3 rates" before.
-        value, read = PER_COMPONENT[name]
+        value, read, named = PER_COMPONENT[name]
         given = np.full(shape, value).tolist()
-        want = re.escape(f"{name} must broadcast to shape (3,), got shape {shape}")
-        for call in (lambda: broadcast_numbers(given, name, (3,)), lambda: read(given)):
+        want = re.escape(f"{named} must broadcast to shape (3,), got shape {shape}")
+        for call in (lambda: broadcast_numbers(given, named, (3,)), lambda: read(given)):
             with pytest.raises(InvalidInput, match=f"^{want}$"):
                 call()
 
