@@ -264,6 +264,11 @@ class ConvergenceReport:
     errors: tuple
     orders: tuple
 
+    @classmethod
+    def of(cls, step_sizes: tuple, errors: Sequence[float]) -> "ConvergenceReport":
+        """The report of `errors` at `step_sizes`, with their `empirical_orders`."""
+        return cls(step_sizes=step_sizes, errors=tuple(errors), orders=empirical_orders(errors))
+
     def to_dict(self) -> dict:
         return {
             "step_sizes": [float(v) for v in self.step_sizes],
@@ -293,30 +298,37 @@ def empirical_orders(errors: Sequence[float]) -> tuple:
     return tuple(math.log2(a / b) for a, b in zip(errs, errs[1:]))
 
 
-def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> ConvergenceReport:
-    """Terminal-error refinement study with step sizes h0 / 2^k.
+def terminal_errors(problem: ConvergenceProblem, h0: float, levels: int):
+    """Terminal errors of a refinement study with step sizes h0 / 2^k.
 
-    Runs `levels` integrations, measures max-abs error against the exact
-    solution at t_end, and reports the pairwise empirical orders. `h0`
-    must be a positive number and `levels` an integer >= 2 (a boolean or
-    a float is not), t_end a positive number, and the exact solution at
-    t_end, evaluated once before any run, finite numbers of shape
-    (dimension,) by the `systems.number_array` rule; anything else raises
-    InvalidInput.
+    Runs `levels` integrations and returns the step sizes and a
+    (levels, dimension) array of each component's absolute error against
+    the exact solution at t_end. `h0` must be a positive number and
+    `levels` an integer >= 2 (a boolean or a float is not), t_end a
+    positive number, and the exact solution at t_end, evaluated once
+    before any run, finite numbers of shape (dimension,) by the
+    `systems.number_array` rule; anything else raises InvalidInput.
     """
     h0 = positive_number(h0, "h0")
     levels = count_number(levels, "levels", 2)
     t_end = positive_number(problem.t_end, "t_end")
     shape = (problem.system.dimension,)
     ref = number_array(problem.exact(t_end), "exact solution", shape)
-    hs = []
-    errs = []
-    for k in range(levels):
-        h = h0 / (2.0**k)
-        cfg = SolverConfig.for_horizon(h, t_end)
-        traj = integrate(problem.system, problem.orders, problem.y0, cfg)
-        errs.append(float(np.max(np.abs(traj.final_state - ref))))
-        hs.append(h)
-    return ConvergenceReport(
-        step_sizes=tuple(hs), errors=tuple(errs), orders=empirical_orders(errs)
-    )
+    hs = tuple(h0 / (2.0**k) for k in range(levels))
+    finals = [
+        integrate(problem.system, problem.orders, problem.y0, SolverConfig.for_horizon(h, t_end))
+        .final_state
+        for h in hs
+    ]
+    return hs, np.abs(np.array(finals) - ref)
+
+
+def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> ConvergenceReport:
+    """Terminal-error refinement study with step sizes h0 / 2^k.
+
+    Measures the max-abs error of each of the `levels` runs of
+    `terminal_errors`, whose input rules it shares, and reports the
+    pairwise empirical orders.
+    """
+    hs, errors = terminal_errors(problem, h0, levels)
+    return ConvergenceReport.of(hs, errors.max(axis=1).tolist())

@@ -23,8 +23,8 @@ from .analysis import (
     ConvergenceProblem,
     ConvergenceReport,
     SyncSummary,
-    empirical_orders,
     sync_time,
+    terminal_errors,
 )
 from .errors import InvalidInput, NonFiniteState
 from .solver import SolverConfig, Trajectory, integrate
@@ -151,26 +151,26 @@ class ConvergenceCase:
 def convergence_selftest() -> tuple[list[ConvergenceCase], bool]:
     """Run the refinement study at each case order and check its band.
 
-    The case problems are the columns of one system, so each step size
+    The case problems are the columns of one problem, so each step size
     takes one integration. The driver treats every column on its own, so
-    each column's states are those of its problem alone, bit for bit.
+    each column's report is `convergence_order` of its problem alone, bit
+    for bit.
     """
     problems = [power_forcing_problem(q) for q in CONVERGENCE_CASES]
-    system = SystemDef(
-        dimension=len(problems),
-        rhs=lambda t, y: [p.system.rhs(t, [v])[0] for p, v in zip(problems, y)],
+    columns = ConvergenceProblem(
+        system=SystemDef(
+            dimension=len(problems),
+            rhs=lambda t, y: [p.system.rhs(t, [v])[0] for p, v in zip(problems, y)],
+        ),
+        orders=CONVERGENCE_CASES,
+        y0=[p.y0[0] for p in problems],
+        t_end=problems[0].t_end,
+        exact=lambda t: np.array([p.exact(t)[0] for p in problems]),
     )
-    y0 = [p.y0[0] for p in problems]
-    t_end = problems[0].t_end
-    exact = np.array([p.exact(t_end)[0] for p in problems])
-    hs = tuple(CONVERGENCE_H0 / 2.0**k for k in range(CONVERGENCE_LEVELS))
-    finals = [
-        integrate(system, CONVERGENCE_CASES, y0, SolverConfig.for_horizon(h, t_end)).final_state
-        for h in hs
-    ]
+    hs, errors = terminal_errors(columns, CONVERGENCE_H0, CONVERGENCE_LEVELS)
     cases = []
-    for q, errs in zip(CONVERGENCE_CASES, zip(*np.abs(np.array(finals) - exact).tolist())):
-        report = ConvergenceReport(step_sizes=hs, errors=errs, orders=empirical_orders(errs))
+    for q, errs in zip(CONVERGENCE_CASES, errors.T.tolist()):
+        report = ConvergenceReport.of(hs, errs)
         expected = 1.0 + q
         lo, hi = expected - CONVERGENCE_BAND, expected + CONVERGENCE_BAND
         in_band = all(lo <= v <= hi for v in report.orders)

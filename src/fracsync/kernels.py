@@ -133,8 +133,8 @@ BLOCK = 64
 TILE_BUDGET = 8192
 
 # The step loop of `abm_python` for d components, written out with one name
-# per component: {p} stands for "p0, p1, ...", {p_sum} for "p0 + p1 + ...",
-# and {corrector} for one line "y_i = c_i + k_i * float(f_i)" per component.
+# per component: {p} stands for "p0, p1, ...", {p_sum} for their sum, and
+# {corrector} for one line "y_i = c_i + k_i * float(f_i)" per component.
 _STEP_LOOP = """\
 def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, scale):
     {k}, = scale
@@ -169,6 +169,20 @@ def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, sca
 """
 
 
+def _sum_source(names) -> str:
+    """Source of the sum of `names`, nested in halves: "(p0 + (p1 + p2))".
+
+    The depth grows as log2 d, so the compiler, which recurses over nested
+    operations, takes any width; a left-nested chain of d additions stops
+    with a RecursionError at a few thousand. The sum only gates the
+    search in `_first_nonfinite`, so its order of additions changes no state.
+    """
+    if len(names) == 1:
+        return names[0]
+    mid = len(names) // 2
+    return f"({_sum_source(names[:mid])} + {_sum_source(names[mid:])})"
+
+
 @functools.cache
 def _step_loop(d: int):
     """`_STEP_LOOP` written out for d components, compiled once per d.
@@ -179,8 +193,8 @@ def _step_loop(d: int):
     names = {x: [f"{x}{i}" for i in range(d)] for x in "pcfgky"}
     source = _STEP_LOOP.format(
         d=d,
-        p_sum=" + ".join(names["p"]),
-        y_sum=" + ".join(names["y"]),
+        p_sum=_sum_source(names["p"]),
+        y_sum=_sum_source(names["y"]),
         corrector="\n".join(f"            y{i} = c{i} + k{i} * float(f{i})" for i in range(d)),
         **{x: ", ".join(v) for x, v in names.items()},
     )
@@ -238,9 +252,10 @@ def abm_python(rhs, q, y0, h, n_steps):
     writes out for the state width d: every component has a name of its
     own, so a step builds no list to map over. `sums.tolist()` is unpacked
     once into the predictor p_i and the corrector sums c_i. The predictor
-    is checked as isfinite(p_0 + p_1 + ...), which holds whenever every
-    p_i is finite; only a sum that is not (a NaN, an infinity, or finite
-    values whose sum overflows) is searched one component at a time. It is
+    is checked as isfinite(p_0 + (p_1 + p_2)), the sum nested in halves
+    (`_sum_source`), which holds whenever every p_i is finite; only a sum
+    that is not (a NaN, an infinity, or finite values whose sum overflows)
+    is searched one component at a time. It is
     handed to rhs as a new list. The corrector is c_i + hq2_i * float(f_i),
     the same IEEE operations in the same order as the array form; it is
     checked the same way, written to the states and handed to the second

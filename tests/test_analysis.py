@@ -29,7 +29,12 @@ from fracsync import (
 )
 from fracsync import analysis
 from fracsync.errors import InvalidInput
-from fracsync.experiments import convergence_selftest, power_forcing_problem
+from fracsync.experiments import (
+    CONVERGENCE_H0,
+    CONVERGENCE_LEVELS,
+    convergence_selftest,
+    power_forcing_problem,
+)
 
 
 def _half_order_oracle(z: float) -> float:
@@ -598,3 +603,12 @@ class TestRefinementStudy:
         d = by_q[0.5].to_dict()
         assert d["band"] == [1.3, 1.7]
         assert d["in_band"] is False
+
+    def test_selftest_reports_each_problem_run_alone(self):
+        # The self test runs its cases as the columns of one system.
+        cases, _ = convergence_selftest()
+        for case in cases:
+            alone = convergence_order(
+                power_forcing_problem(case.q), CONVERGENCE_H0, CONVERGENCE_LEVELS
+            )
+            assert case.report == alone

@@ -254,6 +254,16 @@ class TestTiledHistory:
         assert kernels._step_loop(3) is kernels._step_loop(3)
         assert kernels._step_loop(3) is not kernels._step_loop(6)
 
+    def test_a_wide_state_runs_each_column_alone(self):
+        # The finiteness sums nest in halves; a chain of 5 000 additions
+        # would stop the compiler with a RecursionError.
+        d, cfg = 5000, SolverConfig(h=0.01, n_steps=70)
+        decay = SystemDef(d, lambda t, y: [-v for v in y])
+        one = integrate(SystemDef(1, decay.rhs), 0.9, [1.0], cfg).states
+        wide = integrate(decay, 0.9, [1.0] * d, cfg).states
+        assert wide.shape == (71, d)
+        assert np.array_equal(wide, np.repeat(one, d, axis=1))
+
     def test_a_traceback_shows_the_step_loop(self):
         # The loop is compiled from generated source; linecache holds its lines.
         field = financial_system().rhs
