@@ -115,15 +115,19 @@ CONVERGENCE_H0 = 1.0 / 32.0
 CONVERGENCE_LEVELS = 4
 
 
-def power_forcing_problem(q: float) -> ConvergenceProblem:
-    """Scalar problem D^q y = Gamma(5)/Gamma(5-q) * t^(4-q), solution t^4."""
-    c = math.gamma(5.0) / math.gamma(5.0 - q)
+def power_forcing_problem(*orders: float) -> ConvergenceProblem:
+    """D^q_i y_i = Gamma(5)/Gamma(5-q_i) * t^(4-q_i), one column per order, solution t^4.
+
+    The driver runs every column on its own, so each column is, bit for
+    bit, the scalar problem of its order alone.
+    """
+    terms = [(math.gamma(5.0) / math.gamma(5.0 - q), 4.0 - q) for q in orders]
     return ConvergenceProblem(
-        system=SystemDef(dimension=1, rhs=lambda t, y: (c * t ** (4.0 - q),)),
-        orders=(q,),
-        y0=(0.0,),
+        system=SystemDef(len(orders), lambda t, y: [c * t**p for c, p in terms]),
+        orders=orders,
+        y0=(0.0,) * len(orders),
         t_end=1.0,
-        exact=lambda t: np.array([t**4.0]),
+        exact=lambda t: np.full(len(orders), t**4.0),
     )
 
 
@@ -151,23 +155,12 @@ class ConvergenceCase:
 def convergence_selftest() -> tuple[list[ConvergenceCase], bool]:
     """Run the refinement study at each case order and check its band.
 
-    The case problems are the columns of one problem, so each step size
-    takes one integration. The driver treats every column on its own, so
-    each column's report is `convergence_order` of its problem alone, bit
-    for bit.
+    The cases are the columns of one `power_forcing_problem`, so each
+    step size takes one integration, and each column's report is
+    `convergence_order` of its order's problem alone, bit for bit.
     """
-    problems = [power_forcing_problem(q) for q in CONVERGENCE_CASES]
-    columns = ConvergenceProblem(
-        system=SystemDef(
-            dimension=len(problems),
-            rhs=lambda t, y: [p.system.rhs(t, [v])[0] for p, v in zip(problems, y)],
-        ),
-        orders=CONVERGENCE_CASES,
-        y0=[p.y0[0] for p in problems],
-        t_end=problems[0].t_end,
-        exact=lambda t: np.array([p.exact(t)[0] for p in problems]),
-    )
-    hs, errors = terminal_errors(columns, CONVERGENCE_H0, CONVERGENCE_LEVELS)
+    problem = power_forcing_problem(*CONVERGENCE_CASES)
+    hs, errors = terminal_errors(problem, CONVERGENCE_H0, CONVERGENCE_LEVELS)
     cases = []
     for q, errs in zip(CONVERGENCE_CASES, errors.T.tolist()):
         report = ConvergenceReport.of(hs, errs)

@@ -107,16 +107,14 @@ def first_panel_weights(q: float, steps) -> np.ndarray:
     return out
 
 
-def _first_nonfinite(values) -> int:
-    """Index of the first non-finite number in `values`; -1 when every one is finite.
-
-    The step loop asks only when the sum of `values` is not finite, which
-    it also is when a sum of finite numbers overflows.
-    """
-    for i, v in enumerate(values):
-        if not math.isfinite(v):
-            return i
-    return -1
+def _bad_value(value, d: int) -> str:
+    """The refusal message for a later rhs value that is not d real numbers."""
+    try:
+        if len(value) != d:
+            return f"rhs returned {len(value)} components for a state of {d}"
+    except TypeError:  # no length: a float, say
+        pass
+    return f"rhs must return real numbers, got {value!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +131,10 @@ BLOCK = 64
 TILE_BUDGET = 8192
 
 # The step loop of `abm_python` for d components, written out with one name
-# per component: {p} stands for "p0, p1, ...", {p_sum} for their sum, and
-# {corrector} for one line "y_i = c_i + k_i * float(f_i)" per component.
+# per component: {p} stands for "p0, p1, ...", {p_finite} for
+# "isfinite(p0) and isfinite(p1) and ...", and {corrector} for one line
+# "y_i = c_i + k_i * float(f_i)" per component. The rhs calls stay outside
+# the `try` blocks, so an exception raised inside rhs propagates unchanged.
 _STEP_LOOP = """\
 def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, scale):
     {k}, = scale
@@ -148,39 +148,27 @@ def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, sca
             multiply(weight, flat[lo : n + 2], product)
             reduce(product, 0, None, sums)
             {p}, {c}, = sums.tolist()
-            if not isfinite({p_sum}) and (i := _first_nonfinite(({p},))) >= 0:
-                return n + 1, i
+            if not ({p_finite}):
+                return n + 1, [isfinite(v) for v in ({p},)].index(False)
             t1 = (n + 1) * h
             f = rhs(t1, [{p}])
-            if len(f) != {d}:
-                raise InvalidInput(f"rhs returned {{len(f)}} components for a state of {d}")
-            {f}, = f
+            try:
+                {f}, = f
 {corrector}
-            if not isfinite({y_sum}) and (i := _first_nonfinite(({y},))) >= 0:
-                return n + 1, i
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidInput(_bad_value(f, {d})) from None
+            if not ({y_finite}):
+                return n + 1, [isfinite(v) for v in ({y},)].index(False)
             states[n + 1] = {y},
             if n + 1 < n_steps:  # no sum reads f at the last grid point
                 f = rhs(t1, [{y}])
-                if len(f) != {d}:
-                    raise InvalidInput(f"rhs returned {{len(f)}} components for a state of {d}")
-                {g}, = f
-                flat[n + 1] = {g}, {g}
+                try:
+                    {g}, = f
+                    flat[n + 1] = {g}, {g}
+                except (TypeError, ValueError, OverflowError):
+                    raise InvalidInput(_bad_value(f, {d})) from None
     return -1, -1
 """
-
-
-def _sum_source(names) -> str:
-    """Source of the sum of `names`, nested in halves: "(p0 + (p1 + p2))".
-
-    The depth grows as log2 d, so the compiler, which recurses over nested
-    operations, takes any width; a left-nested chain of d additions stops
-    with a RecursionError at a few thousand. The sum only gates the
-    search in `_first_nonfinite`, so its order of additions changes no state.
-    """
-    if len(names) == 1:
-        return names[0]
-    mid = len(names) // 2
-    return f"({_sum_source(names[:mid])} + {_sum_source(names[mid:])})"
 
 
 @functools.cache
@@ -193,9 +181,9 @@ def _step_loop(d: int):
     names = {x: [f"{x}{i}" for i in range(d)] for x in "pcfgky"}
     source = _STEP_LOOP.format(
         d=d,
-        p_sum=_sum_source(names["p"]),
-        y_sum=_sum_source(names["y"]),
-        corrector="\n".join(f"            y{i} = c{i} + k{i} * float(f{i})" for i in range(d)),
+        p_finite=" and ".join(f"isfinite({v})" for v in names["p"]),
+        y_finite=" and ".join(f"isfinite({v})" for v in names["y"]),
+        corrector="\n".join(f"                y{i} = c{i} + k{i} * float(f{i})" for i in range(d)),
         **{x: ", ".join(v) for x, v in names.items()},
     )
     filename = f"<fracsync step loop, d={d}>"
@@ -252,19 +240,19 @@ def abm_python(rhs, q, y0, h, n_steps):
     writes out for the state width d: every component has a name of its
     own, so a step builds no list to map over. `sums.tolist()` is unpacked
     once into the predictor p_i and the corrector sums c_i. The predictor
-    is checked as isfinite(p_0 + (p_1 + p_2)), the sum nested in halves
-    (`_sum_source`), which holds whenever every p_i is finite; only a sum
-    that is not (a NaN, an infinity, or finite values whose sum overflows)
-    is searched one component at a time. It is
-    handed to rhs as a new list. The corrector is c_i + hq2_i * float(f_i),
-    the same IEEE operations in the same order as the array form; it is
-    checked the same way, written to the states and handed to the second
-    rhs call, whose value fills the history row as (g_0, .., g_0, ..).
-    Reading each returned component as a float keeps numpy scalars,
-    float32 ones included, out of the corrector, so rhs gets floats at
-    both calls and never an array the driver reuses. The loop's source
-    depends on d alone and is compiled once per d; the FFT tiles stay
-    ordinary code, which the loop calls once per BLOCK steps.
+    is checked one component at a time, isfinite(p_0) and isfinite(p_1)
+    and ..., so finite components whose sum would overflow pass, and a
+    flat `and` compiles at any width; at the first that fails, the loop
+    returns its index. The predictor is handed to rhs as a new list. The
+    corrector is c_i + hq2_i * float(f_i), the same IEEE operations in the
+    same order as the array form; it is checked the same way, written to
+    the states and handed to the second rhs call, whose value fills the
+    history row as (g_0, .., g_0, ..). Reading each returned component as
+    a float keeps numpy scalars, float32 ones included, out of the
+    corrector, so rhs gets floats at both calls and never an array the
+    driver reuses. The loop's source depends on d alone and is compiled
+    once per d; the FFT tiles stay ordinary code, which the loop calls
+    once per BLOCK steps.
 
     Parameters
     ----------
@@ -272,8 +260,13 @@ def abm_python(rhs, q, y0, h, n_steps):
         rhs(t, y) with y a list of d floats, returning d components (a
         tuple, a list or any real 1-D array). A first value that is not
         real numbers of y0's shape raises InvalidInput naming rhs before
-        any step is taken, and a later one of another length raises
-        InvalidInput.
+        any step is taken. A later one of another length, or one that
+        `float()` or numpy cannot read as d real numbers, raises
+        InvalidInput; an exception raised inside rhs propagates as it is.
+        Later values are not type-checked per step: a boolean or a digit
+        string reads as the number `float()` gives it, and numpy reads a
+        None in the second call's value as NaN, so the run leaves the
+        finite range at the next step.
     q, y0 : ndarray
         Orders and initial state, shape (d,).
     h : float

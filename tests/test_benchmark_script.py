@@ -1,6 +1,7 @@
 """Benchmark tooling cannot rot unnoticed.
 
-Smoke tests run benchmarks/benchmark_kernels.py, and a guard checks that
+Smoke tests run benchmarks/benchmark_kernels.py and
+benchmarks/code_lines.py, and a guard checks that
 every function perfbench/tracing.py wraps still exists in the package: a
 missing target would silently read zero in its per-layer metric.
 """
@@ -20,6 +21,7 @@ from fracsync import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "benchmarks" / "benchmark_kernels.py"
+CODE_LINES = ROOT / "benchmarks" / "code_lines.py"
 TRACING = ROOT / "perfbench" / "tracing.py"
 # Span targets removed from the package before the benchmark was repointed;
 # no other target may be missing.
@@ -157,3 +159,32 @@ def test_every_traced_target_exists():
     modules = {m: importlib.import_module(f"fracsync.{m}") for m, _ in targets}
     missing = {(m, a) for m, a in targets if not hasattr(modules[m], a)}
     assert missing <= STALE_TARGETS, f"traced targets missing from fracsync: {sorted(missing)}"
+
+
+def _code_lines(*args):
+    proc = subprocess.run([sys.executable, str(CODE_LINES), *map(str, args)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return dict(line.split() for line in proc.stdout.splitlines())
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    counts = {name: int(v) for name, v in _code_lines().items()}
+    total = counts.pop("total")
+    assert set(counts) == {p.name for p in (ROOT / "src" / "fracsync").glob("*.py")}
+    assert total == sum(counts.values()) > 0
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "module.py").write_text(
+        '"""Module docstring,\nover two lines."""\n'
+        "\n"
+        "# A comment.\n"
+        "class Thing:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def method(self):  # a trailing comment\n"
+        '        """Function docstring."""\n'
+        "        return 1\n"
+    )
+    assert _code_lines(tmp_path) == {"module.py": "3", "total": "3"}

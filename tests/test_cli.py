@@ -938,6 +938,17 @@ def test_readme_simulate_config_runs(tmp_path):
     assert _report(out)["status"] == "ok"
 
 
+def test_readme_quick_start_runs_and_settles(capsys):
+    # The library example runs as printed, and its synchronization settles.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    final_error, settled = capsys.readouterr().out.splitlines()[-1].split()
+    assert float(final_error) < 1e-3
+    assert settled == "65.01"
+
+
 class TestConvergence:
     def test_exit_code_matches_report(self, tmp_path):
         out = tmp_path / "conv"

@@ -9,14 +9,29 @@ public name once, in a table from home module to names.
 
 import ast
 import importlib
+import linecache
 from pathlib import Path
 
 import pytest
 
 import fracsync
-from fracsync import cli
+from fracsync import cli, kernels
 
 PACKAGE = Path(fracsync.__file__).resolve().parent
+STEP_LOOP = "<fracsync step loop, d=3>"
+
+
+def _sources():
+    """{name: source} of every package module, and of the step loop `kernels` writes out for d = 3.
+
+    The loop's template is a string in kernels.py, so a scan of the module
+    files alone does not see the code it compiles to.
+    """
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    kernels._step_loop(3)
+    sources[STEP_LOOP] = "".join(linecache.getlines(STEP_LOOP))
+    assert "def step_loop(" in sources[STEP_LOOP]
+    return sources
 
 
 def _private_imports(path):
@@ -84,17 +99,17 @@ def test_no_sum_goes_through_blas():
     # spectrum, which the argument criterion needs; `eigen3` also names the
     # error numpy raises when that call does not converge.
     found, linalg = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
+    for label, source in _sources().items():
+        for top in ast.parse(source).body:
             for node in ast.walk(top):
                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                    found.append((path.name, node.lineno, "@"))
+                    found.append((label, node.lineno, "@"))
                 name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
                 if name in BLAS_SUMS:
-                    found.append((path.name, node.lineno, name))
+                    found.append((label, node.lineno, name))
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
                         and node.value.attr == "linalg":
-                    linalg.append((path.name, getattr(top, "name", "<module>"), node.attr))
+                    linalg.append((label, getattr(top, "name", "<module>"), node.attr))
     assert found == []
     assert sorted(linalg) == [("control.py", "eigen3", "LinAlgError"),
                               ("control.py", "eigen3", "eigvals")]
@@ -141,10 +156,10 @@ def test_dir_and_star_import_cover_every_public_name():
         assert namespace[name] is getattr(fracsync, name)
 
 
-def _raises(path):
-    """(line, raised name) for each `raise` in `path`; the name is None for anything but a name."""
+def _raises(source):
+    """(line, raised name) for each `raise` in `source`; the name is None for anything but a name."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise):
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             found.append((node.lineno, exc.id if isinstance(exc, ast.Name) else None))
@@ -154,18 +169,22 @@ def _raises(path):
 def test_every_raise_names_a_package_error():
     # One refusal type: a raise names a FracsyncError subclass that its module
     # imports from `errors`, never a bare ValueError or a helper's return value.
+    # The generated step loop runs in the globals of kernels.py, so it sees
+    # that module's imports.
     errors = importlib.import_module("fracsync.errors")
+    sources = _sources()
     count, bad = 0, []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for label, source in sources.items():
+        tree = ast.parse(sources["kernels.py" if label == STEP_LOOP else label])
         imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     and node.level == 1 and node.module == "errors" for a in node.names}
-        for line, name in _raises(path):
+        for line, name in _raises(source):
             count += 1
             cls = getattr(errors, name, None) if name in imported else None
             if not (isinstance(cls, type) and issubclass(cls, errors.FracsyncError)):
-                bad.append((path.name, line, name))
+                bad.append((label, line, name))
     assert count > 40
+    assert len(_raises(sources[STEP_LOOP])) == 2
     assert bad == []
 
 

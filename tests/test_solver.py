@@ -255,14 +255,22 @@ class TestTiledHistory:
         assert kernels._step_loop(3) is not kernels._step_loop(6)
 
     def test_a_wide_state_runs_each_column_alone(self):
-        # The finiteness sums nest in halves; a chain of 5 000 additions
-        # would stop the compiler with a RecursionError.
+        # The finiteness check is one flat `and` of d `isfinite` calls, which
+        # the compiler takes at any width; a chain of 5 000 additions would
+        # stop it with a RecursionError.
         d, cfg = 5000, SolverConfig(h=0.01, n_steps=70)
         decay = SystemDef(d, lambda t, y: [-v for v in y])
         one = integrate(SystemDef(1, decay.rhs), 0.9, [1.0], cfg).states
         wide = integrate(decay, 0.9, [1.0] * d, cfg).states
         assert wide.shape == (71, d)
         assert np.array_equal(wide, np.repeat(one, d, axis=1))
+
+    def test_finite_components_whose_sum_overflows_run_on(self):
+        # 1e308 + 1e308 overflows, but every component stays finite, so the
+        # run goes to its end with every state as it started.
+        y0 = (1e308, 1e308, 1.0)
+        traj = integrate(zero_system(), 0.9, y0, SolverConfig(h=0.01, n_steps=300))
+        assert np.array_equal(traj.states, np.tile(y0, (301, 1)))
 
     def test_a_traceback_shows_the_step_loop(self):
         # The loop is compiled from generated source; linecache holds its lines.
@@ -681,6 +689,45 @@ class TestFieldContract:
         with pytest.raises(ValueError, match=match):
             integrate(SystemDef(d, faulty), orders, y0, self.CFG)
         assert len(calls) == bad_call
+
+    # At call 11 the value fills step 4's history row; at call 12 it is
+    # step 5's predicted field, which the corrector reads.
+    @pytest.mark.parametrize("value", [(None,), (1j,), ([1.0],), ("x",), 1.0, (10**400,)],
+                             ids=["none", "complex", "nested", "string", "bare", "huge-int"])
+    @pytest.mark.parametrize("bad_call", [11, 12])
+    def test_a_later_value_that_is_not_real_numbers_is_refused(self, value, bad_call):
+        calls = []
+
+        def faulty(t, y):
+            calls.append(t)
+            return value if len(calls) == bad_call else (-y[0],)
+
+        system = SystemDef(1, faulty)
+        if value == (None,) and bad_call == 11:
+            # numpy reads None as NaN in the history row, so the run leaves
+            # the finite range at the next step.
+            with pytest.raises(NonFiniteState) as info:
+                integrate(system, 0.9, [1.0], self.CFG)
+            assert (info.value.step, info.value.component) == (6, 0)
+        else:
+            with pytest.raises(InvalidInput) as info:
+                integrate(system, 0.9, [1.0], self.CFG)
+            assert str(info.value) == f"rhs must return real numbers, got {value!r}"
+        assert len(calls) == bad_call
+
+    @pytest.mark.parametrize("bad_call", [11, 12])
+    def test_an_error_raised_inside_rhs_propagates_unchanged(self, bad_call):
+        calls = []
+
+        def faulty(t, y):
+            calls.append(t)
+            if len(calls) == bad_call:
+                raise TypeError("inside the field")
+            return (-y[0],)
+
+        with pytest.raises(TypeError, match="inside the field") as info:
+            integrate(SystemDef(1, faulty), 0.9, [1.0], self.CFG)
+        assert type(info.value) is TypeError
 
     def test_the_first_value_is_checked_for_numbers_not_for_finiteness(self):
         # "a" raised numpy's bare "could not convert string to float", [1j] a TypeError.
