@@ -209,21 +209,39 @@ def _write_csv(path: Path, header: str, columns) -> None:
     Each value is its shortest round-trip `repr`, with the ".0" of an
     integral value dropped ("2" for 2.0, "-0" for -0.0; "nan" and "inf"
     as they are). The table is formatted and written _CSV_CHUNK rows at a
-    time, so no whole-table copy or list of lines is ever held. A chunk is
-    one `%` format: the row format "%r,...,%r\n", one "%r" per column,
-    repeated once per row of the chunk, applied to the chunk's values in
-    row order; "%r" is `repr`, so each value reads as it would on its own.
-    `repr` never writes ".0e", so a ".0" before a separator always ends its
-    value and one `replace` per chunk strips them all.
+    time, so no whole-table copy or list of lines is ever held.
+
+    orjson formats a chunk as one JSON array of rows, with the shortest
+    round-trip digits `repr` writes (Ryu; Adams, PLDI 2018) in about a
+    fifth of its time, and "],[" between rows becomes a line break.
+    orjson's text and `repr`'s differ only for special values:
+    - NaN, and magnitudes that are zero or below 1e-4: orjson writes
+      `null` for NaN, and "0.000032" where `repr` writes "3.2e-05";
+    - integral values, which include the infinities and every magnitude
+      from 2^52 up: orjson writes `null` for an infinity and "1e16" where
+      `repr` writes "1e+16", and an integral value's ".0" is dropped.
+    The special values are formatted by `repr` in one "%r,...,%r," pass.
+    `repr` never writes ".0e", so a ".0" before a comma always ends its
+    value and one `replace` strips them all. They are set to NaN in the
+    chunk before orjson formats it, each `null` becomes "%s", and one `%`
+    puts their text in place; orjson writes no "%" of its own.
     """
+    # Imported here: at module top it adds about 3 ms to every start and
+    # 0.5 MB to runs that never write a CSV.
+    import orjson
+
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
-    row = ",".join(["%r"] * len(cols)) + "\n"
-    with path.open("w") as fh:
-        fh.write(header + "\n")
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
         for i in range(0, cols[0].shape[0], _CSV_CHUNK):
-            values = np.column_stack([c[i : i + _CSV_CHUNK] for c in cols]).ravel().tolist()
-            text = row * (len(values) // len(cols)) % tuple(values)
-            fh.write(text.replace(".0,", ",").replace(".0\n", "\n"))
+            block = np.column_stack([c[i : i + _CSV_CHUNK] for c in cols])
+            special = ~(np.abs(block) >= 1e-4) | (block == np.trunc(block))
+            values = block[special].tolist()
+            texts = (b"%r," * len(values) % tuple(values)).replace(b".0,", b",").split(b",")
+            block[special] = np.nan
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+            text = text.replace(b"],[", b"\n").replace(b"null", b"%s")
+            fh.write(text % tuple(texts[:-1]) + b"\n")
 
 
 def _write_report(path: Path, report: dict) -> None:

@@ -164,6 +164,7 @@ def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, sca
                 f = rhs(t1, [{y}])
                 try:
                     {g}, = f
+                    {g}, = {g_float},
                     flat[n + 1] = {g}, {g}
                 except (TypeError, ValueError, OverflowError):
                     raise InvalidInput(_bad_value(f, {d})) from None
@@ -184,6 +185,7 @@ def _step_loop(d: int):
         p_finite=" and ".join(f"isfinite({v})" for v in names["p"]),
         y_finite=" and ".join(f"isfinite({v})" for v in names["y"]),
         corrector="\n".join(f"                y{i} = c{i} + k{i} * float(f{i})" for i in range(d)),
+        g_float=", ".join(f"float({v})" for v in names["g"]),
         **{x: ", ".join(v) for x, v in names.items()},
     )
     filename = f"<fracsync step loop, d={d}>"
@@ -246,11 +248,12 @@ def abm_python(rhs, q, y0, h, n_steps):
     returns its index. The predictor is handed to rhs as a new list. The
     corrector is c_i + hq2_i * float(f_i), the same IEEE operations in the
     same order as the array form; it is checked the same way, written to
-    the states and handed to the second rhs call, whose value fills the
-    history row as (g_0, .., g_0, ..). Reading each returned component as
-    a float keeps numpy scalars, float32 ones included, out of the
-    corrector, so rhs gets floats at both calls and never an array the
-    driver reuses. The loop's source depends on d alone and is compiled
+    the states and handed to the second rhs call, whose components are
+    read as floats too and fill the history row as (g_0, .., g_0, ..).
+    Reading each returned component as a float keeps numpy scalars,
+    float32 ones included, out of the corrector, so rhs gets floats at
+    both calls and never an array the driver reuses, and it refuses a
+    None that numpy would write into the history row as NaN. The loop's source depends on d alone and is compiled
     once per d; the FFT tiles stay ordinary code, which the loop calls
     once per BLOCK steps.
 
@@ -260,13 +263,12 @@ def abm_python(rhs, q, y0, h, n_steps):
         rhs(t, y) with y a list of d floats, returning d components (a
         tuple, a list or any real 1-D array). A first value that is not
         real numbers of y0's shape raises InvalidInput naming rhs before
-        any step is taken. A later one of another length, or one that
-        `float()` or numpy cannot read as d real numbers, raises
-        InvalidInput; an exception raised inside rhs propagates as it is.
-        Later values are not type-checked per step: a boolean or a digit
-        string reads as the number `float()` gives it, and numpy reads a
-        None in the second call's value as NaN, so the run leaves the
-        finite range at the next step.
+        any step is taken. A later one of another length, or one with a
+        component that `float()` cannot read (None, a complex number, a
+        list, "x"), raises InvalidInput at either call; an exception
+        raised inside rhs propagates as it is. Later values are not
+        type-checked per step: a boolean or a digit string reads as the
+        number `float()` gives it.
     q, y0 : ndarray
         Orders and initial state, shape (d,).
     h : float

@@ -268,10 +268,10 @@ class SystemDef:
     y is a list of the d components of a state, Python floats, and rhs
     returns d real components: a tuple, a list or any real 1-D array,
     which the driver reads as Python floats. The first value must be d
-    real numbers; a later value that `float()` or numpy cannot read as d
-    numbers raises InvalidInput, but no type check runs per step, so a
-    boolean or a digit string reads as the number `float()` gives it
-    (`kernels.abm_python`). The driver builds a new list
+    real numbers; a later value that is not d components `float()` can
+    read (a None among them, say) raises InvalidInput, but no type check
+    runs per step, so a boolean or a digit string reads as the number
+    `float()` gives it (`kernels.abm_python`). The driver builds a new list
     for every call, so an rhs may keep y. Given d equal-shape arrays
     instead, each built-in field returns d arrays, so `componentwise`
     evaluates it on states of shape (..., d). Python floats raise on

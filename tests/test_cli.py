@@ -139,6 +139,63 @@ def test_csv_matches_the_per_value_format(tmp_path, n_rows, n_cols):
     assert path.read_bytes() == "\n".join([header, *rows, ""]).encode()
 
 
+def _assert_written_per_value(tmp_path, columns):
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    path = tmp_path / "trajectory.csv"
+    cli._write_csv(path, header, columns)
+    rows = [",".join(_value_text(v) for v in row) for row in zip(*columns)]
+    assert path.read_bytes() == "\n".join([header, *rows, ""]).encode()
+
+
+def test_csv_matches_the_per_value_format_on_random_bit_patterns(tmp_path):
+    # orjson formats every value in [1e-4, 1e16) that is not integral;
+    # uniform bit patterns weigh every binade of that range alike.
+    rng = np.random.default_rng(20261020)
+    lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+    values = rng.integers(lo, hi, 200_000).view(np.float64)
+    values *= rng.choice([-1.0, 1.0], values.size)
+    _assert_written_per_value(tmp_path, list(values.reshape(4, -1)))
+
+
+def test_csv_matches_the_per_value_format_at_the_orjson_range_ends(tmp_path):
+    values = []
+    for end in (1e-4, -1e-4, 1e16, -1e16):
+        below = above = end
+        for _ in range(8):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 2 * end)
+            values += [below, above]
+        values.append(end)
+    _assert_written_per_value(tmp_path, [np.array(values)])
+
+
+# Values that `repr` formats: zeros, subnormals, magnitudes below 1e-4 or
+# from 1e16, integral values and non-finite ones.
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, -2.225e-308, 1e-7, -3.2e-05, 9.999999999999999e-05,
+    2.0, -3.0, 4503599627370497.0, 1e16, -1.2345678901234568e16, 1e22,
+    1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("n_cols", [1, 4, 13])
+def test_csv_matches_the_per_value_format_when_every_value_is_special(tmp_path, n_cols):
+    n_rows = CHUNK + 3
+    columns = [np.resize(np.roll(SPECIAL_VALUES, k), n_rows) for k in range(n_cols)]
+    _assert_written_per_value(tmp_path, columns)
+
+
+def test_importing_the_cli_leaves_orjson_unloaded():
+    # Only the CSV writer needs orjson, so only a run that writes a CSV loads it.
+    src = str(Path(fracsync.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fracsync.cli; print('orjson' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 class TestSimulateValidation:
     def _expect_config_error(self, tmp_path, capsys, *argv, field):
         out = tmp_path / "never"
