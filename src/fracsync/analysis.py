@@ -141,7 +141,7 @@ def predicted_error(e0, orders, t: float) -> np.ndarray:
     e0 = number_array(e0, "e0")
     q = order_array(orders, e0.shape)
     # t^q grows with q once t > 1, so the largest order is one that a late time passes.
-    if any(t**v > 30.0 for v in q.flat):
+    if any(t**v > _MAX_ABS_ARG for v in q.flat):
         raise InvalidInput(f"time must be <= 30^(1/q), got {t!r} at order q = {float(q.max())!r}")
     terms = [e * mittag_leffler(v, -(t**v)) for e, v in zip(e0.flat, q.flat)]
     return np.array(terms).reshape(e0.shape)

@@ -4,11 +4,14 @@ Four subcommands: simulate, synchronize, stability, convergence. `main`
 loads the optional JSON config with its flag overrides; each subcommand
 then validates fully before anything is written: each key is checked by
 the code that reads (pops) it, and a key left over once the subcommand's
-reads are done is a config error, so a key unused with the given
-settings is refused, not ignored. Each subcommand returns its report
-and, for a time series, its table; `main` writes them into the output
-directory (trajectory.csv for the table, report.json for the report) and
-takes the exit code from the report. Reports embed the resolved
+reads are done is a config error. simulate, synchronize and stability
+read and echo `financial`, `volta` and `orders` whatever the system or
+matrix source; every other key is read only where the settings use it
+(`lambda` or `gain` by mode, `matrix.values` for an explicit matrix), so
+a key that the settings do not use is refused. Each subcommand returns
+its report and, for a time series, its table; `main` writes them into
+the output directory (trajectory.csv for the table, report.json for the
+report) and takes the exit code from the report. Reports embed the resolved
 configuration and contain no wall-clock data, so a rerun with the same
 inputs is byte-identical; timing is printed to stdout only. The
 "backend" entry of simulate and synchronize reports always reads
@@ -480,7 +483,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

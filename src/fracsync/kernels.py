@@ -1,34 +1,9 @@
 """Integration kernels for the fractional predictor-corrector scheme.
 
-`abm_python` is the one integration driver, written in numpy. It runs
-any Python right-hand side under one contract (`systems.SystemDef`): rhs
-gets a new list of the d state components as Python floats and returns d
-components, so the step's field calls, finiteness checks and corrector
-run on floats, with no array round trip. That part of the step runs in a
-loop written out for the state width d, one name per component, and
-compiled from source once per d (`_step_loop`). The history sums are
-FFT-tiled (see `abm_python`), so N full-memory steps cost O(N log^2 N) instead of the
-O(N^2) of direct summation, and they match direct summation to rounding
-error: the test suite pins the states to 1e-12 of an independent
-direct-sum integrator. None of its sums go through BLAS, so results do
-not depend on the BLAS thread count. Each step's pending sums live in the
-history row that the step fills next, so N steps of a d-dimensional
-system hold (N + 1) * d floats of states and (N + 1) * 2d of history. The
-FFT tiles add little to that: the weight kernel has one column pair per
-distinct order, which every component of that order reads through a
-column index, and a long tile is transformed a few components at a time,
-so that no tile array is (length, 2d) wide. The per-step near sums write
-into scratch that each call builds once, a (BLOCK + 1, 2d) product buffer
-and a 2d-float `sums` vector, so a step allocates no array for them. That
-adds (BLOCK + 1) * 2d + 2d floats and 2 * BLOCK views of them, about 20 kB
-at d = 3 whatever N is; being local to the call, the scratch keeps a
-nested integration inside an rhs from touching the outer one's sums.
-``benchmarks/benchmark_kernels.py`` times the driver and records its peak
-memory.
-
-The scheme discretizes the componentwise Caputo initial value problem
-D^q_i y_i = f_i(t, y) on the uniform grid t_j = j*h. With the history
-f_0 .. f_n known, component i of order q advances by
+`abm_python` is the one integration driver. The scheme discretizes the
+componentwise Caputo initial value problem D^q_i y_i = f_i(t, y) on the
+uniform grid t_j = j*h. With the history f_0 .. f_n known, component i
+of order q advances by
 
     predict:  y0 + h^q / Gamma(q+1) * sum_j b[n-j] * f_j
     correct:  y0 + h^q / Gamma(q+2) * (f(t_{n+1}, predicted)
@@ -41,9 +16,15 @@ where the weights depend only on the distance k = n - j:
     a[k]  = (k+2)^(q+1) + k^(q+1) - 2*(k+1)^(q+1)
     a0(n) = n^(q+1) - (n-q)*(n+1)^q
 
-All three are differences of nearly equal powers, so they are evaluated
-in cancellation-safe form through expm1/log1p. Every sum runs over the
-whole history, j = 0 .. n.
+All three are differences of nearly equal powers, evaluated through
+expm1/log1p (see each kernel for the digits it keeps). Every sum runs
+over the whole history, j = 0 .. n.
+
+The right-hand side follows one contract (`systems.SystemDef`): rhs(t, y)
+gets a new list of the d state components as Python floats and returns d
+real components. The driver reads each of them with `float()`, so the
+corrector and the next call work on Python floats, whatever type rhs
+returns.
 """
 
 from __future__ import annotations
@@ -84,7 +65,10 @@ def conv_weights_a(q: float, count: int) -> np.ndarray:
     """Interior corrector weight kernel a[k] for k = 0 .. count-1.
 
     a[k] = (k+2)^p + k^p - 2*(k+1)^p with p = q+1, computed as the first
-    difference of `_power_steps` at p, so no large powers cancel.
+    difference of `_power_steps` at p. No large powers cancel, but the
+    difference itself does: against exact values at lags up to 2*10^5
+    its relative error reaches 7.9e-11 at q = 0.99, 1.4e-10 at q = 0.5 and
+    1.4e-9 at q = 0.05, where `conv_weights_b` keeps within 4e-16.
     """
     if q == 1.0:
         return np.full(max(count, 0), 2.0)
@@ -199,78 +183,63 @@ def abm_python(rhs, q, y0, h, n_steps):
     """Integrate with the predictor-corrector loop in plain numpy.
 
     The history sums are split at block boundaries (Hairer, Lubich &
-    Schlichte 1985). The part from the current block of BLOCK steps is
-    summed directly at every step. When block boundary M is reached, with
-    2^k the largest power of two dividing M, the field samples of blocks
-    [M - 2^k, M) are convolved by FFT with the weights at lags up to
-    2^(k+1)*BLOCK, and the results are held for the steps of blocks
-    [M, M + 2^k); a tile reaching past the last step is cut short. Every
-    (source, output) block pair below the diagonal is covered by exactly
-    one such tile, so the sums equal the direct ones up to rounding at
-    O(N log^2 N) cost.
-
-    The weights depend only on the order, so the kernel has one column
-    pair per distinct order, built from the first component of that
-    order, and component i reads column col[i]: one column when every
-    order is equal, three for a coupled run that repeats three orders on
-    master and slave. The cached kernel spectra are that narrow too; the
-    near sums and every tile product read them through col. A tile of FFT
-    length L runs over groups of TILE_BUDGET // L components (at least
-    one, at most d), so its transforms of length L are never 2d columns
-    wide when L is large. Every column is transformed on its own either
-    way, so the grouping leaves every state bit for bit as it is.
+    Schlichte 1985), so N steps cost O(N log^2 N) instead of O(N^2). The
+    part from the current block of BLOCK steps is summed directly at every
+    step. When block boundary M is reached, with 2^k the largest power of
+    two dividing M, the field samples of blocks [M - 2^k, M) are convolved
+    by FFT with the weights at lags up to 2^(k+1)*BLOCK, and the results
+    are held for the steps of blocks [M, M + 2^k); a tile reaching past
+    the last step is cut short. Every (source, output) block pair below
+    the diagonal is covered by exactly one tile, so the sums equal the
+    direct ones up to rounding. No sum goes through BLAS, so the states do
+    not depend on the BLAS kernel or thread count.
 
     Row j of the history holds (f_j, f_j) once step j - 1 is done. Until
     then it holds the pending sums of step j - 1: y0, the a0 term and the
-    far tiles, to which the tiles add as they are computed. Step n reads
-    rows n - r .. n + 1, with r = n % BLOCK, in one weighted sum whose
-    weight on row n + 1 is one, and then overwrites row n + 1 with
-    f_{n+1}. History and pending sums therefore share (N + 1) * 2d floats.
-    The rows are added in order, so the sum is the near sum plus the
-    pending sums to the last bit.
+    far tiles. Step n reads rows n - r .. n + 1, with r = n % BLOCK, in
+    one weighted sum whose weight on row n + 1 is one, then overwrites row
+    n + 1 with f_{n+1}. History and pending sums thus share (N + 1) * 2d
+    floats, beside the (N + 1) * d of the states, and the rows are added
+    in order, so the sum is the near sum plus the pending sums to the
+    last bit.
 
-    The near sums run in scratch built once per call: for each r, the
-    weight view near[BLOCK - 1 - r:] and the first r + 2 rows of one
-    (BLOCK + 1, 2d) product buffer, and one `sums` array of 2d floats whose
-    halves are the predictor and the corrector sums. Each step multiplies
-    into the product view and reduces into `sums` with `out=`, the same
-    operations in the same order as fresh arrays. The scratch adds
-    (BLOCK + 1) * 2d + 2d floats and the 2 * BLOCK views; no step allocates
-    an array for its near sums.
+    The weights depend only on the order, so the kernel and its cached
+    spectra have one column pair per distinct order, which component i
+    reads as column col[i]: one column when every order is equal, three
+    for a coupled run. A tile of FFT length L transforms TILE_BUDGET // L
+    components at a time (at least one, at most d), so a long tile is
+    never 2d columns wide; every column is transformed on its own either
+    way, so the grouping changes no bit.
 
-    The rest of a step runs on Python floats, in the loop `_step_loop(d)`
-    writes out for the state width d: every component has a name of its
-    own, so a step builds no list to map over. `sums.tolist()` is unpacked
-    once into the predictor p_i and the corrector sums c_i. The predictor
-    is checked one component at a time, isfinite(p_0) and isfinite(p_1)
-    and ..., so finite components whose sum would overflow pass, and a
-    flat `and` compiles at any width; at the first that fails, the loop
-    returns its index. The predictor is handed to rhs as a new list. The
-    corrector is c_i + hq2_i * float(f_i), the same IEEE operations in the
-    same order as the array form; it is checked the same way, written to
-    the states and handed to the second rhs call, whose components are
-    read as floats too and fill the history row as (g_0, .., g_0, ..).
-    Reading each returned component as a float keeps numpy scalars,
-    float32 ones included, out of the corrector, so rhs gets floats at
-    both calls and never an array the driver reuses, and it refuses a
-    None that numpy would write into the history row as NaN. The loop's source depends on d alone and is compiled
-    once per d; the FFT tiles stay ordinary code, which the loop calls
-    once per BLOCK steps.
+    The near sums run in scratch built once per call: a (BLOCK + 1, 2d)
+    product buffer with its first r + 2 rows as one view per r, the weight
+    view near[BLOCK - 1 - r:] per r, and a 2d-float `sums` vector that
+    each step fills with `out=`. No step allocates an array for its sums,
+    the scratch is about 20 kB at d = 3 whatever N is, and being local to
+    the call it keeps a nested integration inside rhs from touching the
+    outer one's sums.
+
+    The rest of a step runs on Python floats in `_step_loop(d)`, compiled
+    once per width with one name per component, so a step builds no list
+    to map over. It unpacks `sums.tolist()` into the predictor p_i and the
+    corrector sums c_i, checks each p_i with isfinite (so finite components
+    whose sum would overflow pass), calls rhs, forms y_i = c_i + hq2_i *
+    float(f_i), checks and stores it and calls rhs again for the history
+    row. Reading every returned component with `float()` keeps numpy
+    scalars out of the corrector and refuses a None that numpy would store
+    as NaN. The FFT tiles stay ordinary code, called once per BLOCK steps.
 
     Parameters
     ----------
     rhs : callable
-        rhs(t, y) with y a list of d floats, returning d components (a
-        tuple, a list or any real 1-D array). A first value that is not
-        real numbers of y0's shape raises InvalidInput naming rhs before
-        any step is taken. A later one of another length, or one with a
-        component that `float()` cannot read (None, a complex number, a
-        list, "x"), raises InvalidInput at either call; an exception
-        raised inside rhs propagates as it is. Later values are not
-        type-checked per step: a boolean or a digit string reads as the
-        number `float()` gives it.
+        The field, under the module's contract. A first value that is not
+        real numbers of y0's shape raises InvalidInput before any step. A
+        later one of another length, or with a component `float()` cannot
+        read (None, a complex number, a list, "x"), raises InvalidInput
+        at either call; a boolean or a digit string reads as the number
+        `float()` gives it. An exception raised inside rhs propagates.
     q, y0 : ndarray
-        Orders and initial state, shape (d,).
+        Orders and initial state, new float64 arrays of shape (d,).
     h : float
         Step size.
     n_steps : int
@@ -283,7 +252,6 @@ def abm_python(rhs, q, y0, h, n_steps):
         first component that left the finite range there; both -1 when
         every state stayed finite.
     """
-    q = np.asarray(q, dtype=np.float64)
     d = q.shape[0]
     hq1 = h**q / np.array([math.gamma(v + 1.0) for v in q])
     hq2 = h**q / np.array([math.gamma(v + 2.0) for v in q])
@@ -315,7 +283,6 @@ def abm_python(rhs, q, y0, h, n_steps):
     sums = np.empty(2 * d)
     scale = hq2.tolist()
 
-    y0 = np.asarray(y0, dtype=np.float64)
     states = np.empty((n_steps + 1, d))
     states[0] = y0
     # The first value is checked once, for its type and shape; a NaN or an

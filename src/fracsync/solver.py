@@ -161,12 +161,7 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     """
     q = order_array(orders, (system.dimension,))
     y0 = number_array(y0, "initial state", (system.dimension,))
-    run = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps)
-    return _finish(*run, config)
-
-
-def _finish(states: np.ndarray, fail: int, component: int, config: SolverConfig) -> Trajectory:
-    """The run's Trajectory, or NonFiniteState with the rows before `fail` when fail >= 0."""
+    states, fail, component = kernels.abm_python(system.rhs, q, y0, config.h, config.n_steps)
     times = np.arange(config.n_steps + 1, dtype=np.float64) * config.h
     if fail >= 0:
         partial = Trajectory(times[:fail], states[:fail].copy())

@@ -160,6 +160,11 @@ class TestMittagLeffler:
         with pytest.raises(InvalidInput, match="orders must"):
             mittag_leffler(q, -1.0)
 
+    @pytest.mark.parametrize("q", [5e-324, 1e-310])
+    def test_subnormal_order_is_refused(self, q):
+        with pytest.raises(InvalidInput, match=f"^order {q!r} is subnormal"):
+            mittag_leffler(q, -1.0)
+
     @pytest.mark.parametrize("z", [30.5, -31.0, float("inf"), float("nan"), None, "-1", [-1.0]])
     def test_argument_domain(self, z):
         with pytest.raises(InvalidInput, match="^(argument must|z = )"):
@@ -469,6 +474,12 @@ class TestDivergenceFactor:
         a, _ = _pair([0.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         _, b = _pair([0.0, 2.0], [0.0, 0.0], [1.0, 1.0])
         with pytest.raises(InvalidInput, match="do not share a time grid"):
+            divergence_factor(a, b)
+
+    def test_state_shape_mismatch(self):
+        times = np.arange(3.0)
+        a, b = Trajectory(times, np.zeros((3, 2))), Trajectory(times, np.ones((3, 3)))
+        with pytest.raises(InvalidInput, match=r"^state shapes differ: \(3, 2\) vs \(3, 3\)$"):
             divergence_factor(a, b)
 
     def test_zero_initial_separation(self):

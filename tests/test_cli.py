@@ -284,6 +284,12 @@ class TestSimulateValidation:
         assert capsys.readouterr().err == want
         assert not (tmp_path / "never").exists()
 
+    def test_model_parameters_that_are_not_an_object(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"financial": 3})
+        assert _run("simulate", "--config", cfg, "--out", tmp_path / "never") == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: financial: expected an object, got 3\n"
+        assert not (tmp_path / "never").exists()
+
     def test_nonpositive_step(self, tmp_path, capsys):
         self._expect_config_error(tmp_path, capsys, "simulate", "--h", -0.1, field="h")
 

@@ -1,5 +1,6 @@
 """Quadrature weight identities for the predictor and corrector sums."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -137,6 +138,22 @@ def test_kernels_equal_their_spelled_out_forms(q, count):
     # Each kernel written out on its own, with the power difference inline.
     assert np.array_equal(conv_weights_b(q, count), _spelled_out_b(q, count))
     assert np.array_equal(conv_weights_a(q, count), _spelled_out_a(q, count))
+
+
+# Every lag below 64, then lags spread geometrically up to 2*10^5.
+EXACT_LAGS = sorted({*range(64), *np.geomspace(64, 200_000, 200).astype(int).tolist()})
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.99])
+def test_predictor_kernel_against_exact_values(q):
+    # conv_weights_a is not held to this bound: its first difference
+    # cancels, to a relative error near 1e-9 at q = 0.05.
+    got = conv_weights_b(q, EXACT_LAGS[-1] + 1)
+    with mpmath.workdps(40):
+        qm = mpmath.mpf(q)
+        for k in EXACT_LAGS:
+            exact = (k + 1) ** qm - mpmath.mpf(k) ** qm
+            assert abs(got[k] - exact) <= 1e-15 * exact, (q, k)
 
 
 class TestValidation:
