@@ -25,9 +25,11 @@ With --end-to-end the script times whole processes instead: `python -m
 fracsync` from each checkout's `src` for each subcommand at its defaults
 (CLI_RUNS), in a fresh output directory and held to its expected exit
 code, as the minimum of the repeats; and the checkout's test suite, as
-the median. Three repeats do not resolve a 10% change in a whole process
-on a shared 2-vCPU host: a before/after claim needs at least 10, the
-default count.
+the median. Each CLI run's report.json and trajectory.csv are hashed
+after its timed process ends, and every label after the first records
+and prints whether they have the first label's bytes. Three repeats do
+not resolve a 10% change in a whole process on a shared 2-vCPU host: a
+before/after claim needs at least 10, the default count.
 
 With --tag, the timings go into BENCH_<tag>.json in the working directory
 under each label, beside the machine facts (nproc, numpy and BLAS build,
@@ -45,6 +47,7 @@ Usage:
 
 import argparse
 import functools
+import hashlib
 import importlib.util
 import json
 import os
@@ -244,10 +247,51 @@ def _wall(argv, code=0, **kwargs) -> float:
     return seconds
 
 
-def _cli_wall(args, code, env) -> float:
-    """Wall seconds of one `python -m fracsync` run in a fresh output directory."""
+ARTIFACTS = ("report.json", "trajectory.csv")
+
+
+def _digests(out) -> dict:
+    """{artifact: sha256 hex digest} of each of ARTIFACTS in `out`, None for one not written."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            if (out / name).exists() else None for name in ARTIFACTS}
+
+
+def _cli_wall(args, code, env, digests) -> float:
+    """Wall seconds of one `python -m fracsync` run in a fresh output directory.
+
+    The digests of its artifacts are appended to `digests` after the timed
+    process has ended and before its directory is removed.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        return _wall([sys.executable, "-m", "fracsync", *args, "--out", tmp], code, env=env)
+        seconds = _wall([sys.executable, "-m", "fracsync", *args, "--out", tmp], code, env=env)
+        digests.append(_digests(Path(tmp)))
+    return seconds
+
+
+def time_cli(name, args, code, envs, repeats):
+    """{label: record} of one CLI case run from each label's environment in `envs`.
+
+    A record holds the timings and the artifact digests of the label's
+    first run; every label after the first also records `same_bytes`, whether
+    all its runs and the first label's wrote the same report.json and
+    trajectory.csv.
+    """
+    digests = {label: [] for label in envs}
+    runs = {label: functools.partial(_cli_wall, args, code, env, digests[label])
+            for label, env in envs.items()}
+    first = next(iter(envs))
+    records = {}
+    for label, samples, extra in _alternating(runs, repeats):
+        record = {"case": name, "min_s": min(samples), "samples_s": samples,
+                  "sha256": digests[label][0], **extra}
+        text = ""
+        if label != first:
+            reference = digests[first][0]
+            record["same_bytes"] = all(d == reference for d in digests[first] + digests[label])
+            text = f"  bytes {'equal' if record['same_bytes'] else 'DIFFER'} to {first}"
+        records[label] = record
+        print(f"{label} cli {name:<20} min {min(samples):.3f} s{_ratio_text(extra)}{text}")
+    return records
 
 
 SUITE = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p",
@@ -260,11 +304,8 @@ def time_end_to_end(checkouts, repeats):
             for label, root in checkouts.items()}
     results = {label: {"cli": [], "suite": {"command": " ".join(SUITE[1:])}} for label in checkouts}
     for name, (args, code) in CLI_RUNS.items():
-        runs = {label: functools.partial(_cli_wall, args, code, envs[label]) for label in checkouts}
-        for label, samples, extra in _alternating(runs, repeats):
-            results[label]["cli"].append(
-                {"case": name, "min_s": min(samples), "samples_s": samples, **extra})
-            print(f"{label} cli {name:<20} min {min(samples):.3f} s{_ratio_text(extra)}")
+        for label, record in time_cli(name, args, code, envs, repeats).items():
+            results[label]["cli"].append(record)
     runs = {label: functools.partial(_wall, SUITE, cwd=root, env=envs[label])
             for label, root in checkouts.items()}
     for label, samples, extra in _alternating(runs, repeats):

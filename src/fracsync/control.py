@@ -268,10 +268,14 @@ class StabilityReport:
 
     @property
     def chaos_threshold(self) -> Optional[float]:
-        """(2/pi) * min |arg(lambda)| clamped to [0, 2], or None when the spectrum is degenerate."""
+        """(2/pi) * min |arg(lambda)|, or None when the spectrum is degenerate.
+
+        It lies in [0, 2] unclamped: min_argument is an abs(cmath.phase(...))
+        in [0, pi], rounding is monotone and (2.0 / math.pi) * math.pi == 2.0.
+        """
         if self.degenerate:
             return None
-        return min(max((2.0 / math.pi) * self.min_argument, 0.0), 2.0)
+        return (2.0 / math.pi) * self.min_argument
 
     def to_dict(self) -> dict:
         return {

@@ -20,11 +20,7 @@ All three are differences of nearly equal powers, evaluated through
 expm1/log1p (see each kernel for the digits it keeps). Every sum runs
 over the whole history, j = 0 .. n.
 
-The right-hand side follows one contract (`systems.SystemDef`): rhs(t, y)
-gets a new list of the d state components as Python floats and returns d
-real components. The driver reads each of them with `float()`, so the
-corrector and the next call work on Python floats, whatever type rhs
-returns.
+The right-hand side follows the contract that `systems.SystemDef` states.
 """
 
 from __future__ import annotations
@@ -92,7 +88,7 @@ def first_panel_weights(q: float, steps) -> np.ndarray:
 
 
 def _bad_value(value, d: int) -> str:
-    """The refusal message for a later rhs value that is not d real numbers."""
+    """The refusal message for an rhs value that is not d real numbers."""
     try:
         if len(value) != d:
             return f"rhs returned {len(value)} components for a state of {d}"
@@ -232,12 +228,7 @@ def abm_python(rhs, q, y0, h, n_steps):
     Parameters
     ----------
     rhs : callable
-        The field, under the module's contract. A first value that is not
-        real numbers of y0's shape raises InvalidInput before any step. A
-        later one of another length, or with a component `float()` cannot
-        read (None, a complex number, a list, "x"), raises InvalidInput
-        at either call; a boolean or a digit string reads as the number
-        `float()` gives it. An exception raised inside rhs propagates.
+        The field, under the contract of `systems.SystemDef`.
     q, y0 : ndarray
         Orders and initial state, new float64 arrays of shape (d,).
     h : float
@@ -285,18 +276,16 @@ def abm_python(rhs, q, y0, h, n_steps):
 
     states = np.empty((n_steps + 1, d))
     states[0] = y0
-    # The first value is checked once, for its type and shape; a NaN or an
-    # infinity in it is left to step 1, like any later non-finite value.
+    # The first value is checked through numpy, which also refuses strings
+    # and all-boolean values; a NaN or an infinity in it is left to step 1,
+    # like any later non-finite value.
     value = rhs(0.0, y0.tolist())
     try:
         f0 = np.asarray(value)
     except ValueError:  # ragged nesting
         f0 = np.asarray(None)
-    if f0.dtype.kind not in "iuf":
-        raise InvalidInput(f"rhs must return real numbers, got {value!r}")
-    if f0.shape != y0.shape:
-        raise InvalidInput(f"rhs returned shape {f0.shape} for a state of shape {y0.shape}")
-    f0 = f0.astype(np.float64)
+    if f0.dtype.kind not in "iuf" or f0.shape != y0.shape:
+        raise InvalidInput(_bad_value(value, d))
     # hist[j] = (f_j, f_j), except that the corrector half of row 0 is zero:
     # the corrector weighs f_0 with a0(n), not with the kernel.
     hist = np.empty((n_steps + 1, 2, d))
@@ -305,11 +294,12 @@ def abm_python(rhs, q, y0, h, n_steps):
     flat = hist.reshape(n_steps + 1, 2 * d)
     # acc[n] collects y0, the a0(n) term and the sums over the blocks before
     # the one holding step n. It lives in row n + 1 of the history, which
-    # step n reads last and then overwrites with f_{n+1}.
+    # step n reads last and then overwrites with f_{n+1}. f_0 is read from
+    # hist[0, 0], as float64 whatever type rhs returned (a long double too).
     acc = hist[1:]
     acc[:] = y0
     for i in range(d):
-        acc[:, 1, i] += hq2[i] * f0[i] * first_panel_weights(q[i], np.arange(n_steps))
+        acc[:, 1, i] += hq2[i] * hist[0, 0, i] * first_panel_weights(q[i], np.arange(n_steps))
 
     def tiles(n):
         # Tile of `size` source steps before n onto the outputs [n, stop).

@@ -127,7 +127,7 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     Parameters
     ----------
     system : SystemDef
-        Field to integrate.
+        Field to integrate, under the contract its class states.
     orders : FractionalOrders, number or array_like
         Per-component orders, each finite and in (0, 1]. They are
         broadcast to (dimension,), so a number applies to every component.
@@ -143,17 +143,13 @@ def integrate(system: SystemDef, orders, y0, config: SolverConfig) -> Trajectory
     Trajectory
         times[j] = j*h and states of shape (n_steps + 1, dimension).
 
-    The driver calls system.rhs(t, y) with y a new list of the state's
-    components as Python floats; it returns as many components (see
-    `systems.SystemDef`).
-
     Raises
     ------
     InvalidInput
-        When y0 breaks the rule above; when the first value of system.rhs
-        is not real numbers of y0's shape, or a later one has another
-        length; when an order is not a number, is outside (0, 1], or the
-        orders do not broadcast to (dimension,) (`systems.order_array`).
+        When y0 breaks the rule above; when a value of system.rhs is not
+        d real numbers (`systems.SystemDef`); when an order is not a
+        number, is outside (0, 1], or the orders do not broadcast to
+        (dimension,) (`systems.order_array`).
     NonFiniteState
         When a state component leaves the finite range; the exception
         carries the valid prefix of the trajectory and the index of that

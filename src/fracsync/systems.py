@@ -13,22 +13,12 @@ The Volta system, with parameters (a, b, c):
     dy/dt = -y - b*x - x*z
     dz/dt = c*z + x*y + 1
 
-Each field is defined once, as the `rhs` of `financial_system` and
-`volta_system`, over the three components (x, y, z) of a state: the
-integration driver hands it a list of three Python floats, and three
-equal-shape arrays give three arrays, a batch. `componentwise` is the one
-adaptor from state arrays to such bodies: both control laws in `control`
-run through it, and a field evaluates on a state array as
-`componentwise(lambda s: financial_system(p).rhs(0.0, s), state)`. A
-single state of shape (3,) and a batch of shape (..., 3) alike run on
-views along the last axis, under one rule for overflow, so a whole
-trajectory evaluates in one call and equals its rows bit for bit, inf and
-nan included; any other number of components raises Python's unpacking
-ValueError, unchecked. Parameters are stored as Python floats, checked by
-the `number_array` rule, so a float32 parameter cannot make a state's
-arithmetic float32.
-Jacobians take one state of 3 finite numbers by the same rule; equilibria
-take only parameters.
+Each field is defined once, as the `rhs` of `financial_system`,
+`volta_system` and `zero_system` over the components (x, y, z) of a
+state, under the contract that `SystemDef` states; `componentwise` is the
+one adaptor from state arrays to such bodies and to the control laws.
+Parameters are stored as Python floats and, like the state a Jacobian
+takes, checked by the `number_array` rule; equilibria take only parameters.
 """
 
 from __future__ import annotations
@@ -190,7 +180,7 @@ def componentwise(body, *states) -> np.ndarray:
     """
     arrays = [np.asarray(s, dtype=np.float64) for s in states]
     if any(a.ndim == 0 for a in arrays):
-        raise InvalidInput("state must have a last axis of length 3, got shape ()")
+        raise InvalidInput("state must have a last axis, got shape ()")
     out = np.empty(np.broadcast_shapes(*(a.shape for a in arrays)))
     o = np.moveaxis(out, -1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,21 +254,32 @@ def financial_equilibria(p: FinancialParams) -> list[np.ndarray]:
 class SystemDef:
     """A dynamical system ready for integration: its dimension d and its field.
 
-    rhs(t, y) is the only definition of the field that integration uses.
-    y is a list of the d components of a state, Python floats, and rhs
-    returns d real components: a tuple, a list or any real 1-D array,
-    which the driver reads as Python floats. The first value must be d
-    real numbers; a later value that is not d components `float()` can
-    read (a None among them, say) raises InvalidInput, but no type check
-    runs per step, so a boolean or a digit string reads as the number
-    `float()` gives it (`kernels.abm_python`). The driver builds a new list
-    for every call, so an rhs may keep y. Given d equal-shape arrays
-    instead, each built-in field returns d arrays, so `componentwise`
-    evaluates it on states of shape (..., d). Python floats raise on
-    `/` by zero and on an overflowing `**` where numpy returns inf; an rhs
-    that wants numpy's rule can call np.asarray(y). `dimension` must be an
-    integer >= 1 (`count_number`); anything else raises InvalidInput here,
-    once, not in a run.
+    This is the one statement of the field contract. rhs(t, y) is the only
+    definition of the field that integration uses. y is a new list of the
+    d components of a state, Python floats, so an rhs may keep it. rhs
+    returns d real components: a tuple, a list or any real 1-D array. The
+    driver reads each component with `float()`, so the corrector and the
+    next call work on Python floats whatever type rhs returns. A value
+    that is not d real numbers (another length, a bare float, None, a
+    complex number, a nested list, a string, an int past the float range)
+    raises InvalidInput at any call, with one message per value: "rhs
+    returned N components for a state of d" for a length, else "rhs must
+    return real numbers, got ...". The first value alone is checked
+    through numpy, which also refuses strings and a value of booleans
+    only, such as (True, False, True); no type check runs per step, so
+    later a boolean or a digit string reads as the number `float()`
+    gives it. A NaN or an infinity is no type error: it
+    ends the run as NonFiniteState, at step 1 in the first value. An
+    exception raised inside rhs propagates unchanged.
+
+    Python floats raise on `/` by zero and on an overflowing `**` where
+    numpy returns inf; an rhs that wants numpy's rule can call
+    np.asarray(y). Each built-in field unpacks its state, so any other
+    number of components raises Python's unpacking ValueError, unchecked,
+    and given d equal-shape arrays it returns d arrays, which is how
+    `componentwise` evaluates it on states of shape (..., d).
+    `dimension` must be an integer >= 1 (`count_number`); anything else
+    raises InvalidInput here, once, not in a run.
     """
 
     dimension: int
@@ -288,8 +289,6 @@ class SystemDef:
         object.__setattr__(self, "dimension", count_number(self.dimension, "dimension", 1))
 
 
-# Each rhs unpacks its state, so any number of components but three raises
-# Python's unpacking ValueError; no check runs per call.
 def financial_system(params: FinancialParams | None = None) -> SystemDef:
     p = params if params is not None else FinancialParams()
 
@@ -313,9 +312,8 @@ def volta_system(params: VoltaParams | None = None) -> SystemDef:
 def zero_system() -> SystemDef:
     """Field that is identically zero on three components; a diagnostic stub."""
 
-    def rhs(t, y):
-        if len(y) != 3:
-            raise InvalidInput(f"state must have 3 components, got {len(y)}")
-        return np.zeros((3, *np.shape(y[0])))  # one row per component
+    def rhs(t, state):
+        x, y, z = state
+        return np.zeros((3, *np.shape(x)))  # one row per component
 
     return SystemDef(dimension=3, rhs=rhs)

@@ -144,6 +144,27 @@ def test_wall_holds_a_process_to_its_expected_exit_code(script):
         script._wall(argv, 0)
 
 
+def test_two_runs_of_one_checkout_write_the_same_bytes(script, capsys):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    records = script.time_cli("stability", ["stability"], 0, {"a": env, "b": env}, 1)
+    assert "same_bytes" not in records["a"] and records["b"]["same_bytes"] is True
+    assert records["a"]["sha256"] == records["b"]["sha256"]
+    # stability writes a report and no trajectory.
+    assert len(records["a"]["sha256"]["report.json"]) == 64
+    assert records["a"]["sha256"]["trajectory.csv"] is None
+    assert "bytes equal to a" in capsys.readouterr().out
+
+
+def test_differing_digests_are_reported_as_different(script, monkeypatch, capsys):
+    digests = iter(["0" * 64, "1" * 64])
+    monkeypatch.setattr(script, "_wall", lambda *args, **kwargs: 0.5)
+    monkeypatch.setattr(script, "_digests", lambda out: {"report.json": next(digests)})
+    records = script.time_cli("stability", ["stability"], 0, {"a": {}, "b": {}}, 1)
+    assert records["a"]["sha256"] != records["b"]["sha256"]
+    assert records["b"]["same_bytes"] is False
+    assert "bytes DIFFER to a" in capsys.readouterr().out
+
+
 def _tracing_constant(name):
     """The literal assigned to `name` in perfbench/tracing.py, read without importing it."""
     for node in ast.parse(TRACING.read_text()).body:

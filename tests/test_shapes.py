@@ -29,6 +29,7 @@ from fracsync import (
     volta_system,
     zero_system,
 )
+from fracsync.errors import InvalidInput
 from fracsync.experiments import run_synchronization
 from fracsync.systems import componentwise
 
@@ -170,6 +171,17 @@ def test_a_body_returning_another_count_raises(count, shape):
     # One returned component is not broadcast into every entry of the last axis.
     with pytest.raises(ValueError):
         componentwise(lambda s: (s[0],) * count, np.ones(shape))
+
+
+@pytest.mark.parametrize("body", [
+    lambda s: financial_system(FP).rhs(0.0, s),
+    lambda s: coupled_system(FP, VP, ExactCancellation()).rhs(0.0, s),
+], ids=["financial", "coupled"])
+def test_a_zero_dimensional_state_is_refused_without_a_length(body):
+    # The message names no length: the coupled pair has six components.
+    with pytest.raises(InvalidInput) as info:
+        componentwise(body, np.float64(1.0))
+    assert str(info.value) == "state must have a last axis, got shape ()"
 
 
 @pytest.mark.parametrize("controller", [ExactCancellation(LAM), LiteralFeedback()])

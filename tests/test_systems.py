@@ -306,6 +306,13 @@ class TestSystemBuilders:
         sysdef = zero_system()
         assert np.array_equal(sysdef.rhs(1.0, np.array([3.0, -2.0, 5.0])), np.zeros(3))
 
+    @pytest.mark.parametrize("state", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    def test_zero_system_unpacks_its_state_like_the_others(self, state):
+        # Python's unpacking ValueError, as the financial and Volta fields raise.
+        with pytest.raises(ValueError) as info:
+            zero_system().rhs(0.0, state)
+        assert not isinstance(info.value, InvalidInput)
+
     def test_zero_system_takes_no_dimension(self):
         with pytest.raises(TypeError):
             zero_system(3)
