@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -151,8 +151,10 @@ def predicted_error(e0, orders, t: float) -> np.ndarray:
 class SyncSummary:
     """First time the error norm stays under tol, plus the final errors.
 
-    A NaN final error raises InvalidInput, as in `sync_time`, wherever it
-    sits; an infinite one is a violation of tol.
+    tol must be a positive number (`systems.positive_number`), stored as a
+    Python float, and there must be at least one final error; anything
+    else raises InvalidInput. A NaN final error raises InvalidInput, as in
+    `sync_time`, wherever it sits; an infinite one is a violation of tol.
     """
 
     sync_time: Optional[float]
@@ -160,6 +162,9 @@ class SyncSummary:
     tol: float
 
     def __post_init__(self):
+        object.__setattr__(self, "tol", positive_number(self.tol, "tol"))
+        if len(self.final_errors) == 0:
+            raise InvalidInput("final errors must hold at least one value, got none")
         nan = [i for i, v in enumerate(self.final_errors) if math.isnan(v)]
         if nan:
             raise InvalidInput(f"final error is NaN at component {nan[0]}")
@@ -260,14 +265,14 @@ class ConvergenceProblem:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Errors of a refinement study at its step sizes, and their `empirical_orders`."""
+
     step_sizes: tuple
     errors: tuple
-    orders: tuple
+    orders: tuple = field(init=False)
 
-    @classmethod
-    def of(cls, step_sizes: tuple, errors: Sequence[float]) -> "ConvergenceReport":
-        """The report of `errors` at `step_sizes`, with their `empirical_orders`."""
-        return cls(step_sizes=step_sizes, errors=tuple(errors), orders=empirical_orders(errors))
+    def __post_init__(self):
+        object.__setattr__(self, "orders", empirical_orders(self.errors))
 
     def to_dict(self) -> dict:
         return {
@@ -331,4 +336,4 @@ def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> Co
     pairwise empirical orders.
     """
     hs, errors = terminal_errors(problem, h0, levels)
-    return ConvergenceReport.of(hs, errors.max(axis=1).tolist())
+    return ConvergenceReport(hs, tuple(errors.max(axis=1).tolist()))

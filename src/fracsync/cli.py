@@ -100,25 +100,17 @@ def _refuse_leftovers(cfg: dict, where: str, prefix: str = "") -> None:
         raise ConfigError(keys, f"not used by {where} with these settings")
 
 
-def _read(key, build, raw):
-    """build(raw), with the package's refusal, InvalidInput, reported as ConfigError(key).
+def _read(key, build, *args):
+    """build(*args), with the package's refusal, InvalidInput, reported as ConfigError(key).
 
     The config layer holds no input rule of its own: each builder is the
     package code that owns the rule, and its message is reported under
     the key. Any other exception is a fault and propagates.
     """
     try:
-        return build(raw)
+        return build(*args)
     except InvalidInput as exc:
         raise ConfigError(key, str(exc))
-
-
-def _number(raw) -> float:
-    return float(number_array(raw, "value", ()))
-
-
-def _positive(raw) -> float:
-    return positive_number(raw, "value")
 
 
 def _vec3(raw) -> list:
@@ -145,15 +137,14 @@ def _params(cfg, key, cls):
     for sub in raw:
         if sub not in fields:
             raise ConfigError(key, f"unknown parameter {sub!r}")
-    return cls(**{sub: _read(f"{key}.{sub}", _number, val) for sub, val in raw.items()})
+    return cls(**{k: _read(f"{key}.{k}", number_array, v, "value", ()) for k, v in raw.items()})
 
 
 def _model(cfg):
     """Both systems' parameters and the orders, with their echo for the report."""
     fp = _params(cfg, "financial", FinancialParams)
     vp = _params(cfg, "volta", VoltaParams)
-    orders = _read("orders", lambda raw: order_array(raw, (3,)),
-                   cfg.pop("orders", FractionalOrders.q))
+    orders = _read("orders", order_array, cfg.pop("orders", FractionalOrders.q), (3,))
     echo = {
         "financial": dataclasses.asdict(fp),
         "volta": dataclasses.asdict(vp),
@@ -169,9 +160,9 @@ def _grid(cfg, default_t_end):
     `memory`. The report still echoes it, so that reports keep the bytes
     they had when a second history policy existed.
     """
-    h = _read("h", _positive, cfg.pop("h", _DEFAULT_H))
-    t_end = _read("t_end", _positive, cfg.pop("t_end", default_t_end))
-    config = _read("t_end", lambda raw: SolverConfig.for_horizon(h, raw), t_end)
+    h = _read("h", positive_number, cfg.pop("h", _DEFAULT_H), "value")
+    t_end = _read("t_end", positive_number, cfg.pop("t_end", default_t_end), "value")
+    config = _read("t_end", SolverConfig.for_horizon, h, t_end)
     if config.n_steps > 5_000_000:
         raise ConfigError("t_end", f"horizon needs {config.n_steps} steps; reduce t_end or raise h")
     memory = _read("memory", _full, cfg.pop("memory", "full"))
@@ -290,7 +281,7 @@ def _run_report(run, resolved: dict, entries: dict) -> dict:
 def _cmd_simulate(args, cfg):
     fp, vp, orders, model = _model(cfg)
     name = cfg.pop("system", "financial")
-    system = _read("system", lambda raw: experiments.build_system(raw, fp, vp), name)
+    system = _read("system", experiments.build_system, name, fp, vp)
     config, grid = _grid(cfg, _SIM_T_END)
     ic = _read("initial_state", _vec3, cfg.pop("initial_state", experiments.SYSTEMS[name][1]))
     resolved = {"system": name, **model, **grid, "initial_state": ic}
@@ -314,7 +305,7 @@ def _cmd_synchronize(args, cfg):
     (_, master_ic), (_, slave_ic) = experiments.SYSTEMS["financial"], experiments.SYSTEMS["volta"]
     master0 = _read("master_initial", _vec3, cfg.pop("master_initial", master_ic))
     slave0 = _read("slave_initial", _vec3, cfg.pop("slave_initial", slave_ic))
-    tol = _read("sync_tol", _positive, cfg.pop("sync_tol", _DEFAULT_TOL))
+    tol = _read("sync_tol", positive_number, cfg.pop("sync_tol", _DEFAULT_TOL), "value")
     resolved = {**model, **grid, "mode": mode, "master_initial": master0,
                 "slave_initial": slave0, "sync_tol": tol, **rates}
 
@@ -343,7 +334,7 @@ def _cmd_synchronize(args, cfg):
 
 def _stability_entry(key: str, matrix: np.ndarray, orders: np.ndarray) -> dict:
     """Report entry of `matrix`, whose spectrum `eigen3` may refuse as a ConfigError(key)."""
-    report = _read(key, lambda m: ctl.matignon_check(m, orders), matrix)
+    report = _read(key, ctl.matignon_check, matrix, orders)
     return {
         "matrix": matrix.tolist(),
         "stability": report.to_dict(),

@@ -133,18 +133,27 @@ def power_forcing_problem(*orders: float) -> ConvergenceProblem:
 
 @dataclass(frozen=True)
 class ConvergenceCase:
+    """The refinement study of order `q` and its check against the band around 1 + q."""
+
     q: float
-    expected: float
-    band: tuple
     report: ConvergenceReport
-    in_band: bool
+
+    @property
+    def band(self) -> tuple:
+        expected = 1.0 + self.q
+        return expected - CONVERGENCE_BAND, expected + CONVERGENCE_BAND
+
+    @property
+    def in_band(self) -> bool:
+        lo, hi = self.band
+        return all(lo <= v <= hi for v in self.report.orders)
 
     def to_dict(self) -> dict:
         d = self.report.to_dict()
         d.update(
             {
                 "q": float(self.q),
-                "expected_order": float(self.expected),
+                "expected_order": float(1.0 + self.q),
                 "band": [float(self.band[0]), float(self.band[1])],
                 "in_band": bool(self.in_band),
             }
@@ -161,13 +170,6 @@ def convergence_selftest() -> tuple[list[ConvergenceCase], bool]:
     """
     problem = power_forcing_problem(*CONVERGENCE_CASES)
     hs, errors = terminal_errors(problem, CONVERGENCE_H0, CONVERGENCE_LEVELS)
-    cases = []
-    for q, errs in zip(CONVERGENCE_CASES, errors.T.tolist()):
-        report = ConvergenceReport.of(hs, errs)
-        expected = 1.0 + q
-        lo, hi = expected - CONVERGENCE_BAND, expected + CONVERGENCE_BAND
-        in_band = all(lo <= v <= hi for v in report.orders)
-        cases.append(
-            ConvergenceCase(q=q, expected=expected, band=(lo, hi), report=report, in_band=in_band)
-        )
+    cases = [ConvergenceCase(q, ConvergenceReport(hs, tuple(errs)))
+             for q, errs in zip(CONVERGENCE_CASES, errors.T.tolist())]
     return cases, all(c.in_band for c in cases)

@@ -32,6 +32,7 @@ from fracsync.errors import InvalidInput
 from fracsync.experiments import (
     CONVERGENCE_H0,
     CONVERGENCE_LEVELS,
+    ConvergenceCase,
     convergence_selftest,
     power_forcing_problem,
 )
@@ -430,6 +431,26 @@ class TestSyncTime:
         assert finite.final_max_error == 2e-5
         assert finite.final_below_tol
 
+    @pytest.mark.parametrize("tol,message", [(-1.0, "tol must be positive, got -1.0"),
+                                             (math.nan, "tol must be finite, got nan"),
+                                             ("x", "tol must be a number, got 'x'")])
+    def test_summary_refuses_a_tol_that_is_not_a_positive_number(self, tol, message):
+        # A summary reports its tol, so one it cannot report is refused when it is built.
+        with pytest.raises(InvalidInput) as info:
+            SyncSummary(sync_time=None, final_errors=(1.0,), tol=tol)
+        assert str(info.value) == message
+
+    def test_summary_refuses_no_final_errors(self):
+        # The final max error needs at least one value.
+        with pytest.raises(InvalidInput) as info:
+            SyncSummary(sync_time=0.0, final_errors=(), tol=1e-3)
+        assert str(info.value) == "final errors must hold at least one value, got none"
+
+    def test_summary_stores_tol_as_a_float(self):
+        summary = SyncSummary(sync_time=0.0, final_errors=(0.5,), tol=1)
+        assert type(summary.tol) is float
+        assert summary.to_dict()["tol"] == 1.0
+
     def test_summary_serialization(self):
         traj = _error_trajectory(np.arange(3.0), [5.0, 5e-4, 5e-4])
         d = sync_time(traj, 1e-3).to_dict()
@@ -539,6 +560,31 @@ class TestEmpiricalOrders:
     def test_ratios_near_the_float_limits_keep_their_value(self):
         assert empirical_orders([2.0**1000, 2.0**-20]) == (1020.0,)
         assert empirical_orders([2.0**-1070, 2.0**0]) == (-1070.0,)
+
+
+class TestConvergenceRecords:
+    def test_a_report_derives_its_orders_from_its_errors(self):
+        report = analysis.ConvergenceReport((0.1, 0.05), [1.0, 0.25])
+        assert report.orders == (2.0,)
+        assert report.to_dict() == {"step_sizes": [0.1, 0.05], "errors": [1.0, 0.25],
+                                    "orders": [2.0]}
+
+    def test_a_report_refuses_errors_without_orders(self):
+        with pytest.raises(InvalidInput, match="errors must be positive"):
+            analysis.ConvergenceReport((0.1, 0.05), [1.0, 0.0])
+
+    @pytest.mark.parametrize("errors,in_band", [((1.0, 2.0**-1.5), True),
+                                                ((1.0, 2.0**-2.0), False)])
+    def test_a_case_derives_its_band_and_verdict(self, errors, in_band):
+        case = ConvergenceCase(0.5, analysis.ConvergenceReport((0.1, 0.05), errors))
+        assert case.band == (1.5 - 0.2, 1.5 + 0.2)
+        assert case.in_band is in_band
+        d = case.to_dict()
+        assert list(d) == ["step_sizes", "errors", "orders", "q", "expected_order", "band",
+                           "in_band"]
+        assert d["expected_order"] == 1.5
+        assert d["band"] == [1.5 - 0.2, 1.5 + 0.2]
+        assert d["in_band"] is in_band
 
 
 class TestRefinementStudy:

@@ -198,3 +198,12 @@ def test_the_cli_catches_only_the_package_refusal_and_io_errors():
             caught |= {t.attr if isinstance(t, ast.Attribute) else t.id for t in types}
     assert caught == {"InvalidInput", "UnicodeDecodeError", "JSONDecodeError",
                       "RecursionError", "OSError", "ConfigError"}
+
+
+def test_each_cli_read_names_its_package_rule():
+    # _read(key, build, *args) calls build(*args), so no lambda adapts a rule's
+    # arguments between a config key and the package code that reads it.
+    reads = [node for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_read"]
+    assert len(reads) > 10
+    assert [ast.unparse(n) for n in reads if any(isinstance(a, ast.Lambda) for a in n.args)] == []
