@@ -152,9 +152,11 @@ class SyncSummary:
     """First time the error norm stays under tol, plus the final errors.
 
     tol must be a positive number (`systems.positive_number`), stored as a
-    Python float, and there must be at least one final error; anything
-    else raises InvalidInput. A NaN final error raises InvalidInput, as in
-    `sync_time`, wherever it sits; an infinite one is a violation of tol.
+    Python float. The final errors must be a list of at least one number
+    by the `systems.number_array` rule, infinities allowed, and are stored
+    as a tuple of Python floats; anything else raises InvalidInput. A NaN
+    final error raises InvalidInput, as in `sync_time`, wherever it sits;
+    an infinite one is a violation of tol.
     """
 
     sync_time: Optional[float]
@@ -163,15 +165,19 @@ class SyncSummary:
 
     def __post_init__(self):
         object.__setattr__(self, "tol", positive_number(self.tol, "tol"))
-        if len(self.final_errors) == 0:
+        errors = number_array(self.final_errors, "final errors", finite=False)
+        if errors.ndim != 1:
+            raise InvalidInput(f"final errors must be a list of numbers, got {self.final_errors!r}")
+        if errors.size == 0:
             raise InvalidInput("final errors must hold at least one value, got none")
-        nan = [i for i, v in enumerate(self.final_errors) if math.isnan(v)]
-        if nan:
+        nan = np.flatnonzero(np.isnan(errors))
+        if nan.size:
             raise InvalidInput(f"final error is NaN at component {nan[0]}")
+        object.__setattr__(self, "final_errors", tuple(errors.tolist()))
 
     @property
     def final_max_error(self) -> float:
-        return max(abs(float(v)) for v in self.final_errors)
+        return max(abs(v) for v in self.final_errors)
 
     @property
     def final_below_tol(self) -> bool:
@@ -180,10 +186,10 @@ class SyncSummary:
     def to_dict(self) -> dict:
         return {
             "sync_time": None if self.sync_time is None else float(self.sync_time),
-            "final_errors": [float(v) for v in self.final_errors],
-            "final_max_error": float(self.final_max_error),
+            "final_errors": list(self.final_errors),
+            "final_max_error": self.final_max_error,
             "final_below_tol": bool(self.final_below_tol),
-            "tol": float(self.tol),
+            "tol": self.tol,
         }
 
 
@@ -265,7 +271,12 @@ class ConvergenceProblem:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Errors of a refinement study at its step sizes, and their `empirical_orders`."""
+    """Errors of a refinement study at its step sizes, and their `empirical_orders`.
+
+    The step sizes must be one positive number per error by the
+    `systems.number_array` rule, and are stored as a tuple of Python
+    floats; anything else raises InvalidInput.
+    """
 
     step_sizes: tuple
     errors: tuple
@@ -273,10 +284,14 @@ class ConvergenceReport:
 
     def __post_init__(self):
         object.__setattr__(self, "orders", empirical_orders(self.errors))
+        steps = number_array(self.step_sizes, "step sizes", (len(self.orders) + 1,))
+        if np.any(steps <= 0.0):
+            raise InvalidInput(f"step sizes must be positive, got {self.step_sizes!r}")
+        object.__setattr__(self, "step_sizes", tuple(steps.tolist()))
 
     def to_dict(self) -> dict:
         return {
-            "step_sizes": [float(v) for v in self.step_sizes],
+            "step_sizes": list(self.step_sizes),
             "errors": [float(v) for v in self.errors],
             "orders": [float(v) for v in self.orders],
         }

@@ -74,8 +74,9 @@ def _load_config(args) -> dict:
     cfg: dict = {}
     if args.config is not None:
         path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError("config", f"file not found: {path}")
+        if not path.is_file():  # checked before reading, which would block on a FIFO
+            problem = "not a file" if path.exists() else "file not found"
+            raise ConfigError("config", f"{problem}: {path}")
         try:
             cfg = json.loads(path.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:

@@ -5,10 +5,15 @@ input u added to the follower shapes the error e = slave - master. Two
 controller families are provided. Each carries its law (`control`), the
 design matrix of its error system (`design_matrix`) and the slave row of
 the coupled field (`slave_field`), so callers never branch on the type.
+Each law has one body, which the slave row and `control` both evaluate.
 
 ExactCancellation removes both vector fields and replaces them with a
 chosen linear error field: u = F(master) - G(slave) + diag(lam) e, so
 each error component obeys the scalar equation D^q e_i = lam_i * e_i.
+`control` evaluates the law's body with G(slave). The slave row
+G(s) + u, in which G(s) cancels, is the same body with G(s) left at
+zero: F(m) + diag(lam) e, bit for bit, since x - 0.0 is x for every
+float.
 
 LiteralFeedback applies a fixed algebraic control law, written against
 the follower state except for its second bilinear term, plus a linear
@@ -100,15 +105,23 @@ def _literal(m, s, fp, vp, gain):
 
 def control_exact(master, slave, fp: FinancialParams, vp: VoltaParams, lam) -> np.ndarray:
     """Cancellation law u = F(master) - G(slave) + diag(lam) e; shapes (..., 3)."""
-    l1, l2, l3 = _check_lambda(lam).tolist()
+    law = _exact(_check_lambda(lam).tolist())
     financial, volta = financial_system(fp).rhs, volta_system(vp).rhs
+    return componentwise(lambda m, s: law(m, s, financial(0.0, m), *volta(0.0, s)), master, slave)
 
-    def body(m, s):
-        (f1, f2, f3), (g1, g2, g3) = financial(0.0, m), volta(0.0, s)
-        (m1, m2, m3), (s1, s2, s3) = m, s
+
+def _exact(lam):
+    # The law's one body for three rates given as floats: u = F(m) - G(s) +
+    # lam * (s - m) on the components of m, s, fm = F(m) and G(s). G(s)
+    # left at zero gives the slave row exactly, since x - 0.0 is x for
+    # every float.
+    l1, l2, l3 = lam
+
+    def law(m, s, fm, g1=0.0, g2=0.0, g3=0.0):
+        (m1, m2, m3), (s1, s2, s3), (f1, f2, f3) = m, s, fm
         return f1 - g1 + (s1 - m1) * l1, f2 - g2 + (s2 - m2) * l2, f3 - g3 + (s3 - m3) * l3
 
-    return componentwise(body, master, slave)
+    return law
 
 
 def _check_lambda(lam) -> np.ndarray:
@@ -139,19 +152,13 @@ class ExactCancellation:
     def slave_field(self, fp: FinancialParams, vp: VoltaParams):
         """Slave row G(s) + u of the coupled field, as row(m, s, fm) with fm = F(m).
 
-        G(s) cancels against the -G(s) inside u, so the row is
-        F(m) + lam * (s - m): it reuses the master row and evaluates no
-        field of its own. This differs from G(s) + u by rounding only.
-        m, s and fm are three components each, floats or equal-shape
-        arrays, and so are the row's.
+        G(s) cancels against the -G(s) inside u, so the row is the law's
+        body with G(s) left at zero, F(m) + lam * (s - m), bit for bit: it
+        reuses the master row and evaluates no field of its own. This
+        differs from G(s) + u by rounding only. m, s and fm are three
+        components each, floats or equal-shape arrays, and so are the row's.
         """
-        l1, l2, l3 = self.lam
-
-        def row(m, s, fm):
-            (m1, m2, m3), (s1, s2, s3), (f1, f2, f3) = m, s, fm
-            return f1 + (s1 - m1) * l1, f2 + (s2 - m2) * l2, f3 + (s3 - m3) * l3
-
-        return row
+        return _exact(self.lam)
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,14 @@ def has_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
-def number_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
+def number_array(value, name: str, shape: tuple | None = None, finite: bool = True) -> np.ndarray:
     """`value` as a new float64 array of finite numbers; anything else raises InvalidInput.
 
     This is the one rule for numbers a caller supplies. Refused: strings
     (even "0.9"), None, booleans (also inside lists), complex numbers,
     ragged nesting, NaN and infinities. When `shape` is given, `value` must
-    have exactly that shape: nothing is reshaped or broadcast.
+    have exactly that shape: nothing is reshaped or broadcast. With
+    finite=False, NaN and the infinities pass, for a caller that reads them.
     """
     try:
         arr = np.asarray(value)
@@ -61,7 +62,7 @@ def number_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
     if shape is not None and arr.shape != shape:
         raise InvalidInput(f"{name} must have shape {shape}, got shape {arr.shape}")
     arr = arr.astype(np.float64)
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise InvalidInput(f"{name} must be finite, got {value!r}")
     return arr
 

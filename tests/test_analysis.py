@@ -446,6 +446,29 @@ class TestSyncTime:
             SyncSummary(sync_time=0.0, final_errors=(), tol=1e-3)
         assert str(info.value) == "final errors must hold at least one value, got none"
 
+    @pytest.mark.parametrize("errors,message", [
+        (("a",), "final errors must be numbers, got ('a',)"),
+        ((None,), "final errors must be numbers, got (None,)"),
+        ((1 + 2j,), "final errors must be numbers, got ((1+2j),)"),
+        (("1.5",), "final errors must be numbers, got ('1.5',)"),
+        ((True,), "final errors must be numbers, got (True,)"),
+        (5.0, "final errors must be a list of numbers, got 5.0"),
+        (((1.0,),), "final errors must be a list of numbers, got ((1.0,),)"),
+    ])
+    def test_summary_refuses_final_errors_that_are_not_real_numbers(self, errors, message):
+        # These raised a bare TypeError, or in the case of (True,) were reported as [1.0].
+        with pytest.raises(InvalidInput) as info:
+            SyncSummary(sync_time=None, final_errors=errors, tol=1e-3)
+        assert str(info.value) == message
+
+    def test_summary_stores_final_errors_as_floats(self):
+        summary = SyncSummary(sync_time=0.0, final_errors=[np.float32(0.5), 2, -math.inf],
+                              tol=1e-3)
+        assert summary.final_errors == (0.5, 2.0, -math.inf)
+        assert all(type(v) is float for v in summary.final_errors)
+        assert summary.to_dict()["final_errors"] == [0.5, 2.0, -math.inf]
+        assert not summary.final_below_tol
+
     def test_summary_stores_tol_as_a_float(self):
         summary = SyncSummary(sync_time=0.0, final_errors=(0.5,), tol=1)
         assert type(summary.tol) is float
@@ -572,6 +595,27 @@ class TestConvergenceRecords:
     def test_a_report_refuses_errors_without_orders(self):
         with pytest.raises(InvalidInput, match="errors must be positive"):
             analysis.ConvergenceReport((0.1, 0.05), [1.0, 0.0])
+
+    @pytest.mark.parametrize("steps,errors,message", [
+        (("a", "b"), [1.0, 0.25], "step sizes must be numbers, got ('a', 'b')"),
+        ((True, False), [1.0, 0.25], "step sizes must be numbers, got (True, False)"),
+        ((0.1,), [1.0, 0.25, 0.0625], "step sizes must have shape (3,), got shape (1,)"),
+        ((0.1, 0.05, 0.025), [1.0, 0.25], "step sizes must have shape (2,), got shape (3,)"),
+        ((0.1, 0.0), [1.0, 0.25], "step sizes must be positive, got (0.1, 0.0)"),
+        ((0.1, -0.05), [1.0, 0.25], "step sizes must be positive, got (0.1, -0.05)"),
+        ((0.1, math.inf), [1.0, 0.25], "step sizes must be finite, got (0.1, inf)"),
+    ])
+    def test_a_report_refuses_step_sizes_that_are_not_one_positive_number_per_error(
+            self, steps, errors, message):
+        # These raised a bare ValueError when written, were written as [1.0, 0.0], or passed.
+        with pytest.raises(InvalidInput) as info:
+            analysis.ConvergenceReport(steps, errors)
+        assert str(info.value) == message
+
+    def test_a_report_stores_its_step_sizes_as_floats(self):
+        report = analysis.ConvergenceReport((1, np.float32(0.5)), [1.0, 0.25])
+        assert report.step_sizes == (1.0, 0.5)
+        assert all(type(v) is float for v in report.step_sizes)
 
     @pytest.mark.parametrize("errors,in_band", [((1.0, 2.0**-1.5), True),
                                                 ((1.0, 2.0**-2.0), False)])

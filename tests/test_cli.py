@@ -211,6 +211,16 @@ class TestSimulateValidation:
             tmp_path, capsys, "simulate", "--config", tmp_path / "nope.json", field="config"
         )
 
+    @pytest.mark.parametrize("name,problem", [("nope.json", "file not found"),
+                                              (".", "not a file")])
+    def test_a_config_path_that_is_not_a_file_is_named_as_such(self, tmp_path, capsys, name,
+                                                                problem):
+        # A directory was reported as "file not found".
+        path = tmp_path / name
+        assert _run("stability", "--config", path, "--out", tmp_path / "never") == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config: {problem}: {path}\n"
+        assert not (tmp_path / "never").exists()
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

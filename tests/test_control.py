@@ -31,6 +31,7 @@ from fracsync import (
 )
 from fracsync.errors import InvalidInput
 from fracsync.experiments import run_synchronization
+from fracsync.systems import componentwise
 
 from fields import field_on
 
@@ -42,6 +43,11 @@ VP = VoltaParams()
 # Finite entries whose spectrum LAPACK returns with an eigenvalue of +inf.
 OVERFLOWING_SPECTRUM = np.full((3, 3), 1e308)
 OVERFLOWING_SPECTRUM[2, 2] = -1e308
+
+
+def _bits(values) -> bytes:
+    # The float64 bytes, so -0.0 differs from 0.0 and NaN equals itself.
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
 
 
 def _unfolded_rhs(controller, y):
@@ -203,6 +209,33 @@ class TestExactControl:
         a = control_exact(MASTER0, SLAVE0, FP, VP, -2.0)
         b = control_exact(MASTER0, SLAVE0, FP, VP, np.array([-2.0, -2.0, -2.0]))
         assert np.array_equal(a, b)
+
+    def test_slave_row_given_g_is_the_control_law_bit_for_bit(self):
+        # The row is the law's one body with G(s) left at zero; handed G(s),
+        # it gives control_exact's u in every bit.
+        rng = np.random.default_rng(48)
+        m, s = rng.uniform(-40.0, 40.0, size=(2, 500, 3))
+        lam = (-1.0, -2.5, -0.5)
+        row = ExactCancellation(lam).slave_field(FP, VP)
+        financial, volta = financial_system(FP).rhs, volta_system(VP).rhs
+        u = componentwise(lambda mc, sc: row(mc, sc, financial(0.0, mc), *volta(0.0, sc)), m, s)
+        assert _bits(u) == _bits(control_exact(m, s, FP, VP, lam))
+
+    def test_slave_row_is_the_spelled_out_row_bit_for_bit(self):
+        # G(s) left at zero costs no bit: x - 0.0 is x for every float,
+        # -0.0, the infinities, NaN, 1e308 and subnormals included.
+        pool = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324,
+                2.0**-1030, 1.0, -3.5]
+        rng = np.random.default_rng(4)
+        m, s, fm = rng.choice(pool, size=(3, 3, 2000))
+        lam = (-1.0, -5e-324, -1e308)
+        row = ExactCancellation(lam).slave_field(FP, VP)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = row(m, s, fm)
+            spelled = [f + (si - mi) * li for f, si, mi, li in zip(fm, s, m, lam)]
+            floats = [row(*(tuple(c[:, k].tolist()) for c in (m, s, fm))) for k in range(50)]
+        assert _bits(np.array(got)) == _bits(np.array(spelled))
+        assert _bits(np.array(floats).T) == _bits(np.array(spelled)[:, :50])
 
     @pytest.mark.parametrize(
         "bad",
