@@ -152,7 +152,9 @@ class SyncSummary:
     """First time the error norm stays under tol, plus the final errors.
 
     tol must be a positive number (`systems.positive_number`), stored as a
-    Python float. The final errors must be a list of at least one number
+    Python float. sync_time must be None or a finite number by the
+    `systems.number_array` rule, negative ones included, and is stored as
+    a Python float. The final errors must be a list of at least one number
     by the `systems.number_array` rule, infinities allowed, and are stored
     as a tuple of Python floats; anything else raises InvalidInput. A NaN
     final error raises InvalidInput, as in `sync_time`, wherever it sits;
@@ -165,6 +167,9 @@ class SyncSummary:
 
     def __post_init__(self):
         object.__setattr__(self, "tol", positive_number(self.tol, "tol"))
+        if self.sync_time is not None:
+            time = number_array(self.sync_time, "sync time", ()).item()
+            object.__setattr__(self, "sync_time", time)
         errors = number_array(self.final_errors, "final errors", finite=False)
         if errors.ndim != 1:
             raise InvalidInput(f"final errors must be a list of numbers, got {self.final_errors!r}")
@@ -185,10 +190,10 @@ class SyncSummary:
 
     def to_dict(self) -> dict:
         return {
-            "sync_time": None if self.sync_time is None else float(self.sync_time),
+            "sync_time": self.sync_time,
             "final_errors": list(self.final_errors),
             "final_max_error": self.final_max_error,
-            "final_below_tol": bool(self.final_below_tol),
+            "final_below_tol": self.final_below_tol,
             "tol": self.tol,
         }
 
@@ -204,11 +209,13 @@ def sync_time(traj: Trajectory, tol: float) -> SyncSummary:
     """Earliest grid time after which max_i |e_i| stays below tol for good.
 
     sync_time is None when the last grid point still violates the
-    threshold; a trajectory that never violates it reports time zero. The
-    errors must be a 2-D array of one row per grid point and at least one
-    column, and tol a positive number (`systems.positive_number`): a
-    string, a boolean, NaN, an infinity or an array raises InvalidInput. An infinite error is a violation; a NaN
-    error raises InvalidInput naming the first grid index that holds one.
+    threshold; a trajectory that never violates it reports its first grid
+    time. The errors must be a 2-D array of one row per grid point and at
+    least one column, and tol a positive number
+    (`systems.positive_number`): a string, a boolean, NaN, an infinity or
+    an array raises InvalidInput. An infinite error is a violation; a NaN
+    error raises InvalidInput naming the first grid index that holds one,
+    and a grid time reported that is not finite raises it in `SyncSummary`.
     """
     if traj.errors is None:
         raise InvalidInput("trajectory carries no error columns")
@@ -273,9 +280,10 @@ class ConvergenceProblem:
 class ConvergenceReport:
     """Errors of a refinement study at its step sizes, and their `empirical_orders`.
 
-    The step sizes must be one positive number per error by the
-    `systems.number_array` rule, and are stored as a tuple of Python
-    floats; anything else raises InvalidInput.
+    The errors must pass `empirical_orders`, and the step sizes must be
+    one positive number per error by the `systems.number_array` rule; both
+    are stored as tuples of Python floats, and anything else raises
+    InvalidInput.
     """
 
     step_sizes: tuple
@@ -284,6 +292,7 @@ class ConvergenceReport:
 
     def __post_init__(self):
         object.__setattr__(self, "orders", empirical_orders(self.errors))
+        object.__setattr__(self, "errors", tuple(number_array(self.errors, "errors").tolist()))
         steps = number_array(self.step_sizes, "step sizes", (len(self.orders) + 1,))
         if np.any(steps <= 0.0):
             raise InvalidInput(f"step sizes must be positive, got {self.step_sizes!r}")
@@ -292,8 +301,8 @@ class ConvergenceReport:
     def to_dict(self) -> dict:
         return {
             "step_sizes": list(self.step_sizes),
-            "errors": [float(v) for v in self.errors],
-            "orders": [float(v) for v in self.orders],
+            "errors": list(self.errors),
+            "orders": list(self.orders),
         }
 
 

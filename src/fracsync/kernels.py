@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInput
+from .systems import number_array
 
 # ---------------------------------------------------------------------------
 # Weight kernels, shared by the public weight functions and the driver.
@@ -87,16 +88,6 @@ def first_panel_weights(q: float, steps) -> np.ndarray:
     return out
 
 
-def _bad_value(value, d: int) -> str:
-    """The refusal message for an rhs value that is not d real numbers."""
-    try:
-        if len(value) != d:
-            return f"rhs returned {len(value)} components for a state of {d}"
-    except TypeError:  # no length: a float, say
-        pass
-    return f"rhs must return real numbers, got {value!r}"
-
-
 # ---------------------------------------------------------------------------
 # numpy driver with FFT-tiled history sums.
 # ---------------------------------------------------------------------------
@@ -109,6 +100,9 @@ BLOCK = 64
 # time, so that none of its arrays is 2d columns wide, and a short one in a
 # single call, which splitting would only slow.
 TILE_BUDGET = 8192
+
+# The one refusal of an rhs value that is not d real numbers, at any call.
+_REFUSAL = "rhs must return real numbers of shape ({d},), got {value!r}"
 
 # The step loop of `abm_python` for d components, written out with one name
 # per component: {p} stands for "p0, p1, ...", {p_finite} for
@@ -136,7 +130,7 @@ def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, sca
                 {f}, = f
 {corrector}
             except (TypeError, ValueError, OverflowError):
-                raise InvalidInput(_bad_value(f, {d})) from None
+                raise InvalidInput(_REFUSAL.format(d={d}, value=f)) from None
             if not ({y_finite}):
                 return n + 1, [isfinite(v) for v in ({y},)].index(False)
             states[n + 1] = {y},
@@ -147,7 +141,7 @@ def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, sca
                     {g}, = {g_float},
                     flat[n + 1] = {g}, {g}
                 except (TypeError, ValueError, OverflowError):
-                    raise InvalidInput(_bad_value(f, {d})) from None
+                    raise InvalidInput(_REFUSAL.format(d={d}, value=f)) from None
     return -1, -1
 """
 
@@ -276,16 +270,14 @@ def abm_python(rhs, q, y0, h, n_steps):
 
     states = np.empty((n_steps + 1, d))
     states[0] = y0
-    # The first value is checked through numpy, which also refuses strings
-    # and all-boolean values; a NaN or an infinity in it is left to step 1,
-    # like any later non-finite value.
+    # The first value is checked by the package's number rule, which also
+    # refuses strings and booleans; a NaN or an infinity in it is left to
+    # step 1, like any later non-finite value.
     value = rhs(0.0, y0.tolist())
     try:
-        f0 = np.asarray(value)
-    except ValueError:  # ragged nesting
-        f0 = np.asarray(None)
-    if f0.dtype.kind not in "iuf" or f0.shape != y0.shape:
-        raise InvalidInput(_bad_value(value, d))
+        f0 = number_array(value, "rhs", (d,), finite=False)
+    except InvalidInput:
+        raise InvalidInput(_REFUSAL.format(d=d, value=value)) from None
     # hist[j] = (f_j, f_j), except that the corrector half of row 0 is zero:
     # the corrector weighs f_0 with a0(n), not with the kernel.
     hist = np.empty((n_steps + 1, 2, d))

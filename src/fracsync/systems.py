@@ -263,15 +263,14 @@ class SystemDef:
     next call work on Python floats whatever type rhs returns. A value
     that is not d real numbers (another length, a bare float, None, a
     complex number, a nested list, a string, an int past the float range)
-    raises InvalidInput at any call, with one message per value: "rhs
-    returned N components for a state of d" for a length, else "rhs must
-    return real numbers, got ...". The first value alone is checked
-    through numpy, which also refuses strings and a value of booleans
-    only, such as (True, False, True); no type check runs per step, so
-    later a boolean or a digit string reads as the number `float()`
-    gives it. A NaN or an infinity is no type error: it
-    ends the run as NonFiniteState, at step 1 in the first value. An
-    exception raised inside rhs propagates unchanged.
+    raises InvalidInput at any call with one text, "rhs must return real
+    numbers of shape (d,), got ...". The first value is read by the
+    `number_array` rule, so a string or a boolean anywhere in it is
+    refused too; no type check runs per step, so later a boolean or a
+    digit string reads as the number `float()` gives it. A NaN or an
+    infinity is no type error: it ends the run as NonFiniteState, at
+    step 1 in the first value. An exception raised inside rhs propagates
+    unchanged.
 
     Python floats raise on `/` by zero and on an overflowing `**` where
     numpy returns inf; an rhs that wants numpy's rule can call

@@ -469,6 +469,36 @@ class TestSyncTime:
         assert summary.to_dict()["final_errors"] == [0.5, 2.0, -math.inf]
         assert not summary.final_below_tol
 
+    @pytest.mark.parametrize("time,message", [
+        (math.nan, "sync time must be finite, got nan"),
+        (math.inf, "sync time must be finite, got inf"),
+        ("x", "sync time must be a number, got 'x'"),
+        ([1.0], "sync time must have shape (), got shape (1,)"),
+        (True, "sync time must be a number, got True"),
+    ], ids=["nan", "inf", "string", "list", "bool"])
+    def test_summary_refuses_a_sync_time_that_is_not_a_finite_number(self, time, message):
+        # NaN and inf were written to JSON as NaN and Infinity, "x" and [1.0] failed
+        # only in to_dict, and True was written as 1.0.
+        with pytest.raises(InvalidInput) as info:
+            SyncSummary(sync_time=time, final_errors=(1.0,), tol=1e-3)
+        assert str(info.value) == message
+
+    def test_a_grid_time_that_is_not_finite_is_refused(self):
+        # The summary was built with sync_time NaN and written to JSON as NaN.
+        traj = _error_trajectory([0.0, math.nan, 2.0], [5.0, 5e-4, 5e-4])
+        with pytest.raises(InvalidInput, match="sync time must be finite, got nan"):
+            sync_time(traj, 1e-3)
+
+    @pytest.mark.parametrize("time,stored", [(None, None), (np.float32(0.5), 0.5), (2, 2.0),
+                                             (-1.5, -1.5)],
+                             ids=["none", "float32", "int", "negative"])
+    def test_summary_stores_sync_time_as_a_float(self, time, stored):
+        # A user trajectory may start before 0, so a negative time passes.
+        summary = SyncSummary(sync_time=time, final_errors=(1.0,), tol=1e-3)
+        assert summary.sync_time == stored
+        assert type(summary.sync_time) is type(stored)
+        assert summary.to_dict()["sync_time"] == stored
+
     def test_summary_stores_tol_as_a_float(self):
         summary = SyncSummary(sync_time=0.0, final_errors=(0.5,), tol=1)
         assert type(summary.tol) is float
@@ -616,6 +646,13 @@ class TestConvergenceRecords:
         report = analysis.ConvergenceReport((1, np.float32(0.5)), [1.0, 0.25])
         assert report.step_sizes == (1.0, 0.5)
         assert all(type(v) is float for v in report.step_sizes)
+
+    def test_a_report_stores_its_errors_as_floats(self):
+        # The errors were kept as given: a list inside a frozen record.
+        report = analysis.ConvergenceReport((0.1, 0.05), [1, np.float32(0.25)])
+        assert report.errors == (1.0, 0.25)
+        assert all(type(v) is float for v in report.errors)
+        assert report.to_dict()["errors"] == [1.0, 0.25]
 
     @pytest.mark.parametrize("errors,in_band", [((1.0, 2.0**-1.5), True),
                                                 ((1.0, 2.0**-2.0), False)])

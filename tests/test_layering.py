@@ -89,6 +89,19 @@ def test_per_component_numbers_broadcast_by_one_rule():
     assert found == []
 
 
+def test_the_number_rule_reads_the_dtype_kind_in_one_place():
+    # `systems.number_array` is the one rule for numbers: every other module,
+    # the driver's first rhs value and the written-out step loop included,
+    # calls it rather than testing an array's `dtype.kind` itself.
+    found = []
+    for label, source in _sources().items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr == "kind" \
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype":
+                found.append((label, node.lineno))
+    assert [label for label, _ in found] == ["systems.py"], found
+
+
 # Routines that hand a sum to BLAS, whose kernel the CPU selects at run time.
 BLAS_SUMS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "vecdot"}
 

@@ -529,7 +529,7 @@ class TestFailurePaths:
         system = SystemDef(dimension=3, rhs=narrow)
         with pytest.raises(InvalidInput) as info:
             solve(system, [1.0, 2.0, 3.0], SolverConfig(h=0.01, n_steps=10))
-        assert str(info.value) == "rhs returned 1 components for a state of 3"
+        assert str(info.value) == "rhs must return real numbers of shape (3,), got (-1.0,)"
         assert calls == [0.0]
 
     @FRACTIONAL_DRIVER
@@ -537,7 +537,7 @@ class TestFailurePaths:
         system = _scalar_system(lambda t, y: -y[0])
         with pytest.raises(InvalidInput) as info:
             solve(system, [1.0], SolverConfig(h=0.01, n_steps=10))
-        assert str(info.value) == "rhs must return real numbers, got -1.0"
+        assert str(info.value) == "rhs must return real numbers of shape (1,), got -1.0"
 
     def test_simulation_keeps_the_error_as_its_blowup_record(self):
         # At h = 0.05 the Volta system leaves the finite range at step 14.
@@ -661,6 +661,18 @@ class TestFieldContract:
         states = [integrate(SystemDef(1, f), 0.9, [1.0], config).states for f in (narrow, twin)]
         assert np.array_equal(*states)
 
+    def _field(self, d):
+        """(field, orders, initial state) of one, three or six components."""
+        return {
+            1: (lambda t, y: (-y[0],), 0.9, [1.0]),
+            3: (financial_system().rhs, self.ORDERS, self.Y0),
+            6: (
+                coupled_system(FinancialParams(), VoltaParams(), ExactCancellation()).rhs,
+                self.ORDERS * 2,
+                self.Y0 + [8.0, 2.0, 3.0],
+            ),
+        }[d]
+
     # The financial system of three components, then one and six components.
     # The three-component cases keep their names, the length alone.
     @pytest.mark.parametrize(
@@ -670,24 +682,17 @@ class TestFieldContract:
     )
     @pytest.mark.parametrize("bad_call", [11, 12])  # step 4's corrected state, step 5's predicted one
     def test_a_later_value_of_another_length_is_refused(self, d, length, bad_call):
-        field, orders, y0 = {
-            1: (lambda t, y: (-y[0],), 0.9, [1.0]),
-            3: (financial_system().rhs, self.ORDERS, self.Y0),
-            6: (
-                coupled_system(FinancialParams(), VoltaParams(), ExactCancellation()).rhs,
-                self.ORDERS * 2,
-                self.Y0 + [8.0, 2.0, 3.0],
-            ),
-        }[d]
+        field, orders, y0 = self._field(d)
+        value = (1.0,) * length
         calls = []
 
         def faulty(t, y):
             calls.append(t)
-            return (1.0,) * length if len(calls) == bad_call else field(t, y)
+            return value if len(calls) == bad_call else field(t, y)
 
-        match = f"rhs returned {length} components for a state of {d}"
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(InvalidInput) as info:
             integrate(SystemDef(d, faulty), orders, y0, self.CFG)
+        assert str(info.value) == f"rhs must return real numbers of shape ({d},), got {value!r}"
         assert len(calls) == bad_call
 
     # At call 11 the value fills step 4's history row; at call 12 it is
@@ -704,26 +709,27 @@ class TestFieldContract:
 
         with pytest.raises(InvalidInput) as info:
             integrate(SystemDef(1, faulty), 0.9, [1.0], self.CFG)
-        assert str(info.value) == f"rhs must return real numbers, got {value!r}"
+        assert str(info.value) == f"rhs must return real numbers of shape (1,), got {value!r}"
         assert len(calls) == bad_call
 
     def test_a_value_gets_one_refusal_at_every_call(self):
         # Call 1 is f_0, checked before any step; calls 11 and 12 as above.
-        field = financial_system().rhs
-        for value in ((1.0,), "a", [[1.0, 2.0], 3.0, 4.0], None, (1j, 0.0, 0.0)):
-            messages = []
-            for bad_call in (1, 11, 12):
-                calls = []
+        for d in (1, 3, 6):
+            field, orders, y0 = self._field(d)
+            for value in ((1.0,) * (d + 1), "a", [[1.0, 2.0]] + [3.0] * (d - 1), None,
+                          (1j,) + (0.0,) * (d - 1), 1.0):
+                for bad_call in (1, 11, 12):
+                    calls = []
 
-                def faulty(t, y):
-                    calls.append(t)
-                    return value if len(calls) == bad_call else field(t, y)
+                    def faulty(t, y):
+                        calls.append(t)
+                        return value if len(calls) == bad_call else field(t, y)
 
-                with pytest.raises(InvalidInput) as info:
-                    integrate(SystemDef(3, faulty), self.ORDERS, self.Y0, self.CFG)
-                assert len(calls) == bad_call
-                messages.append(str(info.value))
-            assert len(set(messages)) == 1, messages
+                    with pytest.raises(InvalidInput) as info:
+                        integrate(SystemDef(d, faulty), orders, y0, self.CFG)
+                    assert len(calls) == bad_call
+                    expected = f"rhs must return real numbers of shape ({d},), got {value!r}"
+                    assert str(info.value) == expected, (d, value, bad_call)
 
     @pytest.mark.parametrize("bad_call", [11, 12])
     def test_an_error_raised_inside_rhs_propagates_unchanged(self, bad_call):
@@ -741,13 +747,13 @@ class TestFieldContract:
 
     def test_the_first_value_is_checked_for_numbers_not_for_finiteness(self):
         # "a" raised numpy's bare "could not convert string to float", [1j] a TypeError.
-        # Booleans are refused at the first call only, which numpy checks.
-        for value in ("a", [1j, 0.0, 0.0], [[1.0, 2.0], 3.0, 4.0], (True, False, True), None):
+        # Booleans are refused at the first call only, by the package's number
+        # rule, also one among floats, which numpy alone reads as a float.
+        for value in ("a", [1j, 0.0, 0.0], [[1.0, 2.0], 3.0, 4.0], (True, False, True),
+                      (True, 2.0, 3.0), (1.0, np.bool_(False), 3.0), None, (10**400, 0.0, 0.0)):
             with pytest.raises(InvalidInput) as info:
                 integrate(SystemDef(3, lambda t, y: value), self.ORDERS, self.Y0, self.CFG)
-            expected = ("rhs returned 1 components for a state of 3" if value == "a"
-                        else f"rhs must return real numbers, got {value!r}")
-            assert str(info.value) == expected
+            assert str(info.value) == f"rhs must return real numbers of shape (3,), got {value!r}"
         # A NaN or an infinity is no type error: the run leaves the finite range at step 1.
         for bad in (math.nan, math.inf):
             system = SystemDef(3, lambda t, y: (bad, 0.0, 0.0))
