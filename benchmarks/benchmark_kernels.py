@@ -15,11 +15,14 @@ memory, for each case and step count, after one untimed run; one more
 after the timed ones gives the peak of the memory it allocates, as
 tracemalloc counts it (`peak_bytes`). A case whose run leaves the finite
 range on a coarse grid (Volta at 64 steps) is reported with its failing
-step, not timed. Each case's
-right-hand side is timed on its single initial state as a list of floats,
-as integration calls it, in microseconds per call (RHS_CALLS calls per
-repeat). A traced perfbench run (`perfbench/run.py --trace 1`) times the
-CSV writer and mittag_leffler (`cli.write_s`, `analysis.ml_*`).
+step, not timed. The untimed run's states (the valid prefix, for a case
+that leaves the finite range) are hashed, and every label after the
+first records and prints whether they have the first label's bits
+(`same_states`). Each case's right-hand side is timed on its single
+initial state as a list of floats, as integration calls it, in
+microseconds per call (RHS_CALLS calls per repeat). A traced perfbench
+run (`perfbench/run.py --trace 1`) times the CSV writer and
+mittag_leffler (`cli.write_s`, `analysis.ml_*`).
 
 With --end-to-end the script times whole processes instead: `python -m
 fracsync` from each checkout's `src` for each subcommand at its defaults
@@ -180,39 +183,52 @@ def _rhs_seconds(system, y0):
     return timeit.timeit(lambda: system.rhs(0.0, y0), number=RHS_CALLS) / RHS_CALLS
 
 
+def _states_text(entry, first) -> str:
+    """The printed form of a label's "same_states" entry; empty for the first label."""
+    if "same_states" not in entry:
+        return ""
+    return f"  states {'equal' if entry['same_states'] else 'DIFFER'} to {first}"
+
+
 def time_layers(packages, steps, repeats):
     """{label: {"results": [row per case and steps], "rhs": [row per case]}} of `packages`."""
     header = (f"{'label':<10} {'system':<15} {'steps':>7} {'min (s)':>12} {'median (s)':>12} "
               f"{'peak (MB)':>10}")
     print(header + "\n" + "-" * len(header))
     cases = {label: _cases(pkg) for label, pkg in packages.items()}
+    first = next(iter(packages))
     layers = {label: {"results": [], "rhs": []} for label in packages}
     names = next(iter(cases.values()))
     for name in names:
         for n_steps in steps:
-            calls = {}
+            calls, digests, blowups = {}, {}, {}
             for label, pkg in packages.items():
                 system, y0 = cases[label][name]
                 config = pkg.SolverConfig(h=10.0 / n_steps, n_steps=n_steps)
                 args = (pkg.integrate, system, 0.99, np.asarray(y0, dtype=np.float64), config)
                 try:  # an untimed first run, which also warms the process's caches
-                    _seconds(*args)
+                    states = pkg.integrate(*args[1:]).states
+                    calls[label] = args
                 except pkg.NonFiniteState as exc:  # a grid too coarse for the case
-                    layers[label]["results"].append(
-                        {"case": name, "steps": n_steps, "blowup_step": exc.step})
-                    print(f"{label:<10} {name:<15} {n_steps:>7} left the finite range at step "
-                          f"{exc.step}")
-                    continue
-                calls[label] = args
+                    states, blowups[label] = exc.trajectory.states, exc.step
+                digests[label] = hashlib.sha256(states.tobytes()).hexdigest()
+            # Every label after the first records whether its states are the first label's.
+            same = {label: {} if label == first else {"same_states": digest == digests[first]}
+                    for label, digest in digests.items()}
+            for label, step in blowups.items():
+                layers[label]["results"].append(
+                    {"case": name, "steps": n_steps, "blowup_step": step, **same[label]})
+                print(f"{label:<10} {name:<15} {n_steps:>7} left the finite range at step "
+                      f"{step}{_states_text(same[label], first)}")
             runs = {label: functools.partial(_seconds, *args) for label, args in calls.items()}
             for label, samples, extra in _alternating(runs, repeats):
                 best, median = min(samples), statistics.median(samples)
                 peak = _peak_bytes(*calls[label])
                 layers[label]["results"].append(
                     {"case": name, "steps": n_steps, "min_s": best, "median_s": median,
-                     "samples_s": samples, "peak_bytes": peak, **extra})
+                     "samples_s": samples, "peak_bytes": peak, **extra, **same[label]})
                 print(f"{label:<10} {name:<15} {n_steps:>7} {best:>12.4f} {median:>12.4f} "
-                      f"{peak / 1e6:>10.3f}{_ratio_text(extra)}")
+                      f"{peak / 1e6:>10.3f}{_ratio_text(extra)}{_states_text(same[label], first)}")
 
     print(f"{'label':<10} {'rhs case':<19} {'min (us)':>12} {'median (us)':>12}")
     for name in names:

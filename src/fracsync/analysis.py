@@ -213,27 +213,27 @@ def sync_time(traj: Trajectory, tol: float) -> SyncSummary:
     time. The errors must be a 2-D array of one row per grid point and at
     least one column, and tol a positive number
     (`systems.positive_number`): a string, a boolean, NaN, an infinity or
-    an array raises InvalidInput. An infinite error is a violation; a NaN
-    error raises InvalidInput naming the first grid index that holds one,
-    and a grid time reported that is not finite raises it in `SyncSummary`.
+    an array raises InvalidInput. The errors and the grid time reported are
+    read by the `systems.number_array` rule with NaN and the infinities
+    allowed, so strings, booleans or None in them raise InvalidInput naming
+    the column. An infinite error is a violation; a NaN error raises
+    InvalidInput naming the first grid index that holds one, and a grid
+    time reported that is not finite raises it in `SyncSummary`.
     """
     if traj.errors is None:
         raise InvalidInput("trajectory carries no error columns")
-    errors = _columns(traj.errors, "errors")
+    errors = _columns(number_array(traj.errors, "errors", finite=False), "errors")
     tol = positive_number(tol, "tol")
     sup = np.max(np.abs(errors), axis=1)
     nan = np.flatnonzero(np.isnan(sup))
     if nan.size:
         raise InvalidInput(f"error is NaN at grid index {nan[0]}")
     above = np.flatnonzero(sup >= tol)
-    if above.size == 0:
-        t_star: Optional[float] = float(traj.times[0])
-    elif above[-1] == sup.size - 1:
-        t_star = None
-    else:
-        t_star = float(traj.times[above[-1] + 1])
-    final = tuple(float(v) for v in errors[-1])
-    return SyncSummary(sync_time=t_star, final_errors=final, tol=tol)
+    settled = above[-1] + 1 if above.size else 0  # first grid index of the settled tail
+    t_star: Optional[float] = None
+    if settled < sup.size:
+        t_star = number_array(traj.times[settled], "times", (), finite=False).item()
+    return SyncSummary(sync_time=t_star, final_errors=tuple(errors[-1].tolist()), tol=tol)
 
 
 def divergence_factor(a: Trajectory, b: Trajectory) -> float:
@@ -245,15 +245,18 @@ def divergence_factor(a: Trajectory, b: Trajectory) -> float:
     not finite, from a non-finite state or from a difference or norm that
     overflows, raises InvalidInput, and so does a ratio that overflows.
     Both trajectories must share their grid and their state shape, a 2-D
-    array of at least one column, and start apart.
+    array of at least one column, and start apart. The states are read by
+    the `systems.number_array` rule with NaN and the infinities allowed, so
+    strings, booleans or None in them raise InvalidInput naming the states.
     """
     if a.times.shape != b.times.shape or not np.array_equal(a.times, b.times):
         raise InvalidInput("trajectories do not share a time grid")
     if a.states.shape != b.states.shape:
         raise InvalidInput(f"state shapes differ: {a.states.shape} vs {b.states.shape}")
-    _columns(a.states, "states")
+    states_a, states_b = (_columns(number_array(t.states, "states", finite=False), "states")
+                          for t in (a, b))
     with np.errstate(over="ignore", invalid="ignore"):
-        sep = np.hypot.reduce(a.states - b.states, axis=1)
+        sep = np.hypot.reduce(states_a - states_b, axis=1)
     bad = np.flatnonzero(~np.isfinite(sep))
     if bad.size:
         raise InvalidInput(f"separation is not finite at grid index {bad[0]}")

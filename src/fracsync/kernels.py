@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import struct
 
 import numpy as np
 
@@ -109,10 +110,14 @@ _REFUSAL = "rhs must return real numbers of shape ({d},), got {value!r}"
 # "isfinite(p0) and isfinite(p1) and ...", and {corrector} for one line
 # "y_i = c_i + k_i * float(f_i)" per component. The rhs calls stay outside
 # the `try` blocks, so an exception raised inside rhs propagates unchanged.
+# `pack_into` stores only values that `float()` has read: a digit string,
+# which `float()` reads, would make `pack_into` raise `struct.error`.
 _STEP_LOOP = """\
 def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, scale):
     {k}, = scale
     multiply, reduce, isfinite = np.multiply, np.add.reduce, math.isfinite
+    put_state, put_row = struct.Struct("{d}d").pack_into, struct.Struct("{d}d{d}d").pack_into
+    state_bytes, row_bytes = memoryview(states).cast("B"), memoryview(flat).cast("B")
     for lo in range(0, n_steps, BLOCK):
         if lo:
             tiles(lo)
@@ -133,13 +138,13 @@ def step_loop(rhs, h, n_steps, tiles, flat, states, weights, products, sums, sca
                 raise InvalidInput(_REFUSAL.format(d={d}, value=f)) from None
             if not ({y_finite}):
                 return n + 1, [isfinite(v) for v in ({y},)].index(False)
-            states[n + 1] = {y},
+            put_state(state_bytes, (n + 1) * (8 * {d}), {y})
             if n + 1 < n_steps:  # no sum reads f at the last grid point
                 f = rhs(t1, [{y}])
                 try:
                     {g}, = f
                     {g}, = {g_float},
-                    flat[n + 1] = {g}, {g}
+                    put_row(row_bytes, (n + 1) * (16 * {d}), {g}, {g})
                 except (TypeError, ValueError, OverflowError):
                     raise InvalidInput(_REFUSAL.format(d={d}, value=f)) from None
     return -1, -1
@@ -217,7 +222,12 @@ def abm_python(rhs, q, y0, h, n_steps):
     float(f_i), checks and stores it and calls rhs again for the history
     row. Reading every returned component with `float()` keeps numpy
     scalars out of the corrector and refuses a None that numpy would store
-    as NaN. The FFT tiles stay ordinary code, called once per BLOCK steps.
+    as NaN. The state row and the history row are stored with
+    `struct.pack_into` at byte offsets (n + 1) * 8d and (n + 1) * 16d of
+    byte views taken once per call, which writes each float's own bits.
+    That is sound only because this function builds `states` and the
+    history itself, as new C-contiguous arrays of native float64. The FFT
+    tiles stay ordinary code, called once per BLOCK steps.
 
     Parameters
     ----------

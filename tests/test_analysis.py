@@ -489,6 +489,34 @@ class TestSyncTime:
         with pytest.raises(InvalidInput, match="sync time must be finite, got nan"):
             sync_time(traj, 1e-3)
 
+    @pytest.mark.parametrize("errors", [
+        np.array([["1.0"], ["0.5"]]),
+        np.array([[1.0], [None]], dtype=object),
+        np.array([[True], [False]]),
+    ], ids=["strings", "none", "bools"])
+    def test_error_columns_that_are_not_numbers_are_refused(self, errors):
+        # Strings raised numpy's UFuncTypeError, None a bare TypeError, and
+        # booleans were read as 1.0 and 0.0.
+        traj = Trajectory(times=np.arange(2.0), states=np.zeros((2, 1)), errors=errors)
+        with pytest.raises(InvalidInput, match=r"^errors must be numbers, got "):
+            sync_time(traj, 1e-3)
+
+    def test_a_reported_grid_time_that_is_not_a_number_is_refused(self):
+        # float() read the digit string '1'; a time that is not reported is not read.
+        traj = Trajectory(times=np.array(["0", "1"]), states=np.zeros((2, 1)),
+                          errors=np.array([[5.0], [5e-4]]))
+        with pytest.raises(InvalidInput, match=r"^times must be a number, got np\.str_\('1'\)$"):
+            sync_time(traj, 1e-3)
+        traj.errors[-1] = 5.0
+        assert sync_time(traj, 1e-3).sync_time is None
+
+    def test_integer_error_columns_are_read_as_floats(self):
+        traj = Trajectory(times=np.arange(3), states=np.zeros((3, 1)),
+                          errors=np.array([[5], [0], [0]]))
+        summary = sync_time(traj, 1e-3)
+        assert summary.sync_time == 1.0 and type(summary.sync_time) is float
+        assert summary.final_errors == (0.0,)
+
     @pytest.mark.parametrize("time,stored", [(None, None), (np.float32(0.5), 0.5), (2, 2.0),
                                              (-1.5, -1.5)],
                              ids=["none", "float32", "int", "negative"])
@@ -528,6 +556,19 @@ class TestDivergenceFactor:
         a, b = Trajectory(times, np.zeros(shape)), Trajectory(times, np.ones(shape))
         with pytest.raises(InvalidInput, match="states must be rows of at least one column"):
             divergence_factor(a, b)
+
+    @pytest.mark.parametrize("states", [
+        np.array([["0.0"], ["1.0"]]),
+        np.array([[0.0], [None]], dtype=object),
+        np.array([[False], [True]]),
+    ], ids=["strings", "none", "bools"])
+    def test_states_that_are_not_numbers_are_refused(self, states):
+        # Strings raised numpy's UFuncTypeError.
+        times = np.arange(2.0)
+        a, b = Trajectory(times, np.ones((2, 1))), Trajectory(times, states)
+        for pair in [(a, b), (b, a)]:
+            with pytest.raises(InvalidInput, match=r"^states must be numbers, got "):
+                divergence_factor(*pair)
 
     def test_exponential_growth(self):
         times = np.linspace(0.0, 5.0, 51)

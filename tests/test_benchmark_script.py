@@ -13,10 +13,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fracsync
 from fracsync import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,6 +105,11 @@ def test_one_run_alternates_and_records_every_label(tmp_path):
             assert row["ratio"]["to"] == "a" and 0 < q1 <= row["ratio"]["median"] <= q3
     printed = [line for line in proc.stdout.splitlines() if "ratio to a" in line]
     assert len(printed) == 2 * len(CASES) - 1 and all(line.startswith("b ") for line in printed)
+    # Both labels load one checkout, so every cell, the blowup too, has the same states.
+    assert not any("same_states" in row for row in runs["a"]["results"])
+    assert all(row["same_states"] is True for row in runs["b"]["results"])
+    printed = [line for line in proc.stdout.splitlines() if "states equal to a" in line]
+    assert len(printed) == len(CASES) and all(line.startswith("b ") for line in printed)
 
 
 def test_pairs_may_follow_the_step_counts(tmp_path):
@@ -131,6 +139,22 @@ def script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_differing_states_are_reported_as_different(script, capsys):
+    # Label b integrates like fracsync, then moves its last state by one ulp.
+    def integrate(*args):
+        traj = fracsync.integrate(*args)
+        traj.states[-1, 0] = np.nextafter(traj.states[-1, 0], np.inf)
+        return traj
+
+    nudged = types.SimpleNamespace(**{n: getattr(fracsync, n) for n in fracsync.__all__})
+    nudged.integrate = integrate
+    layers = script.time_layers({"a": fracsync, "b": nudged}, [1000], 1)
+    assert not any("same_states" in row for row in layers["a"]["results"])
+    assert [row["same_states"] for row in layers["b"]["results"]] == [False] * len(CASES)
+    out = capsys.readouterr().out
+    assert out.count("states DIFFER to a") == len(CASES) and "states equal" not in out
 
 
 def test_end_to_end_runs_every_subcommand(script):

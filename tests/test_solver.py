@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -711,6 +713,29 @@ class TestFieldContract:
             integrate(SystemDef(1, faulty), 0.9, [1.0], self.CFG)
         assert str(info.value) == f"rhs must return real numbers of shape (1,), got {value!r}"
         assert len(calls) == bad_call
+
+    # After the first value no type check runs: each component is read with
+    # float(), and the rows are stored from those floats, so a digit string,
+    # True, a Fraction or a Decimal gives the bits of the float it reads as.
+    @pytest.mark.parametrize("kind", [repr, lambda v: True, Fraction, Decimal],
+                             ids=["digits", "true", "fraction", "decimal"])
+    @pytest.mark.parametrize("late_call", [11, 12])
+    def test_a_later_value_is_read_as_float_reads_it(self, kind, late_call):
+        field = financial_system().rhs
+
+        def states(convert):
+            calls = []
+
+            def late(t, y):
+                calls.append(t)
+                value = list(field(t, y))
+                if len(calls) == late_call:
+                    value[1] = convert(value[1])
+                return value
+
+            return integrate(SystemDef(3, late), self.ORDERS, self.Y0, self.CFG).states
+
+        assert states(kind).tobytes() == states(lambda v: float(kind(v))).tobytes()
 
     def test_a_value_gets_one_refusal_at_every_call(self):
         # Call 1 is f_0, checked before any step; calls 11 and 12 as above.
