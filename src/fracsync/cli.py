@@ -279,6 +279,13 @@ def _run_report(run, resolved: dict, entries: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _timed(run, *args):
+    """run(*args) and its wall seconds, which go to stdout and never into a report."""
+    t0 = time.perf_counter()
+    result = run(*args)
+    return result, time.perf_counter() - t0
+
+
 def _cmd_simulate(args, cfg):
     fp, vp, orders, model = _model(cfg)
     name = cfg.pop("system", "financial")
@@ -288,9 +295,7 @@ def _cmd_simulate(args, cfg):
     resolved = {"system": name, **model, **grid, "initial_state": ic}
 
     outdir = _outdir(args, cfg)
-    t0 = time.perf_counter()
-    run = experiments.run_simulation(system, orders, ic, config)
-    elapsed = time.perf_counter() - t0
+    run, elapsed = _timed(experiments.run_simulation, system, orders, ic, config)
 
     traj = run.trajectory
     print(f"simulate: {name}, {traj.n_points} rows, {elapsed:.2f} s")
@@ -311,9 +316,8 @@ def _cmd_synchronize(args, cfg):
                 "slave_initial": slave0, "sync_tol": tol, **rates}
 
     outdir = _outdir(args, cfg)
-    t0 = time.perf_counter()
-    run = experiments.run_synchronization(fp, vp, controller, orders, master0, slave0, config, tol)
-    elapsed = time.perf_counter() - t0
+    run, elapsed = _timed(experiments.run_synchronization,
+                          fp, vp, controller, orders, master0, slave0, config, tol)
 
     traj = run.trajectory
     if run.summary and run.summary.sync_time is not None:
@@ -389,9 +393,7 @@ def _cmd_stability(args, cfg):
 def _cmd_convergence(args, cfg):
     # The refinement study is pinned: it reads no key, so any key is refused.
     outdir = _outdir(args, cfg)
-    t0 = time.perf_counter()
-    cases, ok = experiments.convergence_selftest()
-    elapsed = time.perf_counter() - t0
+    (cases, ok), elapsed = _timed(experiments.convergence_selftest)
     report = {
         "config": {
             "h0": experiments.CONVERGENCE_H0,

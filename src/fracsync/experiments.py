@@ -1,13 +1,16 @@
 """End-to-end runs assembled from the solver, control and analysis layers.
 
-Each runner returns a `Run`, which holds only what the run produced: the
+`run_simulation` is the one runner, and the one place a blowup is caught.
+It returns a `Run`, which holds only what the run produced: the
 trajectory and, for a synchronization, its settling summary. A run that
 leaves the finite range is not an exception at this level: the `Run`
 carries the valid prefix, and its `blowup` is the caught `NonFiniteState`
 (its traceback dropped), so callers can persist partial results and
-report `blowup.to_dict()`. The closed-loop verdict depends on the
-controller alone, not on the run, and is taken where the controller is
-read: `matignon_check(controller.design_matrix(vp), orders)`.
+report `blowup.to_dict()`. A synchronization is `run_simulation` of the
+coupled pair plus its error, control and settling columns. The
+closed-loop verdict depends on the controller alone, not on the run, and
+is taken where the controller is read:
+`matignon_check(controller.design_matrix(vp), orders)`.
 """
 
 from __future__ import annotations
@@ -64,17 +67,13 @@ def build_system(name: str, fp: FinancialParams, vp: VoltaParams) -> SystemDef:
     return SYSTEMS[name][0](fp, vp)
 
 
-def _integrate(system: SystemDef, orders, y0, config: SolverConfig):
-    """(trajectory, None), or the valid prefix and the NonFiniteState as the blowup record."""
+def run_simulation(system: SystemDef, orders, y0, config: SolverConfig) -> Run:
+    """The run of `integrate`, or its valid prefix with the NonFiniteState as the blowup record."""
     try:
-        return integrate(system, orders, y0, config), None
+        return Run(integrate(system, orders, y0, config))
     except NonFiniteState as exc:
         # A traceback would keep the solver's frames, and the full states array, alive.
-        return exc.trajectory, exc.with_traceback(None)
-
-
-def run_simulation(system: SystemDef, orders, y0, config: SolverConfig) -> Run:
-    return Run(*_integrate(system, orders, y0, config))
+        return Run(exc.trajectory, exc.with_traceback(None))
 
 
 def run_synchronization(
@@ -90,18 +89,15 @@ def run_synchronization(
     q = order_array(orders, (3,))
     positive_number(tol, "tol")  # sync_time's check, made before the run rather than after it
     system = ctl.coupled_system(fp, vp, controller)
-    states = [number_array(s, "initial state", (3,)) for s in (master0, slave0)]
-    y0 = np.concatenate(states)
+    y0 = np.concatenate([number_array(s, "initial state", (3,)) for s in (master0, slave0)])
     # Master and slave components share the same three orders.
-    traj, blowup = _integrate(system, np.tile(q, 2), y0, config)
+    run = run_simulation(system, np.tile(q, 2), y0, config)
 
-    master, slave = traj.states[:, :3], traj.states[:, 3:]
-    errors = slave - master
+    states = run.trajectory.states
+    master, slave = states[:, :3], states[:, 3:]
     controls = controller.control(master, slave, fp, vp)
-    traj = Trajectory(times=traj.times, states=traj.states, errors=errors, controls=controls)
-
-    summary = None if blowup is not None else sync_time(traj, tol)
-    return Run(traj, blowup, summary)
+    traj = Trajectory(run.trajectory.times, states, errors=slave - master, controls=controls)
+    return Run(traj, run.blowup, None if run.blowup is not None else sync_time(traj, tol))
 
 
 # ---------------------------------------------------------------------------

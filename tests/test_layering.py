@@ -220,3 +220,33 @@ def test_each_cli_read_names_its_package_rule():
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_read"]
     assert len(reads) > 10
     assert [ast.unparse(n) for n in reads if any(isinstance(a, ast.Lambda) for a in n.args)] == []
+
+
+def _functions_with(predicate):
+    """(module, top-level function or "<module>") of each package node that `predicate` accepts."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            key = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+            found += [(path.name, key) for node in ast.walk(top) if predicate(node)]
+    return found
+
+
+def test_a_blowup_is_caught_in_one_runner():
+    # `experiments.run_simulation` is the one runner: every other caller of
+    # `integrate` either goes through it or lets NonFiniteState propagate.
+    def catches(node):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(getattr(t, "id", getattr(t, "attr", None)) == "NonFiniteState" for t in types)
+
+    assert _functions_with(catches) == [("experiments.py", "run_simulation")]
+
+
+def test_the_cli_times_each_run_in_one_place():
+    def reads_the_clock(node):
+        return isinstance(node, ast.Attribute) and node.attr == "perf_counter"
+
+    assert [key for name, key in _functions_with(reads_the_clock) if name == "cli.py"] == \
+        ["_timed", "_timed"]

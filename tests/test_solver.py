@@ -21,6 +21,7 @@ from fracsync import (
     ExactCancellation,
     FinancialParams,
     FractionalOrders,
+    LiteralFeedback,
     SolverConfig,
     SystemDef,
     VoltaParams,
@@ -566,6 +567,25 @@ class TestFailurePaths:
         assert run.blowup.component == 3
         assert "at step 1020 (t = 0.51) in component 3" in str(run.blowup)
         assert np.all(np.abs(run.trajectory.states[:, :3]) < 100.0)
+
+    @pytest.mark.parametrize("controller,orders,blowup_step", [
+        (ExactCancellation((-1.0, -2.0, -4.0)), (0.9, 0.95, 0.99), None),
+        (LiteralFeedback(), (0.9, 0.95, 0.99), None),
+        (ExactCancellation(-5000.0), (0.99, 0.99, 0.99), 1020),
+    ])
+    def test_synchronization_is_the_coupled_pairs_simulation(self, controller, orders, blowup_step):
+        # One run path: the pair's states and blowup record are those of
+        # run_simulation on coupled_system, bit for bit, with the slave's
+        # components under the master's orders.
+        fp, vp, q = FinancialParams(), VoltaParams(), np.array(orders)
+        master0, slave0, cfg = [2.0, -1.0, 1.0], [8.0, 2.0, 3.0], SolverConfig(5e-4, 1100)
+        sync = run_synchronization(fp, vp, controller, q, master0, slave0, cfg, 1e-3)
+        run = run_simulation(coupled_system(fp, vp, controller), np.tile(q, 2),
+                             master0 + slave0, cfg)
+        assert run.trajectory.states.tobytes() == sync.trajectory.states.tobytes()
+        assert run.trajectory.times.tobytes() == sync.trajectory.times.tobytes()
+        assert (sync.blowup and sync.blowup.step) == (run.blowup and run.blowup.step) == blowup_step
+        assert str(sync.blowup) == str(run.blowup)
 
     @pytest.mark.parametrize("bad", [0.0, 1.5, -0.3, float("nan")])
     def test_bad_order_rejected(self, bad):
