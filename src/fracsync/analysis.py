@@ -339,20 +339,18 @@ def terminal_errors(problem: ConvergenceProblem, h0: float, levels: int):
     `levels` an integer >= 2 (a boolean or a float is not), t_end a
     positive number, and the exact solution at t_end, evaluated once
     before any run, finite numbers of shape (dimension,) by the
-    `systems.number_array` rule; anything else raises InvalidInput.
+    `systems.number_array` rule. Every level's grid passes
+    `SolverConfig.for_horizon`, its step cap included, before the first
+    run. Anything else raises InvalidInput.
     """
     h0 = positive_number(h0, "h0")
     levels = count_number(levels, "levels", 2)
     t_end = positive_number(problem.t_end, "t_end")
     shape = (problem.system.dimension,)
     ref = number_array(problem.exact(t_end), "exact solution", shape)
-    hs = tuple(h0 / (2.0**k) for k in range(levels))
-    finals = [
-        integrate(problem.system, problem.orders, problem.y0, SolverConfig.for_horizon(h, t_end))
-        .final_state
-        for h in hs
-    ]
-    return hs, np.abs(np.array(finals) - ref)
+    configs = [SolverConfig.for_horizon(h0 / (2.0**k), t_end) for k in range(levels)]
+    finals = [integrate(problem.system, problem.orders, problem.y0, c).final_state for c in configs]
+    return tuple(c.h for c in configs), np.abs(np.array(finals) - ref)
 
 
 def convergence_order(problem: ConvergenceProblem, h0: float, levels: int) -> ConvergenceReport:

@@ -164,8 +164,6 @@ def _grid(cfg, default_t_end):
     h = _read("h", positive_number, cfg.pop("h", _DEFAULT_H), "value")
     t_end = _read("t_end", positive_number, cfg.pop("t_end", default_t_end), "value")
     config = _read("t_end", SolverConfig.for_horizon, h, t_end)
-    if config.n_steps > 5_000_000:
-        raise ConfigError("t_end", f"horizon needs {config.n_steps} steps; reduce t_end or raise h")
     memory = _read("memory", _full, cfg.pop("memory", "full"))
     return config, {"h": h, "t_end": t_end, "n_steps": config.n_steps, "memory": memory}
 

@@ -7,7 +7,6 @@ system. At q = 1 that scheme is the classical trapezoid predictor-corrector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,6 +15,9 @@ import numpy as np
 from . import kernels
 from .errors import InvalidInput, NonFiniteState
 from .systems import SystemDef, count_number, number_array, order_array, positive_number
+
+# The most steps `SolverConfig.for_horizon` gives a horizon.
+MAX_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -42,13 +44,15 @@ class SolverConfig:
 
         t_end is checked as h is. A horizon that rounds to no step, such as
         t_end = 0.1 at h = 1, raises InvalidInput; it is not stretched to one.
-        So does one whose step count overflows, such as t_end = 1e300 at
-        h = 1e-300.
+        So does one that rounds to more than MAX_STEPS steps, such as t_end = 1
+        at h = 1e-300, with one message for an infinite quotient too
+        (1e300 at h = 1e-300). A SolverConfig built directly takes any step
+        count.
         """
         h = positive_number(h, "step size")
         t_end = positive_number(t_end, "t_end")
-        if not math.isfinite(t_end / h):
-            raise InvalidInput(f"horizon {t_end} allows no finite step count at h = {h}")
+        if t_end / h > MAX_STEPS + 0.5:  # round() passes MAX_STEPS above this
+            raise InvalidInput(f"horizon {t_end} needs more than {MAX_STEPS} steps at h = {h}")
         n_steps = round(t_end / h)
         if n_steps < 1:
             raise InvalidInput(f"horizon {t_end} allows no step at h = {h}")

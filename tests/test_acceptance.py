@@ -24,6 +24,7 @@ from fracsync import (
     LiteralFeedback,
     SolverConfig,
     SystemDef,
+    Trajectory,
     VoltaParams,
     chaos_threshold,
     closed_loop_error_matrix,
@@ -37,6 +38,7 @@ from fracsync import (
     integrate,
     matignon_check,
     mittag_leffler,
+    sync_time,
     volta_system,
     weights_a,
     weights_b,
@@ -219,6 +221,67 @@ def test_settling_time_vs_order():
         ok,
         f"sync_time(q=0.98) = {settle[0.98]}, sync_time(q=0.99) = {settle[0.99]}, "
         f"{elapsed:.2f} s",
+    )
+
+
+# Settling times at tol 1e-3 from e0 = SLAVE0 - MASTER0 = (6, 3, 2) under the exact
+# law at unit rates, h = 1e-2: each assignment of orders, listed as (q on 6, q on 3,
+# q on 2), and each order on every component.
+REARRANGED_SETTLING = {
+    (0.9, 0.95, 0.99): 1294.7, (0.9, 0.99, 0.95): 1294.7, (0.95, 0.9, 0.99): 601.12,
+    (0.95, 0.99, 0.9): 419.28, (0.99, 0.9, 0.95): 601.12, (0.99, 0.95, 0.9): 384.21,
+}
+COMMENSURATE_SETTLING = {0.99: 65.01, 0.95: 419.28, 0.9: 1294.7}
+
+
+def test_settling_time_vs_rearranged_orders_demonstrated():
+    # The exact law's error in component i is e0_i times the unit run of
+    # D^{q_i} y = -y (tests/test_closed_forms.py), so one three-column run gives
+    # the integrated error of every assignment of the orders to the components.
+    t0 = time.perf_counter()
+    orders = (0.9, 0.95, 0.99)
+    unit = integrate(
+        SystemDef(3, lambda t, y: (-y[0], -y[1], -y[2])),
+        orders,
+        (1.0, 1.0, 1.0),
+        SolverConfig.for_horizon(h=1e-2, t_end=1300.0),
+    )
+    column = dict(zip(orders, unit.states.T))
+    e0 = np.subtract(SLAVE0, MASTER0)
+
+    def settle(assignment):
+        errors = np.column_stack([e * column[q] for e, q in zip(e0, assignment)])
+        return sync_time(Trajectory(unit.times, unit.states, errors=errors), 1e-3).sync_time
+
+    commensurate = {q: settle((q, q, q)) for q in COMMENSURATE_SETTLING}
+    rearranged = {a: settle(a) for a in REARRANGED_SETTLING}
+    coupled = run_synchronization(
+        FinancialParams(),
+        VoltaParams(),
+        ExactCancellation(),
+        FractionalOrders.uniform(0.99),
+        MASTER0,
+        SLAVE0,
+        SolverConfig.for_horizon(h=1e-2, t_end=70.0),
+        tol=1e-3,
+    ).summary.sync_time
+    elapsed = time.perf_counter() - t0
+    want = {**COMMENSURATE_SETTLING, **REARRANGED_SETTLING}
+    got = {**commensurate, **rearranged}
+    ok = (
+        all(got[k] is not None and abs(got[k] - want[k]) <= 0.02 for k in want)
+        and rearranged[(0.9, 0.95, 0.99)] == max(rearranged.values())
+        and rearranged[(0.99, 0.95, 0.9)] == min(rearranged.values())
+        and coupled == commensurate[0.99]
+        and elapsed < 30.0
+    )
+    _verdict(
+        "settling time vs rearranged orders (demonstrated)",
+        ok,
+        f"commensurate 0.99/0.95/0.9: {commensurate[0.99]:.2f}/{commensurate[0.95]:.2f}/"
+        f"{commensurate[0.9]:.2f}, coupled run at 0.99: {coupled}; q = 0.9 on the largest "
+        f"error {rearranged[(0.9, 0.95, 0.99)]:.2f}, on the smallest "
+        f"{rearranged[(0.99, 0.95, 0.9)]:.2f}; {elapsed:.2f} s",
     )
 
 

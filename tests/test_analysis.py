@@ -766,6 +766,15 @@ class TestRefinementStudy:
         with pytest.raises(ValueError, match=match):
             convergence_order(problem, 1.0 / 32.0, 4)
 
+    @pytest.mark.parametrize("levels", [40, 10**9])
+    def test_levels_past_the_step_cap_are_refused_before_the_first_run(self, monkeypatch, levels):
+        # Each level doubles the step count; every grid is checked before any run.
+        calls = []
+        monkeypatch.setattr(analysis, "integrate", lambda *args: calls.append(args))
+        with pytest.raises(InvalidInput, match="needs more than 5000000 steps"):
+            convergence_order(power_forcing_problem(0.5), 1.0 / 32.0, levels)
+        assert calls == []
+
     def test_rejects_single_level(self):
         with pytest.raises(ValueError):
             convergence_order(power_forcing_problem(1.0), 1.0 / 32.0, 1)

@@ -290,8 +290,16 @@ class TestSimulateValidation:
     def test_horizon_whose_step_count_overflows(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"h": 1e-300, "t_end": 1e300})
         assert _run("simulate", "--config", cfg, "--out", tmp_path / "never") == EXIT_CONFIG
-        want = "config error: t_end: horizon 1e+300 allows no finite step count at h = 1e-300\n"
+        want = "config error: t_end: horizon 1e+300 needs more than 5000000 steps at h = 1e-300\n"
         assert capsys.readouterr().err == want
+        assert not (tmp_path / "never").exists()
+
+    def test_horizon_past_the_step_cap_is_refused_in_one_short_line(self, tmp_path, capsys):
+        # The refusal names the cap, not the 1e300-step count the horizon asks for.
+        cfg = _write_config(tmp_path, {"h": 1e-300, "t_end": 1})
+        assert _run("simulate", "--config", cfg, "--out", tmp_path / "never") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t_end: ") and len(err) < 120
         assert not (tmp_path / "never").exists()
 
     def test_model_parameters_that_are_not_an_object(self, tmp_path, capsys):

@@ -71,6 +71,14 @@ def test_cli_writes_artifacts_and_loads_config_in_one_place():
         assert names[key] & (writers | {"_write", "_load_config"}) == set(), key
 
 
+def test_the_cli_keeps_no_step_cap():
+    # How many steps a horizon may take is `SolverConfig.for_horizon`'s rule alone.
+    compared = [node.lineno for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+                if isinstance(node, ast.Compare)
+                and any(isinstance(n, ast.Attribute) and n.attr == "n_steps" for n in ast.walk(node))]
+    assert compared == []
+
+
 def test_per_component_numbers_broadcast_by_one_rule():
     # Orders and error rates broadcast in `systems.broadcast_numbers` alone:
     # neither the command line nor the controllers spread a number over the

@@ -834,7 +834,18 @@ class TestSolverConfig:
     def test_for_horizon_refuses_a_step_count_that_overflows(self, h, t_end):
         with pytest.raises(ValueError) as info:
             SolverConfig.for_horizon(h, t_end)
-        assert str(info.value) == f"horizon {t_end} allows no finite step count at h = {h}"
+        assert str(info.value) == f"horizon {t_end} needs more than 5000000 steps at h = {h}"
+
+    def test_for_horizon_caps_the_step_count(self):
+        # round(t_end / h) may reach MAX_STEPS and not pass it; a config built
+        # directly takes any step count.
+        assert SolverConfig.for_horizon(1.0, 5e6).n_steps == 5_000_000
+        assert SolverConfig.for_horizon(1.0, 5_000_000.5).n_steps == 5_000_000
+        for h, t_end in ((1.0, 5_000_001.0), (1e-300, 1.0)):
+            with pytest.raises(InvalidInput) as info:
+                SolverConfig.for_horizon(h, t_end)
+            assert str(info.value) == f"horizon {t_end} needs more than 5000000 steps at h = {h}"
+        assert SolverConfig(h=1.0, n_steps=5_000_001).n_steps == 5_000_001
 
     def test_takes_no_memory_window(self):
         # Every run keeps its full history; h and n_steps are the only fields.
