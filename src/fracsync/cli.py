@@ -13,10 +13,7 @@ its report and, for a time series, its table; `main` writes them into
 the output directory (trajectory.csv for the table, report.json for the
 report) and takes the exit code from the report. Reports embed the resolved
 configuration and contain no wall-clock data, so a rerun with the same
-inputs is byte-identical; timing is printed to stdout only. The
-"backend" entry of simulate and synchronize reports always reads
-"numpy", the one integration driver; it stays so that reports keep the
-bytes they had when a second driver existed.
+inputs is byte-identical; timing is printed to stdout only.
 
 Exit codes: 0 success, 2 invalid configuration or an unreadable config
 or unwritable artifact, 3 run left the finite range (partial trajectory
@@ -174,21 +171,22 @@ _MODES = {"exact": ("lambda", ctl.ExactCancellation), "literal": ("gain", ctl.Li
 
 
 def _controller(cfg, vp, orders):
-    """Mode, controller, the echo of its rates or gain, and its closed-loop verdict.
+    """Controller, its echo (mode, then its rates or gain), and its closed-loop verdict.
 
     The verdict is the `_stability_entry` of the controller's design
-    matrix, which `synchronize` and `stability` both report; this is the
-    one place that takes it. A design matrix or spectrum that overflows is
-    a ConfigError on the controller's own key, lambda or gain.
+    matrix. `synchronize` and `stability` both report the echo in their
+    config and the verdict as "closed_loop"; this is the one place that
+    takes them. A design matrix or spectrum that overflows is a
+    ConfigError on the controller's own key, lambda or gain.
     """
     mode = cfg.pop("mode", "exact")
     if not isinstance(mode, str) or mode not in _MODES:
         raise ConfigError("mode", f"expected 'exact' or 'literal', got {mode!r}")
     key, cls = _MODES[mode]
     controller = _read(key, cls, cfg.pop(key)) if key in cfg else cls()
-    echo = controller.gain_array(vp) if mode == "literal" else np.array(controller.lam)
+    values = controller.gain_array(vp) if mode == "literal" else np.array(controller.lam)
     matrix = _read(key, controller.design_matrix, vp)
-    return mode, controller, {key: echo.tolist()}, _stability_entry(key, matrix, orders)
+    return controller, {"mode": mode, key: values.tolist()}, _stability_entry(key, matrix, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +258,13 @@ def _write(outdir: Path, report: dict, table) -> None:
 
 
 def _run_report(run, resolved: dict, entries: dict) -> dict:
-    """A simulate or synchronize report body, `entries` in order before "files"."""
+    """A simulate or synchronize report body: `entries` in order, then "blowup" and "files"."""
     return {
         "status": "blowup" if run.blowup else "ok",
         "config": resolved,
-        "backend": "numpy",
         "rows_written": int(run.trajectory.n_points),
         **entries,
+        "blowup": run.blowup.to_dict() if run.blowup else None,
         "files": {"trajectory": "trajectory.csv"},
     }
 
@@ -297,21 +295,20 @@ def _cmd_simulate(args, cfg):
 
     traj = run.trajectory
     print(f"simulate: {name}, {traj.n_points} rows, {elapsed:.2f} s")
-    entries = {"blowup": run.blowup.to_dict() if run.blowup else None,
-               "final_state": traj.states[-1].tolist()}
+    entries = {"final_state": traj.states[-1].tolist()}
     return outdir, _run_report(run, resolved, entries), ("t,x,y,z", [traj.times, *traj.states.T])
 
 
 def _cmd_synchronize(args, cfg):
     fp, vp, orders, model = _model(cfg)
     config, grid = _grid(cfg, _SYNC_T_END)
-    mode, controller, rates, verdict = _controller(cfg, vp, orders)
+    controller, echo, verdict = _controller(cfg, vp, orders)
     (_, master_ic), (_, slave_ic) = experiments.SYSTEMS["financial"], experiments.SYSTEMS["volta"]
     master0 = _read("master_initial", _vec3, cfg.pop("master_initial", master_ic))
     slave0 = _read("slave_initial", _vec3, cfg.pop("slave_initial", slave_ic))
     tol = _read("sync_tol", positive_number, cfg.pop("sync_tol", _DEFAULT_TOL), "value")
-    resolved = {**model, **grid, "mode": mode, "master_initial": master0,
-                "slave_initial": slave0, "sync_tol": tol, **rates}
+    resolved = {**model, **grid, **echo, "master_initial": master0,
+                "slave_initial": slave0, "sync_tol": tol}
 
     outdir = _outdir(args, cfg)
     run, elapsed = _timed(experiments.run_synchronization,
@@ -322,14 +319,9 @@ def _cmd_synchronize(args, cfg):
         sync_text = f"synchronized at t = {run.summary.sync_time:g}"
     else:
         sync_text = "not synchronized within the horizon"
-    print(f"synchronize: mode {mode}, {traj.n_points} rows, {elapsed:.2f} s")
+    print(f"synchronize: mode {echo['mode']}, {traj.n_points} rows, {elapsed:.2f} s")
     print(f"{sync_text} (tol = {tol:g})")
-    entries = {
-        "design_matrix": verdict["matrix"],
-        "stability": verdict["stability"],
-        "sync": run.summary.to_dict() if run.summary else None,
-        "blowup": run.blowup.to_dict() if run.blowup else None,
-    }
+    entries = {"closed_loop": verdict, "sync": run.summary.to_dict() if run.summary else None}
     columns = [traj.times, *traj.states.T, *traj.errors.T, *traj.controls.T]
     header = "t,x1,y1,z1,x2,y2,z2,e1,e2,e3,u1,u2,u3"
     return outdir, _run_report(run, resolved, entries), (header, columns)
@@ -355,7 +347,8 @@ def _cmd_stability(args, cfg):
     report: dict = {"config": resolved}
 
     if source == "closed_loop":
-        resolved["mode"], _, _, report["closed_loop"] = _controller(cfg, vp, orders)
+        _, echo, report["closed_loop"] = _controller(cfg, vp, orders)
+        resolved.update(echo)
     elif source == "explicit":
         values = spec.pop("values", None)
         if values is None:

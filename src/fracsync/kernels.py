@@ -303,6 +303,10 @@ def abm_python(rhs, q, y0, h, n_steps):
     for i in range(d):
         acc[:, 1, i] += hq2[i] * hist[0, 0, i] * first_panel_weights(q[i], np.arange(n_steps))
 
+    # A history near the largest float overflows in the FFT before any state
+    # is non-finite; the inf or NaN then reaches the next predictor, whose
+    # check ends the run. The rhs calls stay under the caller's error state.
+    @np.errstate(over="ignore", invalid="ignore")
     def tiles(n):
         # Tile of `size` source steps before n onto the outputs [n, stop).
         # Output n + o needs lags up to size + o, so an FFT of length

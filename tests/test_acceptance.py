@@ -372,6 +372,63 @@ def test_chaos_onset_threshold(tmp_path):
     )
 
 
+# B(q): the largest s = h^q |lambda| at which the explicit scheme's unit run of
+# D^q y = -s y stays bounded, by bisection at h = 1 over 2e4 and 1e5 steps.
+# By the scaling identity of tests/test_closed_forms.py the run depends on s alone.
+EXPLICIT_BOUND = {0.5: 1.32934, 0.9: 1.82735, 0.99: 1.98166, 1.0: 2.0}
+
+
+def test_explicit_scheme_bound_demonstrated():
+    # The argument criterion answers for the continuous problem; the scheme
+    # stays bounded only below B(q). Unit runs at 0.95 B settle and at 1.05 B
+    # diverge, and at the synchronize defaults (q = 0.99, h = 5e-4) the exact
+    # law's rates straddle B(0.99) / h^q = 3673.2. Both runs of the pair read
+    # "satisfied" today, so the verdict is not asserted.
+    t0 = time.perf_counter()
+    below, above = {}, {}
+    for q, bound in EXPLICIT_BOUND.items():
+        for factor, seen in ((0.95, below), (1.05, above)):
+            s = factor * bound
+            unit = integrate(SystemDef(1, lambda t, y, s=s: (-s * y[0],)), q, (1.0,),
+                             SolverConfig(h=1.0, n_steps=4000))
+            y = np.abs(unit.states[:, 0])
+            seen[q] = float(np.max(y[1000:])) if factor < 1 else float(y[-1])
+    h, q = 5e-4, 0.99
+    runs = {
+        lam: run_synchronization(
+            FinancialParams(),
+            VoltaParams(),
+            ExactCancellation(lam),
+            FractionalOrders.uniform(q),
+            MASTER0,
+            SLAVE0,
+            SolverConfig.for_horizon(h=h, t_end=10.0),
+            tol=1e-3,
+        ).summary
+        for lam in (-3670.0, -3690.0)
+    }
+    settled, diverged = runs[-3670.0], runs[-3690.0]
+    elapsed = time.perf_counter() - t0
+    ok = (
+        all(v < 0.1 for v in below.values())
+        and all(v > 1e100 for v in above.values())
+        and h**q * 3670.0 < EXPLICIT_BOUND[q] < h**q * 3690.0
+        and settled.sync_time is not None
+        and settled.sync_time == pytest.approx(2.46, abs=0.02)
+        and diverged.sync_time is None
+        and diverged.final_max_error > 1e50
+        and elapsed < 10.0
+    )
+    _verdict(
+        "explicit scheme bound (demonstrated)",
+        ok,
+        f"at 0.95 B(q) max |y| after step 1000 is {max(below.values()):.2e}, at 1.05 B(q) "
+        f"|y_4000| is at least {min(above.values()):.2e} (q = 0.5, 0.9, 0.99, 1); at h = 5e-4 "
+        f"lambda = -3670 settles at t = {settled.sync_time}, lambda = -3690 ends at max |e| = "
+        f"{diverged.final_max_error:.2e} without a blowup; {elapsed:.2f} s",
+    )
+
+
 def test_literal_controller_characterization():
     t0 = time.perf_counter()
     run = run_synchronization(

@@ -57,7 +57,7 @@ class TestSimulate:
         assert report["config"]["h"] == 0.01
         assert report["config"]["n_steps"] == 100
         assert report["config"]["memory"] == "full"
-        assert report["backend"] == "numpy"
+        assert "backend" not in report
         assert report["rows_written"] == 101
         assert report["blowup"] is None
         assert len(report["final_state"]) == 3
@@ -373,12 +373,12 @@ class TestSynchronize:
         report = _report(out)
         assert report["config"]["mode"] == "exact"
         assert report["config"]["lambda"] == [-1.0, -1.0, -1.0]
-        assert report["design_matrix"] == [
+        assert report["closed_loop"]["matrix"] == [
             [-1.0, 0.0, 0.0],
             [0.0, -1.0, 0.0],
             [0.0, 0.0, -1.0],
         ]
-        stab = report["stability"]
+        stab = report["closed_loop"]["stability"]
         assert stab["satisfied"] is True
         assert stab["eigenvalues"] == [[-1.0, 0.0]] * 3
         # one time unit is far too short to settle below the default tol
@@ -414,7 +414,7 @@ class TestSynchronize:
             [1.0, 0.0, -1.73],
         ]
         assert "lambda" not in report["config"]
-        assert report["design_matrix"] == [
+        assert report["closed_loop"]["matrix"] == [
             [-1.0, 0.0, 0.0],
             [0.0, -1.0, 0.0],
             [0.0, 0.0, -1.0],
@@ -427,7 +427,7 @@ class TestSynchronize:
         assert code == EXIT_OK
         report = _report(out)
         assert report["config"]["lambda"] == [-2.0, -2.0, -2.0]
-        assert report["design_matrix"][0][0] == -2.0
+        assert report["closed_loop"]["matrix"][0][0] == -2.0
 
     def test_reruns_are_byte_identical(self, tmp_path):
         first = tmp_path / "a"
@@ -520,7 +520,7 @@ class TestSynchronize:
         assert _run("synchronize", "--mode", "literal", "--h", 0.01, "--t-end", 0.1,
                     "--out", out) == EXIT_OK
         assert calls == {"eigen3": 1, "design_matrix": 1}
-        assert _report(out)["stability"]["satisfied"] is True
+        assert _report(out)["closed_loop"]["stability"]["satisfied"] is True
 
     @pytest.mark.parametrize("payload", [
         {"lambda": [-1.0, -2.0, -0.5], "orders": [0.99, 0.95, 0.9]},
@@ -532,9 +532,11 @@ class TestSynchronize:
         assert _run("synchronize", "--config", cfg, "--h", 0.01, "--t-end", 0.1,
                     "--out", sync) == EXIT_OK
         assert _run("stability", "--config", cfg, "--out", stab) == EXIT_OK
-        closed_loop = _report(stab)["closed_loop"]
-        assert _report(sync)["design_matrix"] == closed_loop["matrix"]
-        assert _report(sync)["stability"] == closed_loop["stability"]
+        sync_report, stab_report = _report(sync), _report(stab)
+        assert sync_report["closed_loop"] == stab_report["closed_loop"]
+        key = "gain" if payload.get("mode") == "literal" else "lambda"
+        for name in ("mode", key):
+            assert sync_report["config"][name] == stab_report["config"][name]
 
 
 class TestStability:
@@ -560,6 +562,20 @@ class TestStability:
             [0.0, -1.0, 0.0],
             [0.0, 0.0, -1.0],
         ]
+
+    @pytest.mark.parametrize("argv,payload,echo", [
+        ((), {"lambda": -2}, {"mode": "exact", "lambda": [-2.0, -2.0, -2.0]}),
+        (("--mode", "literal"), {},
+         {"mode": "literal", "gain": [[0.0, 19.0, -1.0], [11.0, 0.0, 0.0], [1.0, 0.0, -1.73]]}),
+    ], ids=["lambda", "default-gain"])
+    def test_closed_loop_echoes_its_controller(self, tmp_path, argv, payload, echo):
+        # The controller is echoed after matrix_source, as synchronize echoes it after the grid.
+        out = tmp_path / "stab"
+        cfg = _write_config(tmp_path, payload)
+        assert _run("stability", *argv, "--config", cfg, "--out", out) == EXIT_OK
+        config = _report(out)["config"]
+        assert list(config) == ["financial", "volta", "orders", "matrix_source", *echo]
+        assert {key: config[key] for key in echo} == echo
 
     def test_literal_gain_with_repeated_root(self, tmp_path):
         # Design matrix diag(-1, -1, -0.77): a double root at -1 and a real root.

@@ -79,6 +79,25 @@ def test_the_cli_keeps_no_step_cap():
     assert compared == []
 
 
+def test_the_cli_writes_the_blowup_entry_in_one_place_and_no_backend():
+    # A run report's "blowup" entry is built by `_run_report` alone, whatever
+    # the subcommand, and no report carries a constant "backend" entry.
+    source = (PACKAGE / "cli.py").read_text()
+    writers = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Dict):
+                keys = node.keys
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                keys = [node.slice]
+            else:
+                continue
+            if any(isinstance(k, ast.Constant) and k.value == "blowup" for k in keys):
+                writers.append(getattr(top, "name", "<module>"))
+    assert writers == ["_run_report"]
+    assert "backend" not in source
+
+
 def test_per_component_numbers_broadcast_by_one_rule():
     # Orders and error rates broadcast in `systems.broadcast_numbers` alone:
     # neither the command line nor the controllers spread a number over the

@@ -452,6 +452,20 @@ class TestFailurePaths:
             integrate(system, 1.0, [10.0], SolverConfig(h=0.1, n_steps=200))
         assert np.all(np.isfinite(info.value.trajectory.states))
 
+    @pytest.mark.parametrize("q,s", [(1.0, 2.05), (0.9, 2.3756), (0.99, 2.0213), (0.5, 1.3559)])
+    def test_slow_divergence_past_the_fft_tiles_is_a_blowup(self, q, s):
+        # Just past the scheme's bound the unit run grows slowly, so the history
+        # nears the largest float at a block boundary and the FFT tiles overflow
+        # before any state is non-finite. The run still ends as a blowup, and
+        # the suite's error filter turns any RuntimeWarning into a failure.
+        system = _scalar_system(lambda t, y: (-s * y[0],))
+        with pytest.raises(NonFiniteState) as info:
+            integrate(system, q, [1.0], SolverConfig(h=1.0, n_steps=20000))
+        err = info.value
+        assert err.step > 1000
+        assert err.trajectory.n_points == err.step
+        assert np.all(np.isfinite(err.trajectory.states))
+
     # The driver at q = 1, where the scheme is the classical trapezoid predictor-corrector.
     CLASSICAL_DRIVERS = pytest.mark.parametrize(
         "solve", [lambda system, cfg: integrate(system, 1.0, [1.0], cfg)], ids=["fractional-q1"]
